@@ -69,7 +69,6 @@ from .construct import (
 from .families import flower_triple, goldberg_triple, petersen_triple
 from .search import (
     complete_system,
-    conjecture_sweep,
     enumerate_compatible_triples,
     enumerate_nops,
     fan_raspaud_witness,

@@ -66,26 +66,6 @@ def parse_graph(doc: dict) -> CubicGraph:
     return CubicGraph(n, edges)
 
 
-def parse_partitions(doc: dict, g: CubicGraph) -> list[list[Trail]]:
-    """Strict parsing; raises CertificateError on any unusable trail."""
-    out = []
-    try:
-        raw = doc["partitions"]
-    except KeyError as exc:
-        raise CertificateError("certificate has no partitions") from exc
-    for i, part in enumerate(raw):
-        trails = []
-        for j, t in enumerate(part):
-            try:
-                trails.append(Trail(g, t["vertices"], t["edges"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CertificateError(
-                    f"partition {i} trail {j}: {exc}"
-                ) from exc
-        out.append(trails)
-    return out
-
-
 def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -> dict:
     """Full verification: trails form normal partitions; with two or more
     partitions they must be pairwise compatible.

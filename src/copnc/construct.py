@@ -38,7 +38,10 @@ from .graph import (
 from .partition import (
     NormalPartition,
     Trail,
+    agreement,
+    agrees_at,
     associated_matching,
+    is_conformal,
     is_odd,
     length_profile,
     triple_set,
@@ -197,7 +200,7 @@ class ConformalTriple:
                 raise NotConformalTriple("partition on the wrong graph")
             if not is_odd(p):
                 raise NotConformalTriple("partition not odd")
-            if associated_matching(p) != classes[c]:
+            if not is_conformal(p, classes[c]):
                 raise NotConformalTriple(f"partition {c} not conformal to its class")
         if triple_set(*self.partitions):
             raise NotConformalTriple("partitions are not pairwise compatible")
@@ -253,15 +256,6 @@ def _conformal_seed(
     ]
 
 
-def _agreement(parts: Sequence[NormalPartition], n: int) -> list[int]:
-    out = []
-    for v in range(n):
-        marks = [p.marked[v] >> 1 for p in parts]
-        if len(set(marks)) < 3:
-            out.append(v)
-    return out
-
-
 def _ball(g: CubicGraph, centers: Sequence[int], radius: int = 2) -> list[int]:
     seen = set(centers)
     frontier = list(centers)
@@ -296,6 +290,10 @@ def conformal_triple(
     walks with orientation re-seeding, keeping the best state seen.  The
     budget caps total switch applications; exceeding it raises
     SearchExhausted, which the theory says should not happen.
+
+    A switch at v changes the marking at v only, so A and |A| are updated
+    at the switched vertices instead of being recomputed, and the
+    partitions are decoded into trails once, for the final validation.
     """
     if coloring is None:
         coloring = proper_3_edge_coloring(g)
@@ -307,7 +305,10 @@ def conformal_triple(
     spent = 0
     rng = random.Random(seed)
 
-    def switched(cur: list[NormalPartition], c: int, v: int):
+    def switched(cur: list[NormalPartition], size: int, c: int, v: int):
+        """The state after the conformal switch of partition c at v and its
+        |A|, or None.  Only v's marked edge changes, so only v can enter or
+        leave A."""
         nonlocal spent
         spent += 1
         if spent > budget:
@@ -317,37 +318,40 @@ def conformal_triple(
             return None
         new = list(cur)
         new[c] = q
-        return new
+        return new, size - agrees_at(cur, v) + agrees_at(new, v)
 
-    def descend_once(cur: list[NormalPartition], base: int) -> Optional[list[NormalPartition]]:
-        agree = _agreement(cur, g.n)
-        v = agree[0]
+    def descend_once(cur: list[NormalPartition], agree: set[int]):
+        """A state with a smaller agreement set, or None.  The state comes
+        with the vertices where its marking may differ from cur's."""
+        base = len(agree)
+        v = min(agree)
         marks = [p.marked[v] >> 1 for p in cur]
         w = g.other_end(marks[0] if marks.count(marks[0]) > 1 else marks[1], v)
+        sites = _ball(g, [v, w], 2)
         # single conformal switch at the conflict vertex
         for c in (RED, BLUE, YELLOW):
-            new = switched(cur, c, v)
-            if new and len(_agreement(new, g.n)) < base:
-                return new
-        # bounded search over switch sequences near the conflict
-        sites = _ball(g, [v, w], 2)
-        seen = {tuple(p.key for p in cur)}
+            step = switched(cur, base, c, v)
+            if step and step[1] < base:
+                return step[0], (v,)
+        # bounded search over switch sequences near the conflict; the core
+        # has no loops, so equal markings mean equal partitions
+        seen = {tuple(p.marked for p in cur)}
         frontier = [cur]
         for _ in range(3):
             nxt = []
             for state in frontier:
                 for c in (RED, BLUE, YELLOW):
                     for u in sites:
-                        new = switched(state, c, u)
-                        if new is None:
+                        step = switched(state, base, c, u)
+                        if step is None:
                             continue
-                        key = tuple(p.key for p in new)
+                        new, size = step
+                        key = tuple(p.marked for p in new)
                         if key in seen:
                             continue
                         seen.add(key)
-                        size = len(_agreement(new, g.n))
                         if size < base:
-                            return new
+                            return new, sites
                         if size == base and len(nxt) < 512:
                             nxt.append(new)
             frontier = nxt
@@ -355,21 +359,29 @@ def conformal_triple(
                 break
         return None
 
-    best = parts
-    best_size = len(_agreement(parts, g.n))
+    def recheck(agree: set[int], cur: list[NormalPartition], vertices) -> None:
+        for u in vertices:
+            if agrees_at(cur, u):
+                agree.add(u)
+            else:
+                agree.discard(u)
+
+    # A is kept up to date from the switched vertices alone
+    agree = set(agreement(parts))
+    best, best_size = parts, len(agree)
     strategy = "seed"
     while True:
-        size = len(_agreement(parts, g.n))
-        if size < best_size:
-            best, best_size = parts, size
-        if size == 0:
+        if len(agree) < best_size:
+            best, best_size = parts, len(agree)
+        if not agree:
             log.debug("conformal triple reached A=0 via %s", strategy)
             triple = ConformalTriple(g, coloring, tuple(parts))
             triple.validate()
             return triple
-        improved = descend_once(parts, size)
+        improved = descend_once(parts, agree)
         if improved is not None:
-            parts = improved
+            parts, switched_at = improved
+            recheck(agree, parts, switched_at)
             strategy = "guided"
             continue
         # random fallback: conformal walk, then orientation re-seed on stall
@@ -378,12 +390,13 @@ def conformal_triple(
         while stall < 200:
             c = rng.randrange(3)
             v = rng.randrange(g.n)
-            new = switched(parts, c, v)
-            if new is None:
+            step = switched(parts, len(agree), c, v)
+            if step is None:
                 stall += 1
                 continue
-            parts = new
-            if len(_agreement(parts, g.n)) < best_size:
+            parts = step[0]
+            recheck(agree, parts, (v,))
+            if len(agree) < best_size:
                 break  # outer loop records the new best and resumes descent
             stall += 1
         else:
@@ -394,11 +407,10 @@ def conformal_triple(
             reseeded = _conformal_seed(g, classes, orientations)
             # keep the best state seen: restart from it unless the fresh
             # seed is at least as good
-            parts = (
-                reseeded
-                if len(_agreement(reseeded, g.n)) <= best_size
-                else best
-            )
+            if len(agreement(reseeded)) > best_size:
+                reseeded = best
+            parts = reseeded
+            agree = set(agreement(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -876,20 +888,14 @@ def _base_conformal_triple(g: CubicGraph, coloring: tuple[int, ...]) -> Conforma
     pools = [enumerate_nops(g, conformal_to=classes[c]) for c in (RED, BLUE, YELLOW)]
     for p1 in pools[0]:
         for p2 in pools[1]:
-            if not _pair_ok(p1, p2):
+            if agreement((p1, p2)):
                 continue
             for p3 in pools[2]:
-                if _pair_ok(p1, p3) and _pair_ok(p2, p3):
+                if not agreement((p1, p3)) and not agreement((p2, p3)):
                     triple = ConformalTriple(g, coloring, (p1, p2, p3))
                     triple.validate()
                     return triple
     raise SearchExhausted("no conformal triple on a base graph; should not happen")
-
-
-def _pair_ok(p1: NormalPartition, p2: NormalPartition) -> bool:
-    return all(
-        p1.marked[v] >> 1 != p2.marked[v] >> 1 for v in range(p1.graph.n)
-    )
 
 
 def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:

@@ -84,10 +84,6 @@ class CubicGraph:
         a, b, c = self.vertex_darts[v]
         return (a >> 1, b >> 1, c >> 1)
 
-    def edge_ids_at(self, v: int) -> tuple[int, ...]:
-        """Distinct edge ids incident to v (2 if v carries a loop)."""
-        return tuple(sorted(set(self.edges_at(v))))
-
     def is_loop(self, e: int) -> bool:
         u, v = self.endpoints[e]
         return u == v
@@ -507,13 +503,18 @@ def has_perfect_matching(g: CubicGraph) -> bool:
     return next(perfect_matchings(g), None) is not None
 
 
+# number of colors left free by a bitmask of colors in use
+_FREE = (3, 2, 2, 1, 2, 1, 1, 0)
+
+
 def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
     """First proper 3-edge-coloring in deterministic search order, or None.
 
     Colors are RED, BLUE, YELLOW = 0, 1, 2.  A graph with a loop has no
     proper edge coloring.  The search colors one edge at a time, always
     picking a most-constrained uncolored edge next, which exhausts quickly
-    on the snark families used here.
+    on the snark families used here.  It backtracks on an explicit stack,
+    so its depth is not bounded by the interpreter's recursion limit.
     """
     if g.has_loop():
         return None
@@ -527,7 +528,7 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
             if color[e] >= 0:
                 continue
             u, v = g.endpoints[e]
-            free = bin(~(used[u] | used[v]) & 7).count("1")
+            free = _FREE[used[u] | used[v]]
             if free == 0:
                 return e
             if free < best_free:
@@ -535,27 +536,6 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
                 if free == 1:
                     return e
         return best
-
-    def rec() -> bool:
-        e = pick()
-        if e < 0:
-            return True
-        u, v = g.endpoints[e]
-        avail = ~(used[u] | used[v]) & 7
-        if not avail:
-            return False
-        for c in (RED, BLUE, YELLOW):
-            bit = 1 << c
-            if avail & bit:
-                color[e] = c
-                used[u] |= bit
-                used[v] |= bit
-                if rec():
-                    return True
-                color[e] = -1
-                used[u] &= ~bit
-                used[v] &= ~bit
-        return False
 
     if m == 0:
         return ()
@@ -570,9 +550,32 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
     color[e1] = BLUE
     used[u] |= 1 << BLUE
     used[v] |= 1 << BLUE
-    if rec():
-        return tuple(color)
-    return None
+    # depth-first search on an explicit stack of the edges it has colored;
+    # each edge tries its free colors in the order RED, BLUE, YELLOW
+    stack: list[int] = []
+    e, first = pick(), RED
+    while e >= 0:
+        u, v = g.endpoints[e]
+        avail = ~(used[u] | used[v]) & 7
+        c = next((c for c in (RED, BLUE, YELLOW) if c >= first and avail >> c & 1), -1)
+        if c >= 0:
+            color[e] = c
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            stack.append(e)
+            e, first = pick(), RED
+            continue
+        if not stack:
+            return None
+        # every color failed below the last colored edge: undo it, try its next
+        e = stack.pop()
+        u, v = g.endpoints[e]
+        c = color[e]
+        color[e] = -1
+        used[u] &= ~(1 << c)
+        used[v] &= ~(1 << c)
+        first = c + 1
+    return tuple(color)
 
 
 def chromatic_index(g: CubicGraph) -> int:

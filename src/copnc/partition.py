@@ -10,7 +10,8 @@ The marking (one chosen edge-end per vertex) is a faithful, compact dual of
 the partition: the two unmarked slots at each vertex form the internal
 passage, and following passages from marked slots reconstructs the trails.
 A marking decodes successfully exactly when no edge set closes into an
-internally paired cycle.
+internally paired cycle.  NormalPartition stores the marking; its trails
+are decoded lazily when a partition was built from a marking alone.
 
 An odd partition is one whose trails all have odd length.  The edge at
 1-based position i of a trail is *odd* when both subtrails left by deleting
@@ -170,7 +171,16 @@ def odd_edges(trail: Trail) -> tuple[int, ...]:
 
 
 class NormalPartition:
-    """A validated normal partition with its derived marking and passages.
+    """A normal partition, stored as its marking (vertex -> marked dart).
+
+    The marking is the primary state: it is exactly what a switch changes,
+    and compatibility and agreement read it alone.  The trails, passages,
+    edge positions and canonical key follow from it by decoding.  A
+    partition built by decoding or validating trails carries them from the
+    start; one built from a marking already known to decode (a switch
+    result) computes them on first access and caches them.  The associated
+    matching is cached as well: computed from the trails on first use, or
+    given up front by a conformal switch, which checks it locally.
 
     Equality and hashing treat trails up to reversal: two partitions are
     equal exactly when their trail sets agree modulo reversal, which also
@@ -178,15 +188,39 @@ class NormalPartition:
     non-loop slots.
     """
 
-    __slots__ = ("graph", "trails", "marked", "passage", "edge_pos", "_key")
+    __slots__ = ("graph", "marked", "_trails", "_passage", "_edge_pos", "_key", "_matching")
 
-    def __init__(self, graph: CubicGraph, trails: Sequence[Trail], marked: Sequence[int], passage, edge_pos):
+    def __init__(self, graph: CubicGraph, marked: Sequence[int], matching: Optional[frozenset[int]] = None):
         self.graph = graph
-        self.trails = tuple(trails)
         self.marked = tuple(marked)          # vertex -> marked dart
-        self.passage = tuple(passage)        # vertex -> (dart, dart), sorted
-        self.edge_pos = tuple(edge_pos)      # edge -> (trail index, 1-based position)
-        self._key = tuple(t.key for t in self.trails)
+        self._trails: Optional[tuple[Trail, ...]] = None
+        self._matching = matching
+
+    def _decoded(self) -> "NormalPartition":
+        if self._trails is None:
+            q = trails_from_marking(self.graph, self.marked)
+            self._passage, self._edge_pos, self._key = q._passage, q._edge_pos, q._key
+            self._trails = q._trails
+        return self
+
+    @property
+    def trails(self) -> tuple[Trail, ...]:
+        """Trails in canonical order, each in its canonical orientation."""
+        return self._decoded()._trails
+
+    @property
+    def passage(self) -> tuple[tuple[int, int], ...]:
+        """vertex -> its two internal darts, sorted."""
+        return self._decoded()._passage
+
+    @property
+    def edge_pos(self) -> tuple[tuple[int, int], ...]:
+        """edge -> (trail index, 1-based position)."""
+        return self._decoded()._edge_pos
+
+    @property
+    def key(self):
+        return self._decoded()._key
 
     # -- views ------------------------------------------------------------
 
@@ -210,19 +244,15 @@ class NormalPartition:
     def lengths(self) -> tuple[int, ...]:
         return tuple(t.length for t in self.trails)
 
-    @property
-    def key(self):
-        return self._key
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NormalPartition)
             and self.graph == other.graph
-            and self._key == other._key
+            and self.key == other.key
         )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"NormalPartition({len(self.trails)} trails, lengths {sorted(self.lengths(), reverse=True)})"
@@ -279,7 +309,12 @@ def _enrich(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
             into = t.out_darts[i - 1] ^ 1
             outof = t.out_darts[i]
             passage[v] = (into, outof) if into < outof else (outof, into)
-    return NormalPartition(g, trails, marked, passage, edge_pos)
+    p = NormalPartition(g, marked)
+    p._trails = tuple(trails)
+    p._passage = tuple(passage)
+    p._edge_pos = tuple(edge_pos)
+    p._key = tuple(t.key for t in trails)
+    return p
 
 
 def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
@@ -357,11 +392,7 @@ def is_odd(p: NormalPartition) -> bool:
     return all(t.length % 2 == 1 for t in p.trails)
 
 
-def associated_matching(p: NormalPartition) -> frozenset[int]:
-    """Union of the odd edges over all trails; a perfect matching.
-
-    Raises NotOdd when some trail has even length.
-    """
+def _odd_edge_union(p: NormalPartition) -> frozenset[int]:
     if not is_odd(p):
         raise NotOdd("partition has an even trail")
     out: set[int] = set()
@@ -370,31 +401,52 @@ def associated_matching(p: NormalPartition) -> frozenset[int]:
     return frozenset(out)
 
 
+def associated_matching(p: NormalPartition) -> frozenset[int]:
+    """Union of the odd edges over all trails; a perfect matching.
+
+    Cached on p.  Raises NotOdd when some trail has even length.
+    """
+    if p._matching is None:
+        p._matching = _odd_edge_union(p)
+    return p._matching
+
+
 def is_conformal(p: NormalPartition, m: frozenset[int]) -> bool:
-    """True when the odd edges of p are exactly the matching m."""
-    return associated_matching(p) == frozenset(m)
+    """True when the odd edges of p are exactly the matching m.
+
+    Always read off the trails, never from a cached matching, so it also
+    audits partitions whose matching was set by a local switch.  Raises
+    NotOdd when some trail has even length.
+    """
+    return _odd_edge_union(p) == frozenset(m)
+
+
+def agrees_at(parts: Sequence[NormalPartition], v: int) -> bool:
+    """True when two of the partitions mark the same edge at v."""
+    return len({p.marked[v] >> 1 for p in parts}) < len(parts)
+
+
+def agreement(parts: Sequence[NormalPartition]) -> list[int]:
+    """Vertices where two of the partitions mark the same edge, ascending.
+
+    For two partitions this is their compatibility set, for three the
+    union of the pairwise sets; the partitions are pairwise compatible
+    exactly when it is empty.
+    """
+    g = parts[0].graph
+    if any(p.graph != g for p in parts[1:]):
+        raise ValueError("partitions live on different graphs")
+    return [v for v in range(g.n) if agrees_at(parts, v)]
 
 
 def compatibility_set(p1: NormalPartition, p2: NormalPartition) -> frozenset[int]:
     """Vertices where the two partitions mark the same edge id."""
-    if p1.graph != p2.graph:
-        raise ValueError("partitions live on different graphs")
-    return frozenset(
-        v for v in range(p1.graph.n) if p1.marked[v] >> 1 == p2.marked[v] >> 1
-    )
+    return frozenset(agreement((p1, p2)))
 
 
 def triple_set(p1: NormalPartition, p2: NormalPartition, p3: NormalPartition) -> frozenset[int]:
     """Union of the three pairwise agreement sets."""
-    return (
-        compatibility_set(p1, p2)
-        | compatibility_set(p1, p3)
-        | compatibility_set(p2, p3)
-    )
-
-
-def are_compatible(p1: NormalPartition, p2: NormalPartition) -> bool:
-    return not compatibility_set(p1, p2)
+    return frozenset(agreement((p1, p2, p3)))
 
 
 @dataclass(frozen=True)

@@ -489,10 +489,3 @@ def check_graph(g: CubicGraph, which: str, gid: str = "?") -> SweepReport:
     rep.elapsed = time.perf_counter() - t0
     return rep
 
-
-def conjecture_sweep(
-    corpus: Sequence[tuple[str, CubicGraph]], which: str
-) -> Iterator[SweepReport]:
-    """Sequential sweep; the command line layer adds the worker pool."""
-    for gid, g in corpus:
-        yield check_graph(g, which, gid)

@@ -10,15 +10,20 @@ does, the other would close the detached part into a cycle.  Every switch
 changes the marked edge at v and nothing anywhere else.
 
 Odd switching restricts to moves between odd partitions; conformal
-switching additionally preserves the associated perfect matching.
+switching additionally preserves the associated perfect matching.  Plain
+and odd switches decode the whole new marking.  A conformal switch works
+on the marking alone: it walks T_i and T_j before and after re-marking v
+and checks them against the matching, at a cost of O(|T_i| + |T_j|)
+whatever the size of the graph, and returns a partition whose trails are
+decoded only on first use.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .graph import CubicGraph
 from .partition import (
     CycleError,
     NormalPartition,
@@ -26,8 +31,6 @@ from .partition import (
     is_odd,
     trails_from_marking,
 )
-
-log = logging.getLogger(__name__)
 
 
 class BadBranch(ValueError):
@@ -97,6 +100,37 @@ def odd_switches(p: NormalPartition, v: int) -> list[NormalPartition]:
     return [q for q in switch_candidates(p, v) if is_odd(q)]
 
 
+def _walk(g: CubicGraph, marked: Sequence[int], v: int, mark_v: int, start: int) -> tuple[list[int], int]:
+    """Follow a trail from dart start under the marking, with v marked at
+    mark_v instead of marked[v]; returns the darts left through, in order,
+    and the dart where the trail ends.
+
+    A walk from a marked dart covers its whole trail; one from a passage
+    dart covers the part of its trail beyond that dart.
+    """
+    slots = g.vertex_darts
+    at = g.dart_vertex
+    out = []
+    cur = start
+    while True:
+        out.append(cur)
+        nxt = cur ^ 1
+        w = at(nxt)
+        mk = mark_v if w == v else marked[w]
+        if mk == nxt:
+            return out, nxt
+        a, b, c = slots[w]
+        cur = a + b + c - nxt - mk  # the other unmarked slot at w
+
+
+def _conformal_trail(darts: Sequence[int], m: frozenset[int]) -> bool:
+    """Odd length, and the edges at even 1-based positions are exactly
+    the trail's edges in m."""
+    if len(darts) % 2 == 0:
+        return False
+    return all(((d >> 1) in m) == (i % 2 == 1) for i, d in enumerate(darts))
+
+
 def conformal_switch(
     p: NormalPartition, m: frozenset[int], v: int
 ) -> Optional[NormalPartition]:
@@ -106,22 +140,43 @@ def conformal_switch(
 
     At most one candidate can qualify: the move that re-marks v's matching
     slot makes a matching edge a trail end, which conformality forbids.
+    The other move is checked locally on the marking: only the trail T_j
+    ending at v and the trail T_i through v's passage change, so both are
+    walked before and after re-marking v, in O(|T_i| + |T_j|).  The new
+    trails must cover as many edges as the old ones (fewer means a closed
+    cycle) and each must be conformal to m.  The result carries m as its
+    matching; its trails are decoded only when asked for.
     """
     m = frozenset(m)
     if associated_matching(p) != m:
         raise NotConformalInput("partition is not conformal to the matching")
-    winners = [
-        q
-        for q in switch_candidates(p, v)
-        if is_odd(q) and associated_matching(q) == m
-    ]
-    if len(winners) > 1:  # pragma: no cover - would contradict the analysis
-        log.warning(
-            "conformal switch on %d produced %d candidates; keeping the first",
-            v,
-            len(winners),
-        )
-    return winners[0] if winners else None
+    g = p.graph
+    marked = p.marked
+    d0 = marked[v]
+    d1, d2 = (d for d in g.vertex_darts[v] if d != d0)
+    new = d2 if (d1 >> 1) in m else d1
+    # the old trails: T_j from its end at v, then T_i unless it is T_j
+    tj, far = _walk(g, marked, v, d0, d0)
+    ends = [far]
+    size = len(tj)
+    if d1 not in tj and d2 not in tj:
+        h1, x1 = _walk(g, marked, v, d0, d1)
+        h2, x2 = _walk(g, marked, v, d0, d2)
+        ends += [x1, x2]
+        size += len(h1) + len(h2)
+    # the new trails, from v's new mark and from the remaining old ends
+    first, end = _walk(g, marked, v, new, new)
+    walked = [first]
+    rest = [x for x in ends if x != end]
+    if rest:
+        walked.append(_walk(g, marked, v, new, rest[0])[0])
+    if sum(map(len, walked)) < size:
+        return None  # the re-attachment closes a cycle
+    if not all(_conformal_trail(t, m) for t in walked):
+        return None
+    marking = list(marked)
+    marking[v] = new
+    return NormalPartition(g, marking, m)
 
 
 def _moves(

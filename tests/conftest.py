@@ -82,3 +82,51 @@ def graph_automorphisms(g: CubicGraph):
     nxg = nx.Graph(list(g.endpoints))
     matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
     return [dict(m) for m in matcher.isomorphisms_iter()]
+
+
+# Shapes of the construct benchmark, as (n, edge list) in generator labelling.
+
+
+def circular_ladder(r):
+    edges = [(i, (i + 1) % r) for i in range(r)]
+    edges += [(r + i, r + (i + 1) % r) for i in range(r)]
+    edges += [(i, r + i) for i in range(r)]
+    return 2 * r, edges
+
+
+def moebius_ladder(r):
+    edges = [(i, (i + 1) % (2 * r)) for i in range(2 * r)]
+    edges += [(i, i + r) for i in range(r)]
+    return 2 * r, edges
+
+
+def generalized_petersen3(k):
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    edges += [(k + i, k + (i + 3) % k) for i in range(k)]
+    return 2 * k, edges
+
+
+def truncated_ladder(r):
+    """Circular ladder with every vertex replaced by a triangle."""
+    n, base = circular_ladder(r)
+    used = [0] * n
+    edges = []
+    for u, v in base:
+        edges.append((3 * u + used[u], 3 * v + used[v]))
+        used[u] += 1
+        used[v] += 1
+    for v in range(n):
+        edges += [(3 * v, 3 * v + 1), (3 * v + 1, 3 * v + 2), (3 * v + 2, 3 * v)]
+    return 3 * n, edges
+
+
+def digon_ladder(r):
+    """Circular ladder with every rung subdivided by a digon."""
+    n, base = circular_ladder(r)
+    edges = base[: 2 * r]
+    for u, v in base[2 * r :]:
+        a, b = n, n + 1
+        n += 2
+        edges += [(u, a), (a, b), (a, b), (b, v)]
+    return n, edges

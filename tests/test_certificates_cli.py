@@ -76,6 +76,25 @@ class TestCli:
         p.write_text(C.dumps(doc))
         assert main(["validate", str(p)]) == 2
 
+    def test_conformal_construct_circular_ladder_r400(self, tmp_path, capsys):
+        """n = 800: the coloring search and the descent run without a
+        recursion-depth ceiling and the certificate validates."""
+        import sys
+
+        from conftest import circular_ladder
+
+        n, edges = circular_ladder(400)
+        graph = tmp_path / "ladder.edges"
+        graph.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        out = tmp_path / "ladder.json"
+        limit = sys.getrecursionlimit()
+        assert main(["construct", "--method", "conformal", "--graph", f"@{graph}", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(out), "--graph", f"@{graph}"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert len(json.loads(out.read_text())["partitions"]) == 3
+        assert sys.getrecursionlimit() == limit
+
     def test_construct_precondition_exit(self, capsys):
         assert main(["construct", "--method", "bipartite", "--graph", "k4"]) == 3
         assert main(["construct", "--method", "conformal", "--graph", "flower:5"]) == 3

@@ -224,6 +224,25 @@ class TestCompatibility:
         q = switch_candidates(p, 2)[0]
         assert compatibility_set(p, q) == frozenset({0, 1, 3})
 
+    def test_agreement_helper_matches_pairwise_sets(self, k4):
+        from copnc.partition import agreement, agrees_at
+
+        ps = enumerate_nops(k4)[:6]
+        for p1 in ps:
+            for p2 in ps:
+                pair = [v for v in range(4) if p1.marked_edge(v) == p2.marked_edge(v)]
+                assert agreement((p1, p2)) == pair
+                for p3 in ps:
+                    want = compatibility_set(p1, p2) | compatibility_set(p1, p3) | compatibility_set(p2, p3)
+                    assert agreement((p1, p2, p3)) == sorted(want)
+                    assert [v for v in range(4) if agrees_at((p1, p2, p3), v)] == sorted(want)
+
+    def test_agreement_rejects_mixed_graphs(self, k4, k33):
+        from copnc.partition import agreement
+
+        with pytest.raises(ValueError):
+            agreement((enumerate_nops(k4)[0], enumerate_nops(k33)[0]))
+
     def test_triple_compatibility_uses_all_three_slots(self, k33):
         t = bipartite_triple(k33)
         for v in range(k33.n):

@@ -1,0 +1,58 @@
+"""Byte-identity of conformal certificates across refactors of the descent.
+
+The five shapes of the construct benchmark, at n = 60, with each edge
+listed from an end picked by a fixed seed: `construct --method conformal
+--seed 0` must keep writing exactly the certificate bytes pinned below.
+A change to the descent, the switch, the coloring or the surgeries that
+alters which states are visited shows up here as a digest mismatch.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from copnc.cli import main
+
+from conftest import circular_ladder, digon_ladder, generalized_petersen3, moebius_ladder, truncated_ladder
+
+
+SHAPES = {
+    "circular": lambda: circular_ladder(30),
+    "moebius": lambda: moebius_ladder(30),
+    "gp3": lambda: generalized_petersen3(30),
+    "truncated": lambda: truncated_ladder(10),
+    "digon": lambda: digon_ladder(15),
+}
+
+# SHA-256 of the certificate bytes, recorded before the descent switched
+# locally on markings
+PINNED = {
+    "circular": "501eeeea21f56b11104267aa880fffde15a784bbc36eef0bedc836ffb20955d8",
+    "moebius": "86c60bd0f71f89ea334f9e89b37b5aafae27ff7ed8ab3109bb9067eebf44e238",
+    "gp3": "0543a24c8fd5e07cf1f452d42cbe96506a6e53da9aa009dee93d4c224ecfcab5",
+    "truncated": "59770c78a4e991375ca323d8ef77b69baa6b90e20320c6fcbe07c2c4b7f9dee4",
+    "digon": "45e41a67e58311ebdebe87b8782c6731d182214d0e5d0d5633b4bd28f013f00f",
+}
+
+
+def shape_edges_text(name):
+    """Edge-list text of one shape, each edge listed from a random end."""
+    n, edges = SHAPES[name]()
+    rng = random.Random(name)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    return "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]) + "\n"
+
+
+def certificate_digest(name, tmp_path):
+    graph = tmp_path / f"{name}.edges"
+    graph.write_text(shape_edges_text(name))
+    cert = tmp_path / f"{name}.json"
+    argv = ["construct", "--method", "conformal", "--graph", f"@{graph}", "--seed", "0", "--out", str(cert)]
+    assert main(argv) == 0
+    return hashlib.sha256(cert.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_conformal_certificate_bytes_pinned(name, tmp_path):
+    assert certificate_digest(name, tmp_path) == PINNED[name]

@@ -1,6 +1,6 @@
 import pytest
 
-from copnc.graph import perfect_matchings
+from copnc.graph import build_graph, generate, perfect_matchings
 from copnc.partition import (
     Trail,
     associated_matching,
@@ -21,6 +21,8 @@ from copnc.switching import (
     switch_candidates,
     switch_class,
 )
+
+from conftest import circular_ladder, generalized_petersen3, moebius_ladder
 
 
 class TestSwitch:
@@ -186,3 +188,90 @@ class TestClasses:
         p = enumerate_nops(petersen)[0]
         with pytest.raises(CapExceeded):
             reachable_class(p, "odd", cap=5)
+
+
+def decode_oracle_switch(p, m, v):
+    """The conformal switch by full decodes: every switch candidate, kept
+    when odd with associated matching m."""
+    winners = [
+        q
+        for q in switch_candidates(p, v)
+        if is_odd(q) and associated_matching(q) == m
+    ]
+    assert len(winners) <= 1
+    return winners[0] if winners else None
+
+
+def assert_same_switch(p, m, v):
+    """Local switch and decode oracle agree; returns the local result."""
+    from copnc.partition import is_conformal, trails_from_marking
+
+    got = conformal_switch(p, m, v)
+    want = decode_oracle_switch(p, m, v)
+    if want is None:
+        assert got is None
+        return None
+    assert got == want
+    assert got.marked_edges() == want.marked_edges()
+    assert associated_matching(got) == m and is_conformal(got, m)
+    full = trails_from_marking(p.graph, got.marked)
+    assert got.trails == full.trails
+    assert got.passage == full.passage
+    assert got.edge_pos == full.edge_pos
+    assert got.key == full.key
+    return got
+
+
+WALK_GRAPHS = {
+    "cube": lambda: generate("cube"),
+    "circular10": lambda: build_graph(*circular_ladder(10)),
+    "circular30": lambda: build_graph(*circular_ladder(30)),
+    "moebius10": lambda: build_graph(*moebius_ladder(10)),
+    "moebius25": lambda: build_graph(*moebius_ladder(25)),
+    "gp10_3": lambda: build_graph(*generalized_petersen3(10)),
+    "gp13_3": lambda: build_graph(*generalized_petersen3(13)),
+    "gp30_3": lambda: build_graph(*generalized_petersen3(30)),
+}
+
+
+class TestLocalConformalSwitch:
+    """The local switch against the decode oracle, on every (color,
+    vertex) pair along seeded random conformal walks."""
+
+    @pytest.mark.parametrize("name", sorted(WALK_GRAPHS))
+    def test_matches_decode_oracle_along_walks(self, name):
+        import random
+
+        from copnc.construct import nop_from_matching
+        from copnc.graph import color_classes, proper_3_edge_coloring
+
+        g = WALK_GRAPHS[name]()
+        classes = color_classes(proper_3_edge_coloring(g))
+        rng = random.Random(name)
+        for m in classes:
+            p = nop_from_matching(g, m)
+            for _ in range(8):
+                moves = [q for v in range(g.n) if (q := assert_same_switch(p, m, v))]
+                assert moves, "a conformal partition of these graphs always has a switch"
+                p = rng.choice(moves)
+
+    def test_small_multigraphs_every_vertex(self):
+        """Loops, digons and blocked patterns: every conformal partition of
+        every connected cubic multigraph on up to 6 vertices."""
+        from copnc.corpus import corpus_all
+
+        for n in (2, 4, 6):
+            for _, g in corpus_all(n):
+                for m in perfect_matchings(g):
+                    for p in enumerate_nops(g, conformal_to=m):
+                        for v in range(g.n):
+                            assert_same_switch(p, m, v)
+
+    def test_result_is_lazy_until_read(self, cube):
+        m = next(perfect_matchings(cube))
+        p = enumerate_nops(cube, conformal_to=m)[0]
+        q = next(q for v in range(cube.n) if (q := conformal_switch(p, m, v)))
+        assert q._trails is None
+        assert associated_matching(q) is m
+        q.trails
+        assert q._trails is not None
