@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .graph import CubicGraph
+from .graph import CubicGraph, Malformed, NonCubic
 from .partition import NormalPartition, Trail, partition_violations, validate_normal
 
 SCHEMA = "copnc/1"
@@ -58,12 +58,20 @@ def dumps(doc: dict) -> str:
 
 
 def parse_graph(doc: dict) -> CubicGraph:
+    """The certificate's graph; CertificateError unless it is cubic.  The
+    size of a cubic graph, n > 0 and 3n = 2m, is checked before anything is
+    built for its vertices."""
     try:
         n = int(doc["graph"]["n"])
         edges = [(int(u), int(v)) for u, v in doc["graph"]["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CertificateError(f"bad graph payload: {exc}") from exc
-    return CubicGraph(n, edges)
+    if n <= 0 or 3 * n != 2 * len(edges):
+        raise CertificateError(f"bad graph payload: {len(edges)} edges on {n} vertices")
+    try:
+        return CubicGraph(n, edges)
+    except (Malformed, NonCubic) as exc:
+        raise CertificateError(f"bad graph payload: {exc}") from exc
 
 
 def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -> dict:
@@ -71,21 +79,24 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
     partitions they must be pairwise compatible.
 
     Returns a report dict with "ok" plus per-partition diagnostics; never
-    raises for semantic failures (only for unusable documents)."""
+    raises for semantic failures.  A document of the wrong shape raises
+    CertificateError: not an object, a graph payload that is not a cubic
+    graph, or partitions that are not a non-empty list of lists."""
     from .partition import compatibility_set
 
     from .partition import MalformedTrail
 
+    if not isinstance(doc, dict):
+        raise CertificateError("certificate is not a JSON object")
+    raw = doc.get("partitions")
+    if not isinstance(raw, list) or not raw or not all(isinstance(p, list) for p in raw):
+        raise CertificateError("partitions must be a non-empty list of trail lists")
     g = parse_graph(doc)
     report: dict = {"schema": SCHEMA, "ok": True, "n": g.n, "m": g.m, "partitions": []}
     if expect_graph is not None and g != expect_graph:
         report["ok"] = False
         report["graph_mismatch"] = True
         return report
-    try:
-        raw = doc["partitions"]
-    except KeyError as exc:
-        raise CertificateError("certificate has no partitions") from exc
     parts: list[Optional[NormalPartition]] = []
     for i, part in enumerate(raw):
         entry: dict = {"index": i, "violations": []}

@@ -14,8 +14,10 @@ Three constructive routes live here:
     triangle-free graph they are found by seeding with the matching route
     and shrinking the agreement set A with conformal switches; digons and
     triangles are first contracted away and afterwards re-expanded by
-    explicit trail surgeries that preserve normality, oddness,
-    conformality and compatibility.
+    surgeries that preserve normality, oddness, conformality and
+    compatibility.  A surgery rewrites the marks at the four or three
+    vertices of its site and carries every other mark over, so the
+    triple is lifted as three markings and decoded into trails once.
 """
 
 from __future__ import annotations
@@ -443,7 +445,8 @@ class _TriangleInfo:
     e_s2b: tuple[int, ...]
     v_small: int                    # the contracted vertex, small id
     inherit: tuple[int, int, int]   # color -> big vertex carrying that color
-    tri_edge: dict                  # frozenset of two big vertices -> big edge id
+    # color -> big triangle edge of that color, opposite that color's inheritor
+    tri_edges: tuple[int, int, int]
 
 
 def find_digon(g: CubicGraph) -> Optional[tuple[int, int]]:
@@ -476,189 +479,96 @@ def find_triangle(g: CubicGraph) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _edge_between(g: CubicGraph, u: int, v: int) -> int:
-    for e, (a, b) in enumerate(g.endpoints):
-        if (a, b) == (u, v) or (a, b) == (v, u):
-            return e
-    raise ValueError(f"no edge between {u} and {v}")
+def _dart_at(g: CubicGraph, e: int, v: int) -> int:
+    """The dart of the non-loop edge e at its endpoint v."""
+    return 2 * e if g.endpoints[e][0] == v else 2 * e + 1
 
 
-def _lift_trail(t: Trail, gb: CubicGraph, vmap: Sequence[int], emap: Sequence[int]) -> Trail:
-    return Trail(gb, [vmap[v] for v in t.vertices], [emap[e] for e in t.edges])
+def _relabel(info, marks: Sequence[int]) -> list[int]:
+    """A big marking with each small vertex's mark carried over to its big
+    vertex and edge, which keep their orientation.  The vertices of the
+    surgery site are left for the lift to write."""
+    e_s2b = info.e_s2b
+    big = [-1] * info.big.n
+    for w, d in zip(info.v_s2b, marks):
+        big[w] = 2 * e_s2b[d >> 1] | (d & 1)
+    return big
 
 
-def _oriented_from(t: Trail, g: CubicGraph, start: int) -> Trail:
-    if t.vertices[0] == start:
-        return t
-    assert t.vertices[-1] == start
-    return t.reversed(g)
+def _lift_digon(
+    info: _DigonInfo, marks: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The three big markings from the small ones across one digon, and the
+    big vertices whose marks the surgery rewrote.
 
-
-def _oriented_pred(t: Trail, g: CubicGraph, e: int, x: int) -> Trail:
-    i = t.edges.index(e)
-    if t.vertices[i] == x:
-        return t
-    assert t.vertices[i + 1] == x
-    return t.reversed(g)
-
-
-def _lift_digon(info: _DigonInfo, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
-    """Rebuild the three big partitions from small ones across one digon.
-
-    The contracted edge was colored rho and is internal in the rho
-    partition; the role frame (x marks it in the beta partition) is read
-    off the small triple, then the three per-role rewrites apply.
+    The contracted edge exy was colored rho.  The role frame is read off
+    the small marking: x is the lowest end of exy that marks it in a
+    partition other than rho's, beta is that partition, and u is the digon
+    vertex next to x.  A mark on exy becomes the hanging edge at its end.
+    At u the rho, beta and gamma partitions mark the gamma digon edge, the
+    hanging edge and the beta digon edge; at v they mark the beta digon
+    edge, the gamma digon edge and the hanging edge.  Every other mark
+    carries over.
     """
-    gs, gb = info.small, info.big
-    exy = info.exy
-    rho = info.rho
-    v_s2b, e_s2b = info.v_s2b, info.e_s2b
-    ends_s = gs.endpoints[exy]
-    # which endpoint marks the contracted edge in a non-rho partition
+    gb = info.big
+    exy, rho = info.exy, info.rho
+    ends = info.small.endpoints[exy]
     cands = sorted(
         (v, c)
-        for v in set(ends_s)
+        for v in set(ends)
         for c in (RED, BLUE, YELLOW)
-        if c != rho and parts[c].marked_edge(v) == exy
+        if c != rho and marks[c][v] >> 1 == exy
     )
     if not cands:
         raise NotConformalTriple("contracted edge is marked nowhere outside rho")
     x_s, beta = cands[0]
     gamma = next(c for c in (RED, BLUE, YELLOW) if c not in (rho, beta))
-    y_s = ends_s[1] if ends_s[0] == x_s else ends_s[0]
-    # orient the big frame so that side one touches x
-    (o1, d1, c1), (o2, d2, c2) = info.sides
-    if v_s2b[x_s] == o1:
-        x_b, u_b, e1 = o1, d1, c1
-        y_b, v_b, e2 = o2, d2, c2
-    else:
-        x_b, u_b, e1 = o2, d2, c2
-        y_b, v_b, e2 = o1, d1, c1
-    (eA, colA), (eB, colB) = info.digon
-    e3 = eA if colA == beta else eB
-    e4 = eA if colA == gamma else eB
-    assert info.big_coloring[e3] == beta and info.big_coloring[e4] == gamma
-
+    y_s = ends[1] if ends[0] == x_s else ends[0]
+    side = {o: (d, e) for o, d, e in info.sides}  # outer vertex -> (digon vertex, hanging edge)
+    x, y = info.v_s2b[x_s], info.v_s2b[y_s]
+    (u, e1), (v, e2) = side[x], side[y]
+    (eA, colA), (eB, _) = info.digon
+    e_beta, e_gamma = (eA, eB) if colA == beta else (eB, eA)
+    at_u = {rho: e_gamma, beta: e1, gamma: e_beta}
+    at_v = {rho: e_beta, beta: e_gamma, gamma: e2}
     out = []
     for c in (RED, BLUE, YELLOW):
-        p = parts[c]
-        trails = []
-        for t in p.trails:
-            if exy not in t.edges:
-                trails.append(_lift_trail(t, gb, v_s2b, e_s2b))
-        lift_v = lambda vs: [v_s2b[v] for v in vs]
-        lift_e = lambda es: [e_s2b[e] for e in es]
-        if c == rho:
-            t = _oriented_pred(p.trail_of_edge(exy), gs, exy, x_s)
-            i = t.edges.index(exy)
-            trails.append(
-                Trail(gb, lift_v(t.vertices[: i + 1]) + [u_b, v_b], lift_e(t.edges[:i]) + [e1, e3])
-            )
-            trails.append(
-                Trail(
-                    gb,
-                    lift_v(t.vertices[i + 1 :][::-1]) + [v_b, u_b],
-                    lift_e(t.edges[i + 1 :][::-1]) + [e2, e4],
-                )
-            )
-        elif c == beta:
-            t = _oriented_from(p.trail_of_edge(exy), gs, x_s)
-            assert t.edges[0] == exy
-            trails.append(Trail(gb, (x_b, u_b), (e1,)))
-            trails.append(
-                Trail(
-                    gb,
-                    [v_b, u_b, v_b] + lift_v(t.vertices[1:]),
-                    [e4, e3, e2] + lift_e(t.edges[1:]),
-                )
-            )
-        else:
-            t = p.trail_of_edge(exy)
-            if p.marked_edge(y_s) == exy:
-                t = _oriented_from(t, gs, y_s)
-                assert t.edges[0] == exy
-                trails.append(
-                    Trail(
-                        gb,
-                        [u_b, v_b, u_b] + lift_v(t.vertices[1:]),
-                        [e3, e4, e1] + lift_e(t.edges[1:]),
-                    )
-                )
-                trails.append(Trail(gb, (y_b, v_b), (e2,)))
-            else:
-                t = _oriented_pred(t, gs, exy, x_s)
-                i = t.edges.index(exy)
-                trails.append(
-                    Trail(
-                        gb,
-                        lift_v(t.vertices[: i + 1]) + [u_b, v_b, u_b],
-                        lift_e(t.edges[:i]) + [e1, e4, e3],
-                    )
-                )
-                trails.append(
-                    Trail(
-                        gb,
-                        [v_b] + lift_v(t.vertices[i + 1 :]),
-                        [e2] + lift_e(t.edges[i + 1 :]),
-                    )
-                )
-        out.append(validate_normal(gb, trails))
-    return out
+        big = _relabel(info, marks[c])
+        for w in ends:
+            if marks[c][w] >> 1 == exy:
+                wb = info.v_s2b[w]
+                big[wb] = _dart_at(gb, side[wb][1], wb)
+        big[u] = _dart_at(gb, at_u[c], u)
+        big[v] = _dart_at(gb, at_v[c], v)
+        out.append(big)
+    return out, (x, y, u, v)
 
 
-def _lift_triangle(info: _TriangleInfo, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
-    """Rebuild the three big partitions across one vertex-to-triangle
-    expansion: the internal passage at the old vertex is routed through
-    two triangle edges and the remaining triangle edge joins as a
-    length-1 trail."""
-    gs, gb = info.small, info.big
-    vs = info.v_small
-    v_s2b, e_s2b = list(info.v_s2b), info.e_s2b
-    inherit = info.inherit
-    col = info.small_coloring
+def _lift_triangle(
+    info: _TriangleInfo, marks: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The three big markings from the small ones across one
+    vertex-to-triangle expansion, and the big vertices whose marks the
+    surgery rewrote.
 
+    In each partition the inheritor R of the old vertex's marked edge
+    marks that edge, and the passage at the old vertex is routed through
+    R.  The other two inheritors both mark the triangle edge between them,
+    a trail of length 1; in a proper coloring it is the triangle edge of
+    the marked edge's color.  Every other mark carries over.
+    """
+    gb = info.big
+    vs, col, e_s2b = info.v_small, info.small_coloring, info.e_s2b
     out = []
     for c in (RED, BLUE, YELLOW):
-        p = parts[c]
-        trails = []
-        pa, pb = p.passage_edges(vs)
-        P = inherit[col[pa]]
-        Q = inherit[col[pb]]
-        R = next(x for x in inherit if x not in (P, Q))
-        for t in p.trails:
-            if vs not in t.vertices:
-                trails.append(_lift_trail(t, gb, v_s2b, e_s2b))
-                continue
-            verts: list[int] = []
-            edges = [e_s2b[e] for e in t.edges]
-            i = 0
-            new_edges: list[int] = []
-            for j, w in enumerate(t.vertices):
-                if w != vs:
-                    verts.append(v_s2b[w])
-                    if j < len(t.edges):
-                        new_edges.append(edges[j])
-                    continue
-                if 0 < j < len(t.vertices) - 1:
-                    # internal: route the passage through the triangle
-                    a = inherit[col[t.edges[j - 1]]]
-                    b = inherit[col[t.edges[j]]]
-                    r = next(x for x in inherit if x not in (a, b))
-                    verts.extend([a, r, b])
-                    new_edges.append(info.tri_edge[frozenset((a, r))])
-                    new_edges.append(info.tri_edge[frozenset((r, b))])
-                    if j < len(t.edges):
-                        new_edges.append(edges[j])
-                else:
-                    # trail end at the old vertex: land on the inheritor
-                    e_end = t.edges[0] if j == 0 else t.edges[-1]
-                    verts.append(inherit[col[e_end]])
-                    if j < len(t.edges):
-                        new_edges.append(edges[j])
-            trails.append(Trail(gb, verts, new_edges))
-        trails.append(Trail(gb, (min(P, Q), max(P, Q)), (info.tri_edge[frozenset((P, Q))],)))
-        out.append(validate_normal(gb, trails))
-    return out
+        d = marks[c][vs]
+        big = _relabel(info, marks[c])
+        big[info.inherit[col[d >> 1]]] = 2 * e_s2b[d >> 1] | (d & 1)
+        t = info.tri_edges[col[d >> 1]]
+        p, q = gb.endpoints[t]
+        big[p], big[q] = 2 * t, 2 * t + 1
+        out.append(big)
+    return out, info.inherit
 
 
 def _compact_maps(n: int, dropped: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -728,10 +638,11 @@ def triangle_contract(
     edges with their colors."""
     a, b, c = tri
     tri_set = {a, b, c}
-    e_ab = _edge_between(g, a, b)
-    e_bc = _edge_between(g, b, c)
-    e_ca = _edge_between(g, c, a)
-    tri_edges = {e_ab, e_bc, e_ca}
+    # the lowest-id edge of each pair: slots are listed in edge id order
+    tri_edges = {
+        next(d >> 1 for d in g.vertex_darts[p] if g.dart_vertex(d ^ 1) == q)
+        for p, q in ((a, b), (b, c), (c, a))
+    }
     outer = {}
     for w in tri:
         es = [e for e in set(g.edges_at(w)) if e not in tri_edges]
@@ -755,9 +666,12 @@ def triangle_contract(
     for be, se in eb2s.items():
         e_s2b[se] = be
     inherit = [-1, -1, -1]
+    by_color = [-1, -1, -1]
     for w in tri:
         inherit[coloring[outer[w]]] = w
-    assert -1 not in inherit, "outside colors of a triangle are all distinct"
+    for e in tri_edges:
+        by_color[coloring[e]] = e
+    assert -1 not in inherit + by_color, "the colors at a triangle are all distinct"
     info = _TriangleInfo(
         big=g,
         big_coloring=tuple(coloring),
@@ -767,20 +681,18 @@ def triangle_contract(
         e_s2b=tuple(e_s2b),
         v_small=v_small,
         inherit=tuple(inherit),
-        tri_edge={
-            frozenset((a, b)): e_ab,
-            frozenset((b, c)): e_bc,
-            frozenset((c, a)): e_ca,
-        },
+        tri_edges=tuple(by_color),
     )
     return gs, tuple(small_colors), info
 
 
-def _lift_triple(kind: str, info, parts: Sequence[NormalPartition]) -> ConformalTriple:
-    lifted = _lift_digon(info, parts) if kind == "digon" else _lift_triangle(info, parts)
-    triple = ConformalTriple(info.big, info.big_coloring, tuple(lifted))
-    triple.validate()
-    return triple
+def _lifted_triple(lift, info, triple: ConformalTriple) -> ConformalTriple:
+    """The triple lifted across one surgery, validated in full."""
+    marks, _ = lift(info, [p.marked for p in triple.partitions])
+    parts = tuple(NormalPartition(info.big, m) for m in marks)
+    lifted = ConformalTriple(info.big, info.big_coloring, parts)
+    lifted.validate()
+    return lifted
 
 
 def digon_extend(
@@ -822,8 +734,7 @@ def digon_extend(
         digon=((g.m + 1, beta), (g.m + 2, gamma)),
         rho=rho,
     )
-    lifted = _lift_triple("digon", info, triple.partitions)
-    return gb, lifted
+    return gb, _lifted_triple(_lift_digon, info, triple)
 
 
 def triangle_extend(
@@ -854,9 +765,7 @@ def triangle_extend(
         ((inherit_b[BLUE], inherit_b[RED]), YELLOW),
     ]
     big_coloring = list(coloring)
-    tri_edge = {}
     for (p, q), col in tri_pairs:
-        tri_edge[frozenset((p, q))] = len(edges)
         edges.append((p, q))
         big_coloring.append(col)
     gb = CubicGraph(g.n + 2, edges)
@@ -869,10 +778,9 @@ def triangle_extend(
         e_s2b=tuple(range(g.m)),
         v_small=v,
         inherit=(inherit_b[RED], inherit_b[BLUE], inherit_b[YELLOW]),
-        tri_edge=tri_edge,
+        tri_edges=(g.m + 1, g.m, g.m + 2),  # the RED, BLUE, YELLOW edges appended
     )
-    lifted = _lift_triple("triangle", info, triple.partitions)
-    return gb, lifted
+    return gb, _lifted_triple(_lift_triangle, info, triple)
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +812,8 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
     Computes one proper coloring, contracts digons then triangles down to
     a simple triangle-free core (or a base graph on at most 4 vertices),
     solves the core, and replays the contractions backwards through the
-    digon and triangle surgeries.  Raises NotThreeEdgeColorable when no
+    digon and triangle surgeries on the markings.  The lifted triple is
+    decoded and validated once, on g.  Raises NotThreeEdgeColorable when no
     proper coloring exists; SearchExhausted only if the core improvement
     search overruns its budget.
     """
@@ -915,23 +824,29 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
     cur_g, cur_col = g, tuple(coloring)
     while True:
         if cur_g.n <= 4:
-            parts = _base_conformal_triple(cur_g, cur_col).partitions
+            core = _base_conformal_triple(cur_g, cur_col)
             break
         digon = find_digon(cur_g)
         if digon is not None:
             cur_g, cur_col, info = digon_contract(cur_g, cur_col, digon)
-            stack.append(("digon", info))
+            stack.append((_lift_digon, info))
             continue
         tri = find_triangle(cur_g)
         if tri is not None:
             cur_g, cur_col, info = triangle_contract(cur_g, cur_col, tri)
-            stack.append(("triangle", info))
+            stack.append((_lift_triangle, info))
             continue
-        parts = conformal_triple(cur_g, cur_col, seed=seed).partitions
+        core = conformal_triple(cur_g, cur_col, seed=seed)
         break
-    triple = ConformalTriple(cur_g, cur_col, tuple(parts))
+    if not stack:
+        return core
+    # the core triple is validated; each lift rewrites a few marks and
+    # checks them, and the lifted triple is validated once, in full
+    marks = [p.marked for p in core.partitions]
+    for lift, info in reversed(stack):
+        marks, site = lift(info, marks)
+        # the three partitions mark three different edges at each rewritten vertex
+        assert all(len({m[v] >> 1 for m in marks}) == 3 for v in site)
+    triple = ConformalTriple(g, tuple(coloring), tuple(NormalPartition(g, m) for m in marks))
     triple.validate()
-    for kind, info in reversed(stack):
-        triple = _lift_triple(kind, info, triple.partitions)
-    assert triple.graph == g and triple.coloring == tuple(coloring)
     return triple

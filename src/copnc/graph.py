@@ -18,6 +18,7 @@ Graphs are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
 
 RED, BLUE, YELLOW = 0, 1, 2
@@ -402,44 +403,45 @@ def is_bipartite(g: CubicGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
 def bridges(g: CubicGraph) -> frozenset[int]:
     """Edge ids of all cut edges, by DFS lowpoint.
 
-    The tree edge into each vertex is skipped exactly once *by id*, so a
-    parallel copy of it still acts as a back edge and a digon is never a
-    bridge.  Loops are never bridges.
+    The tree edge into each vertex is skipped *by id*, so a parallel copy
+    of it still acts as a back edge and a digon is never a bridge.  Loops
+    are never bridges.  The search runs on an explicit stack of
+    (vertex, tree edge in, darts left), so its depth is not bounded by the
+    interpreter's recursion limit.
     """
-    import sys
-
-    if g.n + 10 > sys.getrecursionlimit():
-        sys.setrecursionlimit(g.n + 100)
     disc = [-1] * g.n
     low = [0] * g.n
     out: set[int] = set()
     timer = 0
-
-    def dfs(v: int, pe: int) -> None:
-        nonlocal timer
-        disc[v] = low[v] = timer
-        timer += 1
-        skipped = False
-        for d in g.vertex_darts[v]:
-            e = d >> 1
-            w = g.dart_vertex(d ^ 1)
-            if w == v:
-                continue
-            if e == pe and not skipped:
-                skipped = True
-                continue
-            if disc[w] < 0:
-                dfs(w, e)
-                if low[w] < low[v]:
-                    low[v] = low[w]
-                if low[w] > disc[v]:
-                    out.add(e)
-            elif disc[w] < low[v]:
-                low[v] = disc[w]
-
     for s in range(g.n):
-        if disc[s] < 0:
-            dfs(s, -1)
+        if disc[s] >= 0:
+            continue
+        disc[s] = low[s] = timer
+        timer += 1
+        stack = [(s, -1, iter(g.vertex_darts[s]))]
+        while stack:
+            v, pe, darts = stack[-1]
+            for d in darts:
+                e = d >> 1
+                w = g.dart_vertex(d ^ 1)
+                if w == v or e == pe:
+                    continue
+                if disc[w] < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, e, iter(g.vertex_darts[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                # v is done: hand its lowpoint to its parent
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] > disc[u]:
+                        out.add(pe)
     return frozenset(out)
 
 
@@ -503,8 +505,9 @@ def has_perfect_matching(g: CubicGraph) -> bool:
     return next(perfect_matchings(g), None) is not None
 
 
-# number of colors left free by a bitmask of colors in use
-_FREE = (3, 2, 2, 1, 2, 1, 1, 0)
+# class of an uncolored edge by the bitmask of colors in use at its ends:
+# 0 when at most one color is left free, 1 when two are, 2 when all three
+_CLASS = (2, 1, 1, 0, 1, 0, 0, 0)
 
 
 def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
@@ -513,55 +516,74 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
     Colors are RED, BLUE, YELLOW = 0, 1, 2.  A graph with a loop has no
     proper edge coloring.  The search colors one edge at a time, always
     picking a most-constrained uncolored edge next, which exhausts quickly
-    on the snark families used here.  It backtracks on an explicit stack,
-    so its depth is not bounded by the interpreter's recursion limit.
+    on the snark families used here: the lowest-id edge with at most one
+    free color, else the lowest-id edge with the fewest.  It backtracks on
+    an explicit stack, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     if g.has_loop():
         return None
     m = g.m
-    color = [-1] * m
-    used = [0] * g.n  # bitmask of colors present at each vertex
-
-    def pick() -> int:
-        best, best_free = -1, 4
-        for e in range(m):
-            if color[e] >= 0:
-                continue
-            u, v = g.endpoints[e]
-            free = _FREE[used[u] | used[v]]
-            if free == 0:
-                return e
-            if free < best_free:
-                best, best_free = e, free
-                if free == 1:
-                    return e
-        return best
-
     if m == 0:
         return ()
+    ends = g.endpoints
+    color = [-1] * m
+    used = [0] * g.n  # bitmask of colors present at each vertex
     # break color symmetry: edge 0 is RED and the smallest other edge at its
     # first endpoint is BLUE; any proper coloring permutes into this form
-    u0, w0 = g.endpoints[0]
+    u0, w0 = ends[0]
     color[0] = RED
     used[u0] |= 1 << RED
     used[w0] |= 1 << RED
     e1 = min(e for e in g.edges_at(u0) if e != 0)
-    u, v = g.endpoints[e1]
+    u, v = ends[e1]
     color[e1] = BLUE
     used[u] |= 1 << BLUE
     used[v] |= 1 << BLUE
+    # uncolored edges wait in three lazy min-heaps on edge id, one per
+    # class; an entry counts while its edge is uncolored and of that class.
+    # Coloring an edge changes the class of the edges next to it only.
+    klass = [-1] * m
+    heaps: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for e in range(m):
+        if color[e] < 0:
+            a, b = ends[e]
+            klass[e] = _CLASS[used[a] | used[b]]
+            heaps[klass[e]].append(e)  # ascending ids already form a heap
+    beside = [{d >> 1 for w in ends[e] for d in g.vertex_darts[w]} - {e} for e in range(m)]
+
+    def touch(e: int) -> None:
+        """Refile the uncolored edges next to e after e changed color."""
+        for f in beside[e]:
+            if color[f] < 0:
+                a, b = ends[f]
+                k = _CLASS[used[a] | used[b]]
+                if k != klass[f]:
+                    klass[f] = k
+                    heappush(heaps[k], f)
+
+    def pick() -> int:
+        for k, heap in enumerate(heaps):
+            while heap:
+                e = heap[0]
+                if color[e] < 0 and klass[e] == k:
+                    return e
+                heappop(heap)
+        return -1
+
     # depth-first search on an explicit stack of the edges it has colored;
     # each edge tries its free colors in the order RED, BLUE, YELLOW
     stack: list[int] = []
     e, first = pick(), RED
     while e >= 0:
-        u, v = g.endpoints[e]
+        u, v = ends[e]
         avail = ~(used[u] | used[v]) & 7
         c = next((c for c in (RED, BLUE, YELLOW) if c >= first and avail >> c & 1), -1)
         if c >= 0:
             color[e] = c
             used[u] |= 1 << c
             used[v] |= 1 << c
+            touch(e)
             stack.append(e)
             e, first = pick(), RED
             continue
@@ -569,11 +591,14 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
             return None
         # every color failed below the last colored edge: undo it, try its next
         e = stack.pop()
-        u, v = g.endpoints[e]
+        u, v = ends[e]
         c = color[e]
         color[e] = -1
         used[u] &= ~(1 << c)
         used[v] &= ~(1 << c)
+        touch(e)
+        klass[e] = _CLASS[used[u] | used[v]]
+        heappush(heaps[klass[e]], e)
         first = c + 1
     return tuple(color)
 

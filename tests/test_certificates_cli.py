@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from copnc import certificates as C
 from copnc.cli import main
 from copnc.construct import bipartite_triple
@@ -166,3 +168,25 @@ class TestCli:
 
     def test_missing_certificate_exit(self):
         assert main(["validate", "/definitely/not/here.json"]) == 5
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"graph": {"n": 2, "edges": [[0, 1]] * 3}, "partitions": 5},
+            {"graph": {"n": -2, "edges": []}, "partitions": []},
+            {"graph": {"n": -2, "edges": []}, "partitions": [[]]},
+            {"graph": {"n": 2, "edges": [[0, 1]] * 3}, "partitions": []},
+            {"graph": {"n": 2, "edges": [[0, 1]] * 3}},
+            {"graph": {"n": 2, "edges": [[0, 1]] * 3}, "partitions": [5]},
+            {"graph": {"n": 10**9, "edges": []}, "partitions": [[]]},
+            {"graph": {"n": 2, "edges": [[0, 1], [0, 1], [0, 2]]}, "partitions": [[]]},
+            {"graph": {"n": 2, "edges": [[0, 0], [0, 0], [1, 1]]}, "partitions": [[]]},
+            {"graph": {"n": 1e400, "edges": []}, "partitions": [[]]},
+            [],
+        ],
+    )
+    def test_malformed_certificate_exit(self, tmp_path, capsys, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 5
+        assert json.loads(capsys.readouterr().out)["ok"] is False

@@ -19,7 +19,31 @@ from copnc.graph import (
     to_graph6,
 )
 
-from conftest import brute_perfect_matchings
+from copnc.corpus import corpus_all, corpus_simple12
+
+from conftest import (
+    brute_perfect_matchings,
+    circular_ladder,
+    digon_ladder,
+    generalized_petersen3,
+    moebius_ladder,
+    truncated_ladder,
+)
+
+CORPUS = corpus_all(10) + corpus_simple12()
+
+# the benchmark's shapes at n = 60 and n ~ 200, in generator labelling
+SHAPES = [
+    build(r)
+    for build, small, large in (
+        (circular_ladder, 30, 100),
+        (moebius_ladder, 30, 100),
+        (generalized_petersen3, 30, 100),
+        (truncated_ladder, 10, 33),
+        (digon_ladder, 15, 50),
+    )
+    for r in (small, large)
+]
 
 
 class TestBuild:
@@ -165,6 +189,39 @@ class TestBridges:
         g = build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
         assert bridges(g) == frozenset()
 
+    def test_matches_networkx_on_corpora(self):
+        nx = pytest.importorskip("networkx")
+        for name, g in CORPUS:
+            # a bridge is a single edge, never one of a parallel pair
+            simple = nx.Graph((u, v) for u, v in g.endpoints if u != v)
+            pairs = set(nx.bridges(simple))
+            expect = frozenset(
+                e
+                for e, (u, v) in enumerate(g.endpoints)
+                if ((u, v) in pairs or (v, u) in pairs)
+                and sum(1 for ab in g.endpoints if set(ab) == {u, v}) == 1
+            )
+            assert bridges(g) == expect, name
+
+    def test_long_ladder_leaves_recursion_limit(self):
+        import sys
+
+        limit = sys.getrecursionlimit()
+        n, edges = circular_ladder(1500)
+        assert bridges(build_graph(n, edges)) == frozenset()
+        assert sys.getrecursionlimit() == limit
+        # a chain of 1500 digons with a loop vertex at each end: every edge
+        # outside the digons and loops is a bridge, deep in the search
+        k = 1500
+        a, b = 2 * k, 2 * k + 1
+        edges = [(2 * i, 2 * i + 1) for i in range(k) for _ in range(2)]
+        edges += [(2 * i + 1, 2 * i + 2) for i in range(k - 1)]
+        edges += [(a, a), (a, 0), (b, b), (b, 2 * k - 1)]
+        g = build_graph(2 * k + 2, edges)
+        expect = frozenset(range(2 * k, 3 * k - 1)) | {3 * k, 3 * k + 2}
+        assert bridges(g) == expect
+        assert sys.getrecursionlimit() == limit
+
 
 class TestMatchings:
     def test_theta_three_single_edges(self, theta):
@@ -195,7 +252,82 @@ class TestMatchings:
         assert [sorted(m) for m in perfect_matchings(dumbbell)] == [[1]]
 
 
+def coloring_by_scan(g):
+    """The coloring search with its edge pick done by scanning every edge:
+    the oracle for the pick from class heaps."""
+    free_of = (3, 2, 2, 1, 2, 1, 1, 0)
+    if g.has_loop():
+        return None
+    m = g.m
+    color = [-1] * m
+    used = [0] * g.n
+
+    def pick():
+        best, best_free = -1, 4
+        for e in range(m):
+            if color[e] >= 0:
+                continue
+            u, v = g.endpoints[e]
+            free = free_of[used[u] | used[v]]
+            if free <= 1:
+                return e
+            if free < best_free:
+                best, best_free = e, free
+        return best
+
+    if m == 0:
+        return ()
+    u0, w0 = g.endpoints[0]
+    color[0] = 0
+    used[u0] |= 1
+    used[w0] |= 1
+    e1 = min(e for e in g.edges_at(u0) if e != 0)
+    u, v = g.endpoints[e1]
+    color[e1] = 1
+    used[u] |= 2
+    used[v] |= 2
+    stack = []
+    e, first = pick(), 0
+    while e >= 0:
+        u, v = g.endpoints[e]
+        avail = ~(used[u] | used[v]) & 7
+        c = next((c for c in (0, 1, 2) if c >= first and avail >> c & 1), -1)
+        if c >= 0:
+            color[e] = c
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            stack.append(e)
+            e, first = pick(), 0
+            continue
+        if not stack:
+            return None
+        e = stack.pop()
+        u, v = g.endpoints[e]
+        c = color[e]
+        color[e] = -1
+        used[u] &= ~(1 << c)
+        used[v] &= ~(1 << c)
+        first = c + 1
+    return tuple(color)
+
+
 class TestColoring:
+    def test_matches_scan_oracle_on_corpora(self):
+        for name, g in CORPUS:
+            assert proper_3_edge_coloring(g) == coloring_by_scan(g), name
+
+    def test_matches_scan_oracle_on_shapes(self):
+        for n, edges in SHAPES:
+            g = build_graph(n, edges)
+            col = proper_3_edge_coloring(g)
+            assert col is not None
+            assert col == coloring_by_scan(g)
+
+    def test_matches_scan_oracle_on_snarks(self):
+        for g in (generate("petersen"), generate("flower", 5), generate("flower", 7), generate("goldberg", 5)):
+            assert proper_3_edge_coloring(g) is None
+            assert coloring_by_scan(g) is None
+
     def test_k33_three_colorable(self, k33):
         col = proper_3_edge_coloring(k33)
         assert col is not None

@@ -1,10 +1,11 @@
 """Byte-identity of conformal certificates across refactors of the descent.
 
-The five shapes of the construct benchmark, at n = 60, with each edge
-listed from an end picked by a fixed seed: `construct --method conformal
---seed 0` must keep writing exactly the certificate bytes pinned below.
-A change to the descent, the switch, the coloring or the surgeries that
-alters which states are visited shows up here as a digest mismatch.
+The five shapes of the construct benchmark, at n = 60, and the two
+shapes that are mostly surgery, at n ~ 200, with each edge listed from an
+end picked by a fixed seed: `construct --method conformal --seed 0` must
+keep writing exactly the certificate bytes pinned below.  A change to the
+descent, the switch, the coloring or the surgeries that alters which
+states are visited shows up here as a digest mismatch.
 """
 
 import hashlib
@@ -23,16 +24,21 @@ SHAPES = {
     "gp3": lambda: generalized_petersen3(30),
     "truncated": lambda: truncated_ladder(10),
     "digon": lambda: digon_ladder(15),
+    "truncated_198": lambda: truncated_ladder(33),
+    "digon_200": lambda: digon_ladder(50),
 }
 
 # SHA-256 of the certificate bytes, recorded before the descent switched
-# locally on markings
+# locally on markings (n = 60) and before the surgeries lifted markings
+# instead of trails (n ~ 200)
 PINNED = {
     "circular": "501eeeea21f56b11104267aa880fffde15a784bbc36eef0bedc836ffb20955d8",
     "moebius": "86c60bd0f71f89ea334f9e89b37b5aafae27ff7ed8ab3109bb9067eebf44e238",
     "gp3": "0543a24c8fd5e07cf1f452d42cbe96506a6e53da9aa009dee93d4c224ecfcab5",
     "truncated": "59770c78a4e991375ca323d8ef77b69baa6b90e20320c6fcbe07c2c4b7f9dee4",
     "digon": "45e41a67e58311ebdebe87b8782c6731d182214d0e5d0d5633b4bd28f013f00f",
+    "truncated_198": "e9d012edc0ba6f1b902ea8233b70b086442814a7df6f67b42da5724ef781a1a7",
+    "digon_200": "6f9ae748ce5feec20e56911c90068b562962c1f0e171d095a4ee849c778f189a",
 }
 
 
