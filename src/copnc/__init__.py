@@ -35,7 +35,6 @@ from .partition import (
     is_conformal,
     is_odd,
     length_profile,
-    marking_of,
     odd_edges,
     partition_violations,
     stats,

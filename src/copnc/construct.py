@@ -750,7 +750,7 @@ def triangle_extend(
     triple.validate()
     coloring = triple.coloring
     darts = g.vertex_darts[v]
-    if len(set(g.edges_at(v))) < 3:
+    if v in g.neighbors(v):
         raise ValueError("vertex with a loop cannot be expanded")
     inherit_b = {RED: v, YELLOW: g.n, BLUE: g.n + 1}
     edges = list(g.endpoints)

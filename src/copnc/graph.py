@@ -196,7 +196,8 @@ def parse_edge_list(text: str) -> list[CubicGraph]:
     """Parse edge-list text: records of a "n m" header followed by m "u v" lines.
 
     A file may hold several records back to back.  Blank lines and lines
-    starting with '#' are ignored.
+    starting with '#' are ignored.  A header must have n > 0 and 3n = 2m,
+    as every cubic graph does.
     """
     tokens: list[str] = []
     for line in text.splitlines():
@@ -215,6 +216,9 @@ def parse_edge_list(text: str) -> list[CubicGraph]:
             n, m = int(pairs[i][0]), int(pairs[i][1])
         except ValueError as exc:
             raise Malformed(f"bad header near record {len(graphs)}") from exc
+        if n <= 0 or 3 * n != 2 * m:
+            # checked before CubicGraph allocates n slot lists
+            raise Malformed(f"record {len(graphs)}: header '{n} {m}' needs n > 0 and 3n = 2m")
         i += 1
         if m > len(pairs) - i:
             raise Malformed("edge-list record truncated")

@@ -383,11 +383,6 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
     return _enrich(g, trails)
 
 
-def marking_of(p: NormalPartition) -> tuple[int, ...]:
-    """The per-vertex marked darts; inverse of trails_from_marking."""
-    return p.marked
-
-
 def is_odd(p: NormalPartition) -> bool:
     return all(t.length % 2 == 1 for t in p.trails)
 

@@ -1,51 +1,47 @@
-"""Exhaustive and pruned search for odd partitions, triples, and sweeps.
+"""One pruned search for normal partitions and compatible triples; sweeps.
 
-The central object is a backtracking search for three pairwise compatible
-normal odd partitions.  Compatibility at a cubic vertex forces the three
-marked edges there to be three distinct edges, i.e. a bijection between
-partitions and the vertex's slots, so a triple is encoded as one bijection
-per vertex (6^n worst case instead of 27^n).  A vertex carrying a loop has
-only two distinct incident edges and admits no bijection, so such graphs
-are rejected in O(1).
+Every search and enumeration here runs on one backtracking engine over
+markings.  Each of k partitions marks one slot per vertex; the search
+assigns vertices one at a time and keeps, per partition, the growing trail
+fragments as chains of edges with open or sealed (marked) ends.  Pairing
+two ends of the same chain would close a cycle and is pruned immediately;
+for odd partitions, completing a chain whose edge count is even is pruned
+as well.  A full assignment that survives the prunes is exactly a marking
+that decodes, with all trails odd when parity is asked for.
 
-While vertices get assigned, each partition's growing trail fragments are
-tracked as chains of edges with open or sealed (marked) ends.  Pairing two
-ends of the same chain would close a cycle and is pruned immediately;
-completing a chain whose edge count is even is pruned as well.  A full
-assignment that survives both prunes is exactly a compatible triple of
-normal odd partitions.
+k = 1 enumerates single normal (odd) partitions.  k = 3 searches for three
+pairwise compatible normal odd partitions: compatibility at a cubic vertex
+forces the three marked edges there to be three distinct edges, i.e. a
+bijection between partitions and the vertex's slots, so a triple is one
+bijection per vertex (6^n worst case instead of 27^n).  A vertex carrying
+a loop has only two distinct incident edges and admits no bijection, so
+such graphs have no triple and are rejected in O(1).
 
 Exploration order: next vertex with the most already-assigned neighbors
-(ties to the lowest id), which closes chains early.  The first assigned
-vertex keeps the identity bijection: the three partitions of a triple are
-interchangeable, so every solution class is still found, once.
+(ties to the lowest id), which closes chains early.  For triples, the
+first assigned vertex keeps the identity bijection: the three partitions
+of a triple are interchangeable, so every solution class is still found,
+once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, perfect_matchings
 from .partition import (
-    CycleError,
     NormalPartition,
     associated_matching,
-    is_odd,
     trails_from_marking,
     triple_set,
 )
 from .switching import CapExceeded
 
-_PERMS = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-)
+# k -> the ways to give each of k partitions its own slot at a vertex
+_PERMS = {k: tuple(permutations(range(3), k)) for k in (1, 3)}
 
 
 class EmptyIntersectionViolated(AssertionError):
@@ -65,7 +61,8 @@ def find_nop(g: CubicGraph) -> Optional[NormalPartition]:
 
 
 def enumerate_markings(g: CubicGraph) -> Iterator[tuple[int, ...]]:
-    """All 3^n total markings, lexicographic by slot index."""
+    """All 3^n total markings, lexicographic by slot index.  The search
+    never scans them; the tests decode them all as its oracle."""
     slots = g.vertex_darts
     marking = [0] * g.n
 
@@ -80,6 +77,18 @@ def enumerate_markings(g: CubicGraph) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
+def _distinct_partitions(g: CubicGraph, cap: Optional[int], odd: bool) -> list[NormalPartition]:
+    """The normal partitions (odd ones only when odd is set) decoded from
+    the one-partition search, deduplicated by key and sorted by it."""
+    if cap is not None and 3**g.n > cap:
+        raise CapExceeded(f"3^{g.n} markings exceed cap {cap}")
+    out: dict[tuple, NormalPartition] = {}
+    for (marking,) in _Search(g, 1, odd=odd).solutions():
+        p = trails_from_marking(g, marking)
+        out.setdefault(p.key, p)
+    return [out[k] for k in sorted(out)]
+
+
 def enumerate_nops(
     g: CubicGraph,
     cap: Optional[int] = None,
@@ -87,75 +96,60 @@ def enumerate_nops(
 ) -> list[NormalPartition]:
     """All normal odd partitions, deduplicated, in canonical order.
 
-    Walks every marking whose decode succeeds with all-odd trails.  With
-    conformal_to set, keeps only partitions whose odd edges equal that
-    matching.  Raises CapExceeded when more than cap markings would be
-    scanned (the scan size is 3^n).
+    With conformal_to set, keeps only partitions whose odd edges equal that
+    matching.  Raises CapExceeded when 3^n, the number of markings, exceeds
+    cap.
     """
-    if cap is not None and 3**g.n > cap:
-        raise CapExceeded(f"3^{g.n} markings exceed cap {cap}")
-    out: dict[tuple, NormalPartition] = {}
-    for marking in enumerate_markings(g):
-        try:
-            p = trails_from_marking(g, marking)
-        except CycleError:
-            continue
-        if not is_odd(p):
-            continue
-        if conformal_to is not None and associated_matching(p) != conformal_to:
-            continue
-        out.setdefault(p.key, p)
-    return [out[k] for k in sorted(out)]
+    pool = _distinct_partitions(g, cap, odd=True)
+    if conformal_to is None:
+        return pool
+    return [p for p in pool if associated_matching(p) == conformal_to]
 
 
 def enumerate_normal_partitions(g: CubicGraph, cap: Optional[int] = None) -> list[NormalPartition]:
     """All normal partitions (odd or not), deduplicated canonically."""
-    if cap is not None and 3**g.n > cap:
-        raise CapExceeded(f"3^{g.n} markings exceed cap {cap}")
-    out: dict[tuple, NormalPartition] = {}
-    for marking in enumerate_markings(g):
-        try:
-            p = trails_from_marking(g, marking)
-        except CycleError:
-            continue
-        out.setdefault(p.key, p)
-    return [out[k] for k in sorted(out)]
+    return _distinct_partitions(g, cap, odd=False)
 
 
-class _TripleSearch:
-    """Backtracking over per-vertex bijections with chain tracking.
+class _Search:
+    """Backtracking over per-vertex slot choices with chain tracking.
+
+    k is the number of partitions (1 or 3), odd turns the parity prune on,
+    length_cap bounds every trail's length, and fixed pins the marked darts
+    of chosen vertices, one dart per partition.
 
     Chain state per partition, over darts:
       link[d]   -- for a chain-end dart d, the dart at the opposite end
       length[d] -- edge count of the chain, valid at end darts
       sealed[d] -- d is a marked (sealed) chain end
     Sealing and joining journal their writes so assignments undo in O(1).
+    marks[p][v] is the dart partition p marks at v, valid once v is
+    assigned.
     """
 
     def __init__(
         self,
         g: CubicGraph,
+        k: int,
+        odd: bool = True,
         length_cap: Optional[int] = None,
-        fixed: Optional[dict[int, tuple[int, int, int]]] = None,
+        fixed: Optional[dict[int, tuple[int, ...]]] = None,
     ):
         self.g = g
         self.n = g.n
+        self.k = k
         nd = 2 * g.m
-        self.link = [list(range(nd)) for _ in range(3)]
-        self.length = [[1] * nd for _ in range(3)]
-        self.sealed = [[False] * nd for _ in range(3)]
-        for p in range(3):
-            lk = self.link[p]
-            for e in range(g.m):
-                lk[2 * e] = 2 * e + 1
-                lk[2 * e + 1] = 2 * e
+        self.link = [[d ^ 1 for d in range(nd)] for _ in range(k)]
+        self.length = [[1] * nd for _ in range(k)]
+        self.sealed = [[False] * nd for _ in range(k)]
+        self.marks = [[0] * g.n for _ in range(k)]
         self.assigned = [False] * g.n
-        self.order: list[int] = []
         self.trail: list[tuple] = []  # undo journal
         self.neighbors = [
             tuple(g.dart_vertex(d ^ 1) for d in g.vertex_darts[v]) for v in range(g.n)
         ]
         self.assigned_nbrs = [0] * g.n
+        self.odd = odd
         self.length_cap = length_cap
         self.fixed = dict(fixed) if fixed else {}
         self.nodes = 0
@@ -168,7 +162,7 @@ class _TripleSearch:
         sealed[d] = True
         other = link[d]
         if sealed[other]:
-            if length[d] % 2 == 0:
+            if self.odd and length[d] % 2 == 0:
                 return False
             if self.length_cap is not None and length[d] > self.length_cap:
                 return False
@@ -188,7 +182,7 @@ class _TripleSearch:
         length[y] = total
         if self.length_cap is not None and total > self.length_cap:
             return False  # chains never shrink
-        if sealed[x] and sealed[y] and total % 2 == 0:
+        if self.odd and sealed[x] and sealed[y] and total % 2 == 0:
             return False
         return True
 
@@ -205,14 +199,15 @@ class _TripleSearch:
 
     # -- vertex assignment ----------------------------------------------
 
-    def _apply(self, v: int, perm: tuple[int, int, int]) -> Optional[int]:
-        """Assign v with the given partition->slot bijection; returns the
-        journal mark on success, None on contradiction (already undone)."""
+    def _apply(self, v: int, perm: tuple[int, ...]) -> Optional[int]:
+        """Assign v, partition p marking slot perm[p]; returns the journal
+        mark on success, None on contradiction (already undone)."""
         mark = len(self.trail)
         slots = self.g.vertex_darts[v]
-        for p in range(3):
-            md = slots[perm[p]]
-            oth = [slots[i] for i in range(3) if i != perm[p]]
+        for p, s in enumerate(perm):
+            md = slots[s]
+            self.marks[p][v] = md
+            oth = [slots[i] for i in range(3) if i != s]
             if not self._seal(p, md) or not self._join(p, oth[0], oth[1]):
                 self._undo(mark)
                 return None
@@ -226,14 +221,13 @@ class _TripleSearch:
         return best
 
     def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Yield solutions as three markings, identity bijection at the
-        first vertex assigned (one representative per unordered triple)."""
+        """Yield solutions as k markings.  For k = 3 without pins the first
+        vertex assigned keeps the identity bijection (one representative
+        per unordered triple)."""
         g = self.g
-        if any(
-            len(set(g.edges_at(v))) < 3 for v in range(g.n)
-        ):  # a loop vertex cannot host three distinct marked edges
-            return
-        # pinned vertices come first; their bijections are forced
+        if self.k == 3 and g.has_loop():
+            return  # a loop vertex cannot host three distinct marked edges
+        # pinned vertices come first; their slot choices are forced
         base_depth = 0
         for v in sorted(self.fixed):
             slots = g.vertex_darts[v]
@@ -247,26 +241,18 @@ class _TripleSearch:
             if self._apply(v, perm) is None:
                 return
             base_depth += 1
+        all_perms = _PERMS[self.k]
+        break_symmetry = self.k == 3 and not self.fixed
 
         def rec(depth: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             if depth == self.n:
-                markings = []
-                for p in range(3):
-                    marking = [0] * self.n
-                    for v in range(self.n):
-                        # recover the marked slot from the sealed table
-                        for d in g.vertex_darts[v]:
-                            if self.sealed[p][d]:
-                                marking[v] = d
-                                break
-                    markings.append(tuple(marking))
-                yield tuple(markings)
+                yield tuple(tuple(m) for m in self.marks)
                 return
             v = self._next_vertex()
             self.assigned[v] = True
             for w in self.neighbors[v]:
                 self.assigned_nbrs[w] += 1
-            perms = _PERMS if (depth > base_depth or self.fixed) else _PERMS[:1]
+            perms = all_perms[:1] if break_symmetry and depth == base_depth else all_perms
             for perm in perms:
                 self.nodes += 1
                 mark = self._apply(v, perm)
@@ -295,7 +281,7 @@ def enumerate_compatible_triples(
     enumerate ordered triples since the pins already tell the three
     partitions apart.
     """
-    searcher = _TripleSearch(g, length_cap, fixed)
+    searcher = _Search(g, 3, length_cap=length_cap, fixed=fixed)
     for markings in searcher.solutions():
         triple = tuple(trails_from_marking(g, mk) for mk in markings)
         yield triple  # type: ignore[misc]
@@ -312,46 +298,11 @@ def find_compatible_triple(
 def find_length3_triple(
     g: CubicGraph,
 ) -> Optional[tuple[NormalPartition, NormalPartition, NormalPartition]]:
-    """First compatible triple whose partitions all have length 3, if any.
-
-    All-length-3 odd partitions biject with (matching, orientation) pairs:
-    the middle edges form a perfect matching and the end edges inherit a
-    coherent orientation of the complementary 2-factor.  Enumerating those
-    pairs is therefore exhaustive; the bijection is cross-checked against
-    the generic search in the test suite.  Given two compatible members,
-    the third's marks are forced (the remaining slot at every vertex), so
-    pairs plus one dictionary lookup decide existence.
-    """
-    from .construct import nop_from_matching, two_factor_cycles
-
-    if any(len(set(g.edges_at(v))) < 3 for v in range(g.n)):
-        return None
-    candidates: list[NormalPartition] = []
-    seen = set()
-    for m in perfect_matchings(g):
-        cycles = two_factor_cycles(g, m)
-        for bits in range(1 << len(cycles)):
-            orient = tuple((bits >> i) & 1 for i in range(len(cycles)))
-            p = nop_from_matching(g, m, orient)
-            if p.key not in seen:
-                seen.add(p.key)
-                candidates.append(p)
-    by_marking = {p.marked: p for p in candidates}
-    slot_sum = [sum(g.vertex_darts[v]) for v in range(g.n)]
-    for i, p1 in enumerate(candidates):
-        for j in range(i + 1, len(candidates)):
-            p2 = candidates[j]
-            if any(
-                p1.marked[v] >> 1 == p2.marked[v] >> 1 for v in range(g.n)
-            ):
-                continue
-            forced = tuple(
-                slot_sum[v] - p1.marked[v] - p2.marked[v] for v in range(g.n)
-            )
-            p3 = by_marking.get(forced)
-            if p3 is not None:
-                return (p1, p2, p3)
-    return None
+    """First compatible triple whose partitions all have length 3, if any:
+    the triple search with every trail capped at 3 edges.  A normal
+    partition's trails average exactly 3 edges, so the cap forces every
+    trail to length 3."""
+    return next(enumerate_compatible_triples(g, length_cap=3), None)
 
 
 def fan_raspaud_witness(
@@ -381,7 +332,7 @@ def complete_system(
     """
     if k < 3:
         raise ValueError("a complete system has order at least 3")
-    if any(len(set(g.edges_at(v))) < 3 for v in range(g.n)):
+    if g.has_loop():
         return None
     pool = enumerate_nops(g, cap=cap)
     need: list[frozenset[int]] = [frozenset(g.edges_at(v)) for v in range(g.n)]

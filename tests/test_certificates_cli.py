@@ -111,6 +111,17 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["count"] == 1
 
+    @pytest.mark.parametrize(
+        "graph,moves,size",
+        [("k33", "plain", 642), ("k33", "odd", 300), ("prism", "plain", 628), ("prism", "odd", 226)],
+    )
+    def test_switch_class_pools(self, capsys, graph, moves, size):
+        # plain moves switch over every normal partition, odd moves over
+        # the odd ones; either way the whole pool is one class
+        assert main(["switch-class", "--graph", graph, "--moves", moves]) == 0
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (doc["count"], doc["sizes"]) == (1, [size])
+
     def test_sweep_g6(self, tmp_path, capsys, k4, k33, cube):
         from copnc.graph import to_graph6
 
@@ -152,6 +163,20 @@ class TestCli:
         src = tmp_path / "one.g6"
         src.write_text(to_graph6(petersen) + "\n")
         assert main(["construct", "--method", "matching", "--graph", f"@{src}"]) == 0
+
+    def test_edge_list_header_checked_before_allocation(self, tmp_path, capsys):
+        import tracemalloc
+
+        src = tmp_path / "huge.edges"
+        src.write_text("2000000 0\n")
+        tracemalloc.start()
+        try:
+            assert main(["construct", "--method", "matching", "--graph", f"@{src}"]) == 5
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert "3n = 2m" in capsys.readouterr().err
 
     def test_multi_record_file_rejected_where_one_needed(self, tmp_path, k4, k33):
         from copnc.graph import to_graph6

@@ -123,6 +123,12 @@ class TestEdgeList:
         with pytest.raises(Malformed):
             parse_edge_list("2 3\n0 1\n0 1\n")
 
+    @pytest.mark.parametrize("text", ["0 0\n", "-2 -3\n", "2 2\n0 1\n0 1\n", "2000000 0\n"])
+    def test_header_not_cubic(self, text):
+        # a cubic graph has n > 0 and 3n = 2m; the header is checked first
+        with pytest.raises(Malformed):
+            parse_edge_list(text)
+
 
 class TestGenerate:
     def test_flower3_is_tietze_size(self):

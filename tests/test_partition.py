@@ -17,7 +17,6 @@ from copnc.partition import (
     is_conformal,
     is_odd,
     length_profile,
-    marking_of,
     odd_edges,
     partition_violations,
     stats,
@@ -150,7 +149,7 @@ class TestMarkingRoundTrip:
 
     def test_roundtrip_identity_over_all_nops(self, k4):
         for p in enumerate_nops(k4):
-            assert trails_from_marking(k4, marking_of(p)) == p
+            assert trails_from_marking(k4, p.marked) == p
 
     def test_marking_roundtrip_other_direction(self, prism):
         # decode then re-read: identity on every valid marking of a
@@ -163,7 +162,7 @@ class TestMarkingRoundTrip:
                 p = trails_from_marking(prism, marking)
             except CycleError:
                 continue
-            assert marking_of(p) == marking
+            assert p.marked == marking
             hits += 1
         assert hits > 50
 

@@ -1,6 +1,7 @@
 import pytest
 
-from copnc.graph import bridges, generate, has_perfect_matching
+from copnc.corpus import corpus_all, corpus_simple12
+from copnc.graph import bridges, generate, has_perfect_matching, perfect_matchings
 from copnc.partition import (
     associated_matching,
     is_odd,
@@ -15,12 +16,63 @@ from copnc.search import (
     enumerate_compatible_triples,
     enumerate_markings,
     enumerate_nops,
+    enumerate_normal_partitions,
     fan_raspaud_witness,
     find_compatible_triple,
     find_length3_triple,
     find_nop,
 )
 from copnc.switching import CapExceeded
+
+
+def scan_oracle(g):
+    """Every normal partition of g, by decoding all 3^n markings: distinct
+    by key, sorted by key."""
+    out = {}
+    for marking in enumerate_markings(g):
+        try:
+            p = trails_from_marking(g, marking)
+        except CycleError:
+            continue
+        out.setdefault(p.key, p)
+    return [out[k] for k in sorted(out)]
+
+
+def length3_by_pairs(g):
+    """First all-length-3 compatible triple found by pairing candidates, or
+    None.
+
+    All-length-3 odd partitions biject with (matching, orientation) pairs:
+    the middle edges form a perfect matching and the end edges inherit a
+    coherent orientation of the complementary 2-factor.  Given two
+    compatible members, the third's marks are forced (the remaining slot at
+    every vertex), so pairs plus one dictionary lookup decide existence.
+    """
+    from copnc.construct import nop_from_matching, two_factor_cycles
+
+    if g.has_loop():
+        return None
+    candidates = []
+    seen = set()
+    for m in perfect_matchings(g):
+        cycles = two_factor_cycles(g, m)
+        for bits in range(1 << len(cycles)):
+            orient = tuple((bits >> i) & 1 for i in range(len(cycles)))
+            p = nop_from_matching(g, m, orient)
+            if p.key not in seen:
+                seen.add(p.key)
+                candidates.append(p)
+    by_marking = {p.marked: p for p in candidates}
+    slot_sum = [sum(g.vertex_darts[v]) for v in range(g.n)]
+    for i, p1 in enumerate(candidates):
+        for p2 in candidates[i + 1:]:
+            if any(p1.marked[v] >> 1 == p2.marked[v] >> 1 for v in range(g.n)):
+                continue
+            forced = tuple(slot_sum[v] - p1.marked[v] - p2.marked[v] for v in range(g.n))
+            p3 = by_marking.get(forced)
+            if p3 is not None:
+                return (p1, p2, p3)
+    return None
 
 
 class TestFindNop:
@@ -67,6 +119,40 @@ class TestEnumerateNops:
     def test_cap(self, petersen):
         with pytest.raises(CapExceeded):
             enumerate_nops(petersen, cap=100)
+
+
+def keys(parts):
+    return [p.key for p in parts]
+
+
+class TestEnumerationMatchesScan:
+    """The one-partition search returns exactly the partitions, in the same
+    order, that decoding all 3^n markings returns: plain, odd, and odd
+    conformal to each perfect matching."""
+
+    @staticmethod
+    def check(gid, g, odd_only=False):
+        every = scan_oracle(g)
+        odd = [p for p in every if is_odd(p)]
+        assert keys(enumerate_nops(g)) == keys(odd), gid
+        if odd_only:
+            return
+        assert keys(enumerate_normal_partitions(g)) == keys(every), gid
+        for m in perfect_matchings(g):
+            want = [p for p in odd if associated_matching(p) == m]
+            assert keys(enumerate_nops(g, conformal_to=m)) == keys(want), (gid, m)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_corpus(self, n):
+        for gid, g in corpus_all(n):
+            self.check(gid, g)
+
+    @pytest.mark.parametrize("name", ["k33", "prism", "cube"])
+    def test_named(self, name):
+        self.check(name, generate(name))
+
+    def test_petersen_odd(self, petersen):
+        self.check("petersen", petersen, odd_only=True)
 
 
 def unordered_triple_keys(triples):
@@ -133,15 +219,16 @@ class TestTripleSearch:
 
 class TestLengthThreeTriples:
     def test_matches_generic_search_on_small_graphs(self):
-        from copnc.corpus import corpus_all
-
-        pool = [g for n in (2, 4, 6) for _, g in corpus_all(n)]
-        for g in pool:
-            via_pairs = find_length3_triple(g)
-            via_generic = next(enumerate_compatible_triples(g, length_cap=3), None)
-            assert (via_pairs is None) == (via_generic is None)
-            if via_pairs is not None:
-                assert all(set(p.lengths()) == {3} for p in via_pairs)
+        pool = [(gid, g) for n in (2, 4, 6, 8, 10) for gid, g in corpus_all(n)]
+        pool += corpus_simple12()
+        for gid, g in pool:
+            via_pairs = length3_by_pairs(g)
+            via_search = find_length3_triple(g)
+            assert (via_pairs is None) == (via_search is None), gid
+            for triple in (via_pairs, via_search):
+                if triple is not None:
+                    assert all(set(p.lengths()) == {3} for p in triple), gid
+                    assert not triple_set(*triple), gid
 
     def test_k33_exists_k4_not(self, k33, k4):
         assert find_length3_triple(k33) is not None
