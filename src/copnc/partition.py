@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .graph import CubicGraph
 
@@ -258,14 +258,19 @@ class NormalPartition:
         return f"NormalPartition({len(self.trails)} trails, lengths {sorted(self.lengths(), reverse=True)})"
 
 
-def _sorted_trails(trails: Iterable[Trail], g: CubicGraph) -> list[Trail]:
-    """Canonical order: each trail oriented by its smaller representation."""
-    canon = []
-    for t in trails:
-        r = t.reversed(g)
-        canon.append(t if t.key == (t.vertices, t.edges) else r)
-    canon.sort(key=lambda t: t.key)
-    return canon
+def _canonical(g: CubicGraph, vertices: tuple, edges: tuple, out_darts: tuple) -> Trail:
+    """The trail in its canonical orientation, built from parts already
+    known to be incident, without Trail's per-step checks.  Reversal flips
+    every out dart except at loop steps, which keep the lower dart."""
+    rv, re = vertices[::-1], edges[::-1]
+    if (rv, re) < (vertices, edges):
+        at = g.dart_vertex
+        out_darts = tuple(d if at(d) == at(d ^ 1) else d ^ 1 for d in reversed(out_darts))
+        vertices, edges = rv, re
+    t = Trail.__new__(Trail)
+    t.vertices, t.edges, t.out_darts = vertices, edges, out_darts
+    t._key = (vertices, edges)
+    return t
 
 
 def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violation]:
@@ -292,9 +297,10 @@ def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violati
     return out
 
 
-def _enrich(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
-    """Build the marked/passage/position tables; assumes trails are valid."""
-    trails = _sorted_trails(trails, g)
+def _enrich(g: CubicGraph, trails: list[Trail]) -> NormalPartition:
+    """Build the marked/passage/position tables; assumes the trails are
+    valid and canonically oriented, and sorts them."""
+    trails.sort(key=lambda t: t.key)
     marked = [-1] * g.n
     passage: list[Optional[tuple[int, int]]] = [None] * g.n
     edge_pos = [(-1, -1)] * g.m
@@ -326,7 +332,7 @@ def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
     bad = partition_violations(g, trails)
     if bad:
         raise InvalidPartition(bad)
-    return _enrich(g, trails)
+    return _enrich(g, [_canonical(g, t.vertices, t.edges, t.out_darts) for t in trails])
 
 
 def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartition:
@@ -339,7 +345,7 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
     marking = tuple(marking)
     if len(marking) != g.n:
         raise ValueError("marking must assign one dart per vertex")
-    succ = {}
+    succ = [0] * (2 * g.m)
     for v in range(g.n):
         d = marking[v]
         slots = g.vertex_darts[v]
@@ -348,6 +354,7 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
         a, b = (x for x in slots if x != d)
         succ[a] = b
         succ[b] = a
+    at = g.dart_vertex
     seen = [False] * (2 * g.m)
     trails: list[Trail] = []
     for v in range(g.n):
@@ -356,18 +363,20 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
             continue
         verts = [v]
         edges = []
+        out = []
         cur = d
         while True:
             seen[cur] = True
-            edges.append(cur >> 1)
             nxt = cur ^ 1
             seen[nxt] = True
-            w = g.dart_vertex(nxt)
+            w = at(nxt)
+            edges.append(cur >> 1)
+            out.append(cur & ~1 if w == verts[-1] else cur)  # loops: lower dart
             verts.append(w)
             if marking[w] == nxt:
                 break
             cur = succ[nxt]
-        trails.append(Trail(g, verts, edges))
+        trails.append(_canonical(g, tuple(verts), tuple(edges), tuple(out)))
     if not all(seen):
         # walk one offending cycle for the error witness
         d0 = next(d for d in range(2 * g.m) if not seen[d])

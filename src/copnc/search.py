@@ -77,16 +77,28 @@ def enumerate_markings(g: CubicGraph) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def _distinct_partitions(g: CubicGraph, cap: Optional[int], odd: bool) -> list[NormalPartition]:
-    """The normal partitions (odd ones only when odd is set) decoded from
-    the one-partition search, deduplicated by key and sorted by it."""
+def _check_cap(g: CubicGraph, cap: Optional[int]) -> None:
     if cap is not None and 3**g.n > cap:
         raise CapExceeded(f"3^{g.n} markings exceed cap {cap}")
+
+
+def _distinct_partitions(
+    g: CubicGraph, cap: Optional[int], odd: bool, avoid: frozenset[int] = frozenset()
+) -> list[NormalPartition]:
+    """The normal partitions (odd ones only when odd is set) marking no
+    edge of avoid, decoded from the one-partition search, deduplicated by
+    key and sorted by it."""
+    _check_cap(g, cap)
     out: dict[tuple, NormalPartition] = {}
-    for (marking,) in _Search(g, 1, odd=odd).solutions():
+    for (marking,) in _Search(g, 1, odd=odd, avoid=avoid).solutions():
         p = trails_from_marking(g, marking)
         out.setdefault(p.key, p)
     return [out[k] for k in sorted(out)]
+
+
+def _is_perfect_matching(g: CubicGraph, m: frozenset[int]) -> bool:
+    ends = [v for e in m if 0 <= e < g.m for v in g.endpoints[e]]
+    return len(ends) == 2 * len(m) == g.n and len(set(ends)) == g.n
 
 
 def enumerate_nops(
@@ -97,13 +109,22 @@ def enumerate_nops(
     """All normal odd partitions, deduplicated, in canonical order.
 
     With conformal_to set, keeps only partitions whose odd edges equal that
-    matching.  Raises CapExceeded when 3^n, the number of markings, exceeds
-    cap.
+    matching.  An odd partition is conformal to a perfect matching m
+    exactly when no vertex marks an edge of m: every passage then holds
+    the m-edge at its vertex, so each trail alternates between edges
+    outside m and in m, beginning and ending outside m, which makes it odd
+    with its m-edges exactly at its even positions.  So the search
+    enumerates conformal partitions directly, each vertex limited to its
+    slots outside m.  Raises CapExceeded when 3^n, the number of markings,
+    exceeds cap.
     """
-    pool = _distinct_partitions(g, cap, odd=True)
     if conformal_to is None:
-        return pool
-    return [p for p in pool if associated_matching(p) == conformal_to]
+        return _distinct_partitions(g, cap, odd=True)
+    m = frozenset(conformal_to)
+    if not _is_perfect_matching(g, m):
+        _check_cap(g, cap)
+        return []
+    return _distinct_partitions(g, cap, odd=True, avoid=m)
 
 
 def enumerate_normal_partitions(g: CubicGraph, cap: Optional[int] = None) -> list[NormalPartition]:
@@ -115,8 +136,9 @@ class _Search:
     """Backtracking over per-vertex slot choices with chain tracking.
 
     k is the number of partitions (1 or 3), odd turns the parity prune on,
-    length_cap bounds every trail's length, and fixed pins the marked darts
-    of chosen vertices, one dart per partition.
+    length_cap bounds every trail's length, fixed pins the marked darts
+    of chosen vertices, one dart per partition, and no partition marks an
+    edge of avoid.
 
     Chain state per partition, over darts:
       link[d]   -- for a chain-end dart d, the dart at the opposite end
@@ -134,6 +156,7 @@ class _Search:
         odd: bool = True,
         length_cap: Optional[int] = None,
         fixed: Optional[dict[int, tuple[int, ...]]] = None,
+        avoid: frozenset[int] = frozenset(),
     ):
         self.g = g
         self.n = g.n
@@ -152,6 +175,15 @@ class _Search:
         self.odd = odd
         self.length_cap = length_cap
         self.fixed = dict(fixed) if fixed else {}
+        # v -> its slot choices, one slot per partition, none marking avoid
+        self.perms = [
+            tuple(
+                perm
+                for perm in _PERMS[k]
+                if all(g.vertex_darts[v][s] >> 1 not in avoid for s in perm)
+            )
+            for v in range(g.n)
+        ] if avoid else [_PERMS[k]] * g.n
         self.nodes = 0
 
     # -- journaled chain ops -------------------------------------------
@@ -235,36 +267,52 @@ class _Search:
             if sorted(darts) != sorted(set(darts)) or any(d not in slots for d in darts):
                 return
             perm = tuple(slots.index(d) for d in darts)
-            self.assigned[v] = True
-            for w in self.neighbors[v]:
-                self.assigned_nbrs[w] += 1
+            self._set_assigned(v, True)
             if self._apply(v, perm) is None:
                 return
             base_depth += 1
-        all_perms = _PERMS[self.k]
+        if base_depth == self.n:
+            yield tuple(tuple(m) for m in self.marks)
+            return
         break_symmetry = self.k == 3 and not self.fixed
-
-        def rec(depth: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if depth == self.n:
-                yield tuple(tuple(m) for m in self.marks)
-                return
-            v = self._next_vertex()
-            self.assigned[v] = True
-            for w in self.neighbors[v]:
-                self.assigned_nbrs[w] += 1
-            perms = all_perms[:1] if break_symmetry and depth == base_depth else all_perms
+        # one frame per assigned depth: [vertex, iterator over its perms,
+        # journal mark of the applied perm or None]; an explicit stack, so
+        # the depth is not bounded by the interpreter's recursion limit
+        stack = [self._enter(break_symmetry)]
+        while stack:
+            frame = stack[-1]
+            v, perms, mark = frame
+            if mark is not None:
+                self._undo(mark)
+                frame[2] = None
             for perm in perms:
                 self.nodes += 1
                 mark = self._apply(v, perm)
-                if mark is None:
-                    continue
-                yield from rec(depth + 1)
-                self._undo(mark)
-            self.assigned[v] = False
-            for w in self.neighbors[v]:
-                self.assigned_nbrs[w] -= 1
+                if mark is not None:
+                    frame[2] = mark
+                    break
+            else:
+                stack.pop()
+                self._set_assigned(v, False)
+                continue
+            if base_depth + len(stack) == self.n:
+                yield tuple(tuple(m) for m in self.marks)
+            else:
+                stack.append(self._enter(False))
 
-        yield from rec(base_depth)
+    def _enter(self, first: bool) -> list:
+        """Assign the next vertex and return its stack frame; the first
+        vertex of a symmetry-broken search keeps only its first perm."""
+        v = self._next_vertex()
+        self._set_assigned(v, True)
+        perms = self.perms[v][:1] if first else self.perms[v]
+        return [v, iter(perms), None]
+
+    def _set_assigned(self, v: int, on: bool) -> None:
+        self.assigned[v] = on
+        step = 1 if on else -1
+        for w in self.neighbors[v]:
+            self.assigned_nbrs[w] += step
 
 
 def enumerate_compatible_triples(

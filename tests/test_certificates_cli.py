@@ -113,12 +113,24 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "graph,moves,size",
-        [("k33", "plain", 642), ("k33", "odd", 300), ("prism", "plain", 628), ("prism", "odd", 226)],
+        [
+            ("k33", "plain", 642),
+            ("k33", "odd", 300),
+            ("prism", "plain", 628),
+            ("prism", "odd", 226),
+            ("cube", "plain", 5928),
+            ("cube", "odd", 1824),
+            ("cube", "conformal", 192),
+        ],
     )
     def test_switch_class_pools(self, capsys, graph, moves, size):
         # plain moves switch over every normal partition, odd moves over
-        # the odd ones; either way the whole pool is one class
-        assert main(["switch-class", "--graph", graph, "--moves", moves]) == 0
+        # the odd ones, conformal moves over those conformal to the cube's
+        # matching 0,5,8,11; in each case the whole pool is one class
+        argv = ["switch-class", "--graph", graph, "--moves", moves]
+        if moves == "conformal":
+            argv += ["--matching", "0,5,8,11"]
+        assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert (doc["count"], doc["sizes"]) == (1, [size])
 

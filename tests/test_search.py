@@ -120,6 +120,14 @@ class TestEnumerateNops:
         with pytest.raises(CapExceeded):
             enumerate_nops(petersen, cap=100)
 
+    def test_conformal_to_a_non_matching_is_empty(self, k4, petersen):
+        # no partition is conformal to an edge set other than a perfect
+        # matching, even though odd partitions avoiding it exist
+        for m in ({0}, {0, 1}, {0, 5, 99}, set(range(6))):
+            assert enumerate_nops(k4, conformal_to=frozenset(m)) == []
+        with pytest.raises(CapExceeded):
+            enumerate_nops(petersen, cap=100, conformal_to=frozenset({0}))
+
 
 def keys(parts):
     return [p.key for p in parts]
@@ -208,6 +216,20 @@ class TestTripleSearch:
                 checked += 1
         assert checked == 24
 
+    def test_long_ladder_needs_no_recursion(self):
+        """n = 1,200: the search runs on an explicit stack, so its depth is
+        not bounded by the interpreter's recursion limit."""
+        import sys
+
+        from conftest import circular_ladder
+        from copnc.graph import build_graph
+
+        limit = sys.getrecursionlimit()
+        g = build_graph(*circular_ladder(600))
+        triple = find_compatible_triple(g)
+        assert triple is not None and not triple_set(*triple)
+        assert sys.getrecursionlimit() == limit
+
     def test_constrained_pins_respected(self, k4):
         full = list(enumerate_compatible_triples(k4))
         t0 = full[0]
@@ -287,6 +309,20 @@ class TestCompleteSystem:
 
 
 class TestChecks:
+    def test_conj25_sweep_long_ladder(self, tmp_path):
+        import json
+
+        from conftest import circular_ladder
+        from copnc.cli import main
+
+        n, edges = circular_ladder(600)
+        src = tmp_path / "ladder.edges"
+        src.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        out = tmp_path / "report.jsonl"
+        assert main(["sweep", "--input", f"@{src}", "--check", "conj25", "--out", str(out)]) == 0
+        (rec,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rec["n"] == 1200 and rec["triple_found"] and rec["agree"]
+
     def test_conj25_on_petersen(self, petersen):
         rep = check_graph(petersen, "conj25", "pet")
         assert rep.bridgeless and rep.triple_found and rep.agree

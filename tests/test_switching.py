@@ -275,3 +275,103 @@ class TestLocalConformalSwitch:
         assert associated_matching(q) is m
         q.trails
         assert q._trails is not None
+
+
+def decode_oracle_candidates(p, v):
+    """Every switch result at v by full decodes: each passage dart of the
+    decoded p as v's new mark, kept when the marking decodes."""
+    from copnc.partition import CycleError, trails_from_marking
+
+    out = []
+    for d in p.passage[v]:
+        marking = list(p.marked)
+        marking[v] = d
+        try:
+            out.append(trails_from_marking(p.graph, marking))
+        except CycleError:
+            continue
+    return out
+
+
+def assert_same_results(got, want):
+    """Local results against decoded ones: equal partitions, equal marked
+    edges and equal fold keys (raw marked darts may differ at loops)."""
+    from copnc.switching import _fold_key, _loop_uppers
+
+    assert [q.key for q in got] == [q.key for q in want]
+    assert [q.marked_edges() for q in got] == [q.marked_edges() for q in want]
+    if got:
+        loops = _loop_uppers(got[0].graph)
+        assert [_fold_key(q, loops) for q in got] == [_fold_key(q, loops) for q in want]
+
+
+class TestLocalMoves:
+    """Plain and odd switches walk the two changed trails on the marking;
+    the oracle decodes every candidate marking in full."""
+
+    def test_small_multigraphs_every_vertex(self):
+        from copnc.corpus import corpus_all
+        from copnc.search import enumerate_normal_partitions
+
+        checked = 0
+        for n in (2, 4, 6):
+            for _, g in corpus_all(n):
+                for p in enumerate_normal_partitions(g):
+                    for v in range(g.n):
+                        want = decode_oracle_candidates(p, v)
+                        assert_same_results(switch_candidates(p, v), want)
+                        odd = [q for q in want if is_odd(q)]
+                        assert_same_results(odd_switches(p, v), odd)
+                        checked += 1
+        assert checked > 10000
+
+    def test_fold_key_equality_is_key_equality(self):
+        from copnc.corpus import corpus_all
+        from copnc.partition import CycleError, NormalPartition, trails_from_marking
+        from copnc.search import enumerate_markings
+        from copnc.switching import _fold_key, _loop_uppers
+
+        for n in (2, 4, 6):
+            for gid, g in corpus_all(n):
+                loops = _loop_uppers(g)
+                key_of, fold_of = {}, {}
+                for marking in enumerate_markings(g):
+                    try:
+                        key = trails_from_marking(g, marking).key
+                    except CycleError:
+                        continue
+                    fk = _fold_key(NormalPartition(g, marking), loops)
+                    assert key_of.setdefault(fk, key) == key, gid
+                    assert fold_of.setdefault(key, fk) == fk, gid
+
+    def test_odd_switch_from_a_non_odd_partition(self, cube):
+        from copnc.search import enumerate_normal_partitions
+
+        found = 0
+        for p in enumerate_normal_partitions(cube)[:200]:
+            if is_odd(p):
+                continue
+            for v in range(cube.n):
+                odd = [q for q in switch_candidates(p, v) if is_odd(q)]
+                assert odd_switches(p, v) == odd
+                found += bool(odd)
+        assert found, "some even partition of the cube switches to an odd one"
+
+    @pytest.mark.parametrize("kind", ["plain", "odd", "conformal"])
+    def test_class_walk_results_stay_lazy(self, cube, kind):
+        m = next(perfect_matchings(cube))
+        p = enumerate_nops(cube, conformal_to=m)[0]
+        members = reachable_class(p, kind, m if kind == "conformal" else None)
+        assert members[0] is p and len(members) > 100
+        assert all(q._trails is None for q in members[1:])
+
+    def test_non_odd_seed_under_odd_moves(self, k4):
+        """The seed of an odd class walk need not be odd; every partition
+        it reaches is."""
+        from copnc.search import enumerate_normal_partitions
+
+        p = next(p for p in enumerate_normal_partitions(k4) if not is_odd(p))
+        summary, members = switch_class(p, "odd")
+        assert members[0] is p
+        assert all(is_odd(q) for q in members[1:])
+        assert summary.size == len(members) == len(set(members))
