@@ -173,7 +173,7 @@ def cmd_family(args) -> int:
             raise UsageError(f"unknown family '{name}'")
     except (BadParameter, ValueError) as exc:
         print(f"bad family: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return EXIT_IO
     doc = C.certificate(g, list(triple), {"family": args.name})
     if args.emit_partitions:
         doc["matchings"] = [sorted(associated_matching(p)) for p in triple]

@@ -13,17 +13,19 @@ Three constructive routes live here:
     partitions conformal to the three color classes exist.  On a simple
     triangle-free graph they are found by seeding with the matching route
     and shrinking the agreement set A with conformal switches; digons and
-    triangles are first contracted away and afterwards re-expanded by
-    surgeries that preserve normality, oddness, conformality and
-    compatibility.  A surgery rewrites the marks at the four or three
-    vertices of its site and carries every other mark over, so the
-    triple is lifted as three markings and decoded into trails once.
+    triangles are first contracted away, in place and in the input's ids,
+    and afterwards re-expanded by surgeries that preserve normality,
+    oddness, conformality and compatibility.  A surgery rewrites the
+    marks at the four or three vertices of its site and leaves every
+    other mark alone, so the triple is lifted as three markings and
+    decoded into trails once.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -420,35 +422,6 @@ def conformal_triple(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _DigonInfo:
-    big: CubicGraph
-    big_coloring: tuple[int, ...]
-    small: CubicGraph
-    small_coloring: tuple[int, ...]
-    v_s2b: tuple[int, ...]
-    e_s2b: tuple[int, ...]          # small edge -> big edge; exy maps to -1
-    exy: int                        # small id of the contracted edge
-    sides: tuple[tuple[int, int, int], tuple[int, int, int]]
-    # each side: (outer vertex, digon vertex, connecting edge), big ids
-    digon: tuple[tuple[int, int], tuple[int, int]]  # (big edge id, color)
-    rho: int
-
-
-@dataclass(frozen=True)
-class _TriangleInfo:
-    big: CubicGraph
-    big_coloring: tuple[int, ...]
-    small: CubicGraph
-    small_coloring: tuple[int, ...]
-    v_s2b: tuple[int, ...]
-    e_s2b: tuple[int, ...]
-    v_small: int                    # the contracted vertex, small id
-    inherit: tuple[int, int, int]   # color -> big vertex carrying that color
-    # color -> big triangle edge of that color, opposite that color's inheritor
-    tri_edges: tuple[int, int, int]
-
-
 def find_digon(g: CubicGraph) -> Optional[tuple[int, int]]:
     """Lowest pair of parallel non-loop edges, as (edge, edge), or None."""
     seen: dict[tuple[int, int], int] = {}
@@ -479,218 +452,249 @@ def find_triangle(g: CubicGraph) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _dart_at(g: CubicGraph, e: int, v: int) -> int:
-    """The dart of the non-loop edge e at its endpoint v."""
-    return 2 * e if g.endpoints[e][0] == v else 2 * e + 1
+class Contraction:
+    """A cubic multigraph contracted in place, in the ids of its input.
+
+    Vertices keep their ids and die when contracted (ends and darts turn
+    None).  Edges keep theirs, and the edge each digon contraction creates
+    takes the next id: m, m+1, ...  A surgery keeps the orientation of
+    every surviving edge and each vertex's darts sorted, so the live ids
+    in increasing order are the labelling that an order-preserving
+    compaction gives, and core() builds that graph once.
+
+    Candidate digons wait in a lazy min-heap of edge ids, candidate
+    triangles in one of sorted vertex triples; an entry is checked when it
+    reaches the top.  So digon() and triangle() return what find_digon and
+    find_triangle return on the current graph: the first edge in id order
+    that has an earlier parallel edge, with the lowest such edge, and the
+    lexicographically lowest triangle.  A surgery creates adjacencies only
+    at the site's surviving vertices, so only those are filed again, and
+    two live vertices never stop being adjacent, so a triangle entry is
+    valid while its three vertices live.  Each surgery costs O(log n).
+    """
+
+    def __init__(self, g: CubicGraph, coloring: Sequence[int]):
+        self.ends: list[Optional[list[int]]] = [list(p) for p in g.endpoints]
+        self.color = list(coloring)
+        self.darts: list[Optional[list[int]]] = [list(ds) for ds in g.vertex_darts]
+        self.n = g.n  # live vertices
+        self.digons: list[int] = []
+        self.triangles: list[tuple[int, int, int]] = []
+        for v in range(g.n):
+            self.file(v)
+
+    def far(self, d: int) -> int:
+        """The vertex at the other end of dart d."""
+        return self.ends[d >> 1][~d & 1]
+
+    def _parallel(self, e: int) -> int:
+        """The lowest edge parallel to e with a lower id, or -1."""
+        u, v = self.ends[e]
+        if u == v:
+            return -1
+        return next((d >> 1 for d in self.darts[u] if d >> 1 < e and self.far(d) == v), -1)
+
+    def file(self, v: int) -> None:
+        """Push the digons and triangles through v onto the heaps."""
+        ends, darts = self.ends, self.darts
+        nb: list[int] = []
+        for d in darts[v]:  # in edge id order: a repeated neighbor is a digon's later edge
+            w = ends[d >> 1][~d & 1]
+            if w in nb:
+                heappush(self.digons, d >> 1)
+            elif w != v:
+                nb.append(w)
+        nb.sort()
+        for i, p in enumerate(nb):
+            around = [ends[d >> 1][~d & 1] for d in darts[p]]
+            for q in nb[i + 1 :]:
+                if q in around:
+                    heappush(self.triangles, tuple(sorted((v, p, q))))
+
+    def digon(self) -> Optional[tuple[int, int]]:
+        heap = self.digons
+        while heap:
+            e = heap[0]
+            if self.ends[e] is not None:
+                f = self._parallel(e)
+                if f >= 0:
+                    return f, e
+            heappop(heap)
+        return None
+
+    def triangle(self) -> Optional[tuple[int, int, int]]:
+        heap = self.triangles
+        while heap:
+            if all(self.darts[w] is not None for w in heap[0]):
+                return heap[0]
+            heappop(heap)
+        return None
+
+    def core(self) -> tuple[CubicGraph, tuple[int, ...], list[int], list[int]]:
+        """The contracted graph compacted in id order, its coloring, and
+        the ids of its vertices and of its edges."""
+        vids = [v for v, ds in enumerate(self.darts) if ds is not None]
+        eids = [e for e, p in enumerate(self.ends) if p is not None]
+        new = [-1] * len(self.darts)
+        for i, v in enumerate(vids):
+            new[v] = i
+        core = CubicGraph(len(vids), [(new[self.ends[e][0]], new[self.ends[e][1]]) for e in eids])
+        return core, tuple(self.color[e] for e in eids), vids, eids
 
 
-def _relabel(info, marks: Sequence[int]) -> list[int]:
-    """A big marking with each small vertex's mark carried over to its big
-    vertex and edge, which keep their orientation.  The vertices of the
-    surgery site are left for the lift to write."""
-    e_s2b = info.e_s2b
-    big = [-1] * info.big.n
-    for w, d in zip(info.v_s2b, marks):
-        big[w] = 2 * e_s2b[d >> 1] | (d & 1)
-    return big
+@dataclass(frozen=True)
+class _DigonSite:
+    """One digon contraction, in the ids it was made in.  Each side is
+    (outer vertex, digon vertex, dart of the hanging edge at the outer
+    vertex); at_u[c] is the dart at the first side's digon vertex of the
+    digon edge of color c, and -1 for rho, the hanging edges' color."""
+
+    digon: tuple[int, int]
+    exy: int
+    rho: int
+    sides: tuple[tuple[int, int, int], tuple[int, int, int]]
+    at_u: tuple[int, int, int]
 
 
-def _lift_digon(
-    info: _DigonInfo, marks: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    """The three big markings from the small ones across one digon, and the
-    big vertices whose marks the surgery rewrote.
+@dataclass(frozen=True)
+class _TriangleSite:
+    """One triangle contraction, in the ids it was made in; tri[0]
+    survives.  For each color c, outer[c] is the outside edge of that
+    color, inherit[c] the triangle vertex it hangs from, and tri_marks[c]
+    the (vertex, dart) pairs that mark the triangle edge of color c from
+    both ends; that edge is the one opposite inherit[c]."""
+
+    tri: tuple[int, int, int]
+    outer: tuple[int, int, int]
+    inherit: tuple[int, int, int]
+    tri_marks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+
+def digon_contract(state: Contraction, digon: tuple[int, int]) -> _DigonSite:
+    """Collapse a digon pair and its two hanging edges into one new edge
+    whose color is the shared color of the hanging edges."""
+    ends, darts = state.ends, state.darts
+    u, v = ends[digon[0]]
+    assert set(ends[digon[1]]) == {u, v} and u != v
+    du = next(d for d in darts[u] if d >> 1 not in digon)
+    dv = next(d for d in darts[v] if d >> 1 not in digon)
+    x, y = state.far(du), state.far(dv)
+    rho = state.color[du >> 1]
+    assert state.color[dv >> 1] == rho, "hanging edges of a properly colored digon share a color"
+    assert x not in (u, v) and y not in (u, v) and x != y
+    at_u = [-1, -1, -1]
+    for e in digon:
+        at_u[state.color[e]] = 2 * e + (ends[e][0] != u)
+    exy = len(ends)
+    ends.append([x, y])
+    state.color.append(rho)
+    # exy has the highest id, so appending its darts keeps x's and y's sorted
+    darts[x].remove(du ^ 1)
+    darts[x].append(2 * exy)
+    darts[y].remove(dv ^ 1)
+    darts[y].append(2 * exy + 1)
+    for e in (*digon, du >> 1, dv >> 1):
+        ends[e] = None
+    darts[u] = darts[v] = None
+    state.n -= 2
+    state.file(x)
+    state.file(y)
+    return _DigonSite(tuple(digon), exy, rho, ((x, u, du ^ 1), (y, v, dv ^ 1)), tuple(at_u))
+
+
+def triangle_contract(state: Contraction, tri: tuple[int, int, int]) -> _TriangleSite:
+    """Collapse a triangle to its lowest vertex, which inherits the three
+    outside edges with their colors."""
+    ends, darts, color = state.ends, state.darts, state.color
+    a, b, c = tri
+    # the lowest-id edge of each pair: darts are sorted
+    tri_edges = [next(d >> 1 for d in darts[p] if state.far(d) == q) for p, q in ((a, b), (b, c), (c, a))]
+    outer, inherit, out_darts = [-1, -1, -1], [-1, -1, -1], []
+    for w in tri:
+        ds = [d for d in darts[w] if d >> 1 not in tri_edges]
+        assert len(ds) == 1, "triangle vertices carry one outside edge each"
+        outer[color[ds[0] >> 1]] = ds[0] >> 1
+        inherit[color[ds[0] >> 1]] = w
+        out_darts.append(ds[0])
+    tri_marks = [None, None, None]
+    for t in tri_edges:
+        p, q = ends[t]
+        tri_marks[color[t]] = ((p, 2 * t), (q, 2 * t + 1))
+    assert -1 not in inherit and None not in tri_marks, "the colors at a triangle are all distinct"
+    for d in out_darts:
+        ends[d >> 1][d & 1] = a
+    darts[a] = sorted(out_darts)
+    for t in tri_edges:
+        ends[t] = None
+    darts[b] = darts[c] = None
+    state.n -= 2
+    state.file(a)
+    return _TriangleSite(tuple(tri), tuple(outer), tuple(inherit), tuple(tri_marks))
+
+
+def _lift_digon(site: _DigonSite, marks: Sequence[list[int]]) -> tuple[int, int, int, int]:
+    """Lift the three markings across one digon, in place, and return the
+    vertices whose marks the surgery rewrote.
 
     The contracted edge exy was colored rho.  The role frame is read off
-    the small marking: x is the lowest end of exy that marks it in a
+    the contracted marking: x is the lowest end of exy that marks it in a
     partition other than rho's, beta is that partition, and u is the digon
     vertex next to x.  A mark on exy becomes the hanging edge at its end.
     At u the rho, beta and gamma partitions mark the gamma digon edge, the
     hanging edge and the beta digon edge; at v they mark the beta digon
     edge, the gamma digon edge and the hanging edge.  Every other mark
-    carries over.
+    stays.
     """
-    gb = info.big
-    exy, rho = info.exy, info.rho
-    ends = info.small.endpoints[exy]
+    exy, rho = site.exy, site.rho
     cands = sorted(
-        (v, c)
-        for v in set(ends)
+        (o, c)
+        for o, _, _ in site.sides
         for c in (RED, BLUE, YELLOW)
-        if c != rho and marks[c][v] >> 1 == exy
+        if c != rho and marks[c][o] >> 1 == exy
     )
     if not cands:
         raise NotConformalTriple("contracted edge is marked nowhere outside rho")
-    x_s, beta = cands[0]
-    gamma = next(c for c in (RED, BLUE, YELLOW) if c not in (rho, beta))
-    y_s = ends[1] if ends[0] == x_s else ends[0]
-    side = {o: (d, e) for o, d, e in info.sides}  # outer vertex -> (digon vertex, hanging edge)
-    x, y = info.v_s2b[x_s], info.v_s2b[y_s]
-    (u, e1), (v, e2) = side[x], side[y]
-    (eA, colA), (eB, _) = info.digon
-    e_beta, e_gamma = (eA, eB) if colA == beta else (eB, eA)
-    at_u = {rho: e_gamma, beta: e1, gamma: e_beta}
-    at_v = {rho: e_beta, beta: e_gamma, gamma: e2}
-    out = []
-    for c in (RED, BLUE, YELLOW):
-        big = _relabel(info, marks[c])
-        for w in ends:
-            if marks[c][w] >> 1 == exy:
-                wb = info.v_s2b[w]
-                big[wb] = _dart_at(gb, side[wb][1], wb)
-        big[u] = _dart_at(gb, at_u[c], u)
-        big[v] = _dart_at(gb, at_v[c], v)
-        out.append(big)
-    return out, (x, y, u, v)
+    x, beta = cands[0]
+    gamma = 3 - rho - beta
+    flip = x != site.sides[0][0]  # u is the second side's digon vertex
+    (x, u, hx), (y, v, hy) = site.sides[::-1] if flip else site.sides
+    # each digon edge's dart at u; its mate is the dart at v
+    d_beta, d_gamma = site.at_u[beta] ^ flip, site.at_u[gamma] ^ flip
+    at_u = {rho: d_gamma, beta: hx ^ 1, gamma: d_beta}
+    at_v = {rho: d_beta ^ 1, beta: d_gamma ^ 1, gamma: hy ^ 1}
+    for c, mk in enumerate(marks):
+        if mk[x] >> 1 == exy:
+            mk[x] = hx
+        if mk[y] >> 1 == exy:
+            mk[y] = hy
+        mk[u], mk[v] = at_u[c], at_v[c]
+    return x, y, u, v
 
 
-def _lift_triangle(
-    info: _TriangleInfo, marks: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    """The three big markings from the small ones across one
-    vertex-to-triangle expansion, and the big vertices whose marks the
-    surgery rewrote.
+def _lift_triangle(site: _TriangleSite, marks: Sequence[list[int]]) -> tuple[int, int, int]:
+    """Lift the three markings across one vertex-to-triangle expansion, in
+    place, and return the triangle, whose marks the surgery rewrote.
 
-    In each partition the inheritor R of the old vertex's marked edge
-    marks that edge, and the passage at the old vertex is routed through
-    R.  The other two inheritors both mark the triangle edge between them,
-    a trail of length 1; in a proper coloring it is the triangle edge of
-    the marked edge's color.  Every other mark carries over.
+    In each partition the inheritor R of the contracted vertex's marked
+    edge marks that edge, and the passage at the contracted vertex is
+    routed through R.  The other two inheritors both mark the triangle
+    edge between them, a trail of length 1; in a proper coloring it is the
+    triangle edge of the marked edge's color.  Every other mark stays.
     """
-    gb = info.big
-    vs, col, e_s2b = info.v_small, info.small_coloring, info.e_s2b
-    out = []
-    for c in (RED, BLUE, YELLOW):
-        d = marks[c][vs]
-        big = _relabel(info, marks[c])
-        big[info.inherit[col[d >> 1]]] = 2 * e_s2b[d >> 1] | (d & 1)
-        t = info.tri_edges[col[d >> 1]]
-        p, q = gb.endpoints[t]
-        big[p], big[q] = 2 * t, 2 * t + 1
-        out.append(big)
-    return out, info.inherit
+    for mk in marks:
+        d = mk[site.tri[0]]
+        k = site.outer.index(d >> 1)
+        mk[site.inherit[k]] = d
+        (p, dp), (q, dq) = site.tri_marks[k]
+        mk[p], mk[q] = dp, dq
+    return site.tri
 
 
-def _compact_maps(n: int, dropped: Sequence[int]) -> tuple[list[int], list[int]]:
-    """big->small and small->big vertex maps after dropping some vertices."""
-    dropped_set = set(dropped)
-    b2s = [-1] * n
-    s2b = []
-    for v in range(n):
-        if v in dropped_set:
-            continue
-        b2s[v] = len(s2b)
-        s2b.append(v)
-    return b2s, s2b
-
-
-def digon_contract(
-    g: CubicGraph, coloring: Sequence[int], digon: tuple[int, int]
-) -> tuple[CubicGraph, tuple[int, ...], _DigonInfo]:
-    """Collapse a digon pair and its two hanging edges into one edge whose
-    color is the shared color of the hanging edges."""
-    eA, eB = digon
-    u, v = g.endpoints[eA]
-    assert set(g.endpoints[eB]) == {u, v} and u != v
-    du = next(d for d in g.vertex_darts[u] if d >> 1 not in (eA, eB))
-    dv = next(d for d in g.vertex_darts[v] if d >> 1 not in (eA, eB))
-    e1, e2 = du >> 1, dv >> 1
-    x, y = g.dart_vertex(du ^ 1), g.dart_vertex(dv ^ 1)
-    rho = coloring[e1]
-    assert coloring[e2] == rho, "hanging edges of a properly colored digon share a color"
-    assert x not in (u, v) and y not in (u, v) and x != y
-    vb2s, vs2b = _compact_maps(g.n, (u, v))
-    eb2s = {}
-    small_edges = []
-    small_colors = []
-    for e, (a, b) in enumerate(g.endpoints):
-        if e in (eA, eB, e1, e2):
-            continue
-        eb2s[e] = len(small_edges)
-        small_edges.append((vb2s[a], vb2s[b]))
-        small_colors.append(coloring[e])
-    exy = len(small_edges)
-    small_edges.append((vb2s[x], vb2s[y]))
-    small_colors.append(rho)
-    gs = CubicGraph(g.n - 2, small_edges)
-    e_s2b = [-1] * gs.m
-    for be, se in eb2s.items():
-        e_s2b[se] = be
-    info = _DigonInfo(
-        big=g,
-        big_coloring=tuple(coloring),
-        small=gs,
-        small_coloring=tuple(small_colors),
-        v_s2b=tuple(vs2b),
-        e_s2b=tuple(e_s2b),
-        exy=exy,
-        sides=((x, u, e1), (y, v, e2)),
-        digon=((eA, coloring[eA]), (eB, coloring[eB])),
-        rho=rho,
-    )
-    return gs, tuple(small_colors), info
-
-
-def triangle_contract(
-    g: CubicGraph, coloring: Sequence[int], tri: tuple[int, int, int]
-) -> tuple[CubicGraph, tuple[int, ...], _TriangleInfo]:
-    """Collapse a triangle to a single vertex inheriting the three outside
-    edges with their colors."""
-    a, b, c = tri
-    tri_set = {a, b, c}
-    # the lowest-id edge of each pair: slots are listed in edge id order
-    tri_edges = {
-        next(d >> 1 for d in g.vertex_darts[p] if g.dart_vertex(d ^ 1) == q)
-        for p, q in ((a, b), (b, c), (c, a))
-    }
-    outer = {}
-    for w in tri:
-        es = [e for e in set(g.edges_at(w)) if e not in tri_edges]
-        assert len(es) == 1, "triangle vertices carry one outside edge each"
-        outer[w] = es[0]
-    vb2s, vs2b = _compact_maps(g.n, sorted(tri_set - {a}))
-    v_small = vb2s[a]
-    eb2s = {}
-    small_edges = []
-    small_colors = []
-    for e, (p, q) in enumerate(g.endpoints):
-        if e in tri_edges:
-            continue
-        ps = v_small if p in tri_set else vb2s[p]
-        qs = v_small if q in tri_set else vb2s[q]
-        eb2s[e] = len(small_edges)
-        small_edges.append((ps, qs))
-        small_colors.append(coloring[e])
-    gs = CubicGraph(g.n - 2, small_edges)
-    e_s2b = [-1] * gs.m
-    for be, se in eb2s.items():
-        e_s2b[se] = be
-    inherit = [-1, -1, -1]
-    by_color = [-1, -1, -1]
-    for w in tri:
-        inherit[coloring[outer[w]]] = w
-    for e in tri_edges:
-        by_color[coloring[e]] = e
-    assert -1 not in inherit + by_color, "the colors at a triangle are all distinct"
-    info = _TriangleInfo(
-        big=g,
-        big_coloring=tuple(coloring),
-        small=gs,
-        small_coloring=tuple(small_colors),
-        v_s2b=tuple(vs2b),
-        e_s2b=tuple(e_s2b),
-        v_small=v_small,
-        inherit=tuple(inherit),
-        tri_edges=tuple(by_color),
-    )
-    return gs, tuple(small_colors), info
-
-
-def _lifted_triple(lift, info, triple: ConformalTriple) -> ConformalTriple:
-    """The triple lifted across one surgery, validated in full."""
-    marks, _ = lift(info, [p.marked for p in triple.partitions])
-    parts = tuple(NormalPartition(info.big, m) for m in marks)
-    lifted = ConformalTriple(info.big, info.big_coloring, parts)
+def _lifted_triple(lift, site, gb: CubicGraph, coloring: Sequence[int], triple: ConformalTriple) -> ConformalTriple:
+    """The triple lifted across one extension by two vertices, validated in full."""
+    marks = [list(p.marked) + [-1, -1] for p in triple.partitions]
+    lift(site, marks)
+    lifted = ConformalTriple(gb, tuple(coloring), tuple(NormalPartition(gb, m) for m in marks))
     lifted.validate()
     return lifted
 
@@ -719,22 +723,11 @@ def digon_extend(
     edges.append((u, v))   # id m+1, beta colored
     edges.append((u, v))   # id m+2, gamma colored
     gb = CubicGraph(g.n + 2, edges)
-    big_coloring = list(coloring)
-    big_coloring[e] = rho
-    big_coloring += [rho, beta, gamma]
-    info = _DigonInfo(
-        big=gb,
-        big_coloring=tuple(big_coloring),
-        small=g,
-        small_coloring=tuple(coloring),
-        v_s2b=tuple(range(g.n)),
-        e_s2b=tuple(list(range(e)) + [-1] + list(range(e + 1, g.m))),
-        exy=e,
-        sides=((x, u, e), (y, v, g.m)),
-        digon=((g.m + 1, beta), (g.m + 2, gamma)),
-        rho=rho,
-    )
-    return gb, _lifted_triple(_lift_digon, info, triple)
+    at_u = [-1, -1, -1]
+    at_u[beta], at_u[gamma] = 2 * (g.m + 1), 2 * (g.m + 2)
+    # exy is e itself: the small graph's e is the edge the digon subdivides
+    site = _DigonSite((g.m + 1, g.m + 2), e, rho, ((x, u, 2 * e), (y, v, 2 * g.m + 1)), tuple(at_u))
+    return gb, _lifted_triple(_lift_digon, site, gb, tuple(coloring) + (rho, beta, gamma), triple)
 
 
 def triangle_extend(
@@ -749,38 +742,26 @@ def triangle_extend(
     """
     triple.validate()
     coloring = triple.coloring
-    darts = g.vertex_darts[v]
     if v in g.neighbors(v):
         raise ValueError("vertex with a loop cannot be expanded")
-    inherit_b = {RED: v, YELLOW: g.n, BLUE: g.n + 1}
+    inherit = (v, g.n + 1, g.n)  # the RED, BLUE and YELLOW inheritors
     edges = list(g.endpoints)
-    for d in darts:
+    outer = [-1, -1, -1]
+    for d in g.vertex_darts[v]:
         e = d >> 1
+        outer[coloring[e]] = e
         a, b = edges[e]
-        target = inherit_b[coloring[e]]
+        target = inherit[coloring[e]]
         edges[e] = (target, b) if (d & 1) == 0 else (a, target)
-    tri_pairs = [
-        ((inherit_b[RED], inherit_b[YELLOW]), BLUE),
-        ((inherit_b[YELLOW], inherit_b[BLUE]), RED),
-        ((inherit_b[BLUE], inherit_b[RED]), YELLOW),
-    ]
+    tri_marks = [None, None, None]
     big_coloring = list(coloring)
-    for (p, q), col in tri_pairs:
+    for p, q, col in ((v, g.n, BLUE), (g.n, g.n + 1, RED), (g.n + 1, v, YELLOW)):
+        tri_marks[col] = ((p, 2 * len(edges)), (q, 2 * len(edges) + 1))
         edges.append((p, q))
         big_coloring.append(col)
     gb = CubicGraph(g.n + 2, edges)
-    info = _TriangleInfo(
-        big=gb,
-        big_coloring=tuple(big_coloring),
-        small=g,
-        small_coloring=tuple(coloring),
-        v_s2b=tuple(range(g.n)),
-        e_s2b=tuple(range(g.m)),
-        v_small=v,
-        inherit=(inherit_b[RED], inherit_b[BLUE], inherit_b[YELLOW]),
-        tri_edges=(g.m + 1, g.m, g.m + 2),  # the RED, BLUE, YELLOW edges appended
-    )
-    return gb, _lifted_triple(_lift_triangle, info, triple)
+    site = _TriangleSite((v, g.n, g.n + 1), tuple(outer), inherit, tuple(tri_marks))
+    return gb, _lifted_triple(_lift_triangle, site, gb, big_coloring, triple)
 
 
 # ---------------------------------------------------------------------------
@@ -812,41 +793,55 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
     Computes one proper coloring, contracts digons then triangles down to
     a simple triangle-free core (or a base graph on at most 4 vertices),
     solves the core, and replays the contractions backwards through the
-    digon and triangle surgeries on the markings.  The lifted triple is
-    decoded and validated once, on g.  Raises NotThreeEdgeColorable when no
-    proper coloring exists; SearchExhausted only if the core improvement
-    search overruns its budget.
+    digon and triangle surgeries on the markings.
+
+    The contraction runs in place on one Contraction of g, in g's vertex
+    and edge ids, with the edges it creates numbered from m up.  Two lazy
+    min-heaps pick each site as find_digon and find_triangle would on the
+    graph contracted so far, and only the site's surviving vertices are
+    filed again, so a surgery costs O(log n).  The core is compacted into
+    a CubicGraph once, and its triple is carried back into g's ids.  Each
+    lift rewrites the marks of its 3 or 4 site vertices in place, so the
+    route costs O(n + surgeries * log n) besides the coloring and the core
+    solve.  The lifted triple is decoded and validated once, on g.
+
+    Raises NotThreeEdgeColorable when no proper coloring exists;
+    SearchExhausted only if the core improvement search overruns its
+    budget.
     """
     coloring = proper_3_edge_coloring(g)
     if coloring is None:
         raise NotThreeEdgeColorable("graph has chromatic index 4")
-    stack = []
-    cur_g, cur_col = g, tuple(coloring)
-    while True:
-        if cur_g.n <= 4:
-            core = _base_conformal_triple(cur_g, cur_col)
-            break
-        digon = find_digon(cur_g)
+    coloring = tuple(coloring)
+    state = Contraction(g, coloring)
+    sites = []
+    while state.n > 4:
+        digon = state.digon()
         if digon is not None:
-            cur_g, cur_col, info = digon_contract(cur_g, cur_col, digon)
-            stack.append((_lift_digon, info))
+            sites.append((_lift_digon, digon_contract(state, digon)))
             continue
-        tri = find_triangle(cur_g)
-        if tri is not None:
-            cur_g, cur_col, info = triangle_contract(cur_g, cur_col, tri)
-            stack.append((_lift_triangle, info))
-            continue
-        core = conformal_triple(cur_g, cur_col, seed=seed)
-        break
-    if not stack:
+        tri = state.triangle()
+        if tri is None:
+            break
+        sites.append((_lift_triangle, triangle_contract(state, tri)))
+    core_g, core_col, vids, eids = state.core() if sites else (g, coloring, None, None)
+    del state  # the sites hold all the lifts need; free the graph copy before the core solve
+    if core_g.n <= 4:
+        core = _base_conformal_triple(core_g, core_col)
+    else:
+        core = conformal_triple(core_g, core_col, seed=seed)
+    if not sites:
         return core
-    # the core triple is validated; each lift rewrites a few marks and
-    # checks them, and the lifted triple is validated once, in full
-    marks = [p.marked for p in core.partitions]
-    for lift, info in reversed(stack):
-        marks, site = lift(info, marks)
+    # the core triple is validated; each lift rewrites a few marks in g's
+    # ids and checks them, and the lifted triple is validated once, in full
+    marks = [[-1] * g.n for _ in range(3)]
+    for mk, p in zip(marks, core.partitions):
+        for w, d in zip(vids, p.marked):
+            mk[w] = 2 * eids[d >> 1] | (d & 1)
+    for lift, site in reversed(sites):
+        rewritten = lift(site, marks)
         # the three partitions mark three different edges at each rewritten vertex
-        assert all(len({m[v] >> 1 for m in marks}) == 3 for v in site)
-    triple = ConformalTriple(g, tuple(coloring), tuple(NormalPartition(g, m) for m in marks))
+        assert all(len({m[v] >> 1 for m in marks}) == 3 for v in rewritten)
+    triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, m) for m in marks))
     triple.validate()
     return triple

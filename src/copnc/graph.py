@@ -474,35 +474,47 @@ def perfect_matchings(g: CubicGraph) -> Iterator[frozenset[int]]:
 
     Loops never belong to a matching.  The sequence is empty exactly when
     no perfect matching exists.  Deterministic: edges are tried in id order.
+    The search runs on an explicit stack of (vertex, next slot) frames, so
+    its depth is not bounded by the interpreter's recursion limit.  A
+    frame's vertex is the lowest one unmatched when it was pushed, and
+    every vertex below it stays matched, so the next frame's vertex is
+    looked for from there on.
     """
-    matched = [False] * g.n
-    chosen: list[int] = []
-
-    def next_vertex() -> int:
-        for v in range(g.n):
-            if not matched[v]:
-                return v
-        return -1
-
-    def rec() -> Iterator[frozenset[int]]:
-        v = next_vertex()
-        if v < 0:
+    n, slots, ends = g.n, g.vertex_darts, g.endpoints
+    matched = [False] * n
+    chosen: list[int] = []  # chosen[k] is the edge frame k matched
+    stack: list[list[int]] = []
+    start = 0
+    while True:
+        while start < n and matched[start]:
+            start += 1
+        if start == n:
             yield frozenset(chosen)
-            return
-        for d in g.vertex_darts[v]:
-            e = d >> 1
-            if g.is_loop(e):
-                continue
-            w = g.other_end(e, v)
-            if matched[w]:
+        else:
+            stack.append([start, 0])
+        # give the top frame its next edge, popping the frames that have none
+        while stack:
+            frame = stack[-1]
+            v = frame[0]
+            if len(chosen) == len(stack):  # undo the frame's last edge
+                a, b = ends[chosen.pop()]
+                matched[a] = matched[b] = False
+            while frame[1] < 3:
+                e = slots[v][frame[1]] >> 1
+                frame[1] += 1
+                a, b = ends[e]
+                w = b if a == v else a
+                if a != b and not matched[w]:
+                    break
+            else:
+                stack.pop()
                 continue
             matched[v] = matched[w] = True
             chosen.append(e)
-            yield from rec()
-            chosen.pop()
-            matched[v] = matched[w] = False
-
-    return rec()
+            start = v + 1
+            break
+        else:
+            return
 
 
 def has_perfect_matching(g: CubicGraph) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, perfect_matchings
@@ -63,18 +63,7 @@ def find_nop(g: CubicGraph) -> Optional[NormalPartition]:
 def enumerate_markings(g: CubicGraph) -> Iterator[tuple[int, ...]]:
     """All 3^n total markings, lexicographic by slot index.  The search
     never scans them; the tests decode them all as its oracle."""
-    slots = g.vertex_darts
-    marking = [0] * g.n
-
-    def rec(v: int) -> Iterator[tuple[int, ...]]:
-        if v == g.n:
-            yield tuple(marking)
-            return
-        for d in slots[v]:
-            marking[v] = d
-            yield from rec(v + 1)
-
-    yield from rec(0)
+    return product(*g.vertex_darts)
 
 
 def _check_cap(g: CubicGraph, cap: Optional[int]) -> None:

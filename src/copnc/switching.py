@@ -205,7 +205,9 @@ def conformal_switch(
     decoded only when asked for.
     """
     m = frozenset(m)
-    if associated_matching(p) != m:
+    pm = associated_matching(p)
+    # a switch result carries the caller's m itself, which skips the O(n) compare
+    if pm is not m and pm != m:
         raise NotConformalInput("partition is not conformal to the matching")
     d1, d2 = _passage(p, v)
     mark = d2 if (d1 >> 1) in m else d1

@@ -101,6 +101,13 @@ class TestCli:
         assert main(["construct", "--method", "bipartite", "--graph", "k4"]) == 3
         assert main(["construct", "--method", "conformal", "--graph", "flower:5"]) == 3
 
+    @pytest.mark.parametrize("spec", ["flower:2", "goldberg:4"])
+    def test_family_bad_parameter_exit(self, capsys, spec):
+        # the same exit as construct --graph with a bad family parameter
+        assert main(["family", spec]) == 5
+        assert main(["construct", "--method", "conformal", "--graph", spec]) == 5
+        assert "odd and >= 3" in capsys.readouterr().err
+
     def test_switch_class_json(self, capsys):
         assert main(["switch-class", "--graph", "theta", "--moves", "conformal", "--matching", "0"]) == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

@@ -1,6 +1,7 @@
 import pytest
 
 from copnc.construct import (
+    Contraction,
     NoMatching,
     NotBipartite,
     NotThreeEdgeColorable,
@@ -121,8 +122,9 @@ class TestDigonSurgery:
         # multisets rather than id-for-id
         t = conformal_triple_general(k33)
         g2, t2 = digon_extend(k33, 0, t)
-        digon = find_digon(g2)
-        gs, cols, info = digon_contract(g2, t2.coloring, digon)
+        state = Contraction(g2, t2.coloring)
+        digon_contract(state, find_digon(g2))
+        gs, cols, _, _ = state.core()
         assert gs.n == k33.n
         assert sorted(map(sorted, gs.endpoints)) == sorted(map(sorted, k33.endpoints))
         assert sorted(zip(map(tuple, map(sorted, gs.endpoints)), cols)) == sorted(
@@ -146,8 +148,9 @@ class TestTriangleSurgery:
     def test_expand_then_contract_restores(self, k33):
         t = conformal_triple_general(k33)
         g2, t2 = triangle_extend(k33, 2, t)
-        tri = find_triangle(g2)
-        gs, cols, info = triangle_contract(g2, t2.coloring, tri)
+        state = Contraction(g2, t2.coloring)
+        triangle_contract(state, find_triangle(g2))
+        gs, cols, _, _ = state.core()
         assert gs == k33
         assert cols == t.coloring
 

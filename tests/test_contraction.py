@@ -1,0 +1,122 @@
+"""conformal_triple_general contracts digons and triangles in place, in
+the ids of its input; stepwise_route.route contracts one graph at a time
+with find_digon and find_triangle.  Both must make the same surgeries in
+the same order, reach the same core graph with the same coloring, and
+return the same three markings.
+"""
+
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from copnc import construct
+from copnc.construct import conformal_triple_general, digon_extend, find_digon, find_triangle, triangle_extend
+from copnc.corpus import corpus_upto
+from copnc.graph import CubicGraph, build_graph, generate, proper_3_edge_coloring
+
+import stepwise_route
+from conftest import digon_ladder, truncated_ladder
+
+
+@contextmanager
+def recording():
+    """Record the surgeries of the general route, as (kind, site), and the
+    (endpoints, coloring) of the core it solves."""
+    rec = {"surgeries": [], "core": []}
+    saved = {
+        name: getattr(construct, name)
+        for name in ("digon_contract", "triangle_contract", "conformal_triple", "_base_conformal_triple")
+    }
+
+    def contract(kind, field):
+        def wrapped(state, site):
+            out = saved[f"{kind}_contract"](state, site)
+            rec["surgeries"].append((kind, getattr(out, field)))
+            return out
+
+        return wrapped
+
+    def solve(name):
+        def wrapped(g, coloring, **kwargs):
+            rec["core"].append((g.endpoints, tuple(coloring)))
+            return saved[name](g, coloring, **kwargs)
+
+        return wrapped
+
+    construct.digon_contract = contract("digon", "digon")
+    construct.triangle_contract = contract("triangle", "tri")
+    construct.conformal_triple = solve("conformal_triple")
+    construct._base_conformal_triple = solve("_base_conformal_triple")
+    try:
+        yield rec
+    finally:
+        for name, fn in saved.items():
+            setattr(construct, name, fn)
+
+
+def assert_same_route(g: CubicGraph) -> int:
+    """The general route on g equals the stepwise one; returns the number
+    of surgeries."""
+    with recording() as rec:
+        triple = conformal_triple_general(g)
+    oracle = stepwise_route.route(g)
+    assert rec["surgeries"] == [(s.kind, s.site) for s in oracle.steps]
+    assert rec["core"] == [(oracle.core.endpoints, oracle.core_coloring)]
+    assert [list(p.marked) for p in triple.partitions] == oracle.marks
+    return len(oracle.steps)
+
+
+def test_corpus():
+    graphs = 0
+    for _, g in corpus_upto(10, include_simple12=False):
+        if find_digon(g) is None and find_triangle(g) is None:
+            continue
+        if proper_3_edge_coloring(g) is None:
+            continue
+        graphs += assert_same_route(g) > 0
+    assert graphs == 78
+
+
+@pytest.mark.parametrize(
+    "shape, surgeries",
+    [
+        (truncated_ladder(10), 20),
+        (truncated_ladder(33), 66),
+        (digon_ladder(15), 15),
+        (digon_ladder(50), 50),
+    ],
+)
+def test_shapes(shape, surgeries):
+    assert assert_same_route(build_graph(*shape)) == surgeries
+
+
+@st.composite
+def colorable_multigraphs(draw):
+    """A chain of random digon and triangle extensions from k4, k33, prism
+    or cube, with its vertices relabelled at random."""
+    g = generate(draw(st.sampled_from(["k4", "k33", "prism", "cube"])))
+    t = conformal_triple_general(g)
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            g, t = digon_extend(g, draw(st.integers(0, g.m - 1)), t)
+        else:
+            g, t = triangle_extend(g, draw(st.integers(0, g.n - 1)), t)
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.endpoints])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(colorable_multigraphs())
+def test_random_extensions(g):
+    assert_same_route(g)
+
+
+@pytest.mark.parametrize("shape", [truncated_ladder(400), digon_ladder(400)])
+def test_large(shape):
+    # n = 2,400 and 1,600: quadratic when each surgery rebuilt the graph
+    g = build_graph(*shape)
+    triple = conformal_triple_general(g)
+    assert triple.graph == g
+    triple.validate()

@@ -9,6 +9,7 @@ from copnc.graph import (
     chromatic_index,
     color_classes,
     generate,
+    has_perfect_matching,
     is_bipartite,
     is_bridgeless,
     parse_edge_list,
@@ -19,7 +20,7 @@ from copnc.graph import (
     to_graph6,
 )
 
-from copnc.corpus import corpus_all, corpus_simple12
+from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
 
 from conftest import (
     brute_perfect_matchings,
@@ -256,6 +257,47 @@ class TestMatchings:
 
     def test_loops_excluded_but_dumbbell_matchable(self, dumbbell):
         assert [sorted(m) for m in perfect_matchings(dumbbell)] == [[1]]
+
+    def test_same_sequence_as_recursion(self):
+        graphs = [g for _, g in corpus_upto(10, include_simple12=False)]
+        assert len(graphs) == 483  # every multigraph with n <= 10
+        for g in graphs:
+            assert list(perfect_matchings(g)) == list(recursive_perfect_matchings(g))
+
+    def test_long_ladder_leaves_recursion_limit(self):
+        import sys
+
+        limit = sys.getrecursionlimit()
+        g = build_graph(*circular_ladder(5000))
+        assert has_perfect_matching(g)
+        assert sys.getrecursionlimit() == limit
+
+
+def recursive_perfect_matchings(g):
+    """The backtracking enumerator as it was written with one generator
+    frame per matched pair: the order oracle for perfect_matchings."""
+    matched = [False] * g.n
+    chosen = []
+
+    def rec():
+        v = next((v for v in range(g.n) if not matched[v]), -1)
+        if v < 0:
+            yield frozenset(chosen)
+            return
+        for d in g.vertex_darts[v]:
+            e = d >> 1
+            if g.is_loop(e):
+                continue
+            w = g.other_end(e, v)
+            if matched[w]:
+                continue
+            matched[v] = matched[w] = True
+            chosen.append(e)
+            yield from rec()
+            chosen.pop()
+            matched[v] = matched[w] = False
+
+    return rec()
 
 
 def coloring_by_scan(g):

@@ -1,7 +1,13 @@
-"""The digon and triangle surgeries lift markings; the trail surgeries in
-trail_surgery.py rebuild every trail instead.  Each mark lift the library
-makes, inside conformal_triple_general or through digon_extend and
+"""The digon and triangle surgeries lift markings in place, in the ids of
+the input graph; the trail surgeries in trail_surgery.py rebuild every
+trail of one contraction step instead.  Each mark lift the library makes,
+inside conformal_triple_general or through digon_extend and
 triangle_extend, is checked here against that oracle, mark for mark.
+
+Inside the route, each lift is matched with its step of the stepwise
+route in stepwise_route.py, which builds the graphs on both sides of
+every surgery and records their ids in the input graph; the two routes
+make the same surgeries (test_contraction.py checks that).
 """
 
 import pytest
@@ -18,35 +24,51 @@ from copnc.corpus import corpus_upto
 from copnc.graph import build_graph, generate, proper_3_edge_coloring
 from copnc.partition import NormalPartition
 
+import stepwise_route
 import trail_surgery
 from conftest import digon_ladder, truncated_ladder
 
 ORACLES = {
-    "_lift_digon": trail_surgery.lift_digon,
-    "_lift_triangle": trail_surgery.lift_triangle,
+    "_lift_digon": ("digon", trail_surgery.lift_digon),
+    "_lift_triangle": ("triangle", trail_surgery.lift_triangle),
 }
 
 
 @pytest.fixture
 def lifts(monkeypatch):
-    """Check every mark lift against the oracle; the names of the lifts
-    checked collect in the returned list."""
-    checked = []
-    for name, oracle in ORACLES.items():
+    """run(g) runs the general route on g with every mark lift checked
+    against the trail oracle on the same step of the stepwise route; the
+    names of the lifts checked collect in run.checked."""
 
-        def lift_and_check(info, marks, lift=getattr(construct, name), oracle=oracle, name=name):
-            out, site = lift(info, marks)
-            expect = oracle(info, [NormalPartition(info.small, m) for m in marks])
-            assert out == [list(p.marked) for p in expect]
-            # the site holds every vertex whose mark is not carried over
-            for small, big in zip(marks, out):
-                carried = construct._relabel(info, small)
-                assert {w for w, d in enumerate(big) if d != carried[w]} <= set(site)
-            checked.append(name)
-            return out, site
+    originals = {name: getattr(construct, name) for name in ORACLES}
+    pending = []  # the steps of the stepwise route left to lift, last to first
+
+    def run(g):
+        pending[:] = stepwise_route.route(g).steps
+        triple = conformal_triple_general(g)
+        assert not pending
+        return triple
+
+    for name, (kind, oracle) in ORACLES.items():
+
+        def lift_and_check(site, marks, lift=originals[name], kind=kind, oracle=oracle, name=name):
+            step = pending.pop()
+            assert step.kind == kind
+            before = [list(m) for m in marks]
+            rewritten = lift(site, marks)
+            small = [NormalPartition(step.info.small, stepwise_route.from_global(step.small_ids, m)) for m in before]
+            n = len(before[0])
+            expect = [stepwise_route.to_global(step.big_ids, p.marked, n) for p in oracle(step.info, small)]
+            assert [list(m) for m in marks] == expect
+            # the lift rewrites the marks of the site and of no other vertex
+            for old, new in zip(before, marks):
+                assert {w for w in range(n) if old[w] != new[w]} <= set(rewritten)
+            run.checked.append(name)
+            return rewritten
 
         monkeypatch.setattr(construct, name, lift_and_check)
-    return checked
+    run.checked = []
+    return run
 
 
 def test_general_route_on_corpus(lifts):
@@ -56,12 +78,12 @@ def test_general_route_on_corpus(lifts):
             continue
         if proper_3_edge_coloring(g) is None:
             continue
-        before = len(lifts)
-        conformal_triple_general(g).validate()
-        graphs += len(lifts) > before
+        before = len(lifts.checked)
+        lifts(g).validate()
+        graphs += len(lifts.checked) > before
     # the corpus graphs on 6 to 10 vertices that the route contracts
     assert graphs == 78
-    assert set(lifts) == set(ORACLES)
+    assert set(lifts.checked) == set(ORACLES)
 
 
 @pytest.mark.parametrize(
@@ -71,20 +93,22 @@ def test_general_route_on_corpus(lifts):
 def test_general_route_on_shapes(lifts, shape, lift, count):
     n, edges = shape
     g = build_graph(n, edges)
-    assert conformal_triple_general(g).graph == g
-    assert lifts == [lift] * count
+    assert lifts(g).graph == g
+    assert lifts.checked == [lift] * count
 
 
 @pytest.mark.parametrize("name", ["cube", "theta"])
-def test_extensions(lifts, name):
+def test_extensions(name):
     g = generate(name)
     t = conformal_triple_general(g)
-    for e in range(g.m):
-        _, t2 = digon_extend(g, e, t)
-        t2.validate()
-    for v in range(g.n):
-        _, t2 = triangle_extend(g, v, t)
-        t2.validate()
-    assert lifts.count("_lift_digon") == g.m
-    assert lifts.count("_lift_triangle") == g.n
-
+    extensions = [
+        (digon_extend, stepwise_route.digon_extend_info, trail_surgery.lift_digon, range(g.m)),
+        (triangle_extend, stepwise_route.triangle_extend_info, trail_surgery.lift_triangle, range(g.n)),
+    ]
+    for extend, step_info, oracle, where in extensions:
+        for x in where:
+            gb, t2 = extend(g, x, t)
+            info = step_info(g, x, t.coloring)
+            assert gb == info.big and t2.coloring == info.big_coloring
+            expect = oracle(info, t.partitions)
+            assert [p.marked for p in t2.partitions] == [p.marked for p in expect]
