@@ -35,6 +35,7 @@ from .graph import (
     YELLOW,
     CubicGraph,
     color_classes,
+    components,
     is_bipartite,
     perfect_matchings,
     proper_3_edge_coloring,
@@ -535,10 +536,7 @@ class Contraction:
         the ids of its vertices and of its edges."""
         vids = [v for v, ds in enumerate(self.darts) if ds is not None]
         eids = [e for e, p in enumerate(self.ends) if p is not None]
-        new = [-1] * len(self.darts)
-        for i, v in enumerate(vids):
-            new[v] = i
-        core = CubicGraph(len(vids), [(new[self.ends[e][0]], new[self.ends[e][1]]) for e in eids])
+        core = _compacted(len(self.darts), [self.ends[e] for e in eids], vids)
         return core, tuple(self.color[e] for e in eids), vids, eids
 
 
@@ -805,6 +803,12 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
     route costs O(n + surgeries * log n) besides the coloring and the core
     solve.  The lifted triple is decoded and validated once, on g.
 
+    A disconnected graph is solved one component at a time, each cut out
+    with its vertices and edges compacted in order and the coloring
+    restricted to it, since the contraction stops at 4 live vertices in
+    all and would otherwise run a component of 4 or fewer into a digon
+    with no hanging edges.
+
     Raises NotThreeEdgeColorable when no proper coloring exists;
     SearchExhausted only if the core improvement search overruns its
     budget.
@@ -813,6 +817,38 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
     if coloring is None:
         raise NotThreeEdgeColorable("graph has chromatic index 4")
     coloring = tuple(coloring)
+    parts = components(g)
+    if len(parts) == 1:
+        return _conformal_route(g, coloring, seed)
+    marks = [[-1] * g.n for _ in range(3)]
+    for vids in parts:
+        eids = sorted({d >> 1 for v in vids for d in g.vertex_darts[v]})
+        sub = _compacted(g.n, [g.endpoints[e] for e in eids], vids)
+        _carry_marks(marks, _conformal_route(sub, tuple(coloring[e] for e in eids), seed), vids, eids)
+    triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, m) for m in marks))
+    triple.validate()
+    return triple
+
+
+def _compacted(n: int, ends: Sequence[Sequence[int]], vids: Sequence[int]) -> CubicGraph:
+    """The graph on the vertices vids (increasing) with the edges ends,
+    both renumbered in order; orientations are kept."""
+    new = [-1] * n
+    for i, v in enumerate(vids):
+        new[v] = i
+    return CubicGraph(len(vids), [(new[u], new[v]) for u, v in ends])
+
+
+def _carry_marks(marks: list[list[int]], triple: ConformalTriple, vids: Sequence[int], eids: Sequence[int]) -> None:
+    """Write the marks of a triple on a compacted graph into marks, in the
+    ids vids and eids it was compacted from."""
+    for mk, p in zip(marks, triple.partitions):
+        for w, d in zip(vids, p.marked):
+            mk[w] = 2 * eids[d >> 1] | (d & 1)
+
+
+def _conformal_route(g: CubicGraph, coloring: tuple[int, ...], seed: int) -> ConformalTriple:
+    """conformal_triple_general on a connected g with its coloring."""
     state = Contraction(g, coloring)
     sites = []
     while state.n > 4:
@@ -835,9 +871,7 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
     # the core triple is validated; each lift rewrites a few marks in g's
     # ids and checks them, and the lifted triple is validated once, in full
     marks = [[-1] * g.n for _ in range(3)]
-    for mk, p in zip(marks, core.partitions):
-        for w, d in zip(vids, p.marked):
-            mk[w] = 2 * eids[d >> 1] | (d & 1)
+    _carry_marks(marks, core, vids, eids)
     for lift, site in reversed(sites):
         rewritten = lift(site, marks)
         # the three partitions mark three different edges at each rewritten vertex

@@ -453,20 +453,30 @@ def is_bridgeless(g: CubicGraph) -> bool:
     return not bridges(g)
 
 
-def is_connected(g: CubicGraph) -> bool:
-    if g.n == 0:
-        return True
+def components(g: CubicGraph) -> list[list[int]]:
+    """The vertices of each connected component, sorted, ordered by their
+    lowest vertex."""
     seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for d in g.vertex_darts[v]:
-            w = g.dart_vertex(d ^ 1)
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return all(seen)
+    out = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue, members = [s], [s]
+        while queue:
+            v = queue.pop()
+            for d in g.vertex_darts[v]:
+                w = g.dart_vertex(d ^ 1)
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+                    members.append(w)
+        out.append(sorted(members))
+    return out
+
+
+def is_connected(g: CubicGraph) -> bool:
+    return len(components(g)) <= 1
 
 
 def perfect_matchings(g: CubicGraph) -> Iterator[frozenset[int]]:

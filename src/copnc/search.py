@@ -22,6 +22,15 @@ Exploration order: next vertex with the most already-assigned neighbors
 first assigned vertex keeps the identity bijection: the three partitions
 of a triple are interchangeable, so every solution class is still found,
 once.
+
+The chain state of all k partitions lives in flat arrays, and no undo
+journal is kept.  A slot choice at a vertex is tested by reads alone: it
+writes only once it is accepted, so a rejected choice leaves nothing to
+undo.  An accepted choice is undone from its own darts: the two darts a
+passage joins become interior to their chain, an interior dart's entries
+are never written, and vertices are unassigned in the reverse order of
+their assignment, so those darts still lead to the ends the join wrote and
+still hold the lengths the joined chains had.
 """
 
 from __future__ import annotations
@@ -129,13 +138,26 @@ class _Search:
     of chosen vertices, one dart per partition, and no partition marks an
     edge of avoid.
 
-    Chain state per partition, over darts:
-      link[d]   -- for a chain-end dart d, the dart at the opposite end
-      length[d] -- edge count of the chain, valid at end darts
-      sealed[d] -- d is a marked (sealed) chain end
-    Sealing and joining journal their writes so assignments undo in O(1).
-    marks[p][v] is the dart partition p marks at v, valid once v is
-    assigned.
+    Chain state lives in three flat arrays of size k * 2m; partition p's
+    dart d sits at index p * 2m + d:
+      link[i]   -- for a chain-end dart i, the dart at the opposite end
+      length[i] -- edge count of the chain, valid at end darts
+      sealed[i] -- i is a marked (sealed) chain end
+    Each vertex's slot choices are precomputed as parts: one (marked, a, b)
+    per partition, in flat indices, a and b being the two darts the
+    passage joins.  A solution's markings are read off the chosen parts.
+
+    A choice is accepted or rejected by reads alone.  Per partition, in
+    order: the seal check (the marked dart ends a chain whose other end is
+    sealed), then the join check (a-b closes a cycle, breaks the cap, or
+    completes an even chain), where an end counts as sealed when it is
+    the marked dart itself (x == marked or sealed[x]), since nothing is
+    written yet.  Only an accepted choice writes.  Undo needs no journal:
+    a joined dart is interior to its chain, and an interior dart's entries
+    are never written, so while the frame is live link[a] and link[b] still
+    name the ends the join wrote, and length[a] and length[b] still hold
+    the lengths the two chains had.  Frames unwind last in, first out, so
+    each one restores exactly the state its vertex found.
     """
 
     def __init__(
@@ -148,160 +170,152 @@ class _Search:
         avoid: frozenset[int] = frozenset(),
     ):
         self.g = g
-        self.n = g.n
         self.k = k
-        nd = 2 * g.m
-        self.link = [[d ^ 1 for d in range(nd)] for _ in range(k)]
-        self.length = [[1] * nd for _ in range(k)]
-        self.sealed = [[False] * nd for _ in range(k)]
-        self.marks = [[0] * g.n for _ in range(k)]
-        self.assigned = [False] * g.n
-        self.trail: list[tuple] = []  # undo journal
-        self.neighbors = [
-            tuple(g.dart_vertex(d ^ 1) for d in g.vertex_darts[v]) for v in range(g.n)
-        ]
-        self.assigned_nbrs = [0] * g.n
         self.odd = odd
         self.length_cap = length_cap
         self.fixed = dict(fixed) if fixed else {}
-        # v -> its slot choices, one slot per partition, none marking avoid
-        self.perms = [
-            tuple(
-                perm
-                for perm in _PERMS[k]
-                if all(g.vertex_darts[v][s] >> 1 not in avoid for s in perm)
-            )
-            for v in range(g.n)
-        ] if avoid else [_PERMS[k]] * g.n
+        self.avoid = avoid
         self.nodes = 0
 
-    # -- journaled chain ops -------------------------------------------
-
-    def _seal(self, p: int, d: int) -> bool:
-        sealed, link, length = self.sealed[p], self.link[p], self.length[p]
-        self.trail.append((0, p, d))
-        sealed[d] = True
-        other = link[d]
-        if sealed[other]:
-            if self.odd and length[d] % 2 == 0:
-                return False
-            if self.length_cap is not None and length[d] > self.length_cap:
-                return False
-        return True
-
-    def _join(self, p: int, a: int, b: int) -> bool:
-        link, length, sealed = self.link[p], self.length[p], self.sealed[p]
-        if link[a] == b:
-            return False  # closes a cycle
-        x, y = link[a], link[b]
-        total = length[a] + length[b]
-        self.trail.append((1, p, x, link[x], length[x]))
-        self.trail.append((1, p, y, link[y], length[y]))
-        link[x] = y
-        link[y] = x
-        length[x] = total
-        length[y] = total
-        if self.length_cap is not None and total > self.length_cap:
-            return False  # chains never shrink
-        if self.odd and sealed[x] and sealed[y] and total % 2 == 0:
-            return False
-        return True
-
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            rec = self.trail.pop()
-            if rec[0] == 0:
-                _, p, d = rec
-                self.sealed[p][d] = False
-            else:
-                _, p, d, lk, ln = rec
-                self.link[p][d] = lk
-                self.length[p][d] = ln
-
-    # -- vertex assignment ----------------------------------------------
-
-    def _apply(self, v: int, perm: tuple[int, ...]) -> Optional[int]:
-        """Assign v, partition p marking slot perm[p]; returns the journal
-        mark on success, None on contradiction (already undone)."""
-        mark = len(self.trail)
-        slots = self.g.vertex_darts[v]
-        for p, s in enumerate(perm):
-            md = slots[s]
-            self.marks[p][v] = md
-            oth = [slots[i] for i in range(3) if i != s]
-            if not self._seal(p, md) or not self._join(p, oth[0], oth[1]):
-                self._undo(mark)
-                return None
-        return mark
-
-    def _next_vertex(self) -> int:
-        best, score = -1, -1
-        for v in range(self.n):
-            if not self.assigned[v] and self.assigned_nbrs[v] > score:
-                best, score = v, self.assigned_nbrs[v]
-        return best
+    def _choices(self, pins: dict[int, tuple[int, ...]]) -> list[list]:
+        """v -> its choices as parts: the pinned perm alone at a pinned
+        vertex, else the perms of _PERMS marking no edge of avoid, in that
+        order.  Partition p's three per-slot triples (the marked dart, then
+        the two joined ones, offset by p * 2m) are built once per vertex and
+        shared by its perms."""
+        g, k, avoid = self.g, self.k, self.avoid
+        nd = 2 * g.m
+        out = []
+        for v, slots in enumerate(g.vertex_darts):
+            perms = _PERMS[k]
+            if v in pins:
+                perms = (pins[v],)
+            elif avoid:
+                perms = [perm for perm in perms if all(slots[s] >> 1 not in avoid for s in perm)]
+            d0, d1, d2 = slots
+            t0 = (d0, d1, d2), (d1, d0, d2), (d2, d0, d1)
+            if k == 1:
+                out.append([(t0[a],) for (a,) in perms])
+                continue
+            e0, e1, e2 = d0 + nd, d1 + nd, d2 + nd
+            t1 = (e0, e1, e2), (e1, e0, e2), (e2, e0, e1)
+            f0, f1, f2 = e0 + nd, e1 + nd, e2 + nd
+            t2 = (f0, f1, f2), (f1, f0, f2), (f2, f0, f1)
+            out.append([(t0[a], t1[b], t2[c]) for a, b, c in perms])
+        return out
 
     def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Yield solutions as k markings.  For k = 3 without pins the first
         vertex assigned keeps the identity bijection (one representative
         per unordered triple)."""
-        g = self.g
-        if self.k == 3 and g.has_loop():
+        g, k, n = self.g, self.k, self.g.n
+        if k == 3 and g.has_loop():
             return  # a loop vertex cannot host three distinct marked edges
-        # pinned vertices come first; their slot choices are forced
-        base_depth = 0
+        pins = {}
         for v in sorted(self.fixed):
             slots = g.vertex_darts[v]
             darts = self.fixed[v]
             if sorted(darts) != sorted(set(darts)) or any(d not in slots for d in darts):
                 return
-            perm = tuple(slots.index(d) for d in darts)
-            self._set_assigned(v, True)
-            if self._apply(v, perm) is None:
-                return
-            base_depth += 1
-        if base_depth == self.n:
-            yield tuple(tuple(m) for m in self.marks)
+            pins[v] = tuple(slots.index(d) for d in darts)
+        if n == 0:
+            yield ((),) * k
             return
-        break_symmetry = self.k == 3 and not self.fixed
-        # one frame per assigned depth: [vertex, iterator over its perms,
-        # journal mark of the applied perm or None]; an explicit stack, so
-        # the depth is not bounded by the interpreter's recursion limit
-        stack = [self._enter(break_symmetry)]
-        while stack:
-            frame = stack[-1]
-            v, perms, mark = frame
-            if mark is not None:
-                self._undo(mark)
-                frame[2] = None
-            for perm in perms:
-                self.nodes += 1
-                mark = self._apply(v, perm)
-                if mark is not None:
-                    frame[2] = mark
+        choices = self._choices(pins)
+        size = k * 2 * g.m
+        link = list(range(1, size + 1))  # each dart's chain is its edge: link[i] = i ^ 1
+        link[1::2] = range(0, size, 2)
+        length = [1] * size
+        sealed = [False] * size
+        odd = self.odd
+        # no chain exceeds m edges, so m is no cap at all
+        cap = g.m if self.length_cap is None else self.length_cap
+        # the exploration order: count[v] is the number of v's neighbors
+        # (with multiplicity) already assigned
+        dv = g.dart_vertex
+        nbrs = [(dv(a ^ 1), dv(b ^ 1), dv(c ^ 1)) for a, b, c in g.vertex_darts]
+        assigned = [False] * n
+        count = [0] * n
+        chosen: list = [None] * n  # v -> the parts applied at v, or None
+        offsets = range(0, size, 2 * g.m)
+        # pinned vertices are entered first, lowest id first, each with its
+        # one forced choice; placing a pin is not a search node, and a pin
+        # still pending when the search ends was never placed
+        pending = sorted(pins, reverse=True)
+        nodes = -len(pending)
+        # one frame per assigned depth: (vertex, iterator over its choices);
+        # an explicit stack, so the depth is not bounded by the
+        # interpreter's recursion limit
+        stack: list[tuple] = []
+        first = k == 3 and not pins  # symmetry break: one choice at the root
+        while True:
+            # enter the next vertex: a pin, else the unassigned vertex with the
+            # most assigned neighbors, ties to the lowest id
+            if pending:
+                v = pending.pop()
+            else:
+                v, score = -1, -1
+                for u in range(n):
+                    if not assigned[u] and count[u] > score:
+                        v, score = u, count[u]
+            assigned[v] = True
+            for w in nbrs[v]:
+                count[w] += 1
+            stack.append((v, iter(choices[v][:1] if first else choices[v])))
+            first = False
+            # place the next choice at the top frame, backtracking until one fits
+            while stack:
+                v, it = stack[-1]
+                parts = chosen[v]
+                if parts is not None:
+                    for md, a, b in parts:
+                        x = link[a]
+                        y = link[b]
+                        link[x] = a
+                        link[y] = b
+                        length[x] = length[a]
+                        length[y] = length[b]
+                        sealed[md] = False
+                for parts in it:
+                    nodes += 1
+                    for md, a, b in parts:
+                        ln = length[md]
+                        if sealed[link[md]] and (ln > cap or odd and not ln & 1):
+                            break  # sealing md ends a chain too long or even
+                        x = link[a]
+                        if x == b:
+                            break  # joining a-b closes a cycle
+                        y = link[b]
+                        t = length[a] + length[b]
+                        if t > cap:
+                            break  # chains never shrink
+                        if odd and not t & 1 and (x == md or sealed[x]) and (y == md or sealed[y]):
+                            break  # the joined chain is complete and even
+                    else:
+                        for md, a, b in parts:
+                            sealed[md] = True
+                            x = link[a]
+                            y = link[b]
+                            link[x] = y
+                            link[y] = x
+                            length[x] = length[y] = length[a] + length[b]
+                        chosen[v] = parts
+                        break
+                else:
+                    # v is exhausted: leave it
+                    stack.pop()
+                    chosen[v] = None
+                    for w in nbrs[v]:
+                        count[w] -= 1
+                    assigned[v] = False
+                    continue
+                if len(stack) < n:
                     break
+                self.nodes = nodes + len(pending)
+                yield tuple(tuple(ps[p][0] - o for ps in chosen) for p, o in enumerate(offsets))
             else:
-                stack.pop()
-                self._set_assigned(v, False)
-                continue
-            if base_depth + len(stack) == self.n:
-                yield tuple(tuple(m) for m in self.marks)
-            else:
-                stack.append(self._enter(False))
-
-    def _enter(self, first: bool) -> list:
-        """Assign the next vertex and return its stack frame; the first
-        vertex of a symmetry-broken search keeps only its first perm."""
-        v = self._next_vertex()
-        self._set_assigned(v, True)
-        perms = self.perms[v][:1] if first else self.perms[v]
-        return [v, iter(perms), None]
-
-    def _set_assigned(self, v: int, on: bool) -> None:
-        self.assigned[v] = on
-        step = 1 if on else -1
-        for w in self.neighbors[v]:
-            self.assigned_nbrs[w] += step
+                self.nodes = nodes + len(pending)
+                return
 
 
 def enumerate_compatible_triples(
@@ -318,10 +332,11 @@ def enumerate_compatible_triples(
     enumerate ordered triples since the pins already tell the three
     partitions apart.
     """
-    searcher = _Search(g, 3, length_cap=length_cap, fixed=fixed)
-    for markings in searcher.solutions():
-        triple = tuple(trails_from_marking(g, mk) for mk in markings)
-        yield triple  # type: ignore[misc]
+    # the search yields only markings that decode, so each partition
+    # decodes on first use, and a caller that only asks whether a triple
+    # exists decodes nothing
+    for markings in _Search(g, 3, length_cap=length_cap, fixed=fixed).solutions():
+        yield tuple(NormalPartition(g, mk) for mk in markings)  # type: ignore[misc]
 
 
 def find_compatible_triple(

@@ -97,6 +97,18 @@ class TestCli:
         assert len(json.loads(out.read_text())["partitions"]) == 3
         assert sys.getrecursionlimit() == limit
 
+    def test_conformal_construct_theta_plus_k33(self, tmp_path, capsys):
+        """A disconnected input with a theta component certifies: each
+        component runs the general route on its own."""
+        graph = tmp_path / "theta_k33.edges"
+        k33 = [(u, v) for u in (2, 3, 4) for v in (5, 6, 7)]
+        graph.write_text("8 12\n" + "0 1\n" * 3 + "".join(f"{u} {v}\n" for u, v in k33))
+        out = tmp_path / "theta_k33.json"
+        assert main(["construct", "--method", "conformal", "--graph", f"@{graph}", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(out), "--graph", f"@{graph}"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_construct_precondition_exit(self, capsys):
         assert main(["construct", "--method", "bipartite", "--graph", "k4"]) == 3
         assert main(["construct", "--method", "conformal", "--graph", "flower:5"]) == 3

@@ -196,3 +196,26 @@ class TestGeneralRoute:
         t1 = conformal_triple_general(cube)
         t2 = conformal_triple_general(cube)
         assert [p.key for p in t1.partitions] == [p.key for p in t2.partitions]
+
+    @pytest.mark.parametrize("names", [("theta", "k33"), ("k4", "theta"), ("prism", "k33"), ("k4", "k4", "cube")])
+    def test_disconnected(self, names):
+        """Each component is solved on its own: a component of 4 or fewer
+        vertices, or one contracted down to 4, would otherwise meet a digon
+        whose hanging edges are its own third edge."""
+        edges, n = [], 0
+        for name in names:
+            h = generate(name)
+            edges += [(u + n, v + n) for u, v in h.endpoints]
+            n += h.n
+        g = build_graph(n, edges)
+        t = conformal_triple_general(g)
+        t.validate()
+        assert t.graph == g and t.coloring == proper_3_edge_coloring(g)
+
+    def test_connected_graph_route_unchanged(self, cube):
+        """A connected graph goes through the route as one component."""
+        from copnc.construct import _conformal_route
+
+        t = conformal_triple_general(cube)
+        u = _conformal_route(cube, t.coloring, 0)
+        assert [p.marked for p in t.partitions] == [p.marked for p in u.partitions]

@@ -1,7 +1,10 @@
-import pytest
 
-from copnc.corpus import corpus_all, corpus_simple12
-from copnc.graph import bridges, generate, has_perfect_matching, perfect_matchings
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
+from copnc.graph import CubicGraph, bridges, generate, has_perfect_matching, perfect_matchings
 from copnc.partition import (
     associated_matching,
     is_odd,
@@ -21,8 +24,11 @@ from copnc.search import (
     find_compatible_triple,
     find_length3_triple,
     find_nop,
+    _Search,
 )
 from copnc.switching import CapExceeded
+
+from journal_search import JournalSearch
 
 
 def scan_oracle(g):
@@ -230,6 +236,18 @@ class TestTripleSearch:
         assert triple is not None and not triple_set(*triple)
         assert sys.getrecursionlimit() == limit
 
+    def test_ladder_first_triple_needs_no_backtracking(self):
+        """n = 4,800: the exploration order finds the first triple on the
+        circular ladder with almost one node per vertex."""
+        from conftest import circular_ladder
+        from copnc.graph import build_graph
+
+        g = build_graph(*circular_ladder(2400))
+        s = _Search(g, 3)
+        markings = next(s.solutions())
+        assert s.nodes < g.n + 10
+        assert not triple_set(*(trails_from_marking(g, mk) for mk in markings))
+
     def test_constrained_pins_respected(self, k4):
         full = list(enumerate_compatible_triples(k4))
         t0 = full[0]
@@ -237,6 +255,80 @@ class TestTripleSearch:
         for t in enumerate_compatible_triples(k4, fixed=fixed):
             for p, q in zip(t, t0):
                 assert p.marked[0] == q.marked[0]
+
+
+def run(cls, g, k, first=False, **kw):
+    """(solutions, nodes) of one search: the first solution or None, or
+    the list of all of them."""
+    s = cls(g, k, **kw)
+    sols = next(s.solutions(), None) if first else list(s.solutions())
+    return sols, s.nodes
+
+
+def relabelled(g, rng):
+    """g with its vertices renumbered, its edges reordered and each edge
+    listed from a random end."""
+    vmap = list(range(g.n))
+    rng.shuffle(vmap)
+    edges = [(vmap[u], vmap[v]) if rng.random() < 0.5 else (vmap[v], vmap[u]) for u, v in g.endpoints]
+    rng.shuffle(edges)
+    return CubicGraph(g.n, edges)
+
+
+RELABEL_POOL = [g for _, g in corpus_all(8)] + [generate(x) for x in ("k4", "k33", "prism", "cube", "petersen")]
+
+
+class TestKernelMatchesJournal:
+    """The journal-free kernel of _Search visits the same nodes and yields
+    the same solutions, in the same order, as the journaled search it
+    replaced (journal_search.py): one slot choice per node, tested by reads
+    alone, and each vertex undone from its own darts."""
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_first_triple_on_corpus(self, cap):
+        for gid, g in corpus_upto(12):
+            want = run(JournalSearch, g, 3, first=True, length_cap=cap)
+            assert run(_Search, g, 3, first=True, length_cap=cap) == want, gid
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_all_single_partitions(self, n):
+        for gid, g in corpus_all(n):
+            for odd in (True, False):
+                assert run(_Search, g, 1, odd=odd) == run(JournalSearch, g, 1, odd=odd), (gid, odd)
+
+    def test_conformal_to_each_cube_matching(self, cube):
+        for m in perfect_matchings(cube):
+            assert run(_Search, cube, 1, avoid=m) == run(JournalSearch, cube, 1, avoid=m), m
+
+    def test_pinned(self, k4, petersen):
+        for g in (k4, petersen):
+            first = next(JournalSearch(g, 3).solutions())
+
+            def pins(vs):
+                return {v: tuple(mk[v] for mk in first) for v in vs}
+
+            cases = [pins([0]) if g is k4 else pins([0, 1]), pins([0, *g.neighbors(0)]), pins(range(g.n))]
+            # vertex 1's marks rotated, then two of them swapped: the rotation
+            # still completes, the swap contradicts the other pins
+            rotated = tuple(first[(p + 1) % 3][1] for p in range(3))
+            cases.append({**pins([0]), 1: rotated})
+            cases.append({**pins(range(g.n)), 1: (first[1][1], first[0][1], first[2][1])})
+            cases.append({0: (g.vertex_darts[1][0],) * 3})  # darts not at the vertex
+            for fixed in cases:
+                want = run(JournalSearch, g, 3, fixed=fixed)
+                assert run(_Search, g, 3, fixed=fixed) == want, fixed
+            fixed1 = {0: (g.vertex_darts[0][1],), 2: (g.vertex_darts[2][0],)}
+            assert run(_Search, g, 1, fixed=fixed1) == run(JournalSearch, g, 1, fixed=fixed1)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(RELABEL_POOL), st.randoms(use_true_random=False))
+    def test_relabelled(self, g, rng):
+        h = relabelled(g, rng)
+        for cap in (None, 3):
+            want = run(JournalSearch, h, 3, first=True, length_cap=cap)
+            assert run(_Search, h, 3, first=True, length_cap=cap) == want
+        if h.n <= 8:
+            assert run(_Search, h, 1) == run(JournalSearch, h, 1)
 
 
 class TestLengthThreeTriples:

@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Search nodes per second of copnc's triple search, on three cases.
+
+  bridged10  the 25 loopless bridged graphs of the n = 10 corpus; each
+             search exhausts with no triple (283,807 nodes in all)
+  simple12   the first triple on each of the 85 simple graphs with n = 12
+  ladder     the first triple on the circular ladder, n = 1,200 ... 9,600;
+             it needs about n nodes, so its rate shows how the cost of a
+             node grows with n
+
+Each figure is CPU time (process_time), the best of --repeat runs, for
+constructing the search and running it to its first solution or to
+exhaustion; graphs are built beforehand.  Nodes are the search's own count.
+
+Run from the repository root:  python3 tools/search_rate.py [--repeat 3]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from copnc.corpus import corpus_all, corpus_simple12  # noqa: E402
+from copnc.graph import CubicGraph, bridges  # noqa: E402
+from copnc.search import _Search  # noqa: E402
+
+
+def circular_ladder(r: int) -> CubicGraph:
+    edges = [(i, (i + 1) % r) for i in range(r)]
+    edges += [(r + i, r + (i + 1) % r) for i in range(r)]
+    edges += [(i, r + i) for i in range(r)]
+    return CubicGraph(2 * r, edges)
+
+
+def measure(graphs: list[CubicGraph], repeat: int) -> tuple[int, float]:
+    """(nodes, best CPU seconds) of one first-solution search per graph."""
+    best, nodes = float("inf"), 0
+    for _ in range(repeat):
+        nodes = 0
+        t0 = time.process_time()
+        for g in graphs:
+            s = _Search(g, 3)
+            next(s.solutions(), None)
+            nodes += s.nodes
+        best = min(best, time.process_time() - t0)
+    return nodes, best
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=3, help="runs per case; the best is kept")
+    args = ap.parse_args(argv)
+    cases = [
+        ("bridged10", [g for _, g in corpus_all(10) if not g.has_loop() and bridges(g)]),
+        ("simple12", [g for _, g in corpus_simple12()]),
+    ]
+    cases += [(f"ladder n={2 * r}", [circular_ladder(r)]) for r in (600, 1200, 2400, 4800)]
+    print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'cpu_s':>8} {'nodes/s':>10}")
+    for name, graphs in cases:
+        nodes, secs = measure(graphs, args.repeat)
+        print(f"{name:<16} {len(graphs):>6} {nodes:>9} {secs:>8.3f} {nodes / secs:>10.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
