@@ -13,7 +13,6 @@ from .graph import (
     Malformed,
     NonCubic,
     bridges,
-    build_graph,
     chromatic_index,
     generate,
     is_bipartite,
@@ -29,8 +28,8 @@ from .partition import (
     InvalidPartition,
     NormalPartition,
     Trail,
+    agreement,
     associated_matching,
-    compatibility_set,
     edge_role_audit,
     is_conformal,
     is_odd,
@@ -39,7 +38,6 @@ from .partition import (
     partition_violations,
     stats,
     trails_from_marking,
-    triple_set,
     validate_normal,
 )
 from .switching import (

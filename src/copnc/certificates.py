@@ -19,7 +19,7 @@ import json
 from typing import Optional, Sequence
 
 from .graph import CubicGraph, Malformed, NonCubic
-from .partition import NormalPartition, Trail, partition_violations, validate_normal
+from .partition import InvalidPartition, MalformedTrail, NormalPartition, Trail, agreement, validate_normal
 
 SCHEMA = "copnc/1"
 
@@ -82,10 +82,6 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
     raises for semantic failures.  A document of the wrong shape raises
     CertificateError: not an object, a graph payload that is not a cubic
     graph, or partitions that are not a non-empty list of lists."""
-    from .partition import compatibility_set
-
-    from .partition import MalformedTrail
-
     if not isinstance(doc, dict):
         raise CertificateError("certificate is not a JSON object")
     raw = doc.get("partitions")
@@ -108,14 +104,16 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
                 entry["violations"].append(f"trail {j} malformed: {exc}")
             except (KeyError, TypeError) as exc:
                 raise CertificateError(f"partition {i} trail {j}: {exc}") from exc
+        p = None
         if not entry["violations"]:
-            entry["violations"] = [str(v) for v in partition_violations(g, trails)]
-        if entry["violations"]:
+            try:
+                p = validate_normal(g, trails)
+            except InvalidPartition as exc:
+                entry["violations"] = [str(v) for v in exc.violations]
+        parts.append(p)
+        if p is None:
             report["ok"] = False
-            parts.append(None)
         else:
-            p = validate_normal(g, trails)
-            parts.append(p)
             entry["lengths"] = sorted(p.lengths(), reverse=True)
         report["partitions"].append(entry)
     live = [p for p in parts if p is not None]
@@ -123,11 +121,9 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
         conflicts = []
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
-                agree = compatibility_set(live[i], live[j])
+                agree = agreement((live[i], live[j]))
                 if agree:
-                    conflicts.append(
-                        {"pair": [i, j], "agreement": sorted(agree)}
-                    )
+                    conflicts.append({"pair": [i, j], "agreement": agree})
         if conflicts:
             report["ok"] = False
             report["incompatible"] = conflicts

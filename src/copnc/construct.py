@@ -42,15 +42,13 @@ from .graph import (
 )
 from .partition import (
     NormalPartition,
-    Trail,
     agreement,
     agrees_at,
     associated_matching,
     is_conformal,
     is_odd,
     length_profile,
-    triple_set,
-    validate_normal,
+    trails_from_marking,
 )
 from .switching import conformal_switch
 
@@ -159,27 +157,22 @@ def nop_from_matching(
 ) -> NormalPartition:
     """The all-length-3 partition built from a perfect matching.
 
-    Each matching edge uv becomes the trail  x --in(u)-- u --uv-- v
-    --out(v)-- y  where in/out follow the 2-factor orientation; the middle
-    edge is the unique odd edge of its trail, so the partition is conformal
-    to m.  With m omitted the first perfect matching is used (NoMatching
-    when none exists).
+    Each matching edge uv becomes the trail  x -- u --uv-- v -- y  where
+    ux and vy are the 2-factor edges leaving u and v in its orientation,
+    so every vertex marks its incoming 2-factor dart, and the partition is
+    decoded from that marking.  The middle edge is the unique odd edge of
+    its trail, so the partition is conformal to m.  With m omitted the
+    first perfect matching is used (NoMatching when none exists).
     """
     if m is None:
         m = next(perfect_matchings(g), None)
         if m is None:
             raise NoMatching("graph has no perfect matching")
     m = frozenset(m)
-    out = _outgoing_darts(g, m, orientation)
-    trails = []
-    for e in sorted(m):
-        u, v = g.endpoints[e]
-        du, dv = out[u], out[v]
-        eu, ev = du >> 1, dv >> 1
-        xu = g.dart_vertex(du ^ 1)
-        yv = g.dart_vertex(dv ^ 1)
-        trails.append(Trail(g, (xu, u, v, yv), (eu, e, ev)))
-    p = validate_normal(g, trails)
+    marking = [0] * g.n
+    for d in _outgoing_darts(g, m, orientation):
+        marking[g.dart_vertex(d ^ 1)] = d ^ 1
+    p = trails_from_marking(g, marking)
     assert is_odd(p) and associated_matching(p) == m
     return p
 
@@ -207,11 +200,8 @@ class ConformalTriple:
                 raise NotConformalTriple("partition not odd")
             if not is_conformal(p, classes[c]):
                 raise NotConformalTriple(f"partition {c} not conformal to its class")
-        if triple_set(*self.partitions):
+        if agreement(self.partitions):
             raise NotConformalTriple("partitions are not pairwise compatible")
-
-    def agreement(self) -> frozenset[int]:
-        return triple_set(*self.partitions)
 
     def profile(self) -> tuple[tuple[int, ...], ...]:
         return tuple(length_profile(p) for p in self.partitions)
@@ -223,7 +213,10 @@ def bipartite_triple(g: CubicGraph) -> ConformalTriple:
 
     For the partition conformal to color c, every c-colored edge uv with u
     on the black side and v on the white side is extended by the
-    (c-1)-colored edge at u and the (c+1)-colored edge at v (colors mod 3).
+    (c-1)-colored edge at u and the (c+1)-colored edge at v (colors mod 3),
+    so black vertices mark their (c+1)-colored dart and white vertices
+    their (c-1)-colored dart, and the partition is decoded from that
+    marking.
     """
     bip, side = is_bipartite(g)
     if not bip:
@@ -233,19 +226,8 @@ def bipartite_triple(g: CubicGraph) -> ConformalTriple:
     at = [{coloring[d >> 1]: d for d in g.vertex_darts[v]} for v in range(g.n)]
     parts = []
     for c in (RED, BLUE, YELLOW):
-        trails = []
-        for e, col in enumerate(coloring):
-            if col != c:
-                continue
-            u, v = g.endpoints[e]
-            if side[u] != 0:
-                u, v = v, u
-            du = at[u][(c - 1) % 3]
-            dv = at[v][(c + 1) % 3]
-            a = g.dart_vertex(du ^ 1)
-            b = g.dart_vertex(dv ^ 1)
-            trails.append(Trail(g, (a, u, v, b), (du >> 1, e, dv >> 1)))
-        parts.append(validate_normal(g, trails))
+        marking = [at[v][(c + 1 if side[v] == 0 else c - 1) % 3] for v in range(g.n)]
+        parts.append(trails_from_marking(g, marking))
     triple = ConformalTriple(g, coloring, tuple(parts))
     triple.validate()
     return triple

@@ -36,10 +36,11 @@ from .graph import BadParameter, CubicGraph, generate
 from .partition import (
     NormalPartition,
     Trail,
+    agreement,
+    associated_matching,
     is_odd,
     length_profile,
     trails_from_marking,
-    triple_set,
     validate_normal,
 )
 
@@ -133,8 +134,11 @@ def _flower_extend_tables(tables, k_new: int):
 def _flower_side_ok(g, lut, k, parts: Sequence[NormalPartition]) -> bool:
     e_u12 = lut[(_flower_vid(k, ("u", 1)), _flower_vid(k, ("u", 2)))]
     e_t12 = lut[(_flower_vid(k, ("t", 1)), _flower_vid(k, ("t", 2)))]
-    odd = lambda p, e: p.edge_pos[e][1] % 2 == 0
-    return odd(parts[0], e_u12) and odd(parts[1], e_t12) and odd(parts[2], e_t12)
+    return (
+        e_u12 in associated_matching(parts[0])
+        and e_t12 in associated_matching(parts[1])
+        and e_t12 in associated_matching(parts[2])
+    )
 
 
 def flower_boundary_ok(k: int, parts: Sequence[NormalPartition]) -> bool:
@@ -322,7 +326,7 @@ def goldberg_triple(k: int) -> Triple:
 
 def _check_triple(parts: Sequence[NormalPartition]) -> None:
     assert all(is_odd(p) for p in parts)
-    assert not triple_set(*parts)
+    assert not agreement(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,7 @@ def _flower_replays(base_tables, gadget) -> bool:
             parts = _decode_flower(kk, _flower_tables_for(kk, base_tables, gadget))
         except Exception:
             return False
-        if not all(is_odd(p) for p in parts) or triple_set(*parts):
+        if not all(is_odd(p) for p in parts) or agreement(parts):
             return False
         if not flower_boundary_ok(kk, parts):
             return False
@@ -442,7 +446,7 @@ def _gold_replays(base_marks, gadget) -> bool:
             parts = _decode_goldberg(kk, base_marks, gadget)
         except Exception:
             return False
-        if not all(is_odd(p) for p in parts) or triple_set(*parts):
+        if not all(is_odd(p) for p in parts) or agreement(parts):
             return False
     return True
 

@@ -73,13 +73,6 @@ class CubicGraph:
         """Vertex carrying dart d."""
         return self._dart_vertex[d]
 
-    def edge_of(self, d: int) -> int:
-        return d >> 1
-
-    def mate(self, d: int) -> int:
-        """The dart at the other end of d's edge."""
-        return d ^ 1
-
     def edges_at(self, v: int) -> tuple[int, int, int]:
         """Edge ids incident to v; a loop appears twice."""
         a, b, c = self.vertex_darts[v]
@@ -114,11 +107,6 @@ class CubicGraph:
 
     def __repr__(self) -> str:
         return f"CubicGraph(n={self.n}, m={self.m})"
-
-
-def build_graph(n: int, endpoints: Sequence[tuple[int, int]]) -> CubicGraph:
-    """Build a cubic multigraph; raises NonCubic if any degree differs from 3."""
-    return CubicGraph(n, endpoints)
 
 
 # ---------------------------------------------------------------------------

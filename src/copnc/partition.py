@@ -8,10 +8,12 @@ unique *marked* edge: the end edge of the one trail end at v.
 
 The marking (one chosen edge-end per vertex) is a faithful, compact dual of
 the partition: the two unmarked slots at each vertex form the internal
-passage, and following passages from marked slots reconstructs the trails.
+passage, and walking passages from marked slots reconstructs the trails.
 A marking decodes successfully exactly when no edge set closes into an
-internally paired cycle.  NormalPartition stores the marking; its trails
-are decoded lazily when a partition was built from a marking alone.
+internally paired cycle.  NormalPartition is the graph and the marking
+alone; its trails and key are decoded on demand by one walker, `walk`,
+which also serves the local switches.  Compatibility and agreement read
+the marking through one helper, `agreement`.
 
 An odd partition is one whose trails all have odd length.  The edge at
 1-based position i of a trail is *odd* when both subtrails left by deleting
@@ -137,13 +139,6 @@ class Trail:
     def ends(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
 
-    def end_darts(self, g: CubicGraph) -> tuple[int, int]:
-        """The two end slots: dart of the first edge at vertices[0] and of
-        the last edge at vertices[-1]."""
-        first = self.out_darts[0]
-        last = self.out_darts[-1] ^ 1
-        return first, last
-
     def reversed(self, g: CubicGraph) -> "Trail":
         return Trail(g, self.vertices[::-1], self.edges[::-1])
 
@@ -171,16 +166,15 @@ def odd_edges(trail: Trail) -> tuple[int, ...]:
 
 
 class NormalPartition:
-    """A normal partition, stored as its marking (vertex -> marked dart).
+    """A normal partition: a graph and its marking (vertex -> marked dart).
 
-    The marking is the primary state: it is exactly what a switch changes,
-    and compatibility and agreement read it alone.  The trails, passages,
-    edge positions and canonical key follow from it by decoding.  A
-    partition built by decoding or validating trails carries them from the
-    start; one built from a marking already known to decode (a switch
-    result) computes them on first access and caches them.  The associated
-    matching is cached as well: computed from the trails on first use, or
-    given up front by a conformal switch, which checks it locally.
+    The marking is the only state: it is exactly what a switch changes,
+    and compatibility, agreement and passages read it alone.  The trails
+    and the canonical key are decoded from it on first access and cached;
+    a partition built by decoding or validating trails carries them from
+    the start.  The associated matching is cached as well: computed from
+    the trails on first use, or given up front by a conformal switch,
+    which checks it locally.
 
     Equality and hashing treat trails up to reversal: two partitions are
     equal exactly when their trail sets agree modulo reversal, which also
@@ -188,35 +182,25 @@ class NormalPartition:
     non-loop slots.
     """
 
-    __slots__ = ("graph", "marked", "_trails", "_passage", "_edge_pos", "_key", "_matching")
+    __slots__ = ("graph", "marked", "_trails", "_key", "_matching")
 
     def __init__(self, graph: CubicGraph, marked: Sequence[int], matching: Optional[frozenset[int]] = None):
         self.graph = graph
         self.marked = tuple(marked)          # vertex -> marked dart
         self._trails: Optional[tuple[Trail, ...]] = None
+        self._key: Optional[tuple] = None
         self._matching = matching
 
     def _decoded(self) -> "NormalPartition":
         if self._trails is None:
             q = trails_from_marking(self.graph, self.marked)
-            self._passage, self._edge_pos, self._key = q._passage, q._edge_pos, q._key
-            self._trails = q._trails
+            self._trails, self._key = q._trails, q._key
         return self
 
     @property
     def trails(self) -> tuple[Trail, ...]:
         """Trails in canonical order, each in its canonical orientation."""
         return self._decoded()._trails
-
-    @property
-    def passage(self) -> tuple[tuple[int, int], ...]:
-        """vertex -> its two internal darts, sorted."""
-        return self._decoded()._passage
-
-    @property
-    def edge_pos(self) -> tuple[tuple[int, int], ...]:
-        """edge -> (trail index, 1-based position)."""
-        return self._decoded()._edge_pos
 
     @property
     def key(self):
@@ -230,16 +214,17 @@ class NormalPartition:
     def marked_edges(self) -> tuple[int, ...]:
         return tuple(d >> 1 for d in self.marked)
 
+    def passage(self, v: int) -> tuple[int, int]:
+        """v's two unmarked darts, ascending: its internal passage."""
+        d = self.marked[v]
+        a, b, c = self.graph.vertex_darts[v]
+        if d == a:
+            return b, c
+        return (a, c) if d == b else (a, b)
+
     def passage_edges(self, v: int) -> tuple[int, int]:
-        a, b = self.passage[v]
+        a, b = self.passage(v)
         return (a >> 1, b >> 1)
-
-    def trail_of_edge(self, e: int) -> Trail:
-        return self.trails[self.edge_pos[e][0]]
-
-    def is_internal_edge(self, e: int) -> bool:
-        ti, pos = self.edge_pos[e]
-        return 1 < pos < self.trails[ti].length
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(t.length for t in self.trails)
@@ -273,6 +258,16 @@ def _canonical(g: CubicGraph, vertices: tuple, edges: tuple, out_darts: tuple) -
     return t
 
 
+def _with_trails(g: CubicGraph, marked: Sequence[int], trails: list[Trail]) -> NormalPartition:
+    """The partition with the given marking and its trails, which must be
+    canonically oriented; sorts them into canonical order."""
+    trails.sort(key=lambda t: t.key)
+    p = NormalPartition(g, marked)
+    p._trails = tuple(trails)
+    p._key = tuple(t.key for t in trails)
+    return p
+
+
 def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violation]:
     """All ways the trails fail to be a normal partition; empty when valid."""
     cover = [0] * g.m
@@ -297,34 +292,9 @@ def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violati
     return out
 
 
-def _enrich(g: CubicGraph, trails: list[Trail]) -> NormalPartition:
-    """Build the marked/passage/position tables; assumes the trails are
-    valid and canonically oriented, and sorts them."""
-    trails.sort(key=lambda t: t.key)
-    marked = [-1] * g.n
-    passage: list[Optional[tuple[int, int]]] = [None] * g.n
-    edge_pos = [(-1, -1)] * g.m
-    for ti, t in enumerate(trails):
-        first, last = t.end_darts(g)
-        marked[t.vertices[0]] = first
-        marked[t.vertices[-1]] = last
-        for i, e in enumerate(t.edges):
-            edge_pos[e] = (ti, i + 1)
-        for i in range(1, len(t.vertices) - 1):
-            v = t.vertices[i]
-            into = t.out_darts[i - 1] ^ 1
-            outof = t.out_darts[i]
-            passage[v] = (into, outof) if into < outof else (outof, into)
-    p = NormalPartition(g, marked)
-    p._trails = tuple(trails)
-    p._passage = tuple(passage)
-    p._edge_pos = tuple(edge_pos)
-    p._key = tuple(t.key for t in trails)
-    return p
-
-
 def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
-    """Check the normal-partition conditions and return the enriched value.
+    """Check the normal-partition conditions and return the partition, its
+    marking read off the ends of the canonically oriented trails.
 
     Raises InvalidPartition carrying every violated condition with its
     witness, not just the first.
@@ -332,64 +302,80 @@ def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
     bad = partition_violations(g, trails)
     if bad:
         raise InvalidPartition(bad)
-    return _enrich(g, [_canonical(g, t.vertices, t.edges, t.out_darts) for t in trails])
+    trails = [_canonical(g, t.vertices, t.edges, t.out_darts) for t in trails]
+    marked = [0] * g.n
+    for t in trails:
+        marked[t.vertices[0]] = t.out_darts[0]
+        marked[t.vertices[-1]] = t.out_darts[-1] ^ 1
+    return _with_trails(g, marked, trails)
+
+
+def walk(g: CubicGraph, marked: Sequence[int], start: int) -> list[int]:
+    """The darts left through when following a trail from dart start under
+    the marking, in order.  Each step crosses an edge into a vertex w and
+    leaves w by its third dart, a + b + c - entry - marked[w] over w's
+    slots a, b, c, until it enters w through the marked dart.
+
+    A walk from a marked dart covers its whole trail, one from a passage
+    dart the part of its trail beyond that dart.  A walk that comes back
+    to start has gone round a cycle of unmarked darts and stops there.
+    """
+    slots = g.vertex_darts
+    at = g.dart_vertex
+    out = [start]
+    cur = start
+    while True:
+        nxt = cur ^ 1
+        w = at(nxt)
+        mk = marked[w]
+        if mk == nxt:
+            return out
+        a, b, c = slots[w]
+        cur = a + b + c - nxt - mk
+        if cur == start:
+            return out
+        out.append(cur)
 
 
 def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartition:
-    """Decode a total marking (vertex -> dart) into its normal partition.
+    """Decode a total marking (vertex -> dart) into its normal partition,
+    which keeps the marking exactly as given.
 
-    At each vertex the two unmarked slots are paired as the internal
-    passage.  Raises CycleError with a witness when some edges close into a
-    cycle instead of trails.
+    Walks one trail from each marked dart whose vertex no earlier trail
+    ended at.  Raises CycleError, with the cycle through the lowest edge
+    left over as witness, when some edges close into a cycle instead of
+    trails.
     """
     marking = tuple(marking)
     if len(marking) != g.n:
         raise ValueError("marking must assign one dart per vertex")
-    succ = [0] * (2 * g.m)
-    for v in range(g.n):
-        d = marking[v]
-        slots = g.vertex_darts[v]
-        if d not in slots:
+    for v, d in enumerate(marking):
+        if d not in g.vertex_darts[v]:
             raise ValueError(f"marked dart {d} is not at vertex {v}")
-        a, b = (x for x in slots if x != d)
-        succ[a] = b
-        succ[b] = a
     at = g.dart_vertex
-    seen = [False] * (2 * g.m)
+    ended = [False] * g.n
     trails: list[Trail] = []
-    for v in range(g.n):
-        d = marking[v]
-        if seen[d]:
+    walked = 0
+    for v, d in enumerate(marking):
+        if ended[v]:
             continue
+        darts = walk(g, marking, d)
         verts = [v]
-        edges = []
         out = []
-        cur = d
-        while True:
-            seen[cur] = True
-            nxt = cur ^ 1
-            seen[nxt] = True
-            w = at(nxt)
-            edges.append(cur >> 1)
-            out.append(cur & ~1 if w == verts[-1] else cur)  # loops: lower dart
+        u = v
+        for x in darts:
+            w = at(x ^ 1)
+            out.append(x & ~1 if w == u else x)  # loops: lower dart
             verts.append(w)
-            if marking[w] == nxt:
-                break
-            cur = succ[nxt]
-        trails.append(_canonical(g, tuple(verts), tuple(edges), tuple(out)))
-    if not all(seen):
-        # walk one offending cycle for the error witness
-        d0 = next(d for d in range(2 * g.m) if not seen[d])
-        cyc = []
-        cur = d0
-        while True:
-            cyc.append(cur >> 1)
-            cur = succ[cur ^ 1]
-            if cur == d0:
-                break
-        raise CycleError(cyc)
-    assert len(trails) * 2 == g.n
-    return _enrich(g, trails)
+            u = w
+        ended[u] = True  # the trail's far end
+        walked += len(darts)
+        trails.append(_canonical(g, tuple(verts), tuple([x >> 1 for x in darts]), tuple(out)))
+    if walked < g.m:
+        covered = {e for t in trails for e in t.edges}
+        e0 = next(e for e in range(g.m) if e not in covered)
+        raise CycleError([x >> 1 for x in walk(g, marking, 2 * e0)])
+    return _with_trails(g, marking, trails)
 
 
 def is_odd(p: NormalPartition) -> bool:
@@ -443,16 +429,6 @@ def agreement(parts: Sequence[NormalPartition]) -> list[int]:
     return [v for v in range(g.n) if agrees_at(parts, v)]
 
 
-def compatibility_set(p1: NormalPartition, p2: NormalPartition) -> frozenset[int]:
-    """Vertices where the two partitions mark the same edge id."""
-    return frozenset(agreement((p1, p2)))
-
-
-def triple_set(p1: NormalPartition, p2: NormalPartition, p3: NormalPartition) -> frozenset[int]:
-    """Union of the three pairwise agreement sets."""
-    return frozenset(agreement((p1, p2, p3)))
-
-
 @dataclass(frozen=True)
 class PartitionStats:
     mu: Fraction                  # average trail length; always exactly 3
@@ -493,20 +469,17 @@ def edge_role_audit(
     role is "internal", "end" or "unit" (a length-1 trail).
     """
     g = p1.graph
-    agree = triple_set(p1, p2, p3)
+    agree = set(agreement((p1, p2, p3)))
+    role_of = []
+    for p in (p1, p2, p3):
+        role = [""] * g.m
+        for t in p.trails:
+            last = t.length - 1
+            for i, e in enumerate(t.edges):
+                role[e] = "unit" if last == 0 else "internal" if 0 < i < last else "end"
+        role_of.append(role)
     report: dict[int, tuple[str, str, str]] = {}
-    for e in range(g.m):
-        roles = []
-        for p in (p1, p2, p3):
-            ti, pos = p.edge_pos[e]
-            t = p.trails[ti]
-            if t.length == 1:
-                roles.append("unit")
-            elif 1 < pos < t.length:
-                roles.append("internal")
-            else:
-                roles.append("end")
-        roles = tuple(roles)
+    for e, roles in enumerate(zip(*role_of)):
         report[e] = roles
         u, v = g.endpoints[e]
         if u in agree or v in agree:

@@ -43,9 +43,9 @@ from typing import Iterator, Optional, Sequence
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, perfect_matchings
 from .partition import (
     NormalPartition,
+    agreement,
     associated_matching,
     trails_from_marking,
-    triple_set,
 )
 from .switching import CapExceeded
 
@@ -363,7 +363,7 @@ def fan_raspaud_witness(
     """The three associated matchings of a compatible odd triple; their
     triple intersection is empty (raising otherwise would flag a bug)."""
     p1, p2, p3 = triple
-    if triple_set(p1, p2, p3):
+    if agreement(triple):
         raise ValueError("triple is not pairwise compatible")
     m1, m2, m3 = (associated_matching(p) for p in triple)
     if m1 & m2 & m3:
@@ -389,36 +389,47 @@ def complete_system(
     pool = enumerate_nops(g, cap=cap)
     need: list[frozenset[int]] = [frozenset(g.edges_at(v)) for v in range(g.n)]
     nodes = 0
+    chosen: list[NormalPartition] = []
 
-    def covered(chosen: list[NormalPartition]) -> bool:
-        for v in range(g.n):
-            got = {p.marked_edge(v) for p in chosen}
-            if not need[v] <= got:
-                return False
-        return True
-
-    def rec(start: int, chosen: list[NormalPartition]) -> Optional[list[NormalPartition]]:
+    def verdict() -> Optional[bool]:
+        """Visit the search node of chosen: True when it is a complete
+        system, False when it is a dead end, None when it branches."""
         nonlocal nodes
         nodes += 1
         if nodes > cap:
             raise CapExceeded(f"complete-system search exceeded {cap} nodes")
         if len(chosen) == k:
-            return list(chosen) if covered(chosen) else None
+            return all(need[v] <= {p.marked_edge(v) for p in chosen} for v in range(g.n))
         # prune: remaining picks must be able to finish the coverage
         remaining = k - len(chosen)
         for v in range(g.n):
-            got = {p.marked_edge(v) for p in chosen}
-            if len(need[v] - got) > remaining:
-                return None
-        for i in range(start, len(pool)):
-            chosen.append(pool[i])
-            hit = rec(i + 1, chosen)
-            if hit is not None:
-                return hit
-            chosen.pop()
+            if len(need[v] - {p.marked_edge(v) for p in chosen}) > remaining:
+                return False
         return None
 
-    return rec(0, [])
+    # the search runs on an explicit stack: nexts holds, for each open node
+    # on the path (the root, then one per chosen partition), the next pool
+    # index it tries, in the order of the recursion it replaces
+    if verdict() is not None:  # the root always branches, as k >= 3
+        return None
+    nexts = [0]
+    while nexts:
+        i = nexts[-1]
+        if i == len(pool):
+            nexts.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        nexts[-1] = i + 1
+        chosen.append(pool[i])
+        hit = verdict()
+        if hit:
+            return chosen
+        if hit is None:
+            nexts.append(i + 1)
+        else:
+            chosen.pop()
+    return None
 
 
 @dataclass

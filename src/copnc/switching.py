@@ -10,13 +10,14 @@ would close the detached part into a cycle.  Every switch changes the
 marked edge at v and nothing anywhere else.
 
 Odd switching restricts to moves between odd partitions; conformal
-switching additionally preserves the associated perfect matching.  All
-three run one local move on the marking alone: only T_i and T_j change,
-and the new trails are pieces of them joined at v, so walking T_j and
-T_i from v is enough, at a cost of O(|T_i| + |T_j|) whatever the size of
-the graph.  Odd and conformal moves then check the new trails' lengths
-and matching edges.  Results are partitions whose trails are decoded
-only on first use.
+switching additionally preserves the associated perfect matching.  Every
+move runs on the marking alone, with the trail walker `partition.walk`
+that also decodes markings: only T_i and T_j change, and the new trails
+are pieces of them joined at v, so walking T_j and T_i from v is enough,
+at a cost of O(|T_i| + |T_j|) whatever the size of the graph.  `switch`
+walks v's two passage darts to find the ends of T_i; odd and conformal
+moves check the new trails' lengths and matching edges.  Results are
+partitions whose trails are decoded only on first use.
 
 Reachability classes are walked breadth first and deduplicated on the
 marking, with each loop dart folded to its edge's lower dart (marking
@@ -30,12 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .graph import CubicGraph
-from .partition import (
-    CycleError,
-    NormalPartition,
-    associated_matching,
-    trails_from_marking,
-)
+from .partition import NormalPartition, associated_matching, walk
 
 
 class BadBranch(ValueError):
@@ -55,60 +51,16 @@ def switch(p: NormalPartition, v: int, branch: int) -> NormalPartition:
     the re-attached side (the end playing the detached role must differ
     from v, so branch = v is rejected).
 
-    The marked edge changes at v and only at v.
+    The trail through v's passage ends where the walks from its two
+    passage darts end; v's new mark is the passage dart whose walk does
+    not end at branch.  The marked edge changes at v and only at v.
     """
     g = p.graph
-    e = p.passage[v][0] >> 1
-    ti = p.edge_pos[e][0]
-    t = p.trails[ti]
-    a, b = t.ends
-    if branch == v or branch not in (a, b):
-        raise BadBranch(f"vertex {branch} is not a usable end of {t}")
-    i = next(
-        k for k in range(1, len(t.vertices) - 1) if t.vertices[k] == v
-    )
-    # new marked slot: the passage dart on the far side from the branch end
-    if branch == t.vertices[0]:
-        new_dart = t.out_darts[i]
-    else:
-        new_dart = t.out_darts[i - 1] ^ 1
-    marking = list(p.marked)
-    marking[v] = new_dart
-    try:
-        return trails_from_marking(g, marking)
-    except CycleError as exc:  # the forbidden re-attachment
-        raise BadBranch(
-            f"switch on {v} toward end {branch} closes a cycle"
-        ) from exc
-
-
-def _walk(g: CubicGraph, marked: Sequence[int], start: int) -> list[int]:
-    """Follow a trail from dart start under the marking; returns the darts
-    left through, in order, up to the trail's end.
-
-    A walk from a marked dart covers its whole trail; one from a passage
-    dart covers the part of its trail beyond that dart.
-    """
-    slots = g.vertex_darts
-    at = g.dart_vertex
-    out = []
-    cur = start
-    while True:
-        out.append(cur)
-        nxt = cur ^ 1
-        w = at(nxt)
-        mk = marked[w]
-        if mk == nxt:
-            return out
-        a, b, c = slots[w]
-        cur = a + b + c - nxt - mk  # the other unmarked slot at w
-
-
-def _passage(p: NormalPartition, v: int) -> tuple[int, int]:
-    """v's two unmarked darts, ascending, read off the marking."""
-    d0 = p.marked[v]
-    a, b = (d for d in p.graph.vertex_darts[v] if d != d0)
-    return a, b
+    d1, d2 = p.passage(v)
+    end1, end2 = (g.dart_vertex(walk(g, p.marked, d)[-1] ^ 1) for d in (d1, d2))
+    if branch == v or branch not in (end1, end2):
+        raise BadBranch(f"vertex {branch} is not a usable end of the trail through {v}")
+    return _remarked(p, v, d2 if end1 == branch else d1)
 
 
 def _local_moves(p: NormalPartition, v: int) -> tuple[list[int], dict[int, list[list[int]]]]:
@@ -124,8 +76,8 @@ def _local_moves(p: NormalPartition, v: int) -> tuple[list[int], dict[int, list[
     """
     g = p.graph
     marked = p.marked
-    d1, d2 = _passage(p, v)
-    tj = _walk(g, marked, marked[v])
+    d1, d2 = p.passage(v)
+    tj = walk(g, marked, marked[v])
     if d1 in tj or d2 in tj:
         # T_i = T_j leaves v again at position k: tj[:k] is a closed walk
         # from v back to v, entered at the dart tj[k - 1] ^ 1.  Marking the
@@ -137,8 +89,8 @@ def _local_moves(p: NormalPartition, v: int) -> tuple[list[int], dict[int, list[
     else:
         # the new mark starts one half of T_i as a trail; the other half
         # runs on through v into T_j
-        h1 = _walk(g, marked, d1)
-        h2 = _walk(g, marked, d2)
+        h1 = walk(g, marked, d1)
+        h2 = walk(g, marked, d2)
         old = [len(tj), len(h1) + len(h2)]
         new = {d1: [h1, h2[::-1] + tj], d2: [h2, h1[::-1] + tj]}
     return old, new
@@ -209,7 +161,7 @@ def conformal_switch(
     # a switch result carries the caller's m itself, which skips the O(n) compare
     if pm is not m and pm != m:
         raise NotConformalInput("partition is not conformal to the matching")
-    d1, d2 = _passage(p, v)
+    d1, d2 = p.passage(v)
     mark = d2 if (d1 >> 1) in m else d1
     trails = _local_moves(p, v)[1].get(mark)
     if trails is None or not all(_conformal_trail(t, m) for t in trails):

@@ -1,6 +1,6 @@
 import pytest
 
-from copnc.graph import CubicGraph, build_graph, generate
+from copnc.graph import CubicGraph, generate
 
 
 @pytest.fixture(scope="session")
@@ -35,13 +35,13 @@ def petersen():
 
 @pytest.fixture(scope="session")
 def dumbbell():
-    return build_graph(2, [(0, 0), (0, 1), (1, 1)])
+    return CubicGraph(2, [(0, 0), (0, 1), (1, 1)])
 
 
 @pytest.fixture(scope="session")
 def loop_claw():
     # center joined to three loop-vertices: three bridges, no perfect matching
-    return build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)])
+    return CubicGraph(4, [(0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)])
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ def one_bridge():
     edges += [(0, 4), (1, 4), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     # block B on 5..9 (9 subdivides the 5-6 edge)
     edges += [(5, 9), (6, 9), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
-    return build_graph(10, edges)
+    return CubicGraph(10, edges)
 
 
 def brute_perfect_matchings(g: CubicGraph) -> set[frozenset[int]]:

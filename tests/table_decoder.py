@@ -1,0 +1,105 @@
+"""The table decoder: the oracle for copnc.partition.trails_from_marking
+and for the local copnc.switching.switch.
+
+This is the decoder the library ran before it walked trails with
+partition.walk.  It pairs each vertex's two unmarked darts in a successor
+table, walks every trail through that table, builds each trail with
+Trail's checked constructor, and reads the marking, the passages and the
+edge positions back off the sorted trails.  At a loop end that marking
+holds the loop's lower dart on a first edge and its upper dart on a last
+edge, whichever dart was given.  Its switch finds the trail through v's
+passage by edge position and decodes the re-marked marking in full.
+"""
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from copnc.graph import CubicGraph
+from copnc.partition import CycleError, Trail
+from copnc.switching import BadBranch
+
+
+@dataclass(frozen=True)
+class Decoded:
+    trails: tuple[Trail, ...]
+    marked: tuple[int, ...]                   # read off the trail ends
+    passage: tuple[tuple[int, int], ...]      # vertex -> its internal darts, sorted
+    edge_pos: tuple[tuple[int, int], ...]     # edge -> (trail index, 1-based position)
+
+    @property
+    def key(self) -> tuple:
+        return tuple(t.key for t in self.trails)
+
+
+def decode(g: CubicGraph, marking: Sequence[int]) -> Decoded:
+    """Decode like copnc.partition.trails_from_marking; raises its
+    ValueError and CycleError (witness: the cycle through the lowest dart
+    no trail covers)."""
+    marking = tuple(marking)
+    if len(marking) != g.n:
+        raise ValueError("marking must assign one dart per vertex")
+    succ = [0] * (2 * g.m)
+    for v in range(g.n):
+        d = marking[v]
+        slots = g.vertex_darts[v]
+        if d not in slots:
+            raise ValueError(f"marked dart {d} is not at vertex {v}")
+        a, b = (x for x in slots if x != d)
+        succ[a] = b
+        succ[b] = a
+    seen = [False] * (2 * g.m)
+    trails = []
+    for v in range(g.n):
+        cur = marking[v]
+        if seen[cur]:
+            continue
+        verts, edges = [v], []
+        while True:
+            seen[cur] = seen[cur ^ 1] = True
+            w = g.dart_vertex(cur ^ 1)
+            edges.append(cur >> 1)
+            verts.append(w)
+            if marking[w] == cur ^ 1:
+                break
+            cur = succ[cur ^ 1]
+        t = Trail(g, verts, edges)
+        trails.append(t if (t.vertices, t.edges) == t.key else t.reversed(g))
+    if not all(seen):
+        d0 = seen.index(False)
+        cycle, cur = [], d0
+        while True:
+            cycle.append(cur >> 1)
+            cur = succ[cur ^ 1]
+            if cur == d0:
+                break
+        raise CycleError(cycle)
+    trails.sort(key=lambda t: t.key)
+    marked = [-1] * g.n
+    passage: list[Optional[tuple[int, int]]] = [None] * g.n
+    edge_pos = [(-1, -1)] * g.m
+    for ti, t in enumerate(trails):
+        marked[t.vertices[0]] = t.out_darts[0]
+        marked[t.vertices[-1]] = t.out_darts[-1] ^ 1
+        for i, e in enumerate(t.edges):
+            edge_pos[e] = (ti, i + 1)
+        for i in range(1, len(t.vertices) - 1):
+            into, outof = t.out_darts[i - 1] ^ 1, t.out_darts[i]
+            passage[t.vertices[i]] = (min(into, outof), max(into, outof))
+    return Decoded(tuple(trails), tuple(marked), tuple(passage), tuple(edge_pos))
+
+
+def switch(g: CubicGraph, p: Decoded, v: int, branch: int) -> Decoded:
+    """The switch on v toward branch by full decodes: the new mark is the
+    passage dart on the far side of v from the branch end of the trail
+    through v's passage; BadBranch for branch = v, for a vertex that is no
+    end of that trail, and for a new marking that closes a cycle."""
+    t = p.trails[p.edge_pos[p.passage[v][0] >> 1][0]]
+    if branch == v or branch not in t.ends:
+        raise BadBranch(f"vertex {branch} is not a usable end of the trail through {v}")
+    i = next(k for k in range(1, len(t.vertices) - 1) if t.vertices[k] == v)
+    marking = list(p.marked)
+    marking[v] = t.out_darts[i] if branch == t.vertices[0] else t.out_darts[i - 1] ^ 1
+    try:
+        return decode(g, marking)
+    except CycleError as exc:
+        raise BadBranch(f"switch on {v} toward end {branch} closes a cycle") from exc

@@ -28,12 +28,12 @@ from copnc.families import (
 )
 from copnc.graph import bridges, generate, has_perfect_matching, is_bipartite, perfect_matchings
 from copnc.partition import (
+    agreement,
     associated_matching,
     edge_role_audit,
     is_odd,
     length_profile,
     stats,
-    triple_set,
     validate_normal,
 )
 from copnc.search import (
@@ -67,7 +67,7 @@ def validated_triple(g, triple) -> None:
         assert is_odd(p)
         assert stats(p).balance() == 0
         REGISTRY["partitions"] += 1
-    assert triple_set(*triple) == frozenset()
+    assert agreement(triple) == []
     edge_role_audit(*triple)
     m1, m2, m3 = (associated_matching(p) for p in triple)
     assert m1 & m2 & m3 == frozenset()

@@ -17,8 +17,8 @@ from copnc.construct import (
     triangle_extend,
     two_factor_cycles,
 )
-from copnc.graph import build_graph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
-from copnc.partition import associated_matching, is_conformal, length_profile
+from copnc.graph import CubicGraph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
+from copnc.partition import agreement, associated_matching, is_conformal, length_profile
 
 
 class TestMatchingRoute:
@@ -66,7 +66,7 @@ class TestBipartiteRoute:
     def test_k33(self, k33):
         t = bipartite_triple(k33)
         assert all(length_profile(p) == (3, 3, 3) for p in t.partitions)
-        assert t.agreement() == frozenset()
+        assert agreement(t.partitions) == []
 
     def test_cube_four_trails_each(self, cube):
         t = bipartite_triple(cube)
@@ -98,7 +98,7 @@ class TestBipartiteRoute:
 class TestConformalRoute:
     def test_cube_reaches_empty_agreement(self, cube):
         t = conformal_triple(cube)
-        assert t.agreement() == frozenset()
+        assert agreement(t.partitions) == []
         t.validate()
 
     def test_k33_agrees_with_bipartite_in_validity(self, k33):
@@ -183,7 +183,7 @@ class TestGeneralRoute:
 
     def test_multigraph_with_digons(self):
         # 4-cycle with two opposite doubled sides
-        g = build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
+        g = CubicGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
         t = conformal_triple_general(g)
         t.validate()
 
@@ -207,7 +207,7 @@ class TestGeneralRoute:
             h = generate(name)
             edges += [(u + n, v + n) for u, v in h.endpoints]
             n += h.n
-        g = build_graph(n, edges)
+        g = CubicGraph(n, edges)
         t = conformal_triple_general(g)
         t.validate()
         assert t.graph == g and t.coloring == proper_3_edge_coloring(g)

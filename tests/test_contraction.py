@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from copnc import construct
 from copnc.construct import conformal_triple_general, digon_extend, find_digon, find_triangle, triangle_extend
 from copnc.corpus import corpus_upto
-from copnc.graph import CubicGraph, build_graph, generate, proper_3_edge_coloring
+from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 
 import stepwise_route
 from conftest import digon_ladder, truncated_ladder
@@ -89,7 +89,7 @@ def test_corpus():
     ],
 )
 def test_shapes(shape, surgeries):
-    assert assert_same_route(build_graph(*shape)) == surgeries
+    assert assert_same_route(CubicGraph(*shape)) == surgeries
 
 
 @st.composite
@@ -104,7 +104,7 @@ def colorable_multigraphs(draw):
         else:
             g, t = triangle_extend(g, draw(st.integers(0, g.n - 1)), t)
     perm = draw(st.permutations(range(g.n)))
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.endpoints])
+    return CubicGraph(g.n, [(perm[u], perm[v]) for u, v in g.endpoints])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -116,7 +116,7 @@ def test_random_extensions(g):
 @pytest.mark.parametrize("shape", [truncated_ladder(400), digon_ladder(400)])
 def test_large(shape):
     # n = 2,400 and 1,600: quadratic when each surgery rebuilt the graph
-    g = build_graph(*shape)
+    g = CubicGraph(*shape)
     triple = conformal_triple_general(g)
     assert triple.graph == g
     triple.validate()

@@ -10,11 +10,12 @@ from copnc.families import (
 )
 from copnc.graph import BadParameter, generate
 from copnc.partition import (
+    agreement,
     edge_role_audit,
     is_odd,
     length_profile,
+    odd_edges,
     stats,
-    triple_set,
 )
 from copnc.search import fan_raspaud_witness
 
@@ -28,7 +29,7 @@ class TestPetersen:
             assert stats(p).n_of == {5: 1, 3: 3, 1: 1}
 
     def test_pairwise_compatible(self):
-        assert triple_set(*petersen_triple()) == frozenset()
+        assert agreement(petersen_triple()) == []
 
     def test_partitions_pairwise_isomorphic(self, petersen):
         # profiles agree and some graph automorphism carries one partition
@@ -73,7 +74,7 @@ class TestFlower:
             assert p.graph == g
             assert is_odd(p)
             assert stats(p).balance() == 0
-        assert triple_set(*triple) == frozenset()
+        assert agreement(triple) == []
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11, 13, 15])
     def test_boundary_marks_hold(self, k):
@@ -114,9 +115,10 @@ class TestFlower:
         p1, p2, p3 = flower_triple(3)
         e_u12 = lut[(0, 1)]
         e_t12 = lut[(9, 10)]
-        assert p1.edge_pos[e_u12][1] % 2 == 0  # odd edge of the first partition
-        assert p2.edge_pos[e_t12][1] % 2 == 0
-        assert p3.edge_pos[e_t12][1] % 2 == 0
+        odd = lambda p: {e for t in p.trails for e in odd_edges(t)}
+        assert e_u12 in odd(p1)  # odd edge of the first partition
+        assert e_t12 in odd(p2)
+        assert e_t12 in odd(p3)
 
     def test_induction_consistency(self):
         # restricting the k+2 triple to the untouched claws matches the k
@@ -162,7 +164,7 @@ class TestGoldberg:
             assert p.graph == g
             assert is_odd(p)
             assert stats(p).balance() == 0
-        assert triple_set(*triple) == frozenset()
+        assert agreement(triple) == []
 
     @pytest.mark.parametrize("k", [3, 7, 11])
     def test_empty_triple_intersection(self, k):

@@ -2,10 +2,10 @@ import pytest
 
 from copnc.graph import (
     BadParameter,
+    CubicGraph,
     Malformed,
     NonCubic,
     bridges,
-    build_graph,
     chromatic_index,
     color_classes,
     generate,
@@ -56,7 +56,7 @@ class TestBuild:
 
     def test_degree_deficit(self):
         with pytest.raises(NonCubic) as err:
-            build_graph(2, [(0, 1), (0, 1)])
+            CubicGraph(2, [(0, 1), (0, 1)])
         assert (err.value.vertex, err.value.degree) == (0, 2)
 
     def test_loop_occupies_two_slots(self, dumbbell):
@@ -193,7 +193,7 @@ class TestBridges:
 
     def test_digon_is_not_bridge(self):
         # 4-cycle with two opposite sides doubled
-        g = build_graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
+        g = CubicGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
         assert bridges(g) == frozenset()
 
     def test_matches_networkx_on_corpora(self):
@@ -215,7 +215,7 @@ class TestBridges:
 
         limit = sys.getrecursionlimit()
         n, edges = circular_ladder(1500)
-        assert bridges(build_graph(n, edges)) == frozenset()
+        assert bridges(CubicGraph(n, edges)) == frozenset()
         assert sys.getrecursionlimit() == limit
         # a chain of 1500 digons with a loop vertex at each end: every edge
         # outside the digons and loops is a bridge, deep in the search
@@ -224,7 +224,7 @@ class TestBridges:
         edges = [(2 * i, 2 * i + 1) for i in range(k) for _ in range(2)]
         edges += [(2 * i + 1, 2 * i + 2) for i in range(k - 1)]
         edges += [(a, a), (a, 0), (b, b), (b, 2 * k - 1)]
-        g = build_graph(2 * k + 2, edges)
+        g = CubicGraph(2 * k + 2, edges)
         expect = frozenset(range(2 * k, 3 * k - 1)) | {3 * k, 3 * k + 2}
         assert bridges(g) == expect
         assert sys.getrecursionlimit() == limit
@@ -268,7 +268,7 @@ class TestMatchings:
         import sys
 
         limit = sys.getrecursionlimit()
-        g = build_graph(*circular_ladder(5000))
+        g = CubicGraph(*circular_ladder(5000))
         assert has_perfect_matching(g)
         assert sys.getrecursionlimit() == limit
 
@@ -366,7 +366,7 @@ class TestColoring:
 
     def test_matches_scan_oracle_on_shapes(self):
         for n, edges in SHAPES:
-            g = build_graph(n, edges)
+            g = CubicGraph(n, edges)
             col = proper_3_edge_coloring(g)
             assert col is not None
             assert col == coloring_by_scan(g)

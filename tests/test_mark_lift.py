@@ -21,7 +21,7 @@ from copnc.construct import (
     triangle_extend,
 )
 from copnc.corpus import corpus_upto
-from copnc.graph import build_graph, generate, proper_3_edge_coloring
+from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 from copnc.partition import NormalPartition
 
 import stepwise_route
@@ -92,7 +92,7 @@ def test_general_route_on_corpus(lifts):
 )
 def test_general_route_on_shapes(lifts, shape, lift, count):
     n, edges = shape
-    g = build_graph(n, edges)
+    g = CubicGraph(n, edges)
     assert lifts(g).graph == g
     assert lifts.checked == [lift] * count
 

@@ -11,8 +11,9 @@ from copnc.partition import (
     Trail,
     VertexEndCount,
     VertexNeverInternal,
+    agreement,
+    agrees_at,
     associated_matching,
-    compatibility_set,
     edge_role_audit,
     is_conformal,
     is_odd,
@@ -21,7 +22,6 @@ from copnc.partition import (
     partition_violations,
     stats,
     trails_from_marking,
-    triple_set,
     validate_normal,
 )
 from copnc.construct import bipartite_triple, nop_from_matching
@@ -171,6 +171,57 @@ class TestMarkingRoundTrip:
             trails_from_marking(k4, [0, 2])
 
 
+def oracle_graphs():
+    """Every corpus graph with n <= 6 and every 4th one with n = 8."""
+    from copnc.corpus import corpus_all
+
+    return [g for n in (2, 4, 6) for _, g in corpus_all(n)] + [g for _, g in corpus_all(8)][::4]
+
+
+class TestDecoderOracle:
+    """The walking decoder against the table decoder kept in tests."""
+
+    def test_every_marking_matches_table_decoder(self):
+        import table_decoder
+
+        from copnc.search import enumerate_markings
+
+        decoded = cycles = 0
+        for g in oracle_graphs():
+            for marking in enumerate_markings(g):
+                try:
+                    want = table_decoder.decode(g, marking)
+                except CycleError as exc:
+                    try:
+                        trails_from_marking(g, marking)
+                    except CycleError as err:
+                        assert err.cycle_edges == exc.cycle_edges
+                    else:
+                        raise AssertionError(f"{marking} decodes but closes a cycle")
+                    cycles += 1
+                    continue
+                got = trails_from_marking(g, marking)
+                assert [(t.vertices, t.edges, t.out_darts) for t in got.trails] == [
+                    (t.vertices, t.edges, t.out_darts) for t in want.trails
+                ]
+                assert got.key == want.key
+                assert got.marked == marking  # as given, loop darts included
+                assert got.marked_edges() == tuple(d >> 1 for d in want.marked)
+                assert [got.passage_edges(v) for v in range(g.n)] == [(a >> 1, b >> 1) for a, b in want.passage]
+                decoded += 1
+        assert decoded > 50000 and cycles > 50000
+
+    def test_input_checks_match_table_decoder(self, k4):
+        import table_decoder
+
+        for marking in ([0, 2], [0, 2, 4, 6, 8], [0, 0, 3, 5], [1, 2, 4, 6]):
+            with pytest.raises(ValueError) as want:
+                table_decoder.decode(k4, marking)
+            with pytest.raises(ValueError) as got:
+                trails_from_marking(k4, marking)
+            assert str(got.value) == str(want.value)
+
+
 class TestMatchingsAndConformality:
     def test_construction_roundtrip(self, petersen):
         m = next(perfect_matchings(petersen))
@@ -210,35 +261,33 @@ class TestMatchingsAndConformality:
 class TestCompatibility:
     def test_self_agreement_is_everything(self, k4):
         p = enumerate_nops(k4)[0]
-        assert compatibility_set(p, p) == frozenset(range(4))
+        assert agreement((p, p)) == list(range(4))
 
     def test_k33_triple_compatible(self, k33):
         t = bipartite_triple(k33)
-        assert triple_set(*t.partitions) == frozenset()
+        assert agreement(t.partitions) == []
 
     def test_single_vertex_difference(self, k4):
         from copnc.switching import switch_candidates
 
         p = enumerate_nops(k4)[0]
         q = switch_candidates(p, 2)[0]
-        assert compatibility_set(p, q) == frozenset({0, 1, 3})
+        assert agreement((p, q)) == [0, 1, 3]
 
     def test_agreement_helper_matches_pairwise_sets(self, k4):
-        from copnc.partition import agreement, agrees_at
+        def pair(a, b):
+            return {v for v in range(4) if a.marked_edge(v) == b.marked_edge(v)}
 
         ps = enumerate_nops(k4)[:6]
         for p1 in ps:
             for p2 in ps:
-                pair = [v for v in range(4) if p1.marked_edge(v) == p2.marked_edge(v)]
-                assert agreement((p1, p2)) == pair
+                assert agreement((p1, p2)) == sorted(pair(p1, p2))
                 for p3 in ps:
-                    want = compatibility_set(p1, p2) | compatibility_set(p1, p3) | compatibility_set(p2, p3)
+                    want = pair(p1, p2) | pair(p1, p3) | pair(p2, p3)
                     assert agreement((p1, p2, p3)) == sorted(want)
                     assert [v for v in range(4) if agrees_at((p1, p2, p3), v)] == sorted(want)
 
     def test_agreement_rejects_mixed_graphs(self, k4, k33):
-        from copnc.partition import agreement
-
         with pytest.raises(ValueError):
             agreement((enumerate_nops(k4)[0], enumerate_nops(k33)[0]))
 

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
 from copnc.graph import CubicGraph, bridges, generate, has_perfect_matching, perfect_matchings
 from copnc.partition import (
+    agreement,
     associated_matching,
     is_odd,
     length_profile,
-    triple_set,
     trails_from_marking,
     CycleError,
 )
@@ -179,7 +179,7 @@ class TestTripleSearch:
         assert sols
         for t in sols:
             assert max(max(p.lengths()) for p in t) >= 5
-            assert not triple_set(*t)
+            assert not agreement(t)
 
     def test_bridge_means_none(self, one_bridge):
         assert bridges(one_bridge)
@@ -215,7 +215,7 @@ class TestTripleSearch:
                         parts = [trails_from_marking(g, mk) for mk in markings]
                     except CycleError:
                         continue
-                    if all(is_odd(p) for p in parts) and not triple_set(*parts):
+                    if all(is_odd(p) for p in parts) and not agreement(parts):
                         raw.add(tuple(sorted(p.key for p in parts)))
                 pruned = unordered_triple_keys(enumerate_compatible_triples(g))
                 assert pruned == raw, gid
@@ -228,25 +228,23 @@ class TestTripleSearch:
         import sys
 
         from conftest import circular_ladder
-        from copnc.graph import build_graph
 
         limit = sys.getrecursionlimit()
-        g = build_graph(*circular_ladder(600))
+        g = CubicGraph(*circular_ladder(600))
         triple = find_compatible_triple(g)
-        assert triple is not None and not triple_set(*triple)
+        assert triple is not None and not agreement(triple)
         assert sys.getrecursionlimit() == limit
 
     def test_ladder_first_triple_needs_no_backtracking(self):
         """n = 4,800: the exploration order finds the first triple on the
         circular ladder with almost one node per vertex."""
         from conftest import circular_ladder
-        from copnc.graph import build_graph
 
-        g = build_graph(*circular_ladder(2400))
+        g = CubicGraph(*circular_ladder(2400))
         s = _Search(g, 3)
         markings = next(s.solutions())
         assert s.nodes < g.n + 10
-        assert not triple_set(*(trails_from_marking(g, mk) for mk in markings))
+        assert not agreement([trails_from_marking(g, mk) for mk in markings])
 
     def test_constrained_pins_respected(self, k4):
         full = list(enumerate_compatible_triples(k4))
@@ -342,7 +340,7 @@ class TestLengthThreeTriples:
             for triple in (via_pairs, via_search):
                 if triple is not None:
                     assert all(set(p.lengths()) == {3} for p in triple), gid
-                    assert not triple_set(*triple), gid
+                    assert not agreement(triple), gid
 
     def test_k33_exists_k4_not(self, k33, k4):
         assert find_length3_triple(k33) is not None
@@ -398,6 +396,52 @@ class TestCompleteSystem:
     def test_order_validation(self, k4):
         with pytest.raises(ValueError):
             complete_system(k4, 2)
+
+    def test_matches_recursive_search(self, k4, k33, prism, cube):
+        """The explicit stack picks in the order of the recursion it
+        replaced, kept here as the oracle."""
+
+        def recursive(g, k):
+            pool = enumerate_nops(g)
+            need = [frozenset(g.edges_at(v)) for v in range(g.n)]
+
+            def rec(start, chosen):
+                if len(chosen) == k:
+                    ok = all(need[v] <= {p.marked_edge(v) for p in chosen} for v in range(g.n))
+                    return list(chosen) if ok else None
+                for v in range(g.n):
+                    if len(need[v] - {p.marked_edge(v) for p in chosen}) > k - len(chosen):
+                        return None
+                for i in range(start, len(pool)):
+                    hit = rec(i + 1, chosen + [pool[i]])
+                    if hit is not None:
+                        return hit
+                return None
+
+            return rec(0, [])
+
+        for g in (k4, k33, prism, cube):
+            for k in (3, 4, 5):
+                want = recursive(g, k)
+                got = complete_system(g, k)
+                assert got == want
+                if got is not None:
+                    assert [p.marked for p in got] == [p.marked for p in want]
+
+    def test_long_system_needs_no_recursion(self, cube):
+        """k = 1,200 from the cube's 1,824 partitions: one open search node
+        per chosen partition, far deeper than the recursion limit.  The
+        recursion it replaced, run with a raised limit, picks the first
+        1,199 partitions and then the 1,217th."""
+        import sys
+
+        limit = sys.getrecursionlimit()
+        got = complete_system(cube, 1200)
+        pool = enumerate_nops(cube)
+        assert got == pool[:1199] + [pool[1216]]
+        for v in range(cube.n):
+            assert {p.marked_edge(v) for p in got} == set(cube.edges_at(v))
+        assert sys.getrecursionlimit() == limit
 
 
 class TestChecks:

@@ -4,7 +4,7 @@ route and the search at larger sizes."""
 import pytest
 
 from copnc.construct import conformal_triple_general
-from copnc.graph import build_graph, chromatic_index
+from copnc.graph import CubicGraph, chromatic_index
 from copnc.search import complete_system
 
 
@@ -12,20 +12,20 @@ def circular_ladder(r):
     edges = [(i, (i + 1) % r) for i in range(r)]
     edges += [(r + i, r + (i + 1) % r) for i in range(r)]
     edges += [(i, r + i) for i in range(r)]
-    return build_graph(2 * r, edges)
+    return CubicGraph(2 * r, edges)
 
 
 def moebius_ladder(r):
     edges = [(i, (i + 1) % (2 * r)) for i in range(2 * r)]
     edges += [(i, i + r) for i in range(r)]
-    return build_graph(2 * r, edges)
+    return CubicGraph(2 * r, edges)
 
 
 def generalized_petersen(n, k):
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
     edges += [(n + i, n + (i + k) % n) for i in range(n)]
-    return build_graph(2 * n, edges)
+    return CubicGraph(2 * n, edges)
 
 
 class TestLargerConformalTriples:

@@ -1,6 +1,6 @@
 import pytest
 
-from copnc.graph import build_graph, generate, perfect_matchings
+from copnc.graph import CubicGraph, generate, perfect_matchings
 from copnc.partition import (
     Trail,
     associated_matching,
@@ -38,7 +38,8 @@ class TestSwitch:
     def test_switch_then_inverse_restores(self, cube):
         p = enumerate_nops(cube)[0]
         for v in range(cube.n):
-            t = p.trails[p.edge_pos[p.passage_edges(v)[0]][0]]
+            e = p.passage_edges(v)[0]
+            t = next(t for t in p.trails if e in t.edges)
             for branch in set(t.ends) - {v}:
                 q = switch(p, v, branch)
                 back = [r for r in switch_candidates(q, v) if r == p]
@@ -67,8 +68,7 @@ class TestSwitch:
         p = enumerate_nops(cube)[0]
         for v in range(cube.n):
             e = p.passage_edges(v)[0]
-            ti = p.edge_pos[e][0]
-            same = v in p.trails[ti].ends
+            same = v in next(t for t in p.trails if e in t.edges).ends
             assert len(switch_candidates(p, v)) == (1 if same else 2)
 
 
@@ -216,21 +216,19 @@ def assert_same_switch(p, m, v):
     assert associated_matching(got) == m and is_conformal(got, m)
     full = trails_from_marking(p.graph, got.marked)
     assert got.trails == full.trails
-    assert got.passage == full.passage
-    assert got.edge_pos == full.edge_pos
     assert got.key == full.key
     return got
 
 
 WALK_GRAPHS = {
     "cube": lambda: generate("cube"),
-    "circular10": lambda: build_graph(*circular_ladder(10)),
-    "circular30": lambda: build_graph(*circular_ladder(30)),
-    "moebius10": lambda: build_graph(*moebius_ladder(10)),
-    "moebius25": lambda: build_graph(*moebius_ladder(25)),
-    "gp10_3": lambda: build_graph(*generalized_petersen3(10)),
-    "gp13_3": lambda: build_graph(*generalized_petersen3(13)),
-    "gp30_3": lambda: build_graph(*generalized_petersen3(30)),
+    "circular10": lambda: CubicGraph(*circular_ladder(10)),
+    "circular30": lambda: CubicGraph(*circular_ladder(30)),
+    "moebius10": lambda: CubicGraph(*moebius_ladder(10)),
+    "moebius25": lambda: CubicGraph(*moebius_ladder(25)),
+    "gp10_3": lambda: CubicGraph(*generalized_petersen3(10)),
+    "gp13_3": lambda: CubicGraph(*generalized_petersen3(13)),
+    "gp30_3": lambda: CubicGraph(*generalized_petersen3(30)),
 }
 
 
@@ -283,7 +281,7 @@ def decode_oracle_candidates(p, v):
     from copnc.partition import CycleError, trails_from_marking
 
     out = []
-    for d in p.passage[v]:
+    for d in p.passage(v):
         marking = list(p.marked)
         marking[v] = d
         try:
@@ -375,3 +373,60 @@ class TestLocalMoves:
         assert members[0] is p
         assert all(is_odd(q) for q in members[1:])
         assert summary.size == len(members) == len(set(members))
+
+
+class TestSwitchOracle:
+    """The local switch against the table decoder's switch, which finds
+    the trail through v's passage by edge position and decodes the new
+    marking in full."""
+
+    @staticmethod
+    def assert_same_switches(p, want_p):
+        import table_decoder
+
+        g = p.graph
+        for v in range(g.n):
+            for branch in range(g.n):
+                try:
+                    want = table_decoder.switch(g, want_p, v, branch)
+                except BadBranch:
+                    want = None
+                try:
+                    got = switch(p, v, branch)
+                except BadBranch:
+                    assert want is None, (p.marked, v, branch)
+                    continue
+                assert want is not None, (p.marked, v, branch)
+                assert got.key == want.key
+                assert got.marked_edges() == tuple(d >> 1 for d in want.marked)
+                assert [u for u in range(g.n) if got.marked[u] != p.marked[u]] == [v]
+
+    def test_every_partition_small(self):
+        """Every (v, branch) on every normal partition of every corpus
+        graph with n <= 6."""
+        import table_decoder
+
+        from copnc.corpus import corpus_all
+        from copnc.search import enumerate_normal_partitions
+
+        for n in (2, 4, 6):
+            for _, g in corpus_all(n):
+                for p in enumerate_normal_partitions(g):
+                    self.assert_same_switches(p, table_decoder.decode(g, p.marked))
+
+    def test_every_marking_n8(self):
+        """Every (v, branch) on each marking that decodes among every 32nd
+        marking of every 4th corpus graph with n = 8."""
+        import table_decoder
+
+        from copnc.corpus import corpus_all
+        from copnc.partition import CycleError, trails_from_marking
+        from copnc.search import enumerate_markings
+
+        for _, g in corpus_all(8)[::4]:
+            for marking in list(enumerate_markings(g))[::32]:
+                try:
+                    want_p = table_decoder.decode(g, marking)
+                except CycleError:
+                    continue
+                self.assert_same_switches(trails_from_marking(g, marking), want_p)

@@ -18,6 +18,10 @@ def _lift_trail(t: Trail, gb: CubicGraph, vmap: Sequence[int], emap: Sequence[in
     return Trail(gb, [vmap[v] for v in t.vertices], [emap[e] for e in t.edges])
 
 
+def _trail_of_edge(p: NormalPartition, e: int) -> Trail:
+    return next(t for t in p.trails if e in t.edges)
+
+
 def _oriented_from(t: Trail, g: CubicGraph, start: int) -> Trail:
     if t.vertices[0] == start:
         return t
@@ -75,7 +79,7 @@ def lift_digon(info, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
         lift_v = lambda vs: [v_s2b[v] for v in vs]
         lift_e = lambda es: [e_s2b[e] for e in es]
         if c == rho:
-            t = _oriented_pred(p.trail_of_edge(exy), gs, exy, x_s)
+            t = _oriented_pred(_trail_of_edge(p, exy), gs, exy, x_s)
             i = t.edges.index(exy)
             trails.append(
                 Trail(gb, lift_v(t.vertices[: i + 1]) + [u_b, v_b], lift_e(t.edges[:i]) + [e1, e3])
@@ -88,7 +92,7 @@ def lift_digon(info, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
                 )
             )
         elif c == beta:
-            t = _oriented_from(p.trail_of_edge(exy), gs, x_s)
+            t = _oriented_from(_trail_of_edge(p, exy), gs, x_s)
             assert t.edges[0] == exy
             trails.append(Trail(gb, (x_b, u_b), (e1,)))
             trails.append(
@@ -99,7 +103,7 @@ def lift_digon(info, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
                 )
             )
         else:
-            t = p.trail_of_edge(exy)
+            t = _trail_of_edge(p, exy)
             if p.marked_edge(y_s) == exy:
                 t = _oriented_from(t, gs, y_s)
                 assert t.edges[0] == exy
