@@ -37,9 +37,9 @@ from .partition import (
     NormalPartition,
     Trail,
     agreement,
-    associated_matching,
     is_odd,
     length_profile,
+    odd_edges,
     trails_from_marking,
     validate_normal,
 )
@@ -131,19 +131,23 @@ def _flower_extend_tables(tables, k_new: int):
     return out
 
 
+def _is_odd_edge(p: NormalPartition, e: int) -> bool:
+    """Whether e is an odd edge of the trail of p that holds it; defined
+    for every normal partition, odd or not."""
+    return any(e in odd_edges(t) for t in p.trails)
+
+
 def _flower_side_ok(g, lut, k, parts: Sequence[NormalPartition]) -> bool:
     e_u12 = lut[(_flower_vid(k, ("u", 1)), _flower_vid(k, ("u", 2)))]
     e_t12 = lut[(_flower_vid(k, ("t", 1)), _flower_vid(k, ("t", 2)))]
-    return (
-        e_u12 in associated_matching(parts[0])
-        and e_t12 in associated_matching(parts[1])
-        and e_t12 in associated_matching(parts[2])
-    )
+    return _is_odd_edge(parts[0], e_u12) and _is_odd_edge(parts[1], e_t12) and _is_odd_edge(parts[2], e_t12)
 
 
 def flower_boundary_ok(k: int, parts: Sequence[NormalPartition]) -> bool:
     """Whether the triple satisfies the pinned boundary marks and the
-    odd-edge side conditions at the first two claws."""
+    odd-edge side conditions at the first two claws.  Any three normal
+    partitions of F_k may be given: an edge is odd when it sits at an even
+    position of its trail."""
     g = generate("flower", k)
     lut = _edge_lookup(g)
     for tab, p in zip(_flower_eqs(k), parts):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from copnc.families import (
@@ -10,12 +12,14 @@ from copnc.families import (
 )
 from copnc.graph import BadParameter, generate
 from copnc.partition import (
+    CycleError,
     agreement,
     edge_role_audit,
     is_odd,
     length_profile,
     odd_edges,
     stats,
+    trails_from_marking,
 )
 from copnc.search import fan_raspaud_witness
 
@@ -119,6 +123,44 @@ class TestFlower:
         assert e_u12 in odd(p1)  # odd edge of the first partition
         assert e_t12 in odd(p2)
         assert e_t12 in odd(p3)
+
+    def test_side_conditions_on_even_partitions(self):
+        # the side check reads the position of an edge in its trail, so it
+        # answers for partitions with an even trail too instead of raising
+        from copnc.families import _flower_side_ok
+
+        g = generate("flower", 3)
+        lut = {}
+        for e, (a, b) in enumerate(g.endpoints):
+            lut[(a, b)] = e
+            lut[(b, a)] = e
+        e_u12, e_t12 = lut[(0, 1)], lut[(9, 10)]
+
+        def at_even_position(p, e):
+            t = next(t for t in p.trails if e in t.edges)
+            return t.edges.index(e) % 2 == 1
+
+        rng = random.Random(7)
+        evens = []
+        for _ in range(4000):
+            marking = tuple(rng.choice(ds) for ds in g.vertex_darts)
+            try:
+                p = trails_from_marking(g, marking)
+            except CycleError:
+                continue
+            if not is_odd(p):
+                evens.append(p)
+        sides = [at_even_position(p, e_u12) and at_even_position(p, e_t12) for p in evens]
+        assert True in sides and False in sides
+        for p, side in zip(evens, sides):
+            assert _flower_side_ok(g, lut, 3, [p, p, p]) is side
+        for parts in zip(evens, evens[1:], evens[2:]):
+            want = (
+                at_even_position(parts[0], e_u12)
+                and at_even_position(parts[1], e_t12)
+                and at_even_position(parts[2], e_t12)
+            )
+            assert _flower_side_ok(g, lut, 3, parts) is want
 
     def test_induction_consistency(self):
         # restricting the k+2 triple to the untouched claws matches the k

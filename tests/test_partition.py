@@ -152,8 +152,9 @@ class TestMarkingRoundTrip:
             assert trails_from_marking(k4, p.marked) == p
 
     def test_marking_roundtrip_other_direction(self, prism):
-        # decode then re-read: identity on every valid marking of a
-        # loop-free graph (loop slots are canonicalized, see module doc)
+        # decode then re-read: identity on every valid marking; decode
+        # keeps each marking as given, loops included (TestDecoderOracle
+        # checks that on loop graphs too)
         from copnc.search import enumerate_markings
 
         hits = 0

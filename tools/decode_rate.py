@@ -10,10 +10,10 @@
 
 Each figure is CPU time (process_time) per decode, the best of --repeat
 runs; a run decodes every marking of its case, in rounds, until it has
-taken --seconds.  Markings are found beforehand, so only the decode is
+taken RUN_SECONDS.  Markings are found beforehand, so only the decode is
 timed.
 
-Run from the repository root:  python3 tools/decode_rate.py [--repeat 3]
+Run from the repository root:  python3 tools/decode_rate.py [--repeat 5]
 """
 
 from __future__ import annotations
@@ -31,13 +31,9 @@ from copnc.corpus import corpus_simple12  # noqa: E402
 from copnc.graph import CubicGraph, generate  # noqa: E402
 from copnc.partition import trails_from_marking  # noqa: E402
 from copnc.search import enumerate_nops, find_compatible_triple  # noqa: E402
+from search_rate import circular_ladder  # noqa: E402
 
-
-def circular_ladder(r: int) -> CubicGraph:
-    edges = [(i, (i + 1) % r) for i in range(r)]
-    edges += [(r + i, r + (i + 1) % r) for i in range(r)]
-    edges += [(i, r + i) for i in range(r)]
-    return CubicGraph(2 * r, edges)
+RUN_SECONDS = 0.2  # least CPU seconds of one run
 
 
 def cases() -> list[tuple[str, list[tuple[CubicGraph, tuple[int, ...]]]]]:
@@ -55,10 +51,10 @@ def cases() -> list[tuple[str, list[tuple[CubicGraph, tuple[int, ...]]]]]:
     ]
 
 
-def measure(work: list[tuple[CubicGraph, tuple[int, ...]]], seconds: float, repeat: int) -> tuple[int, float]:
+def measure(work: list[tuple[CubicGraph, tuple[int, ...]]], repeat: int) -> tuple[int, float]:
     """(decodes, CPU seconds) of the run with the least time per decode;
-    a run decodes every marking of work in rounds until it has taken the
-    given CPU seconds."""
+    a run decodes every marking of work in rounds until it has taken
+    RUN_SECONDS of CPU time."""
     runs = []
     for _ in range(repeat):
         count = 0
@@ -68,7 +64,7 @@ def measure(work: list[tuple[CubicGraph, tuple[int, ...]]], seconds: float, repe
                 trails_from_marking(g, marking)
             count += len(work)
             spent = time.process_time() - t0
-            if spent >= seconds:
+            if spent >= RUN_SECONDS:
                 break
         runs.append((spent / count, count, spent))
     _, count, spent = min(runs)
@@ -77,12 +73,11 @@ def measure(work: list[tuple[CubicGraph, tuple[int, ...]]], seconds: float, repe
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=3, help="runs per case; the best is kept")
-    ap.add_argument("--seconds", type=float, default=0.2, help="least CPU seconds of one run")
+    ap.add_argument("--repeat", type=int, default=5, help="runs per case; the best is kept")
     args = ap.parse_args(argv)
     print(f"{'case':<10} {'markings':>8} {'n':>5} {'decodes':>8} {'cpu_s':>8} {'us/decode':>10}")
     for name, work in cases():
-        decodes, secs = measure(work, args.seconds, args.repeat)
+        decodes, secs = measure(work, args.repeat)
         n = max(g.n for g, _ in work)
         print(f"{name:<10} {len(work):>8} {n:>5} {decodes:>8} {secs:>8.3f} {secs / decodes * 1e6:>10.1f}")
     return 0
