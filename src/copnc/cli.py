@@ -35,7 +35,16 @@ from .construct import (
     conformal_triple_general,
     nop_from_matching,
 )
-from .graph import BadParameter, CubicGraph, Malformed, NonCubic, generate, parse_edge_list, parse_graph6
+from .graph import (
+    BadParameter,
+    CubicGraph,
+    Malformed,
+    NonCubic,
+    generate,
+    is_perfect_matching,
+    parse_edge_list,
+    parse_graph6,
+)
 from .partition import associated_matching
 from .search import check_graph, enumerate_normal_partitions, enumerate_nops
 from .switching import CapExceeded, partition_classes
@@ -199,6 +208,9 @@ def cmd_switch_class(args) -> int:
         else:
             if matching is None:
                 raise UsageError("--matching is required for conformal moves")
+            if not is_perfect_matching(g, matching):
+                print(f"precondition failed: edges {sorted(matching)} are not a perfect matching", file=sys.stderr)
+                return EXIT_PRECONDITION
             pool = enumerate_nops(g, cap=args.cap, conformal_to=matching)
         classes = partition_classes(pool, args.moves, matching, cap=args.cap)
     except CapExceeded as exc:

@@ -519,6 +519,13 @@ def has_perfect_matching(g: CubicGraph) -> bool:
     return next(perfect_matchings(g), None) is not None
 
 
+def is_perfect_matching(g: CubicGraph, m: frozenset[int]) -> bool:
+    """True when the edge ids m are edges of g that meet every vertex
+    exactly once (a loop meets its vertex twice)."""
+    ends = [v for e in m if 0 <= e < g.m for v in g.endpoints[e]]
+    return len(ends) == 2 * len(m) == g.n and len(set(ends)) == g.n
+
+
 # class of an uncolored edge by the bitmask of colors in use at its ends:
 # 0 when at most one color is left free, 1 when two are, 2 when all three
 _CLASS = (2, 1, 1, 0, 1, 0, 0, 0)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, perfect_matchings
+from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, is_perfect_matching, perfect_matchings
 from .partition import (
     NormalPartition,
     agreement,
@@ -94,11 +94,6 @@ def _distinct_partitions(
     return [out[k] for k in sorted(out)]
 
 
-def _is_perfect_matching(g: CubicGraph, m: frozenset[int]) -> bool:
-    ends = [v for e in m if 0 <= e < g.m for v in g.endpoints[e]]
-    return len(ends) == 2 * len(m) == g.n and len(set(ends)) == g.n
-
-
 def enumerate_nops(
     g: CubicGraph,
     cap: Optional[int] = None,
@@ -119,7 +114,7 @@ def enumerate_nops(
     if conformal_to is None:
         return _distinct_partitions(g, cap, odd=True)
     m = frozenset(conformal_to)
-    if not _is_perfect_matching(g, m):
+    if not is_perfect_matching(g, m):
         _check_cap(g, cap)
         return []
     return _distinct_partitions(g, cap, odd=True, avoid=m)
@@ -380,16 +375,33 @@ def complete_system(
     At a cubic vertex three pairwise distinct marked edges must be all
     three incident edges, so the condition is: every slot edge of every
     vertex is marked by some member.  Tiny graphs only; the candidate pool
-    is the full set of normal odd partitions.
+    is the full set of normal odd partitions.  The marks are counted as
+    partitions are chosen and dropped, so a search node costs O(n).
     """
     if k < 3:
         raise ValueError("a complete system has order at least 3")
     if g.has_loop():
         return None
     pool = enumerate_nops(g, cap=cap)
-    need: list[frozenset[int]] = [frozenset(g.edges_at(v)) for v in range(g.n)]
+    # with no loop a vertex's three darts carry its three edges: cover[d]
+    # counts the chosen partitions marking dart d, missing[v] the darts of
+    # v none marks, and by_missing[x] the vertices missing x darts
+    cover = [0] * (2 * g.m)
+    missing = [3] * g.n
+    by_missing = [0, 0, 0, g.n]
     nodes = 0
     chosen: list[NormalPartition] = []
+
+    def count(p: NormalPartition, step: int) -> None:
+        """Add p's marks to the counts (step 1) or take them out (step -1)."""
+        for v, d in enumerate(p.marked):
+            was = cover[d]
+            cover[d] = was + step
+            if not was or not cover[d]:  # d turned covered or uncovered
+                x = missing[v]
+                missing[v] = x - step
+                by_missing[x] -= 1
+                by_missing[x - step] += 1
 
     def verdict() -> Optional[bool]:
         """Visit the search node of chosen: True when it is a complete
@@ -399,12 +411,10 @@ def complete_system(
         if nodes > cap:
             raise CapExceeded(f"complete-system search exceeded {cap} nodes")
         if len(chosen) == k:
-            return all(need[v] <= {p.marked_edge(v) for p in chosen} for v in range(g.n))
+            return by_missing[0] == g.n
         # prune: remaining picks must be able to finish the coverage
-        remaining = k - len(chosen)
-        for v in range(g.n):
-            if len(need[v] - {p.marked_edge(v) for p in chosen}) > remaining:
-                return False
+        if any(by_missing[k - len(chosen) + 1 :]):
+            return False
         return None
 
     # the search runs on an explicit stack: nexts holds, for each open node
@@ -418,17 +428,18 @@ def complete_system(
         if i == len(pool):
             nexts.pop()
             if chosen:
-                chosen.pop()
+                count(chosen.pop(), -1)
             continue
         nexts[-1] = i + 1
         chosen.append(pool[i])
+        count(pool[i], 1)
         hit = verdict()
         if hit:
             return chosen
         if hit is None:
             nexts.append(i + 1)
         else:
-            chosen.pop()
+            count(chosen.pop(), -1)
     return None
 
 

@@ -19,10 +19,16 @@ walks v's two passage darts to find the ends of T_i; odd and conformal
 moves check the new trails' lengths and matching edges.  Results are
 partitions whose trails are decoded only on first use.
 
-Reachability classes are walked breadth first and deduplicated on the
-marking, with each loop dart folded to its edge's lower dart (marking
-either dart of a loop gives the same partition), so a class walk decodes
-nothing but the trails of its seed, and those for odd moves only.
+Partitions are told apart by their fold key: the marking with each loop
+dart folded to its edge's lower dart (marking either dart of a loop gives
+the same partition).  A single class is walked breadth first from a seed
+and deduplicated on fold keys, so the walk decodes nothing but the trails
+of its seed, and those for odd moves only.  A whole family is quotiented
+without moving at all: in the family of all partitions of a kind (normal,
+odd, or conformal to m) the moves from p are exactly the members whose
+fold keys differ from p's at one vertex, so the classes are the connected
+components of one-vertex mark changes, joined from fold keys bucketed once
+per vertex with that vertex left out.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graph import CubicGraph
-from .partition import NormalPartition, associated_matching, walk
+from .graph import CubicGraph, is_perfect_matching
+from .partition import NormalPartition, associated_matching, is_odd, walk
 
 
 class BadBranch(ValueError):
@@ -294,24 +300,73 @@ def partition_classes(
 ) -> list[list[NormalPartition]]:
     """Quotient a family of partitions into switch-reachability classes.
 
-    The family must be closed under the chosen moves (all odd partitions
-    for odd moves, all partitions conformal to m for conformal moves);
-    reached partitions outside the family would signal a caller error and
-    are rejected.  Seeds are taken in canonical (trail key) order.
+    The family must hold all partitions of its kind: normal ones for plain
+    moves, odd ones for odd moves, ones conformal to the perfect matching
+    m (by default the first member's) for conformal moves, as
+    enumerate_normal_partitions and enumerate_nops return them.  There a
+    move is exactly a change of one vertex's mark, so the classes are the
+    family's components under one-vertex mark changes, joined from the
+    fold keys bucketed once per vertex with that vertex left out; no move
+    is built.  Moves that leave an incomplete family go unseen: such a
+    family gets its components.  A member not of the kind (even under odd
+    moves, marking an edge of m under conformal ones) or a matching that
+    is not perfect raises ValueError.  Members equal as partitions are
+    kept once, the first.
+
+    Classes come out in canonical order of their least (trail key)
+    member, members in family order.  Raises CapExceeded when a class has
+    more than cap members.
     """
     if not partitions:
         return []
-    loops = _loop_uppers(partitions[0].graph)
-    pool = {_fold_key(p, loops): p for p in partitions}
-    classes: list[list[NormalPartition]] = []
-    remaining = dict.fromkeys(sorted(pool, key=lambda k: pool[k].key))
-    while remaining:
-        seed = pool[next(iter(remaining))]
-        members = reachable_class(seed, kind, matching, cap)
-        for q in members:
-            k = _fold_key(q, loops)
-            if k not in pool:
-                raise ValueError("moves left the supplied family of partitions")
-            remaining.pop(k, None)
-        classes.append(members)
+    g = partitions[0].graph
+    if kind == "conformal":
+        m = frozenset(matching) if matching is not None else associated_matching(partitions[0])
+        if not is_perfect_matching(g, m):
+            raise ValueError("conformal moves need a perfect matching")
+        if any((d >> 1) in m for p in partitions for d in p.marked):
+            raise ValueError("a member marks an edge of the matching, so it is not conformal to it")
+    elif kind == "odd":
+        if not all(map(is_odd, partitions)):
+            raise ValueError("a member has an even trail, so it is not odd")
+    elif kind != "plain":
+        raise ValueError(f"unknown move kind '{kind}'")
+    # a fold key as one int: two bits per vertex hold the slot of its mark
+    bits = [0] * (2 * g.m)
+    for v, darts in enumerate(g.vertex_darts):
+        for s, d in enumerate(darts):
+            bits[d] = s << 2 * v
+    for d in _loop_uppers(g):
+        bits[d] = bits[d ^ 1]
+    index: dict[int, NormalPartition] = {}
+    for p in partitions:
+        index.setdefault(sum(map(bits.__getitem__, p.marked)), p)
+    members = list(index.values())
+    codes = list(index)
+    parent = list(range(len(codes)))
+    for v in range(g.n):
+        mask = ~(3 << 2 * v)
+        first: dict[int, int] = {}
+        for i, c in enumerate(codes):
+            j = first.setdefault(c & mask, i)
+            if j != i:
+                # union by the lower root, with path halving
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if i < j:
+                    i, j = j, i
+                parent[i] = j
+    # parent[i] <= i throughout, so one ascending pass points all at roots
+    for i in range(len(parent)):
+        parent[i] = parent[parent[i]]
+    groups: dict[int, list[NormalPartition]] = {}
+    for r, p in zip(parent, members):
+        groups.setdefault(r, []).append(p)
+    classes = list(groups.values())
+    if cap is not None and any(len(c) > cap for c in classes):
+        raise CapExceeded(f"switch class exceeds cap {cap}")
+    if len(classes) > 1:
+        classes.sort(key=lambda c: min(p.key for p in c))
     return classes

@@ -153,6 +153,36 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert (doc["count"], doc["sizes"]) == (1, [size])
 
+    @pytest.mark.parametrize(
+        "matching,size",
+        [
+            ("0,5,9,10", 208),
+            ("0,6,7,8", 208),
+            ("1,3,8,11", 208),
+            ("1,3,9,10", 192),
+            ("1,4,7,9", 208),
+            ("2,3,6,10", 208),
+            ("2,4,5,11", 208),
+            ("2,4,6,7", 192),
+        ],
+    )
+    def test_switch_class_cube_matchings(self, capsys, matching, size):
+        # the cube's other eight perfect matchings: with 0,5,8,11 above,
+        # all nine conformal queries of the switching benchmark
+        argv = ["switch-class", "--graph", "cube", "--moves", "conformal", "--matching", matching]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (doc["count"], doc["sizes"]) == (1, [size])
+
+    @pytest.mark.parametrize("graph,matching", [("k4", "0,0"), ("k4", "0,1"), ("cube", "0,5,8"), ("theta", "7")])
+    def test_switch_class_needs_perfect_matching(self, capsys, graph, matching):
+        argv = ["switch-class", "--graph", graph, "--moves", "conformal", "--matching", matching]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition failed:")
+        assert "not a perfect matching" in captured.err
+
     def test_sweep_g6(self, tmp_path, capsys, k4, k33, cube):
         from copnc.graph import to_graph6
 

@@ -430,3 +430,173 @@ class TestSwitchOracle:
                 except CycleError:
                     continue
                 self.assert_same_switches(trails_from_marking(g, marking), want_p)
+
+
+def complete_families(g):
+    """(kind, matching, family) for every complete family of g: all normal
+    partitions, all odd ones, and the ones conformal to each perfect
+    matching."""
+    from copnc.search import enumerate_normal_partitions
+
+    yield "plain", None, enumerate_normal_partitions(g)
+    yield "odd", None, enumerate_nops(g)
+    for m in perfect_matchings(g):
+        yield "conformal", m, enumerate_nops(g, conformal_to=m)
+
+
+def moves_at(p, kind, m, v):
+    """The switches of the kind at v, by the local moves."""
+    if kind == "plain":
+        return switch_candidates(p, v)
+    if kind == "odd":
+        return odd_switches(p, v)
+    q = conformal_switch(p, m, v)
+    return [] if q is None else [q]
+
+
+def fold_keys(parts):
+    from copnc.switching import _fold_key, _loop_uppers
+
+    if not parts:
+        return []
+    loops = _loop_uppers(parts[0].graph)
+    return [_fold_key(p, loops) for p in parts]
+
+
+def restricted_bfs(family, kind, m):
+    """The components of family under the switches that stay in it, by
+    breadth-first search over the local moves, as sets of fold keys in
+    canonical order of their least member."""
+    by_key = dict(zip(fold_keys(family), family))
+    seen, out = set(), []
+    for p in sorted(family, key=lambda p: p.key):
+        (k,) = fold_keys([p])
+        if k in seen:
+            continue
+        comp, frontier = {k}, [p]
+        while frontier:
+            q = frontier.pop()
+            for v in range(q.graph.n):
+                for r in moves_at(q, kind, m, v):
+                    (kr,) = fold_keys([r])
+                    if kr in by_key and kr not in comp:
+                        comp.add(kr)
+                        frontier.append(by_key[kr])
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+def assert_family_order(classes, family):
+    """Every member is a family object, each class lists its members in
+    family order, and every family member appears once."""
+    pos = {id(p): i for i, p in enumerate(family)}
+    for c in classes:
+        assert [pos[id(p)] for p in c] == sorted(pos[id(p)] for p in c)
+    assert sum(map(len, classes)) == len(set(fold_keys(family)))
+
+
+class TestClassComponents:
+    """partition_classes joins one-vertex mark changes; the local moves
+    and the breadth-first class walks are its oracles."""
+
+    def test_moves_are_one_vertex_mark_changes(self):
+        """In a complete family the switches at v are exactly the members
+        that differ from p at v alone, besides p itself when v carries a
+        loop: plain, odd, and conformal for every perfect matching, on every
+        corpus graph with n <= 6 and every 8th with n = 8."""
+        from copnc.corpus import corpus_all
+
+        graphs = [g for n in (2, 4, 6) for _, g in corpus_all(n)]
+        graphs += [g for _, g in corpus_all(8)[::8]]
+        checked = 0
+        for g in graphs:
+            for kind, m, family in complete_families(g):
+                keys = fold_keys(family)
+                near: dict[tuple, set] = {}
+                for k in keys:
+                    for v in range(g.n):
+                        near.setdefault((v, k[:v] + k[v + 1 :]), set()).add(k)
+                for p, k in zip(family, keys):
+                    for v in range(g.n):
+                        # re-marking the other dart of a loop leaves p as it is
+                        got = set(fold_keys(moves_at(p, kind, m, v))) - {k}
+                        assert got == near[v, k[:v] + k[v + 1 :]] - {k}, (kind, m, p.marked, v)
+                        checked += 1
+        assert checked > 300000
+
+    def test_classes_match_class_walks(self):
+        """Every complete family of every corpus graph with n <= 6 (loop
+        graphs included) and every 8th with n = 8: the components are the
+        reachable_class walks from the seeds in canonical order."""
+        from copnc.corpus import corpus_all
+
+        graphs = [g for n in (2, 4, 6) for _, g in corpus_all(n)]
+        graphs += [g for _, g in corpus_all(8)[::8]]
+        split = 0
+        for g in graphs:
+            for kind, m, family in complete_families(g):
+                classes = partition_classes(family, kind, m)
+                seen, want = set(), []
+                for p, k in zip(family, fold_keys(family)):
+                    if k not in seen:
+                        want.append(set(fold_keys(reachable_class(p, kind, m))))
+                        seen |= want[-1]
+                assert [set(fold_keys(c)) for c in classes] == want, (kind, m)
+                assert_family_order(classes, family)
+                split += len(classes) > 1
+        assert split == 3  # theta's two conformal singletons, for each matching
+
+    @pytest.mark.parametrize(
+        "name,kind",
+        [("k33", "odd"), ("prism", "plain"), ("cube", "odd"), ("cube", "conformal"), ("petersen", "conformal")],
+    )
+    def test_random_subfamilies(self, name, kind):
+        """Seeded random, shuffled sub-families split into several
+        components; each is the breadth-first search restricted to the
+        sub-family, and the classes come in canonical order of their
+        least member."""
+        import random
+
+        from copnc.search import enumerate_normal_partitions
+
+        g = generate(name)
+        m = next(perfect_matchings(g)) if kind == "conformal" else None
+        full = enumerate_normal_partitions(g) if kind == "plain" else enumerate_nops(g, conformal_to=m)
+        rng = random.Random(f"{name}-{kind}")
+        split = 0
+        for keep in (0.15, 0.3, 0.5, 0.8):
+            family = [p for p in full if rng.random() < keep]
+            rng.shuffle(family)
+            classes = partition_classes(family, kind, m)
+            assert [set(fold_keys(c)) for c in classes] == restricted_bfs(family, kind, m)
+            assert_family_order(classes, family)
+            split += len(classes) > 1
+        assert split >= 2
+
+    def test_duplicate_members_kept_once(self, k4):
+        family = enumerate_nops(k4)
+        classes = partition_classes(family + family[::-1], "odd")
+        assert len(classes) == 1 and all(a is b for a, b in zip(classes[0], family))
+
+    def test_members_not_of_the_kind(self, k4, k33):
+        from copnc.search import enumerate_normal_partitions
+
+        with pytest.raises(ValueError, match="even trail"):
+            partition_classes(enumerate_normal_partitions(k4), "odd")
+        m = next(perfect_matchings(k33))
+        with pytest.raises(ValueError, match="not conformal"):
+            partition_classes(enumerate_nops(k33), "conformal", m)
+        with pytest.raises(ValueError, match="perfect matching"):
+            partition_classes(enumerate_nops(k4), "conformal", frozenset({0}))
+        with pytest.raises(ValueError, match="unknown move kind"):
+            partition_classes(enumerate_nops(k4), "sideways")
+        assert partition_classes([], "odd") == []
+
+    def test_cap(self, k4, theta):
+        family = enumerate_nops(k4)
+        with pytest.raises(CapExceeded):
+            partition_classes(family, "odd", cap=len(family) - 1)
+        assert len(partition_classes(family, "odd", cap=len(family))[0]) == len(family)
+        m = frozenset({0})
+        assert len(partition_classes(enumerate_nops(theta, conformal_to=m), "conformal", m, cap=1)) == 2

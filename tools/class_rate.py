@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Milliseconds per copnc.switching.partition_classes call on the 15
+queries of the switching benchmark: plain and odd moves on k33, prism and
+cube, and conformal moves over each of the cube's 9 perfect matchings.
+
+Each figure is CPU time (process_time) per call, the best of --repeat
+runs; a run quotients its query's pool in rounds until it has taken
+RUN_SECONDS.  The pools are enumerated beforehand, so only the quotient
+is timed.
+
+Run from the repository root:  python3 tools/class_rate.py [--repeat 5]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from copnc.graph import generate, perfect_matchings  # noqa: E402
+from copnc.search import enumerate_normal_partitions, enumerate_nops  # noqa: E402
+from copnc.switching import partition_classes  # noqa: E402
+
+RUN_SECONDS = 0.2  # least CPU seconds of one run
+
+
+def queries() -> list[tuple[str, list, str, frozenset[int] | None]]:
+    """(name, pool, move kind, matching) of each query."""
+    out = []
+    for name in ("k33", "prism", "cube"):
+        g = generate(name)
+        out.append((f"{name}:plain", enumerate_normal_partitions(g), "plain", None))
+        out.append((f"{name}:odd", enumerate_nops(g), "odd", None))
+    cube = generate("cube")
+    for m in perfect_matchings(cube):
+        ids = ",".join(map(str, sorted(m)))
+        out.append((f"cube:conformal:{ids}", enumerate_nops(cube, conformal_to=m), "conformal", m))
+    return out
+
+
+def measure(pool: list, kind: str, m: frozenset[int] | None, repeat: int) -> tuple[int, int, float]:
+    """(classes, calls, CPU seconds) of the run with the least time per
+    call; a run calls partition_classes in rounds until it has taken
+    RUN_SECONDS of CPU time."""
+    runs = []
+    for _ in range(repeat):
+        calls = 0
+        t0 = time.process_time()
+        while True:
+            classes = partition_classes(pool, kind, m)
+            calls += 1
+            spent = time.process_time() - t0
+            if spent >= RUN_SECONDS:
+                break
+        runs.append((spent / calls, len(classes), calls, spent))
+    _, count, calls, spent = min(runs)
+    return count, calls, spent
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=5, help="runs per query; the best is kept")
+    args = ap.parse_args(argv)
+    print(f"{'query':<27} {'pool':>5} {'classes':>7} {'calls':>6} {'cpu_s':>7} {'ms/call':>8}")
+    total = 0.0
+    for name, pool, kind, m in queries():
+        count, calls, secs = measure(pool, kind, m, args.repeat)
+        total += secs / calls
+        print(f"{name:<27} {len(pool):>5} {count:>7} {calls:>6} {secs:>7.3f} {secs / calls * 1e3:>8.2f}")
+    print(f"{'all 15':<27} {'':>5} {'':>7} {'':>6} {'':>7} {total * 1e3:>8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
