@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional
 
@@ -245,23 +246,17 @@ def cmd_sweep(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
     items = [((gid, g.n, g.endpoints), args.check) for gid, g in graphs]
-    out = open(args.out, "w") if args.out else sys.stdout
     failures = 0
-    try:
+    with ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = pool.map(_sweep_worker, items, chunksize=4)
-                for rep in reports:
-                    out.write(json.dumps(rep, sort_keys=True) + "\n")
-                    failures += 0 if rep.get("agree", True) else 1
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            reports = pool.map(_sweep_worker, items, chunksize=4)
         else:
-            for item in items:
-                rep = _sweep_worker(item)
-                out.write(json.dumps(rep, sort_keys=True) + "\n")
-                failures += 0 if rep.get("agree", True) else 1
-    finally:
-        if args.out:
-            out.close()
+            reports = map(_sweep_worker, items)
+        for rep in reports:
+            out.write(json.dumps(rep, sort_keys=True) + "\n")
+            failures += 0 if rep.get("agree", True) else 1
     if failures:
         print(f"{failures} graphs disagree with the expected property", file=sys.stderr)
         return EXIT_INVALID

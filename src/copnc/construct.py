@@ -27,7 +27,7 @@ import logging
 import random
 from heapq import heappop, heappush
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph import (
     BLUE,
@@ -43,7 +43,6 @@ from .graph import (
 from .partition import (
     NormalPartition,
     agreement,
-    agrees_at,
     associated_matching,
     is_conformal,
     is_odd,
@@ -265,22 +264,26 @@ def conformal_triple(
     budget: int = 10**6,
 ) -> ConformalTriple:
     """Compatible triple conformal to a proper coloring of a simple
-    triangle-free cubic graph, by agreement-set descent.
+    triangle-free cubic graph, by descent on the agreement set A.
 
-    Seeds one partition per color class via the matching route, then while
-    the agreement set A is nonempty picks its lowest vertex and looks for a
-    short sequence of conformal switches that shrinks |A|: first the single
-    switch at v, then a breadth-first search over switch sequences located
-    within distance two of the conflict (covering the two- and four-switch
-    repair patterns, with equal-|A| relocations as intermediate states).
-    If no bounded sequence helps, falls back to seeded random conformal
-    walks with orientation re-seeding, keeping the best state seen.  The
-    budget caps total switch applications; exceeding it raises
-    SearchExhausted, which the theory says should not happen.
+    Seeds one partition per color class by the matching route, then runs
+    on their three mark lists with one rule: while A is not empty, take
+    one vertex out of A with one conformal switch.  A switch rewrites one
+    mark, so it changes A at most at its own vertex, and only switches at
+    vertices of A are tried: first each partition's switch at v = min(A),
+    then each partition's switch at each vertex of A within distance two
+    of v or of the far end of v's doubly marked edge.  The first that
+    takes its vertex out of A is kept; each one before it is undone by one
+    write.  So A only loses vertices, and min(A) is found by a pointer
+    that only moves up.
 
-    A switch at v changes the marking at v only, so A and |A| are updated
-    at the switched vertices instead of being recomputed, and the
-    partitions are decoded into trails once, for the final validation.
+    When no candidate helps, a random conformal walk drawn from seed runs
+    until |A| falls below its value at the start of the walk; after 200
+    tries without that it re-seeds with random cycle orientations, and
+    goes back to the walk's starting state unless the fresh seed is as
+    good.  The budget caps the switches tried; exceeding it raises
+    SearchExhausted, which the theory says should not happen.  The
+    partitions are built and decoded once, for the final validation.
     """
     if coloring is None:
         coloring = proper_3_edge_coloring(g)
@@ -288,116 +291,86 @@ def conformal_triple(
             raise NotThreeEdgeColorable("graph has chromatic index 4")
     coloring = tuple(coloring)
     classes = color_classes(coloring)
-    parts = _conformal_seed(g, classes)
-    spent = 0
+    marks = [list(p.marked) for p in _conformal_seed(g, classes)]
+    m0, m1, m2 = marks
     rng = random.Random(seed)
+    spent = 0
 
-    def switched(cur: list[NormalPartition], size: int, c: int, v: int):
-        """The state after the conformal switch of partition c at v and its
-        |A|, or None.  Only v's marked edge changes, so only v can enter or
-        leave A."""
+    def agrees(v: int) -> bool:
+        a, b, c = m0[v] >> 1, m1[v] >> 1, m2[v] >> 1
+        return a == b or a == c or b == c
+
+    def move(c: int, v: int) -> Optional[int]:
+        """The mark of partition c at v after its conformal switch, or None."""
         nonlocal spent
         spent += 1
         if spent > budget:
             raise SearchExhausted(f"conformal search exceeded {budget} switches")
-        q = conformal_switch(cur[c], classes[c], v)
-        if q is None:
-            return None
-        new = list(cur)
-        new[c] = q
-        return new, size - agrees_at(cur, v) + agrees_at(new, v)
+        return conformal_switch(g, marks[c], classes[c], v)
 
-    def descend_once(cur: list[NormalPartition], agree: set[int]):
-        """A state with a smaller agreement set, or None.  The state comes
-        with the vertices where its marking may differ from cur's."""
-        base = len(agree)
-        v = min(agree)
-        marks = [p.marked[v] >> 1 for p in cur]
-        w = g.other_end(marks[0] if marks.count(marks[0]) > 1 else marks[1], v)
-        sites = _ball(g, [v, w], 2)
-        # single conformal switch at the conflict vertex
+    agree = [agrees(v) for v in range(g.n)]
+    size = sum(agree)
+
+    def candidates(v: int) -> Iterator[tuple[int, int]]:
         for c in (RED, BLUE, YELLOW):
-            step = switched(cur, base, c, v)
-            if step and step[1] < base:
-                return step[0], (v,)
-        # bounded search over switch sequences near the conflict; the core
-        # has no loops, so equal markings mean equal partitions
-        seen = {tuple(p.marked for p in cur)}
-        frontier = [cur]
-        for _ in range(3):
-            nxt = []
-            for state in frontier:
-                for c in (RED, BLUE, YELLOW):
-                    for u in sites:
-                        step = switched(state, base, c, u)
-                        if step is None:
-                            continue
-                        new, size = step
-                        key = tuple(p.marked for p in new)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        if size < base:
-                            return new, sites
-                        if size == base and len(nxt) < 512:
-                            nxt.append(new)
-            frontier = nxt
-            if not frontier:
-                break
-        return None
+            yield c, v
+        at_v = [mk[v] >> 1 for mk in marks]
+        w = g.other_end(at_v[0] if at_v.count(at_v[0]) > 1 else at_v[1], v)
+        near = [u for u in _ball(g, [v, w], 2) if agree[u]]
+        for c in (RED, BLUE, YELLOW):
+            for u in near:
+                yield c, u
 
-    def recheck(agree: set[int], cur: list[NormalPartition], vertices) -> None:
-        for u in vertices:
-            if agrees_at(cur, u):
-                agree.add(u)
-            else:
-                agree.discard(u)
-
-    # A is kept up to date from the switched vertices alone
-    agree = set(agreement(parts))
-    best, best_size = parts, len(agree)
+    low = 0  # no vertex below low is in A
+    # "fallback" sticks, so the final line tells whether the walk ever ran
     strategy = "seed"
-    while True:
-        if len(agree) < best_size:
-            best, best_size = parts, len(agree)
-        if not agree:
-            log.debug("conformal triple reached A=0 via %s", strategy)
-            triple = ConformalTriple(g, coloring, tuple(parts))
-            triple.validate()
-            return triple
-        improved = descend_once(parts, agree)
-        if improved is not None:
-            parts, switched_at = improved
-            recheck(agree, parts, switched_at)
-            strategy = "guided"
-            continue
-        # random fallback: conformal walk, then orientation re-seed on stall
-        strategy = "fallback"
-        stall = 0
-        while stall < 200:
-            c = rng.randrange(3)
-            v = rng.randrange(g.n)
-            step = switched(parts, len(agree), c, v)
-            if step is None:
-                stall += 1
+    while size:
+        while not agree[low]:
+            low += 1
+        for c, u in candidates(low):
+            d = move(c, u)
+            if d is None:
                 continue
-            parts = step[0]
-            recheck(agree, parts, (v,))
-            if len(agree) < best_size:
-                break  # outer loop records the new best and resumes descent
-            stall += 1
+            old, marks[c][u] = marks[c][u], d
+            if not agrees(u):
+                agree[u] = False
+                size -= 1
+                break
+            marks[c][u] = old
         else:
-            cycles = [len(two_factor_cycles(g, classes[c])) for c in range(3)]
-            orientations = tuple(
-                tuple(rng.randrange(2) for _ in range(cycles[c])) for c in range(3)
-            )
-            reseeded = _conformal_seed(g, classes, orientations)
-            # keep the best state seen: restart from it unless the fresh
-            # seed is at least as good
-            if len(agreement(reseeded)) > best_size:
-                reseeded = best
-            parts = reseeded
-            agree = set(agreement(parts))
+            strategy = "fallback"
+            low = 0  # the walk may put any vertex into A
+            start, start_size = [list(mk) for mk in marks], size
+            for _ in range(200):
+                c, v = rng.randrange(3), rng.randrange(g.n)
+                d = move(c, v)
+                if d is None:
+                    continue
+                marks[c][v] = d
+                now = agrees(v)
+                size += now - agree[v]
+                agree[v] = now
+                if size < start_size:
+                    break
+            else:
+                cycles = [len(two_factor_cycles(g, classes[c])) for c in range(3)]
+                orientations = tuple(
+                    tuple(rng.randrange(2) for _ in range(cycles[c])) for c in range(3)
+                )
+                fresh = _conformal_seed(g, classes, orientations)
+                if len(agreement(fresh)) <= start_size:
+                    start = [p.marked for p in fresh]
+                for mk, new in zip(marks, start):
+                    mk[:] = new  # in place: agrees reads m0, m1 and m2
+                agree = [agrees(v) for v in range(g.n)]
+                size = sum(agree)
+            continue
+        if strategy == "seed":
+            strategy = "guided"
+    log.debug("conformal triple reached A=0 via %s", strategy)
+    triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, mk) for mk in marks))
+    triple.validate()
+    return triple
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,8 @@ class NormalPartition:
     and compatibility, agreement and passages read it alone.  The trails
     and the canonical key are decoded from it on first access and cached;
     a partition built by decoding or validating trails carries them from
-    the start.  The associated matching is cached as well: computed from
-    the trails on first use, or given up front by a conformal switch,
-    which checks it locally.
+    the start.  The associated matching is cached as well, computed from
+    the trails on first use.
 
     Equality and hashing treat trails up to reversal: two partitions are
     equal exactly when their trail sets agree modulo reversal, which also
@@ -184,12 +183,12 @@ class NormalPartition:
 
     __slots__ = ("graph", "marked", "_trails", "_key", "_matching")
 
-    def __init__(self, graph: CubicGraph, marked: Sequence[int], matching: Optional[frozenset[int]] = None):
+    def __init__(self, graph: CubicGraph, marked: Sequence[int]):
         self.graph = graph
         self.marked = tuple(marked)          # vertex -> marked dart
         self._trails: Optional[tuple[Trail, ...]] = None
         self._key: Optional[tuple] = None
-        self._matching = matching
+        self._matching: Optional[frozenset[int]] = None
 
     def _decoded(self) -> "NormalPartition":
         if self._trails is None:
@@ -404,9 +403,9 @@ def associated_matching(p: NormalPartition) -> frozenset[int]:
 def is_conformal(p: NormalPartition, m: frozenset[int]) -> bool:
     """True when the odd edges of p are exactly the matching m.
 
-    Always read off the trails, never from a cached matching, so it also
-    audits partitions whose matching was set by a local switch.  Raises
-    NotOdd when some trail has even length.
+    Always read off the trails, never from the cached matching, so it is
+    a check independent of any earlier call.  Raises NotOdd when some
+    trail has even length.
     """
     return _odd_edge_union(p) == frozenset(m)
 

@@ -375,8 +375,9 @@ def complete_system(
     At a cubic vertex three pairwise distinct marked edges must be all
     three incident edges, so the condition is: every slot edge of every
     vertex is marked by some member.  Tiny graphs only; the candidate pool
-    is the full set of normal odd partitions.  The marks are counted as
-    partitions are chosen and dropped, so a search node costs O(n).
+    is the full set of normal odd partitions, so a k larger than the pool
+    gets None at once.  The marks are counted as partitions are chosen and
+    dropped, so a search node costs O(n).
     """
     if k < 3:
         raise ValueError("a complete system has order at least 3")
@@ -419,13 +420,14 @@ def complete_system(
 
     # the search runs on an explicit stack: nexts holds, for each open node
     # on the path (the root, then one per chosen partition), the next pool
-    # index it tries, in the order of the recursion it replaces
+    # index it tries, in the order of the recursion it replaces; a node is
+    # closed once fewer members are left to try than it still has to pick
     if verdict() is not None:  # the root always branches, as k >= 3
         return None
     nexts = [0]
     while nexts:
         i = nexts[-1]
-        if i == len(pool):
+        if len(pool) - i < k - len(chosen):
             nexts.pop()
             if chosen:
                 count(chosen.pop(), -1)

@@ -16,19 +16,22 @@ that also decodes markings: only T_i and T_j change, and the new trails
 are pieces of them joined at v, so walking T_j and T_i from v is enough,
 at a cost of O(|T_i| + |T_j|) whatever the size of the graph.  `switch`
 walks v's two passage darts to find the ends of T_i; odd and conformal
-moves check the new trails' lengths and matching edges.  Results are
-partitions whose trails are decoded only on first use.
+moves check the new trails' lengths and matching edges.
+`conformal_switch` reads a bare marking and returns v's new mark, so the
+conformal descent moves three mark lists in place, one write a switch;
+the other moves return partitions whose trails are decoded only on first
+use.
 
 Partitions are told apart by their fold key: the marking with each loop
 dart folded to its edge's lower dart (marking either dart of a loop gives
 the same partition).  A single class is walked breadth first from a seed
 and deduplicated on fold keys, so the walk decodes nothing but the trails
-of its seed, and those for odd moves only.  A whole family is quotiented
-without moving at all: in the family of all partitions of a kind (normal,
-odd, or conformal to m) the moves from p are exactly the members whose
-fold keys differ from p's at one vertex, so the classes are the connected
-components of one-vertex mark changes, joined from fold keys bucketed once
-per vertex with that vertex left out.
+of its seed, and those for odd and conformal moves only.  A whole family
+is quotiented without moving at all: in the family of all partitions of a
+kind (normal, odd, or conformal to m) the moves from p are exactly the
+members whose fold keys differ from p's at one vertex, so the classes are
+the connected components of one-vertex mark changes, joined from fold
+keys bucketed once per vertex with that vertex left out.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class BadBranch(ValueError):
 
 
 class NotConformalInput(ValueError):
-    """conformal_switch requires a partition conformal to the matching."""
+    """Conformal moves need a seed partition conformal to the matching."""
 
 
 class CapExceeded(RuntimeError):
@@ -69,7 +72,7 @@ def switch(p: NormalPartition, v: int, branch: int) -> NormalPartition:
     return _remarked(p, v, d2 if end1 == branch else d1)
 
 
-def _local_moves(p: NormalPartition, v: int) -> tuple[list[int], dict[int, list[list[int]]]]:
+def _local_moves(g: CubicGraph, marked: Sequence[int], v: int) -> tuple[list[int], dict[int, list[list[int]]]]:
     """The switches at v, on the marking alone.
 
     Only the trail T_j ending at v and the trail T_i through v's passage
@@ -80,9 +83,7 @@ def _local_moves(p: NormalPartition, v: int) -> tuple[list[int], dict[int, list[
     with its new trails, each a list of darts whose edges are the trail's
     edges in order.
     """
-    g = p.graph
-    marked = p.marked
-    d1, d2 = p.passage(v)
+    d1, d2 = [d for d in g.vertex_darts[v] if d != marked[v]]
     tj = walk(g, marked, marked[v])
     if d1 in tj or d2 in tj:
         # T_i = T_j leaves v again at position k: tj[:k] is a closed walk
@@ -102,10 +103,10 @@ def _local_moves(p: NormalPartition, v: int) -> tuple[list[int], dict[int, list[
     return old, new
 
 
-def _remarked(p: NormalPartition, v: int, d: int, matching: Optional[frozenset[int]] = None) -> NormalPartition:
+def _remarked(p: NormalPartition, v: int, d: int) -> NormalPartition:
     marking = list(p.marked)
     marking[v] = d
-    return NormalPartition(p.graph, marking, matching)
+    return NormalPartition(p.graph, marking)
 
 
 def switch_candidates(p: NormalPartition, v: int) -> list[NormalPartition]:
@@ -115,7 +116,7 @@ def switch_candidates(p: NormalPartition, v: int) -> list[NormalPartition]:
     the decodable markings; results come out ordered by the new marked
     dart.
     """
-    return [_remarked(p, v, d) for d in _local_moves(p, v)[1]]
+    return [_remarked(p, v, d) for d in _local_moves(p.graph, p.marked, v)[1]]
 
 
 def _even_trails(p: NormalPartition) -> int:
@@ -126,7 +127,7 @@ def _odd_moves(p: NormalPartition, v: int, evens: int) -> list[NormalPartition]:
     """odd_switches for a p known to have evens even trails: the result is
     odd exactly when the new trails are odd and the old ones held every
     even trail of p."""
-    old, new = _local_moves(p, v)
+    old, new = _local_moves(p.graph, p.marked, v)
     if sum(n % 2 == 0 for n in old) != evens:
         return []
     return [
@@ -149,30 +150,22 @@ def _conformal_trail(darts: Sequence[int], m: frozenset[int]) -> bool:
     return all(((d >> 1) in m) == (i % 2 == 1) for i, d in enumerate(darts))
 
 
-def conformal_switch(
-    p: NormalPartition, m: frozenset[int], v: int
-) -> Optional[NormalPartition]:
-    """The switch at v preserving conformality to m, or None when no such
-    move exists (v internal and end of the same trail in the blocking
-    pattern).
+def conformal_switch(g: CubicGraph, marked: Sequence[int], m: frozenset[int], v: int) -> Optional[int]:
+    """The dart v marks after the switch at v that keeps the partition
+    conformal to the perfect matching m, or None when there is no such
+    switch (v internal and end of the same trail in the blocking pattern).
 
-    At most one candidate can qualify: the move that re-marks v's matching
-    slot makes a matching edge a trail end, which conformality forbids.
-    The other move is the local move, and each of its new trails must be
-    conformal to m.  The result carries m as its matching; its trails are
-    decoded only when asked for.
+    The marking must be one of a partition conformal to m; it is read and
+    never written, so applying the move is one write, marked[v] = the
+    result, and undoing it another.  Of v's two passage darts, the one on
+    m cannot qualify, since its new trail would end on an edge of m; the
+    other qualifies when each of its new trails is conformal to m.  The
+    cost is O(|T_i| + |T_j|), whatever the size of the graph.
     """
-    m = frozenset(m)
-    pm = associated_matching(p)
-    # a switch result carries the caller's m itself, which skips the O(n) compare
-    if pm is not m and pm != m:
-        raise NotConformalInput("partition is not conformal to the matching")
-    d1, d2 = p.passage(v)
-    mark = d2 if (d1 >> 1) in m else d1
-    trails = _local_moves(p, v)[1].get(mark)
-    if trails is None or not all(_conformal_trail(t, m) for t in trails):
-        return None
-    return _remarked(p, v, mark, m)
+    for d, trails in _local_moves(g, marked, v)[1].items():
+        if all(_conformal_trail(t, m) for t in trails):
+            return d
+    return None
 
 
 def _moves(
@@ -190,9 +183,9 @@ def _moves(
     elif kind == "conformal":
         assert matching is not None
         for v in range(g.n):
-            q = conformal_switch(p, matching, v)
-            if q is not None:
-                yield q
+            d = conformal_switch(g, p.marked, matching, v)
+            if d is not None:
+                yield _remarked(p, v, d)
     else:
         raise ValueError(f"unknown move kind '{kind}'")
 
@@ -257,11 +250,16 @@ def reachable_class(
 ) -> list[NormalPartition]:
     """Breadth-first closure of p under the chosen move kind.
 
-    Raises CapExceeded when more than cap partitions get visited.  The
-    result is ordered by discovery, seed first.
+    Raises CapExceeded when more than cap partitions get visited, and
+    NotConformalInput when conformal moves start from a p not conformal to
+    the matching (by default p's own).  The result is ordered by
+    discovery, seed first.
     """
     if kind == "conformal":
         matching = frozenset(matching) if matching else associated_matching(p)
+        # every move keeps p's matching, so the seed is the one to check
+        if associated_matching(p) != matching:
+            raise NotConformalInput("partition is not conformal to the matching")
     return [q for layer in _layers(p, kind, matching, cap) for q in layer]
 
 
@@ -282,8 +280,8 @@ def switch_class(
     exact_diameter_limit members; beyond that the seed eccentricity is
     reported as a lower bound and flagged inexact.
     """
-    if kind == "conformal" and matching is None:
-        matching = associated_matching(p)
+    if kind == "conformal":
+        matching = frozenset(matching) if matching else associated_matching(p)
     members = reachable_class(p, kind, matching, cap)
     if len(members) <= exact_diameter_limit:
         diam = max(_eccentricity(q, kind, matching) for q in members)

@@ -5,6 +5,7 @@ from copnc.construct import (
     NoMatching,
     NotBipartite,
     NotThreeEdgeColorable,
+    SearchExhausted,
     bipartite_triple,
     conformal_triple,
     conformal_triple_general,
@@ -108,6 +109,47 @@ class TestConformalRoute:
     def test_petersen_uncolorable(self, petersen):
         with pytest.raises(NotThreeEdgeColorable):
             conformal_triple(petersen)
+
+    def test_fallback_and_reseed(self, cube, monkeypatch, caplog):
+        """No known input leaves the guided descent, so the random walk
+        and the re-seed are forced: the first 700 switches are blocked."""
+        from copnc import construct
+
+        calls, seeds = [0], [0]
+        switch, seed = construct.conformal_switch, construct._conformal_seed
+
+        def blocked(*args):
+            calls[0] += 1
+            return None if calls[0] <= 700 else switch(*args)
+
+        def counted(*args):
+            seeds[0] += 1
+            return seed(*args)
+
+        monkeypatch.setattr(construct, "conformal_switch", blocked)
+        monkeypatch.setattr(construct, "_conformal_seed", counted)
+        with caplog.at_level("DEBUG", logger="copnc.construct"):
+            t = conformal_triple(cube)
+        t.validate()
+        assert calls[0] > 700 and seeds[0] >= 3
+        assert "reached A=0 via fallback" in caplog.text
+
+    def test_budget_exhausted(self, cube):
+        with pytest.raises(SearchExhausted):
+            conformal_triple(cube, budget=1)
+
+    def test_corpus_needs_no_fallback(self, caplog):
+        """Sentinel: the guided descent alone finishes on every
+        3-edge-colorable corpus graph whose core it runs on."""
+        from copnc.corpus import corpus_upto
+
+        with caplog.at_level("DEBUG", logger="copnc.construct"):
+            for _, g in corpus_upto(12):
+                if proper_3_edge_coloring(g) is not None:
+                    conformal_triple_general(g)
+        lines = [r.getMessage() for r in caplog.records if "reached A=0 via" in r.getMessage()]
+        assert len(lines) > 50
+        assert not any("fallback" in line for line in lines)
 
 
 class TestDigonSurgery:

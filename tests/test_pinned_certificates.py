@@ -5,7 +5,9 @@ shapes that are mostly surgery, at n ~ 200, with each edge listed from an
 end picked by a fixed seed: `construct --method conformal --seed 0` must
 keep writing exactly the certificate bytes pinned below.  A change to the
 descent, the switch, the coloring or the surgeries that alters which
-states are visited shows up here as a digest mismatch.
+states are visited shows up here as a digest mismatch.  The certificates
+of the 169 3-edge-colorable graphs of the shipped corpus are pinned too,
+by one digest over all of them.
 """
 
 import hashlib
@@ -14,6 +16,8 @@ import random
 import pytest
 
 from copnc.cli import main
+from copnc.corpus import corpus_upto
+from copnc.graph import proper_3_edge_coloring
 
 from conftest import circular_ladder, digon_ladder, generalized_petersen3, moebius_ladder, truncated_ladder
 
@@ -41,6 +45,11 @@ PINNED = {
     "digon_200": "6f9ae748ce5feec20e56911c90068b562962c1f0e171d095a4ee849c778f189a",
 }
 
+# SHA-256 of the certificate bytes of every 3-edge-colorable corpus graph
+# with n <= 12, concatenated in corpus order; recorded before the descent
+# ran on plain mark lists
+PINNED_CORPUS = "72a4528925d0be670154699f958a518efa4f7d4e9754884f1cfd6451b719081a"
+
 
 def shape_edges_text(name):
     """Edge-list text of one shape, each edge listed from a random end."""
@@ -50,15 +59,32 @@ def shape_edges_text(name):
     return "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]) + "\n"
 
 
-def certificate_digest(name, tmp_path):
+def certificate_bytes(name, text, tmp_path):
     graph = tmp_path / f"{name}.edges"
-    graph.write_text(shape_edges_text(name))
+    graph.write_text(text)
     cert = tmp_path / f"{name}.json"
     argv = ["construct", "--method", "conformal", "--graph", f"@{graph}", "--seed", "0", "--out", str(cert)]
     assert main(argv) == 0
-    return hashlib.sha256(cert.read_bytes()).hexdigest()
+    return cert.read_bytes()
+
+
+def certificate_digest(name, tmp_path):
+    return hashlib.sha256(certificate_bytes(name, shape_edges_text(name), tmp_path)).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_conformal_certificate_bytes_pinned(name, tmp_path):
     assert certificate_digest(name, tmp_path) == PINNED[name]
+
+
+def test_corpus_certificate_bytes_pinned(tmp_path):
+    digest = hashlib.sha256()
+    count = 0
+    for gid, g in corpus_upto(12):
+        if proper_3_edge_coloring(g) is None:
+            continue
+        text = "\n".join([f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.endpoints]) + "\n"
+        digest.update(certificate_bytes(gid, text, tmp_path))
+        count += 1
+    assert count == 169
+    assert digest.hexdigest() == PINNED_CORPUS

@@ -397,6 +397,14 @@ class TestCompleteSystem:
         with pytest.raises(ValueError):
             complete_system(k4, 2)
 
+    def test_more_picks_than_pool(self, prism):
+        """k = 300 from the prism's 226 partitions: no branch can pick
+        enough, so the search closes its root instead of running to the
+        node cap."""
+        assert len(enumerate_nops(prism)) == 226
+        assert complete_system(prism, 300, cap=1000) is None
+        assert complete_system(prism, 226, cap=1000) == enumerate_nops(prism)
+
     def test_matches_recursive_search(self, k4, k33, prism, cube):
         """The explicit stack picks in the order of the recursion it
         replaced, kept here as the oracle."""

@@ -2,6 +2,7 @@ import pytest
 
 from copnc.graph import CubicGraph, generate, perfect_matchings
 from copnc.partition import (
+    NormalPartition,
     Trail,
     associated_matching,
     is_odd,
@@ -23,6 +24,18 @@ from copnc.switching import (
 )
 
 from conftest import circular_ladder, generalized_petersen3, moebius_ladder
+
+
+def conformal_moved(p, m, v):
+    """p after its conformal switch at v, or None; the switch must leave
+    the marking it reads untouched."""
+    marked = list(p.marked)
+    d = conformal_switch(p.graph, marked, m, v)
+    assert marked == list(p.marked)
+    if d is None:
+        return None
+    marked[v] = d
+    return NormalPartition(p.graph, marked)
 
 
 class TestSwitch:
@@ -124,7 +137,7 @@ class TestConformalSwitch:
         pool = enumerate_nops(cube, conformal_to=m)
         for p in pool[:12]:
             for v in range(cube.n):
-                q = conformal_switch(p, m, v)
+                q = conformal_moved(p, m, v)
                 if q is not None:
                     assert associated_matching(q) == m
                     assert q.marked_edge(v) != p.marked_edge(v)
@@ -134,14 +147,16 @@ class TestConformalSwitch:
         # vertex is internal and an end of the single trail
         m = frozenset({1})
         for p in enumerate_nops(theta, conformal_to=m):
-            assert conformal_switch(p, m, 0) is None
-            assert conformal_switch(p, m, 1) is None
+            assert conformal_switch(theta, p.marked, m, 0) is None
+            assert conformal_switch(theta, p.marked, m, 1) is None
 
     def test_rejects_nonconformal_input(self, cube):
         ms = list(perfect_matchings(cube))
         p = enumerate_nops(cube, conformal_to=ms[0])[0]
         with pytest.raises(NotConformalInput):
-            conformal_switch(p, ms[1], 0)
+            reachable_class(p, "conformal", ms[1])
+        with pytest.raises(NotConformalInput):
+            switch_class(p, "conformal", ms[1])
 
     def test_at_most_one_candidate_qualifies(self, cube, petersen):
         from copnc.partition import associated_matching
@@ -206,7 +221,7 @@ def assert_same_switch(p, m, v):
     """Local switch and decode oracle agree; returns the local result."""
     from copnc.partition import is_conformal, trails_from_marking
 
-    got = conformal_switch(p, m, v)
+    got = conformal_moved(p, m, v)
     want = decode_oracle_switch(p, m, v)
     if want is None:
         assert got is None
@@ -266,12 +281,16 @@ class TestLocalConformalSwitch:
                             assert_same_switch(p, m, v)
 
     def test_result_is_lazy_until_read(self, cube):
+        """The switch reads a bare marking and builds nothing: it returns
+        v's new mark, and the moved marking is decoded only when its
+        partition's trails are read."""
         m = next(perfect_matchings(cube))
-        p = enumerate_nops(cube, conformal_to=m)[0]
-        q = next(q for v in range(cube.n) if (q := conformal_switch(p, m, v)))
+        marked = enumerate_nops(cube, conformal_to=m)[0].marked
+        v, d = next((v, d) for v in range(cube.n) if (d := conformal_switch(cube, marked, m, v)) is not None)
+        assert d in cube.vertex_darts[v] and d != marked[v]
+        q = NormalPartition(cube, marked[:v] + (d,) + marked[v + 1 :])
         assert q._trails is None
-        assert associated_matching(q) is m
-        q.trails
+        assert associated_matching(q) == m
         assert q._trails is not None
 
 
@@ -450,7 +469,7 @@ def moves_at(p, kind, m, v):
         return switch_candidates(p, v)
     if kind == "odd":
         return odd_switches(p, v)
-    q = conformal_switch(p, m, v)
+    q = conformal_moved(p, m, v)
     return [] if q is None else [q]
 
 

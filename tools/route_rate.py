@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""CPU seconds of copnc.construct.conformal_triple_general on two ladders.
+
+  circular   the circular ladder (prism over a cycle), n = 800 ... 6,400;
+             no digon or triangle, so the descent runs on the whole graph
+  truncated  the circular ladder with every vertex replaced by a
+             triangle, n ~ 800 ... 6,400; the route contracts the
+             triangles, runs the descent on a core of n/3 vertices and
+             lifts the triple back
+
+Each figure is CPU time (process_time) of one call, the best of --repeat
+calls; graphs are built beforehand.  The ratio column is the time over
+that of the row before, so a route linear in n reads about 2 per
+doubling.
+
+Run from the repository root:  python3 tools/route_rate.py [--repeat 3]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from copnc.construct import conformal_triple_general  # noqa: E402
+from copnc.graph import CubicGraph  # noqa: E402
+from search_rate import circular_ladder  # noqa: E402
+
+SIZES = (800, 1600, 3200, 6400)
+
+
+def truncated_ladder(r: int) -> CubicGraph:
+    """The circular ladder on 2r vertices with every vertex a triangle."""
+    base = circular_ladder(r)
+    used = [0] * base.n
+    edges = []
+    for u, v in base.endpoints:
+        edges.append((3 * u + used[u], 3 * v + used[v]))
+        used[u] += 1
+        used[v] += 1
+    for v in range(base.n):
+        edges += [(3 * v, 3 * v + 1), (3 * v + 1, 3 * v + 2), (3 * v + 2, 3 * v)]
+    return CubicGraph(3 * base.n, edges)
+
+
+def measure(g: CubicGraph, repeat: int) -> float:
+    """Best CPU seconds of one conformal_triple_general call on g."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.process_time()
+        conformal_triple_general(g)
+        best = min(best, time.process_time() - t0)
+    return best
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=3, help="calls per graph; the best is kept")
+    args = ap.parse_args(argv)
+    cases = [
+        ("circular", [circular_ladder(n // 2) for n in SIZES]),
+        ("truncated", [truncated_ladder(round(n / 6)) for n in SIZES]),
+    ]
+    print(f"{'case':<10} {'n':>6} {'cpu_s':>8} {'ratio':>6}")
+    for name, graphs in cases:
+        prev = None
+        for g in graphs:
+            secs = measure(g, args.repeat)
+            ratio = f"{secs / prev:>6.2f}" if prev else f"{'-':>6}"
+            print(f"{name:<10} {g.n:>6} {secs:>8.3f} {ratio}")
+            prev = secs
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
