@@ -40,16 +40,7 @@ from .partition import (
     trails_from_marking,
     validate_normal,
 )
-from .switching import (
-    BadBranch,
-    CapExceeded,
-    conformal_switch,
-    odd_switches,
-    partition_classes,
-    switch,
-    switch_candidates,
-    switch_class,
-)
+from .switching import CapExceeded, conformal_switch, partition_classes
 from .construct import (
     ConformalTriple,
     NoMatching,

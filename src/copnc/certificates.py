@@ -19,7 +19,7 @@ import json
 from typing import Optional, Sequence
 
 from .graph import CubicGraph, Malformed, NonCubic
-from .partition import InvalidPartition, MalformedTrail, NormalPartition, Trail, agreement, validate_normal
+from .partition import InvalidPartition, MalformedTrail, NormalPartition, Trail, agreement, is_odd, validate_normal
 
 SCHEMA = "copnc/1"
 
@@ -75,11 +75,13 @@ def parse_graph(doc: dict) -> CubicGraph:
 
 
 def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -> dict:
-    """Full verification: trails form normal partitions; with two or more
-    partitions they must be pairwise compatible.
+    """Full verification: trails form normal odd partitions; with two or
+    more partitions they must be pairwise compatible.
 
     Returns a report dict with "ok" plus per-partition diagnostics; never
-    raises for semantic failures.  A document of the wrong shape raises
+    raises for semantic failures.  The entry of each normal partition
+    carries its "lengths" and whether it is "odd"; the indices of the even
+    ones are listed under "even".  A document of the wrong shape raises
     CertificateError: not an object, a graph payload that is not a cubic
     graph, or partitions that are not a non-empty list of lists."""
     if not isinstance(doc, dict):
@@ -115,6 +117,10 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
             report["ok"] = False
         else:
             entry["lengths"] = sorted(p.lengths(), reverse=True)
+            entry["odd"] = is_odd(p)
+            if not entry["odd"]:
+                report["ok"] = False
+                report.setdefault("even", []).append(i)
         report["partitions"].append(entry)
     live = [p for p in parts if p is not None]
     if len(live) == len(parts) and len(live) >= 2:

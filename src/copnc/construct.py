@@ -168,12 +168,20 @@ def nop_from_matching(
         if m is None:
             raise NoMatching("graph has no perfect matching")
     m = frozenset(m)
+    p = trails_from_marking(g, _incoming_marks(g, m, orientation))
+    assert is_odd(p) and associated_matching(p) == m
+    return p
+
+
+def _incoming_marks(
+    g: CubicGraph, m: frozenset[int], orientation: Optional[Sequence[int]]
+) -> list[int]:
+    """nop_from_matching's marking: every vertex marks its incoming
+    2-factor dart."""
     marking = [0] * g.n
     for d in _outgoing_darts(g, m, orientation):
         marking[g.dart_vertex(d ^ 1)] = d ^ 1
-    p = trails_from_marking(g, marking)
-    assert is_odd(p) and associated_matching(p) == m
-    return p
+    return marking
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +244,10 @@ def _conformal_seed(
     g: CubicGraph,
     classes: tuple[frozenset[int], frozenset[int], frozenset[int]],
     orientations: tuple[Optional[Sequence[int]], ...] = (None, None, None),
-) -> list[NormalPartition]:
-    return [
-        nop_from_matching(g, classes[c], orientations[c]) for c in (RED, BLUE, YELLOW)
-    ]
+) -> list[list[int]]:
+    """The mark lists of nop_from_matching for the three color classes,
+    undecoded: the triple's final validation checks what they become."""
+    return [_incoming_marks(g, classes[c], orientations[c]) for c in (RED, BLUE, YELLOW)]
 
 
 def _ball(g: CubicGraph, centers: Sequence[int], radius: int = 2) -> list[int]:
@@ -282,8 +290,9 @@ def conformal_triple(
     tries without that it re-seeds with random cycle orientations, and
     goes back to the walk's starting state unless the fresh seed is as
     good.  The budget caps the switches tried; exceeding it raises
-    SearchExhausted, which the theory says should not happen.  The
-    partitions are built and decoded once, for the final validation.
+    SearchExhausted, which the theory says should not happen.  The seed
+    and every move stay mark lists; the partitions are built and decoded
+    once, for the final validation.
     """
     if coloring is None:
         coloring = proper_3_edge_coloring(g)
@@ -291,7 +300,7 @@ def conformal_triple(
             raise NotThreeEdgeColorable("graph has chromatic index 4")
     coloring = tuple(coloring)
     classes = color_classes(coloring)
-    marks = [list(p.marked) for p in _conformal_seed(g, classes)]
+    marks = _conformal_seed(g, classes)
     m0, m1, m2 = marks
     rng = random.Random(seed)
     spent = 0
@@ -358,8 +367,9 @@ def conformal_triple(
                     tuple(rng.randrange(2) for _ in range(cycles[c])) for c in range(3)
                 )
                 fresh = _conformal_seed(g, classes, orientations)
-                if len(agreement(fresh)) <= start_size:
-                    start = [p.marked for p in fresh]
+                # |A| of the fresh seed, read off its mark lists
+                if sum(len({mk[v] >> 1 for mk in fresh}) < 3 for v in range(g.n)) <= start_size:
+                    start = fresh
                 for mk, new in zip(marks, start):
                     mk[:] = new  # in place: agrees reads m0, m1 and m2
                 agree = [agrees(v) for v in range(g.n)]

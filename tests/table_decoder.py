@@ -1,14 +1,12 @@
-"""The table decoder: the oracle for copnc.partition.trails_from_marking
-and for the local copnc.switching.switch.
+"""The table decoder: the oracle for copnc.partition.trails_from_marking.
 
 This is the decoder the library ran before it walked trails with
 partition.walk.  It pairs each vertex's two unmarked darts in a successor
 table, walks every trail through that table, builds each trail with
-Trail's checked constructor, and reads the marking, the passages and the
-edge positions back off the sorted trails.  At a loop end that marking
-holds the loop's lower dart on a first edge and its upper dart on a last
-edge, whichever dart was given.  Its switch finds the trail through v's
-passage by edge position and decodes the re-marked marking in full.
+Trail's checked constructor, and reads the marking and the passages back
+off the sorted trails.  At a loop end that marking holds the loop's lower
+dart on a first edge and its upper dart on a last edge, whichever dart
+was given.
 """
 
 from dataclasses import dataclass
@@ -16,7 +14,6 @@ from typing import Optional, Sequence
 
 from copnc.graph import CubicGraph
 from copnc.partition import CycleError, Trail
-from copnc.switching import BadBranch
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,6 @@ class Decoded:
     trails: tuple[Trail, ...]
     marked: tuple[int, ...]                   # read off the trail ends
     passage: tuple[tuple[int, int], ...]      # vertex -> its internal darts, sorted
-    edge_pos: tuple[tuple[int, int], ...]     # edge -> (trail index, 1-based position)
 
     @property
     def key(self) -> tuple:
@@ -76,30 +72,11 @@ def decode(g: CubicGraph, marking: Sequence[int]) -> Decoded:
     trails.sort(key=lambda t: t.key)
     marked = [-1] * g.n
     passage: list[Optional[tuple[int, int]]] = [None] * g.n
-    edge_pos = [(-1, -1)] * g.m
-    for ti, t in enumerate(trails):
+    for t in trails:
         marked[t.vertices[0]] = t.out_darts[0]
         marked[t.vertices[-1]] = t.out_darts[-1] ^ 1
-        for i, e in enumerate(t.edges):
-            edge_pos[e] = (ti, i + 1)
         for i in range(1, len(t.vertices) - 1):
             into, outof = t.out_darts[i - 1] ^ 1, t.out_darts[i]
             passage[t.vertices[i]] = (min(into, outof), max(into, outof))
-    return Decoded(tuple(trails), tuple(marked), tuple(passage), tuple(edge_pos))
+    return Decoded(tuple(trails), tuple(marked), tuple(passage))
 
-
-def switch(g: CubicGraph, p: Decoded, v: int, branch: int) -> Decoded:
-    """The switch on v toward branch by full decodes: the new mark is the
-    passage dart on the far side of v from the branch end of the trail
-    through v's passage; BadBranch for branch = v, for a vertex that is no
-    end of that trail, and for a new marking that closes a cycle."""
-    t = p.trails[p.edge_pos[p.passage[v][0] >> 1][0]]
-    if branch == v or branch not in t.ends:
-        raise BadBranch(f"vertex {branch} is not a usable end of the trail through {v}")
-    i = next(k for k in range(1, len(t.vertices) - 1) if t.vertices[k] == v)
-    marking = list(p.marked)
-    marking[v] = t.out_darts[i] if branch == t.vertices[0] else t.out_darts[i - 1] ^ 1
-    try:
-        return decode(g, marking)
-    except CycleError as exc:
-        raise BadBranch(f"switch on {v} toward end {branch} closes a cycle") from exc

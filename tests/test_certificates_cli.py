@@ -276,3 +276,119 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == 5
         assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def even_k4_doc():
+    """The first triple of the three-partition search without its parity
+    prune on k4: lengths [5, 1], [4, 2] and [4, 2], so two even members."""
+    from copnc.graph import generate
+    from copnc.partition import NormalPartition
+    from copnc.search import _Search
+
+    g = generate("k4")
+    markings = next(_Search(g, 3, odd=False).solutions())
+    return C.certificate(g, [NormalPartition(g, mk) for mk in markings])
+
+
+class TestOddness:
+    def test_even_partition_named(self):
+        report = C.validate_certificate(even_k4_doc())
+        assert not report["ok"] and report["even"] == [1, 2]
+        assert [e["lengths"] for e in report["partitions"]] == [[5, 1], [4, 2], [4, 2]]
+        assert [e["odd"] for e in report["partitions"]] == [True, False, False]
+        assert "incompatible" not in report
+
+    def test_even_partition_exit(self, tmp_path, capsys):
+        p = tmp_path / "even.json"
+        p.write_text(C.dumps(even_k4_doc()))
+        assert main(["validate", str(p)]) == 2
+        assert json.loads(capsys.readouterr().out)["even"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--method", "matching", "--graph", "petersen"],
+            ["construct", "--method", "conformal", "--graph", "prism"],
+            ["family", "goldberg:5", "--emit-partitions"],
+        ],
+    )
+    def test_emitted_partitions_odd(self, tmp_path, capsys, argv):
+        out = tmp_path / "cert.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(e["odd"] for e in report["partitions"]) and "even" not in report
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 40)
+        | st.integers()
+        | st.floats()
+        | st.text(max_size=4)
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _paths(node, path=()):
+    """Every field of a JSON document, as key/index paths from its root."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, child in items:
+        yield from _paths(child, path + (k,))
+
+
+class TestCertificateFuzz:
+    """One field of a valid certificate replaced, removed or nudged by one:
+    validate answers with an exit code and never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def bases(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("bases")
+        for name, argv in (
+            ("cube", ["construct", "--method", "conformal", "--graph", "cube"]),
+            ("petersen", ["family", "petersen", "--emit-partitions"]),
+        ):
+            assert main(argv + ["--out", str(d / f"{name}.json")]) == 0
+        return d, [json.loads((d / f"{name}.json").read_text()) for name in ("cube", "petersen")]
+
+    def test_single_field_mutations(self, bases):
+        import copy
+
+        from hypothesis import given, seed, settings
+        from hypothesis import strategies as st
+
+        d, docs = bases
+        path = d / "mutant.json"
+        fields = [st.sampled_from(list(_paths(doc))[1:]) for doc in docs]
+        values = _json_values()
+
+        @seed(20121)
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(st.data())
+        def check(data):
+            which = data.draw(st.sampled_from([0, 1]))
+            doc = copy.deepcopy(docs[which])
+            *head, last = data.draw(fields[which])
+            parent = doc
+            for k in head:
+                parent = parent[k]
+            how = data.draw(st.sampled_from(["replace", "remove", "nudge"]))
+            if how == "remove":
+                del parent[last]
+            elif how == "nudge" and type(parent[last]) is int:
+                parent[last] += data.draw(st.sampled_from([-1, 1]))
+            else:
+                parent[last] = data.draw(values)
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path)]) in (0, 2, 5)
+
+        check()

@@ -110,6 +110,25 @@ class TestConformalRoute:
         with pytest.raises(NotThreeEdgeColorable):
             conformal_triple(petersen)
 
+    def test_route_decodes_only_the_result(self, monkeypatch):
+        """The seed and the descent stay mark lists: on a circular ladder
+        the route decodes the three partitions it validates, no more."""
+        from conftest import circular_ladder
+
+        from copnc import construct, partition
+
+        calls = [0]
+        decode = partition.trails_from_marking
+
+        def counted(*args):
+            calls[0] += 1
+            return decode(*args)
+
+        monkeypatch.setattr(partition, "trails_from_marking", counted)
+        monkeypatch.setattr(construct, "trails_from_marking", counted)
+        conformal_triple_general(CubicGraph(*circular_ladder(50))).validate()
+        assert calls[0] == 3
+
     def test_fallback_and_reseed(self, cube, monkeypatch, caplog):
         """No known input leaves the guided descent, so the random walk
         and the re-seed are forced: the first 700 switches are blocked."""

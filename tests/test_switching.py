@@ -1,27 +1,19 @@
+from functools import lru_cache
+
 import pytest
 
 from copnc.graph import CubicGraph, generate, perfect_matchings
 from copnc.partition import (
+    CycleError,
     NormalPartition,
     Trail,
     associated_matching,
     is_odd,
-    stats,
+    trails_from_marking,
     validate_normal,
 )
 from copnc.search import enumerate_nops
-from copnc.switching import (
-    BadBranch,
-    CapExceeded,
-    NotConformalInput,
-    conformal_switch,
-    odd_switches,
-    partition_classes,
-    reachable_class,
-    switch,
-    switch_candidates,
-    switch_class,
-)
+from copnc.switching import CapExceeded, conformal_switch, partition_classes
 
 from conftest import circular_ladder, generalized_petersen3, moebius_ladder
 
@@ -38,96 +30,78 @@ def conformal_moved(p, m, v):
     return NormalPartition(p.graph, marked)
 
 
+@lru_cache(maxsize=None)
+def decodes_odd(g, marking):
+    """None when the marking closes a cycle, else whether it decodes to
+    an odd partition.  Cached, since the class tests re-mark every family
+    member at every vertex."""
+    try:
+        return is_odd(trails_from_marking(g, marking))
+    except CycleError:
+        return None
+
+
+def decode_oracle_candidates(p, v, odd=False):
+    """Every switch result at v by its definition: each of v's two
+    passage darts as its new mark, kept when the marking decodes (to an
+    odd partition, with odd set)."""
+    g, marked = p.graph, p.marked
+    out = []
+    for d in p.passage(v):
+        marking = marked[:v] + (d,) + marked[v + 1 :]
+        flag = decodes_odd(g, marking)
+        if flag or (flag is not None and not odd):
+            out.append(NormalPartition(g, marking))
+    return out
+
+
 class TestSwitch:
-    def test_marked_delta_is_exactly_v(self, k4):
-        for p in enumerate_nops(k4)[:10]:
-            for v in range(4):
-                for q in switch_candidates(p, v):
-                    delta = [
-                        u for u in range(4) if q.marked_edge(u) != p.marked_edge(u)
-                    ]
-                    assert delta == [v]
+    """The switch by its definition: v's new mark is one of its passage
+    darts, kept when the marking decodes."""
 
     def test_switch_then_inverse_restores(self, cube):
-        p = enumerate_nops(cube)[0]
-        for v in range(cube.n):
-            e = p.passage_edges(v)[0]
-            t = next(t for t in p.trails if e in t.edges)
-            for branch in set(t.ends) - {v}:
-                q = switch(p, v, branch)
-                back = [r for r in switch_candidates(q, v) if r == p]
-                assert back, "switch must be reversible by a switch at v"
-
-    def test_results_are_valid_partitions(self, petersen):
-        p = enumerate_nops(petersen)[0]
-        for v in range(petersen.n):
-            for q in switch_candidates(p, v):
-                assert not validate_normal(q.graph, q.trails) is None
+        # the conformal switch at v undoes itself
+        for m in list(perfect_matchings(cube))[:3]:
+            for p in enumerate_nops(cube, conformal_to=m)[:12]:
+                for v in range(cube.n):
+                    d = conformal_switch(cube, p.marked, m, v)
+                    if d is not None:
+                        q = p.marked[:v] + (d,) + p.marked[v + 1 :]
+                        assert conformal_switch(cube, q, m, v) == p.marked[v]
 
     def test_theta_partial_reversal(self, theta):
         # single-trail partition; the switch on vertex 0 reverses the closed
         # part and re-ends the trail, worked out by following the rewrite
         p = validate_normal(theta, [Trail(theta, (0, 1, 0, 1), (0, 1, 2))])
-        q = switch(p, 0, branch=1)
+        (q,) = decode_oracle_candidates(p, 0)
         assert q.trails[0] == Trail(theta, (0, 1, 0, 1), (1, 0, 2))
 
-    def test_bad_branch(self, theta):
-        p = validate_normal(theta, [Trail(theta, (0, 1, 0, 1), (0, 1, 2))])
-        with pytest.raises(BadBranch):
-            switch(p, 0, branch=0)
-
     def test_candidate_count_matches_trail_case(self, cube):
-        # distinct trails at v give two branches, same trail exactly one
+        # distinct trails at v give two switches, same trail exactly one
         p = enumerate_nops(cube)[0]
         for v in range(cube.n):
             e = p.passage_edges(v)[0]
             same = v in next(t for t in p.trails if e in t.edges).ends
-            assert len(switch_candidates(p, v)) == (1 if same else 2)
+            assert len(decode_oracle_candidates(p, v)) == (1 if same else 2)
 
 
 class TestOddSwitches:
-    def test_results_all_odd_and_balanced(self, k33):
-        for p in enumerate_nops(k33)[:20]:
-            for v in range(k33.n):
-                for q in odd_switches(p, v):
-                    assert is_odd(q)
-                    assert stats(q).balance() == 0
-
-    def test_filter_semantics(self, petersen):
-        p = enumerate_nops(petersen)[0]
-        for v in range(petersen.n):
-            odd = odd_switches(p, v)
-            assert odd == [q for q in switch_candidates(p, v) if is_odd(q)]
-
     def test_k33_counts_against_direct_decode(self, k33):
-        """Independent route: re-mark each vertex slot by hand, decode, and
-        filter for oddness; on the all-length-3 triple member every vertex
-        admits exactly one odd switch."""
+        """On the all-length-3 triple member every vertex admits exactly
+        one odd switch, and it is the conformal switch."""
         from copnc.construct import bipartite_triple
-        from copnc.partition import CycleError, trails_from_marking
 
         p = bipartite_triple(k33).partitions[0]
+        m = associated_matching(p)
         for v in range(6):
-            direct = []
-            for d in k33.vertex_darts[v]:
-                if d == p.marked[v]:
-                    continue
-                marking = list(p.marked)
-                marking[v] = d
-                try:
-                    q = trails_from_marking(k33, marking)
-                except CycleError:
-                    continue
-                if is_odd(q):
-                    direct.append(q)
-            got = odd_switches(p, v)
-            assert len(got) == len(direct) == 1
-            assert got[0] == direct[0]
+            odd = decode_oracle_candidates(p, v, odd=True)
+            assert len(odd) == 1
+            assert conformal_moved(p, m, v) == odd[0]
 
     def test_dumbbell_loop_switch_is_identity(self, dumbbell):
         p = enumerate_nops(dumbbell)[0]
         for v in range(2):
-            for q in switch_candidates(p, v):
+            for q in decode_oracle_candidates(p, v):
                 assert q == p  # re-marking the other loop dart changes nothing
 
 
@@ -152,22 +126,17 @@ class TestConformalSwitch:
 
     def test_rejects_nonconformal_input(self, cube):
         ms = list(perfect_matchings(cube))
-        p = enumerate_nops(cube, conformal_to=ms[0])[0]
-        with pytest.raises(NotConformalInput):
-            reachable_class(p, "conformal", ms[1])
-        with pytest.raises(NotConformalInput):
-            switch_class(p, "conformal", ms[1])
+        with pytest.raises(ValueError, match="not conformal"):
+            partition_classes(enumerate_nops(cube, conformal_to=ms[0]), "conformal", ms[1])
 
     def test_at_most_one_candidate_qualifies(self, cube, petersen):
-        from copnc.partition import associated_matching
-
         for g in (cube, petersen):
             for p in enumerate_nops(g)[:8]:
                 m = associated_matching(p)
                 for v in range(g.n):
                     winners = [
                         q
-                        for q in switch_candidates(p, v)
+                        for q in decode_oracle_candidates(p, v)
                         if is_odd(q) and associated_matching(q) == m
                     ]
                     assert len(winners) <= 1
@@ -192,17 +161,9 @@ class TestClasses:
             classes = partition_classes(pool, "conformal", m)
             assert len(classes) == 1
 
-    def test_summary_diameter(self, theta):
-        pool = enumerate_nops(theta)
-        summary, members = switch_class(pool[0], "odd")
-        assert summary.size == len(members) == 6
-        assert summary.diameter_exact
-        assert summary.diameter >= 1
-
     def test_cap(self, petersen):
-        p = enumerate_nops(petersen)[0]
         with pytest.raises(CapExceeded):
-            reachable_class(p, "odd", cap=5)
+            partition_classes(enumerate_nops(petersen), "odd", cap=5)
 
 
 def decode_oracle_switch(p, m, v):
@@ -210,7 +171,7 @@ def decode_oracle_switch(p, m, v):
     when odd with associated matching m."""
     winners = [
         q
-        for q in switch_candidates(p, v)
+        for q in decode_oracle_candidates(p, v)
         if is_odd(q) and associated_matching(q) == m
     ]
     assert len(winners) <= 1
@@ -294,163 +255,6 @@ class TestLocalConformalSwitch:
         assert q._trails is not None
 
 
-def decode_oracle_candidates(p, v):
-    """Every switch result at v by full decodes: each passage dart of the
-    decoded p as v's new mark, kept when the marking decodes."""
-    from copnc.partition import CycleError, trails_from_marking
-
-    out = []
-    for d in p.passage(v):
-        marking = list(p.marked)
-        marking[v] = d
-        try:
-            out.append(trails_from_marking(p.graph, marking))
-        except CycleError:
-            continue
-    return out
-
-
-def assert_same_results(got, want):
-    """Local results against decoded ones: equal partitions, equal marked
-    edges and equal fold keys (raw marked darts may differ at loops)."""
-    from copnc.switching import _fold_key, _loop_uppers
-
-    assert [q.key for q in got] == [q.key for q in want]
-    assert [q.marked_edges() for q in got] == [q.marked_edges() for q in want]
-    if got:
-        loops = _loop_uppers(got[0].graph)
-        assert [_fold_key(q, loops) for q in got] == [_fold_key(q, loops) for q in want]
-
-
-class TestLocalMoves:
-    """Plain and odd switches walk the two changed trails on the marking;
-    the oracle decodes every candidate marking in full."""
-
-    def test_small_multigraphs_every_vertex(self):
-        from copnc.corpus import corpus_all
-        from copnc.search import enumerate_normal_partitions
-
-        checked = 0
-        for n in (2, 4, 6):
-            for _, g in corpus_all(n):
-                for p in enumerate_normal_partitions(g):
-                    for v in range(g.n):
-                        want = decode_oracle_candidates(p, v)
-                        assert_same_results(switch_candidates(p, v), want)
-                        odd = [q for q in want if is_odd(q)]
-                        assert_same_results(odd_switches(p, v), odd)
-                        checked += 1
-        assert checked > 10000
-
-    def test_fold_key_equality_is_key_equality(self):
-        from copnc.corpus import corpus_all
-        from copnc.partition import CycleError, NormalPartition, trails_from_marking
-        from copnc.search import enumerate_markings
-        from copnc.switching import _fold_key, _loop_uppers
-
-        for n in (2, 4, 6):
-            for gid, g in corpus_all(n):
-                loops = _loop_uppers(g)
-                key_of, fold_of = {}, {}
-                for marking in enumerate_markings(g):
-                    try:
-                        key = trails_from_marking(g, marking).key
-                    except CycleError:
-                        continue
-                    fk = _fold_key(NormalPartition(g, marking), loops)
-                    assert key_of.setdefault(fk, key) == key, gid
-                    assert fold_of.setdefault(key, fk) == fk, gid
-
-    def test_odd_switch_from_a_non_odd_partition(self, cube):
-        from copnc.search import enumerate_normal_partitions
-
-        found = 0
-        for p in enumerate_normal_partitions(cube)[:200]:
-            if is_odd(p):
-                continue
-            for v in range(cube.n):
-                odd = [q for q in switch_candidates(p, v) if is_odd(q)]
-                assert odd_switches(p, v) == odd
-                found += bool(odd)
-        assert found, "some even partition of the cube switches to an odd one"
-
-    @pytest.mark.parametrize("kind", ["plain", "odd", "conformal"])
-    def test_class_walk_results_stay_lazy(self, cube, kind):
-        m = next(perfect_matchings(cube))
-        p = enumerate_nops(cube, conformal_to=m)[0]
-        members = reachable_class(p, kind, m if kind == "conformal" else None)
-        assert members[0] is p and len(members) > 100
-        assert all(q._trails is None for q in members[1:])
-
-    def test_non_odd_seed_under_odd_moves(self, k4):
-        """The seed of an odd class walk need not be odd; every partition
-        it reaches is."""
-        from copnc.search import enumerate_normal_partitions
-
-        p = next(p for p in enumerate_normal_partitions(k4) if not is_odd(p))
-        summary, members = switch_class(p, "odd")
-        assert members[0] is p
-        assert all(is_odd(q) for q in members[1:])
-        assert summary.size == len(members) == len(set(members))
-
-
-class TestSwitchOracle:
-    """The local switch against the table decoder's switch, which finds
-    the trail through v's passage by edge position and decodes the new
-    marking in full."""
-
-    @staticmethod
-    def assert_same_switches(p, want_p):
-        import table_decoder
-
-        g = p.graph
-        for v in range(g.n):
-            for branch in range(g.n):
-                try:
-                    want = table_decoder.switch(g, want_p, v, branch)
-                except BadBranch:
-                    want = None
-                try:
-                    got = switch(p, v, branch)
-                except BadBranch:
-                    assert want is None, (p.marked, v, branch)
-                    continue
-                assert want is not None, (p.marked, v, branch)
-                assert got.key == want.key
-                assert got.marked_edges() == tuple(d >> 1 for d in want.marked)
-                assert [u for u in range(g.n) if got.marked[u] != p.marked[u]] == [v]
-
-    def test_every_partition_small(self):
-        """Every (v, branch) on every normal partition of every corpus
-        graph with n <= 6."""
-        import table_decoder
-
-        from copnc.corpus import corpus_all
-        from copnc.search import enumerate_normal_partitions
-
-        for n in (2, 4, 6):
-            for _, g in corpus_all(n):
-                for p in enumerate_normal_partitions(g):
-                    self.assert_same_switches(p, table_decoder.decode(g, p.marked))
-
-    def test_every_marking_n8(self):
-        """Every (v, branch) on each marking that decodes among every 32nd
-        marking of every 4th corpus graph with n = 8."""
-        import table_decoder
-
-        from copnc.corpus import corpus_all
-        from copnc.partition import CycleError, trails_from_marking
-        from copnc.search import enumerate_markings
-
-        for _, g in corpus_all(8)[::4]:
-            for marking in list(enumerate_markings(g))[::32]:
-                try:
-                    want_p = table_decoder.decode(g, marking)
-                except CycleError:
-                    continue
-                self.assert_same_switches(trails_from_marking(g, marking), want_p)
-
-
 def complete_families(g):
     """(kind, matching, family) for every complete family of g: all normal
     partitions, all odd ones, and the ones conformal to each perfect
@@ -464,22 +268,30 @@ def complete_families(g):
 
 
 def moves_at(p, kind, m, v):
-    """The switches of the kind at v, by the local moves."""
+    """The switches of the kind at v: by their definition for plain and
+    odd moves, by the local conformal switch for conformal ones."""
     if kind == "plain":
-        return switch_candidates(p, v)
+        return decode_oracle_candidates(p, v)
     if kind == "odd":
-        return odd_switches(p, v)
+        return decode_oracle_candidates(p, v, odd=True)
     q = conformal_moved(p, m, v)
     return [] if q is None else [q]
 
 
-def fold_keys(parts):
-    from copnc.switching import _fold_key, _loop_uppers
+@lru_cache(maxsize=None)
+def loop_uppers(g):
+    return frozenset(2 * e + 1 for e, (u, w) in enumerate(g.endpoints) if u == w)
 
+
+def fold_keys(parts):
+    """Each marking with every loop's upper dart folded to its lower one
+    (marking either dart of a loop gives the same partition)."""
     if not parts:
         return []
-    loops = _loop_uppers(parts[0].graph)
-    return [_fold_key(p, loops) for p in parts]
+    uppers = loop_uppers(parts[0].graph)
+    if not uppers:
+        return [p.marked for p in parts]
+    return [tuple(d ^ 1 if d in uppers else d for d in p.marked) for p in parts]
 
 
 def restricted_bfs(family, kind, m):
@@ -516,8 +328,9 @@ def assert_family_order(classes, family):
 
 
 class TestClassComponents:
-    """partition_classes joins one-vertex mark changes; the local moves
-    and the breadth-first class walks are its oracles."""
+    """partition_classes joins one-vertex mark changes; the switches by
+    their definition, and breadth-first search over them, are its
+    oracles."""
 
     def test_moves_are_one_vertex_mark_changes(self):
         """In a complete family the switches at v are exactly the members
@@ -547,7 +360,7 @@ class TestClassComponents:
     def test_classes_match_class_walks(self):
         """Every complete family of every corpus graph with n <= 6 (loop
         graphs included) and every 8th with n = 8: the components are the
-        reachable_class walks from the seeds in canonical order."""
+        breadth-first searches over the switches, in canonical order."""
         from copnc.corpus import corpus_all
 
         graphs = [g for n in (2, 4, 6) for _, g in corpus_all(n)]
@@ -556,12 +369,7 @@ class TestClassComponents:
         for g in graphs:
             for kind, m, family in complete_families(g):
                 classes = partition_classes(family, kind, m)
-                seen, want = set(), []
-                for p, k in zip(family, fold_keys(family)):
-                    if k not in seen:
-                        want.append(set(fold_keys(reachable_class(p, kind, m))))
-                        seen |= want[-1]
-                assert [set(fold_keys(c)) for c in classes] == want, (kind, m)
+                assert [set(fold_keys(c)) for c in classes] == restricted_bfs(family, kind, m), (kind, m)
                 assert_family_order(classes, family)
                 split += len(classes) > 1
         assert split == 3  # theta's two conformal singletons, for each matching
@@ -592,6 +400,36 @@ class TestClassComponents:
             assert_family_order(classes, family)
             split += len(classes) > 1
         assert split >= 2
+
+    def test_loop_darts_fold(self):
+        """Every corpus graph with n <= 6: a family holding every decodable
+        marking and its loop-dart variant (each loop end marking the other
+        dart of its loop) keeps one member per partition, and its classes
+        are those of the family with one marking per partition."""
+        from copnc.corpus import corpus_all
+        from copnc.search import enumerate_markings
+
+        looped = 0
+        for n in (2, 4, 6):
+            for gid, g in corpus_all(n):
+                loops = {e for e, (u, w) in enumerate(g.endpoints) if u == w}
+                family, distinct = [], {}
+                for marking in enumerate_markings(g):
+                    try:
+                        p = trails_from_marking(g, marking)
+                    except CycleError:
+                        continue
+                    flipped = tuple(d ^ 1 if d >> 1 in loops else d for d in marking)
+                    family += [p, NormalPartition(g, flipped)]
+                    distinct.setdefault(p.key, p)
+                    assert fold_keys([p]) == fold_keys([family[-1]]), gid
+                classes = partition_classes(family, "plain")
+                members = [p.key for c in classes for p in c]
+                assert sorted(members) == sorted(distinct), gid
+                want = partition_classes(list(distinct.values()), "plain")
+                assert [{p.key for p in c} for c in classes] == [{p.key for p in c} for c in want], gid
+                looped += bool(loops)
+        assert looped
 
     def test_duplicate_members_kept_once(self, k4):
         family = enumerate_nops(k4)
