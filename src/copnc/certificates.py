@@ -18,8 +18,17 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .graph import CubicGraph, Malformed, NonCubic
-from .partition import InvalidPartition, MalformedTrail, NormalPartition, Trail, agreement, is_odd, validate_normal
+from .graph import CubicGraph, Malformed, NonCubic, color_classes
+from .partition import (
+    InvalidPartition,
+    MalformedTrail,
+    NormalPartition,
+    Trail,
+    agreement,
+    associated_matching,
+    is_odd,
+    validate_normal,
+)
 
 SCHEMA = "copnc/1"
 
@@ -54,7 +63,46 @@ def certificate(
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The canonical text of a JSON document: byte for byte
+    json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) and a
+    newline.  json writes any indented document with its pure-Python
+    encoder; here keys and scalars go through the C encoder, and a list of
+    ints or of int lists is joined in one go.  Keys must be strings."""
+    return _text(doc, "") + "\n"
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+_INT = {int}
+
+
+def _int_list(x) -> bool:
+    return type(x) is list and set(map(type, x)) == _INT
+
+
+def _text(x, pad: str) -> str:
+    """x written as json's indent=1 writes it at the depth of pad."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + " "
+        sep = ",\n" + inner
+        if set(map(type, x)) == _INT:
+            body = sep.join(map(str, x))
+        elif all(map(_int_list, x)):
+            isep = sep + " "
+            body = sep.join([f"[\n{inner} {isep.join(map(str, v))}\n{inner}]" for v in x])
+        else:
+            body = sep.join([_text(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        if not all(isinstance(k, str) for k in x):
+            raise TypeError("keys must be str")
+        inner = pad + " "
+        body = f",\n{inner}".join([f"{_encode(k)}: {_text(v, inner)}" for k, v in sorted(x.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return _encode(x)
 
 
 def parse_graph(doc: dict) -> CubicGraph:
@@ -76,20 +124,23 @@ def parse_graph(doc: dict) -> CubicGraph:
 
 def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -> dict:
     """Full verification: trails form normal odd partitions; with two or
-    more partitions they must be pairwise compatible.
+    more partitions they must be pairwise compatible; the claimed
+    "matchings" and "coloring", when present, must hold (see _mismatch).
 
     Returns a report dict with "ok" plus per-partition diagnostics; never
     raises for semantic failures.  The entry of each normal partition
     carries its "lengths" and whether it is "odd"; the indices of the even
     ones are listed under "even".  A document of the wrong shape raises
     CertificateError: not an object, a graph payload that is not a cubic
-    graph, or partitions that are not a non-empty list of lists."""
+    graph, partitions that are not a non-empty list of lists, or a claimed
+    field of the wrong shape."""
     if not isinstance(doc, dict):
         raise CertificateError("certificate is not a JSON object")
     raw = doc.get("partitions")
     if not isinstance(raw, list) or not raw or not all(isinstance(p, list) for p in raw):
         raise CertificateError("partitions must be a non-empty list of trail lists")
     g = parse_graph(doc)
+    matchings, coloring = _claims(doc, g, len(raw))
     report: dict = {"schema": SCHEMA, "ok": True, "n": g.n, "m": g.m, "partitions": []}
     if expect_graph is not None and g != expect_graph:
         report["ok"] = False
@@ -133,4 +184,68 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
         if conflicts:
             report["ok"] = False
             report["incompatible"] = conflicts
+    mismatch = _mismatch(g, parts, matchings, coloring)
+    if mismatch:
+        report["ok"] = False
+        report["mismatch"] = mismatch
     return report
+
+
+def _claims(doc: dict, g: CubicGraph, k: int) -> tuple[Optional[list], Optional[list]]:
+    """The claimed "matchings" (one list of edge ids per partition) and
+    "coloring" (a color 0, 1 or 2 per edge, for exactly three partitions),
+    None where absent; CertificateError when one has the wrong shape."""
+    matchings = doc.get("matchings")
+    if matchings is not None and not (
+        isinstance(matchings, list)
+        and len(matchings) == k
+        and all(isinstance(m, list) and all(type(e) is int for e in m) for m in matchings)
+    ):
+        raise CertificateError(f"matchings must be {k} lists of edge ids")
+    coloring = doc.get("coloring")
+    if coloring is not None and not (
+        k == 3
+        and isinstance(coloring, list)
+        and len(coloring) == g.m
+        and all(type(c) is int and 0 <= c <= 2 for c in coloring)
+    ):
+        raise CertificateError(f"coloring must give each of {g.m} edges a color 0, 1 or 2, for three partitions")
+    return matchings, coloring
+
+
+def _mismatch(
+    g: CubicGraph,
+    parts: list[Optional[NormalPartition]],
+    matchings: Optional[list],
+    coloring: Optional[list],
+) -> dict:
+    """The claimed fields that do not hold, by name.  matchings[i] must be
+    the associated matching of partition i; the coloring must be proper
+    ("improper" lists the vertices where it is not) and its class c must
+    be the associated matching of partition c ("classes" lists the c where
+    it is not), so that class c is matchings[c] when both fields hold.  A
+    partition that is not normal and odd has no associated matching to
+    compare, and is already reported."""
+    if matchings is None and coloring is None:
+        return {}
+    own = [associated_matching(p) if p is not None and is_odd(p) else None for p in parts]
+    out: dict = {}
+    if matchings is not None:
+        bad = [i for i, m in enumerate(matchings) if own[i] is not None and sorted(m) != sorted(own[i])]
+        if bad:
+            out["matchings"] = bad
+    if coloring is not None:
+        improper = [
+            v for v, (a, b, c) in enumerate(g.vertex_darts)
+            if len({coloring[a >> 1], coloring[b >> 1], coloring[c >> 1]}) < 3
+        ]
+        classes = color_classes(coloring)
+        bad = [c for c in range(3) if own[c] is not None and classes[c] != own[c]]
+        wrong = {}
+        if improper:
+            wrong["improper"] = improper
+        if bad:
+            wrong["classes"] = bad
+        if wrong:
+            out["coloring"] = wrong
+    return out

@@ -302,8 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, once per process
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

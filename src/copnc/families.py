@@ -32,6 +32,7 @@ import json
 from importlib import resources
 from typing import Optional, Sequence
 
+from .certificates import dumps
 from .graph import BadParameter, CubicGraph, generate
 from .partition import (
     NormalPartition,
@@ -486,7 +487,7 @@ def family_data_text(data: Optional[dict] = None) -> str:
     """Canonical serialization used for the frozen file and drift checks."""
     if data is None:
         data = derive_family_data()
-    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+    return dumps(data)
 
 
 def regenerate_check() -> bool:

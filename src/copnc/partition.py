@@ -162,7 +162,7 @@ def odd_edges(trail: Trail) -> tuple[int, ...]:
     A trail of length 1 has no odd edge: deleting its edge leaves two empty,
     hence even, subtrails.
     """
-    return tuple(trail.edges[i] for i in range(1, trail.length, 2))
+    return trail.edges[1::2]
 
 
 class NormalPartition:
@@ -384,10 +384,7 @@ def is_odd(p: NormalPartition) -> bool:
 def _odd_edge_union(p: NormalPartition) -> frozenset[int]:
     if not is_odd(p):
         raise NotOdd("partition has an even trail")
-    out: set[int] = set()
-    for t in p.trails:
-        out.update(odd_edges(t))
-    return frozenset(out)
+    return frozenset([e for t in p.trails for e in odd_edges(t)])
 
 
 def associated_matching(p: NormalPartition) -> frozenset[int]:
@@ -425,7 +422,11 @@ def agreement(parts: Sequence[NormalPartition]) -> list[int]:
     g = parts[0].graph
     if any(p.graph != g for p in parts[1:]):
         raise ValueError("partitions live on different graphs")
-    return [v for v in range(g.n) if agrees_at(parts, v)]
+    marks = [p.marked_edges() for p in parts]
+    if len(marks) == 2:
+        return [v for v, (a, b) in enumerate(zip(*marks)) if a == b]
+    k = len(marks)
+    return [v for v, es in enumerate(zip(*marks)) if len(set(es)) < k]
 
 
 @dataclass(frozen=True)

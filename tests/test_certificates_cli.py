@@ -310,6 +310,9 @@ class TestOddness:
             ["construct", "--method", "matching", "--graph", "petersen"],
             ["construct", "--method", "conformal", "--graph", "prism"],
             ["family", "goldberg:5", "--emit-partitions"],
+            ["construct", "--method", "bipartite", "--graph", "cube"],
+            ["construct", "--method", "conformal", "--graph", "k4"],
+            ["construct", "--method", "conformal", "--graph", "theta"],
         ],
     )
     def test_emitted_partitions_odd(self, tmp_path, capsys, argv):
@@ -392,3 +395,184 @@ class TestCertificateFuzz:
             assert main(["validate", str(path)]) in (0, 2, 5)
 
         check()
+
+
+def json_oracle(x):
+    """json's own indented text, the writer's specification."""
+    return json.dumps(x, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def _writer_values():
+    """JSON values with every case the writer branches on: bools beside
+    ints, lists of ints and of int lists, empty containers, floats at the
+    edges, escaped and non-ASCII keys, nesting four and more deep."""
+    from hypothesis import strategies as st
+
+    keys = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "é", "日本", "\U0001f600", "\ud800"])
+    ints = st.integers(-3, 40) | st.integers(-(2**200), 2**200)
+    leaves = (
+        st.none()
+        | st.booleans()
+        | ints
+        | st.floats()
+        | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 1.5])
+        | keys
+    )
+    int_lists = st.lists(ints | st.booleans(), max_size=4) | st.lists(st.lists(ints, max_size=3), max_size=3)
+    values = st.recursive(
+        leaves | int_lists,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=12,
+    )
+    deep = st.builds(lambda a, b: {"d": [[{"e": [a, b]}], {}, []]}, values, values)
+    return values | deep
+
+
+def _depth(x) -> int:
+    if isinstance(x, dict):
+        x = list(x.values())
+    return 1 + max(map(_depth, x), default=0) if isinstance(x, list) else 0
+
+
+class TestWriter:
+    """certificates.dumps against json.dumps with indent=1, which writes
+    through json's pure-Python encoder."""
+
+    def test_matches_json_on_generated_values(self):
+        from hypothesis import example, given, seed, settings
+
+        depths = []
+
+        @seed(20130)
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(_writer_values())
+        @example([True, 1, False, 0])
+        @example([[1, 2], [True], []])
+        @example({"é\n": [[[{"a": [-0.0, 1e300, None, -(2**100)]}]]], "": {}, "b": []})
+        def check(x):
+            depths.append(_depth(x))
+            assert C.dumps(x) == json_oracle(x)
+
+        check()
+        assert max(depths) >= 4
+
+    @pytest.mark.parametrize("x", [[], {}, 0, "x", None, (1, 2), [(1, 2), (3,)], {"a": (True, 2)}])
+    def test_small_values(self, x):
+        assert C.dumps(x) == json_oracle(x)
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(TypeError):
+            C.dumps({1: 2})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--method", "matching", "--graph", "petersen"],
+            ["construct", "--method", "bipartite", "--graph", "k33"],
+            ["construct", "--method", "conformal", "--graph", "prism"],
+            ["construct", "--method", "conformal", "--graph", "cube"],
+            ["construct", "--method", "conformal", "--graph", "theta"],
+            ["family", "petersen"],
+            ["family", "petersen", "--emit-partitions"],
+            ["family", "flower:7"],
+            ["family", "goldberg:5", "--emit-partitions"],
+        ],
+    )
+    def test_cli_outputs_match_json(self, tmp_path, argv):
+        out = tmp_path / "cert.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json_oracle(json.loads(text))
+
+    def test_family_data_text_is_the_frozen_file(self):
+        from importlib import resources
+
+        from copnc import families
+
+        frozen = resources.files("copnc.data").joinpath("families.json").read_text()
+        data = json.loads(frozen)
+        assert families.family_data_text(data) == frozen == json_oracle(data)
+
+
+def conformal_cube_doc():
+    from copnc.construct import conformal_triple_general
+    from copnc.graph import generate
+    from copnc.cli import _triple_doc
+
+    g = generate("cube")
+    return _triple_doc(g, conformal_triple_general(g), "conformal")
+
+
+class TestClaims:
+    """validate checks the claimed matchings and coloring against the
+    partitions: a false claim exits 2 and is named, a malformed one exits 5."""
+
+    def test_tampered_cube_exit(self, tmp_path, capsys):
+        doc = conformal_cube_doc()
+        doc["matchings"][0] = doc["matchings"][1]
+        doc["coloring"] = [0] * len(doc["coloring"])
+        p = tmp_path / "tampered.json"
+        p.write_text(C.dumps(doc))
+        assert main(["validate", str(p)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["mismatch"]["matchings"] == [0]
+        assert report["mismatch"]["coloring"] == {"classes": [0, 1, 2], "improper": list(range(8))}
+        assert all(e["odd"] and not e["violations"] for e in report["partitions"])
+
+    def test_permuted_colors_are_proper_but_wrong(self):
+        doc = conformal_cube_doc()
+        doc["coloring"] = [(c + 1) % 3 for c in doc["coloring"]]
+        report = C.validate_certificate(doc)
+        assert not report["ok"] and report["mismatch"] == {"coloring": {"classes": [0, 1, 2]}}
+
+    def test_unsorted_matching_is_the_same_claim(self):
+        doc = conformal_cube_doc()
+        doc["matchings"] = [m[::-1] for m in doc["matchings"]]
+        assert C.validate_certificate(doc)["ok"]
+
+    def test_matching_claim_on_invalid_partition_not_compared(self):
+        doc = conformal_cube_doc()
+        doc["partitions"][1] = doc["partitions"][1][1:]
+        report = C.validate_certificate(doc)
+        assert not report["ok"] and report["partitions"][1]["violations"]
+        assert "mismatch" not in report
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("matchings", [[0], [1]]),
+            ("matchings", [[0], [1], 2]),
+            ("matchings", [[0], [1], [True]]),
+            ("matchings", {"0": [0]}),
+            ("coloring", [0] * 11),
+            ("coloring", [0] * 11 + [3]),
+            ("coloring", [0] * 11 + [-1]),
+            ("coloring", [0] * 11 + [1.0]),
+            ("coloring", [0] * 11 + [True]),
+            ("coloring", None),
+        ],
+    )
+    def test_malformed_claim_exit(self, tmp_path, capsys, field, value):
+        doc = conformal_cube_doc()
+        doc[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        expect = 0 if value is None else 5  # a null field is an absent claim
+        assert main(["validate", str(p)]) == expect
+
+    def test_coloring_needs_three_partitions(self):
+        doc = conformal_cube_doc()
+        del doc["matchings"]
+        doc["partitions"] = doc["partitions"][:2]
+        with pytest.raises(C.CertificateError, match="coloring"):
+            C.validate_certificate(doc)
+
+
+def test_parser_built_once(capsys):
+    from copnc import cli
+
+    argv = ["construct", "--method", "matching", "--graph", "k4"]
+    assert main(argv) == 0
+    parser = cli._parser
+    assert main(argv) == 0
+    assert parser is not None and cli._parser is parser

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,13 @@ class TestCompatibility:
                     want = pair(p1, p2) | pair(p1, p3) | pair(p2, p3)
                     assert agreement((p1, p2, p3)) == sorted(want)
                     assert [v for v in range(4) if agrees_at((p1, p2, p3), v)] == sorted(want)
+
+    def test_agreement_matches_agrees_at(self, petersen):
+        ps = enumerate_nops(petersen)[::401]
+        for parts in itertools.chain(
+            itertools.product(ps, repeat=2), itertools.combinations(ps, 3), itertools.combinations(ps, 4)
+        ):
+            assert agreement(parts) == [v for v in range(petersen.n) if agrees_at(parts, v)]
 
     def test_agreement_rejects_mixed_graphs(self, k4, k33):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ by one digest over all of them.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -65,6 +66,8 @@ def certificate_bytes(name, text, tmp_path):
     cert = tmp_path / f"{name}.json"
     argv = ["construct", "--method", "conformal", "--graph", f"@{graph}", "--seed", "0", "--out", str(cert)]
     assert main(argv) == 0
+    written = cert.read_text()
+    assert written == json.dumps(json.loads(written), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
     return cert.read_bytes()
 
 

@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Milliseconds per certificate write, json.loads and validate_certificate.
+
+  circular, moebius, gp3, truncated, digon
+             the conformal certificates (`construct --method conformal`)
+             of the five shapes of the construct benchmark at n ~ 400,
+             labelled and oriented from --seed as the benchmark does
+  goldberg:49, flower:99
+             the family certificates (`family goldberg:49`, `family
+             flower:99`), n = 392 and 396
+
+Each figure is CPU time (process_time) of one call, the best of --repeat
+calls: `write` is copnc.certificates.dumps on the document, `loads` is
+json.loads on its text and `validate` is validate_certificate on the
+loaded document.  Documents are built beforehand, so only these three
+steps are timed.
+
+Run from the repository root:  python3 tools/cert_rate.py [--repeat 15] [--seed 1]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+import time
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from copnc import certificates as C  # noqa: E402
+from copnc import families  # noqa: E402
+from copnc.cli import _triple_doc  # noqa: E402
+from copnc.construct import conformal_triple_general  # noqa: E402
+from copnc.graph import CubicGraph, generate  # noqa: E402
+from perfbench.workloads import SHAPES, oriented  # noqa: E402
+
+N = 400
+FAMILIES = {"goldberg": 49, "flower": 99}
+
+
+def documents(seed: int) -> list[tuple[str, int, dict]]:
+    """(label, n, certificate) for each case, built as the CLI builds them."""
+    rng = random.Random(seed)
+    out = []
+    for shape, build in SHAPES.items():
+        g = CubicGraph(*oriented(*build(N, rng), rng))
+        out.append((shape, g.n, _triple_doc(g, conformal_triple_general(g, seed=seed), "conformal")))
+    for name, k in FAMILIES.items():
+        g = generate(name, k)
+        triple = getattr(families, f"{name}_triple")(k)
+        out.append((f"{name}:{k}", g.n, C.certificate(g, list(triple), {"family": f"{name}:{k}"})))
+    return out
+
+
+def best_ms(call: Callable[[], object], repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.process_time()
+        call()
+        best = min(best, time.process_time() - t0)
+    return best * 1e3
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=15, help="calls per step; the best is kept")
+    ap.add_argument("--seed", type=int, default=1, help="labelling and orientation of the shapes")
+    args = ap.parse_args(argv)
+    print(f"{'case':<12} {'n':>5} {'bytes':>8} {'write_ms':>9} {'loads_ms':>9} {'validate_ms':>12}")
+    for label, n, doc in documents(args.seed):
+        text = C.dumps(doc)
+        loaded = json.loads(text)
+        assert C.validate_certificate(loaded)["ok"], label
+        write = best_ms(lambda: C.dumps(doc), args.repeat)
+        loads = best_ms(lambda: json.loads(text), args.repeat)
+        check = best_ms(lambda: C.validate_certificate(loaded), args.repeat)
+        print(f"{label:<12} {n:>5} {len(text):>8} {write:>9.2f} {loads:>9.2f} {check:>12.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
