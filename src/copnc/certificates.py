@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-from .graph import CubicGraph, Malformed, NonCubic, color_classes
+from .graph import BadParameter, CubicGraph, Malformed, NonCubic, color_classes, generate, parse_spec
 from .partition import (
     InvalidPartition,
     MalformedTrail,
@@ -79,6 +79,11 @@ def _int_list(x) -> bool:
     return type(x) is list and set(map(type, x)) == _INT
 
 
+def _ints(x) -> bool:
+    """A list of ints, maybe empty; bools are not ints here."""
+    return type(x) is list and _INT.issuperset(map(type, x))
+
+
 def _text(x, pad: str) -> str:
     """x written as json's indent=1 writes it at the depth of pad."""
     if isinstance(x, (list, tuple)):
@@ -125,22 +130,24 @@ def parse_graph(doc: dict) -> CubicGraph:
 def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -> dict:
     """Full verification: trails form normal odd partitions; with two or
     more partitions they must be pairwise compatible; the claimed
-    "matchings" and "coloring", when present, must hold (see _mismatch).
+    "matchings", "coloring", "family" and "profiles", when present, must
+    hold (see _mismatch).
 
     Returns a report dict with "ok" plus per-partition diagnostics; never
     raises for semantic failures.  The entry of each normal partition
     carries its "lengths" and whether it is "odd"; the indices of the even
     ones are listed under "even".  A document of the wrong shape raises
     CertificateError: not an object, a graph payload that is not a cubic
-    graph, partitions that are not a non-empty list of lists, or a claimed
-    field of the wrong shape."""
+    graph, partitions that are not a non-empty list of lists, a trail
+    whose vertices or edges are not a list of int ids, or a claimed field
+    of the wrong shape (see _claims)."""
     if not isinstance(doc, dict):
         raise CertificateError("certificate is not a JSON object")
     raw = doc.get("partitions")
     if not isinstance(raw, list) or not raw or not all(isinstance(p, list) for p in raw):
         raise CertificateError("partitions must be a non-empty list of trail lists")
     g = parse_graph(doc)
-    matchings, coloring = _claims(doc, g, len(raw))
+    claims = _claims(doc, g, len(raw))
     report: dict = {"schema": SCHEMA, "ok": True, "n": g.n, "m": g.m, "partitions": []}
     if expect_graph is not None and g != expect_graph:
         report["ok"] = False
@@ -152,6 +159,8 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
         trails = []
         for j, t in enumerate(part):
             try:
+                if not (_ints(t["vertices"]) and _ints(t["edges"])):
+                    raise TypeError("vertices and edges must be lists of int ids")
                 trails.append(Trail(g, t["vertices"], t["edges"]))
             except MalformedTrail as exc:
                 entry["violations"].append(f"trail {j} malformed: {exc}")
@@ -184,25 +193,28 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
         if conflicts:
             report["ok"] = False
             report["incompatible"] = conflicts
-    mismatch = _mismatch(g, parts, matchings, coloring)
+    mismatch = _mismatch(g, parts, report["partitions"], claims)
     if mismatch:
         report["ok"] = False
         report["mismatch"] = mismatch
     return report
 
 
-def _claims(doc: dict, g: CubicGraph, k: int) -> tuple[Optional[list], Optional[list]]:
-    """The claimed "matchings" (one list of edge ids per partition) and
-    "coloring" (a color 0, 1 or 2 per edge, for exactly three partitions),
-    None where absent; CertificateError when one has the wrong shape."""
-    matchings = doc.get("matchings")
-    if matchings is not None and not (
-        isinstance(matchings, list)
-        and len(matchings) == k
-        and all(isinstance(m, list) and all(type(e) is int for e in m) for m in matchings)
-    ):
-        raise CertificateError(f"matchings must be {k} lists of edge ids")
-    coloring = doc.get("coloring")
+def _claims(doc: dict, g: CubicGraph, k: int) -> dict:
+    """The claimed fields present in doc, by name: "matchings" and
+    "profiles" (one list of ints per partition: edge ids, trail lengths),
+    "coloring" (a color 0, 1 or 2 per edge, for exactly three partitions)
+    and "family" (a graph spec, replaced by whether it generates g).  A
+    null field is absent.  CertificateError when one has the wrong shape,
+    which for the family is a spec that generate refuses."""
+    keys = ("matchings", "profiles", "coloring", "family")
+    claims = {key: doc[key] for key in keys if doc.get(key) is not None}
+    for key in ("matchings", "profiles"):
+        if key in claims and not (
+            isinstance(claims[key], list) and len(claims[key]) == k and all(map(_ints, claims[key]))
+        ):
+            raise CertificateError(f"{key} must be {k} lists of ints")
+    coloring = claims.get("coloring")
     if coloring is not None and not (
         k == 3
         and isinstance(coloring, list)
@@ -210,26 +222,45 @@ def _claims(doc: dict, g: CubicGraph, k: int) -> tuple[Optional[list], Optional[
         and all(type(c) is int and 0 <= c <= 2 for c in coloring)
     ):
         raise CertificateError(f"coloring must give each of {g.m} edges a color 0, 1 or 2, for three partitions")
-    return matchings, coloring
+    if "family" in claims:
+        if not isinstance(claims["family"], str):
+            raise CertificateError("family must be a graph spec string")
+        try:
+            family, param = parse_spec(claims["family"])
+            # a family graph has more vertices than its parameter, so a
+            # larger one is refused before anything is built
+            if param is not None and param > g.n:
+                raise BadParameter(f"parameter {param} exceeds the {g.n} vertices of the graph")
+            claims["family"] = generate(family, param) == g
+        except BadParameter as exc:
+            raise CertificateError(f"bad family: {exc}") from exc
+    return claims
 
 
 def _mismatch(
-    g: CubicGraph,
-    parts: list[Optional[NormalPartition]],
-    matchings: Optional[list],
-    coloring: Optional[list],
+    g: CubicGraph, parts: list[Optional[NormalPartition]], entries: list[dict], claims: dict
 ) -> dict:
     """The claimed fields that do not hold, by name.  matchings[i] must be
     the associated matching of partition i; the coloring must be proper
     ("improper" lists the vertices where it is not) and its class c must
     be the associated matching of partition c ("classes" lists the c where
-    it is not), so that class c is matchings[c] when both fields hold.  A
-    partition that is not normal and odd has no associated matching to
-    compare, and is already reported."""
-    if matchings is None and coloring is None:
-        return {}
-    own = [associated_matching(p) if p is not None and is_odd(p) else None for p in parts]
+    it is not), so that class c is matchings[c] when both fields hold;
+    profiles[i] must be the lengths of partition i, longest first; the
+    family spec must generate g (see _claims).  A partition that is not normal and odd
+    has no associated matching to compare, and one that is not normal no
+    lengths; either is already reported through its entry."""
     out: dict = {}
+    if claims.get("family") is False:
+        out["family"] = True
+    if "profiles" in claims:
+        pairs = enumerate(zip(claims["profiles"], entries))
+        bad = [i for i, (want, e) in pairs if "lengths" in e and want != e["lengths"]]
+        if bad:
+            out["profiles"] = bad
+    matchings, coloring = claims.get("matchings"), claims.get("coloring")
+    if matchings is None and coloring is None:
+        return out
+    own = [associated_matching(p) if e.get("odd") else None for p, e in zip(parts, entries)]
     if matchings is not None:
         bad = [i for i, m in enumerate(matchings) if own[i] is not None and sorted(m) != sorted(own[i])]
         if bad:

@@ -45,6 +45,7 @@ from .graph import (
     is_perfect_matching,
     parse_edge_list,
     parse_graph6,
+    parse_spec,
 )
 from .partition import associated_matching
 from .search import check_graph, enumerate_normal_partitions, enumerate_nops
@@ -80,14 +81,7 @@ def resolve_graphs(spec: str) -> list[tuple[str, CubicGraph]]:
                 (f"{path.stem}:{i}", g) for i, g in enumerate(parse_edge_list(text))
             ]
         raise UsageError(f"unknown graph file type: {path.suffix}")
-    if ":" in spec:
-        name, _, param = spec.partition(":")
-        try:
-            k = int(param)
-        except ValueError:
-            raise UsageError(f"bad parameter in graph spec '{spec}'") from None
-        return [(spec, generate(name, k))]
-    return [(spec, generate(spec))]
+    return [(spec, generate(*parse_spec(spec)))]
 
 
 def resolve_graph(spec: str) -> CubicGraph:
@@ -168,17 +162,16 @@ def cmd_family(args) -> int:
     if not args.name:
         print("family name required (petersen | flower:k | goldberg:k)", file=sys.stderr)
         return EXIT_IO
-    name, _, param = args.name.partition(":")
     try:
+        # checked as validate checks a claimed family, so the output validates
+        name, k = parse_spec(args.name)
+        g = generate(name, k)
         if name == "petersen":
             triple = families.petersen_triple()
-            g = generate("petersen")
         elif name == "flower":
-            triple = families.flower_triple(int(param))
-            g = generate("flower", int(param))
+            triple = families.flower_triple(k)
         elif name == "goldberg":
-            triple = families.goldberg_triple(int(param))
-            g = generate("goldberg", int(param))
+            triple = families.goldberg_triple(k)
         else:
             raise UsageError(f"unknown family '{name}'")
     except (BadParameter, ValueError) as exc:

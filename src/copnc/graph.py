@@ -364,6 +364,17 @@ def generate(family: str, k: Optional[int] = None) -> CubicGraph:
     return fn()
 
 
+def parse_spec(spec: str) -> tuple[str, Optional[int]]:
+    """The family and parameter of a graph spec such as "petersen" or
+    "flower:7", for generate; BadParameter when the parameter is not an
+    int."""
+    family, colon, param = spec.partition(":")
+    try:
+        return family, int(param) if colon else None
+    except ValueError:
+        raise BadParameter(f"bad parameter in graph spec '{spec}'") from None
+
+
 # ---------------------------------------------------------------------------
 # Classic subroutines
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .graph import CubicGraph
+from .graph import CubicGraph, is_perfect_matching
 
 
 class MalformedTrail(ValueError):
@@ -381,30 +381,34 @@ def is_odd(p: NormalPartition) -> bool:
     return all(t.length % 2 == 1 for t in p.trails)
 
 
-def _odd_edge_union(p: NormalPartition) -> frozenset[int]:
-    if not is_odd(p):
-        raise NotOdd("partition has an even trail")
-    return frozenset([e for t in p.trails for e in odd_edges(t)])
-
-
 def associated_matching(p: NormalPartition) -> frozenset[int]:
     """Union of the odd edges over all trails; a perfect matching.
 
     Cached on p.  Raises NotOdd when some trail has even length.
     """
     if p._matching is None:
-        p._matching = _odd_edge_union(p)
+        odd: list[int] = []
+        for t in p.trails:
+            if len(t.edges) % 2 == 0:
+                raise NotOdd("partition has an even trail")
+            odd += t.edges[1::2]
+        p._matching = frozenset(odd)
     return p._matching
 
 
 def is_conformal(p: NormalPartition, m: frozenset[int]) -> bool:
-    """True when the odd edges of p are exactly the matching m.
+    """True when p is odd and its odd edges are exactly the edge set m.
 
-    Always read off the trails, never from the cached matching, so it is
-    a check independent of any earlier call.  Raises NotOdd when some
-    trail has even length.
+    Read off the marking: that holds exactly when m is a perfect matching
+    and no vertex marks an edge of m.  Then every passage pairs the one
+    m-edge at its vertex with an edge outside m, so each trail alternates,
+    beginning and ending outside m: it is odd with its m-edges exactly at
+    its even positions.  Conversely the odd edges of an odd partition form
+    a perfect matching, and end edges sit at odd positions, so no vertex
+    marks one.  An even partition gives False.
     """
-    return _odd_edge_union(p) == frozenset(m)
+    m = frozenset(m)
+    return is_perfect_matching(p.graph, m) and not any((d >> 1) in m for d in p.marked)
 
 
 def agrees_at(parts: Sequence[NormalPartition], v: int) -> bool:

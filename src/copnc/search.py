@@ -102,14 +102,11 @@ def enumerate_nops(
     """All normal odd partitions, deduplicated, in canonical order.
 
     With conformal_to set, keeps only partitions whose odd edges equal that
-    matching.  An odd partition is conformal to a perfect matching m
-    exactly when no vertex marks an edge of m: every passage then holds
-    the m-edge at its vertex, so each trail alternates between edges
-    outside m and in m, beginning and ending outside m, which makes it odd
-    with its m-edges exactly at its even positions.  So the search
-    enumerates conformal partitions directly, each vertex limited to its
-    slots outside m.  Raises CapExceeded when 3^n, the number of markings,
-    exceeds cap.
+    matching.  A normal partition is conformal to a perfect matching m
+    exactly when no vertex marks an edge of m (see partition.is_conformal),
+    so the search enumerates conformal partitions directly, each vertex
+    limited to its slots outside m.  Raises CapExceeded when 3^n, the
+    number of markings, exceeds cap.
     """
     if conformal_to is None:
         return _distinct_partitions(g, cap, odd=True)

@@ -11,12 +11,12 @@ anywhere else.  Odd switching keeps to odd partitions; conformal
 switching also keeps the associated perfect matching.
 
 `conformal_switch` is the move the conformal descent makes.  It runs on
-the marking alone, with the trail walker `partition.walk` that also
-decodes markings: only T_i and T_j change, and the new trails are pieces
-of them joined at v, so walking T_j and T_i from v is enough, at a cost
-of O(|T_i| + |T_j|) whatever the size of the graph.  It reads a bare mark
-list and returns v's new mark, so the descent moves three mark lists in
-place, one write a switch.
+the marking alone: a partition is conformal to m exactly when it marks no
+edge of m (`partition.is_conformal`), so the one candidate is v's passage
+dart off m, and one walk of T_j with the walker `partition.walk` that
+also decodes markings tells whether marking it closes a cycle.  It reads
+a bare mark list and returns v's new mark, so the descent moves three
+mark lists in place, one write a switch.
 
 `partition_classes` quotients a whole family without moving at all: in
 the family of all partitions of a kind (normal, odd, or conformal to m)
@@ -38,14 +38,6 @@ class CapExceeded(RuntimeError):
     """A switch class outgrew the caller-supplied cap."""
 
 
-def _conformal_trail(darts: Sequence[int], m: frozenset[int]) -> bool:
-    """Odd length, and the edges at even 1-based positions are exactly
-    the trail's edges in m."""
-    if len(darts) % 2 == 0:
-        return False
-    return all(((d >> 1) in m) == (i % 2 == 1) for i, d in enumerate(darts))
-
-
 def conformal_switch(g: CubicGraph, marked: Sequence[int], m: frozenset[int], v: int) -> Optional[int]:
     """The dart v marks after the switch at v that keeps the partition
     conformal to the perfect matching m, or None when there is no such
@@ -53,29 +45,17 @@ def conformal_switch(g: CubicGraph, marked: Sequence[int], m: frozenset[int], v:
 
     The marking must be one of a partition conformal to m; it is read and
     never written, so applying the move is one write, marked[v] = the
-    result, and undoing it another.  Of v's two passage darts, the one on
-    m cannot qualify, since its new trail would end on an edge of m; the
-    other, d, qualifies when each of its new trails is conformal to m.
-    The cost is O(|T_i| + |T_j|), whatever the size of the graph.
+    result, and undoing it another.  A conformal partition marks no edge
+    of m (partition.is_conformal), so the new mark is v's passage dart d
+    off m, and the new marking is conformal whenever it decodes.  It does
+    not decode exactly when the trail T_j that ends at v, walked from v's
+    mark, leaves v again by d: marking d closes that walk into a cycle.
+    The cost is O(|T_j|), whatever the size of the graph.
     """
     d, o = [x for x in g.vertex_darts[v] if x != marked[v]]
     if (d >> 1) in m:
-        d, o = o, d
-    tj = walk(g, marked, marked[v])
-    if d in tj:
-        # T_i = T_j leaves v again by d: marking d closes the walk from v
-        # back to v into a cycle
-        return None
-    if o in tj:
-        # T_i = T_j leaves v again by o at position k, so tj[:k] is a closed
-        # walk from v back to v entered by d; marking d reverses it
-        k = tj.index(o)
-        trails = [tj[k - 1 :: -1] + tj[k:]]
-    else:
-        # d starts one half of T_i as a trail; the other half runs on
-        # through v into T_j
-        trails = [walk(g, marked, d), walk(g, marked, o)[::-1] + tj]
-    return d if all(_conformal_trail(t, m) for t in trails) else None
+        d = o
+    return None if d in walk(g, marked, marked[v]) else d
 
 
 def partition_classes(
@@ -95,9 +75,9 @@ def partition_classes(
     folded markings bucketed once per vertex with that vertex left out; no
     move is built.  Moves that leave an incomplete family go unseen: such
     a family gets its components.  A member not of the kind (even under
-    odd moves, marking an edge of m under conformal ones) or a matching
-    that is not perfect raises ValueError.  Members equal as partitions
-    are kept once, the first.
+    odd moves, marking an edge of m under conformal ones: see
+    partition.is_conformal) or a matching that is not perfect raises
+    ValueError.  Members equal as partitions are kept once, the first.
 
     Classes come out in canonical order of their least (trail key)
     member, members in family order.  Raises CapExceeded when a class has

@@ -4,7 +4,7 @@ import pytest
 
 from copnc import certificates as C
 from copnc.cli import main
-from copnc.construct import bipartite_triple
+from copnc.construct import bipartite_triple, nop_from_matching
 from copnc.families import petersen_triple
 
 
@@ -310,6 +310,8 @@ class TestOddness:
             ["construct", "--method", "matching", "--graph", "petersen"],
             ["construct", "--method", "conformal", "--graph", "prism"],
             ["family", "goldberg:5", "--emit-partitions"],
+            ["family", "flower:7", "--emit-partitions"],
+            ["family", "petersen"],
             ["construct", "--method", "bipartite", "--graph", "cube"],
             ["construct", "--method", "conformal", "--graph", "k4"],
             ["construct", "--method", "conformal", "--graph", "theta"],
@@ -350,8 +352,9 @@ def _paths(node, path=()):
 
 
 class TestCertificateFuzz:
-    """One field of a valid certificate replaced, removed or nudged by one:
-    validate answers with an exit code and never a traceback."""
+    """One field of a valid certificate replaced, removed, nudged by one or
+    retyped (an int made the equal float, or a bool): validate answers
+    with an exit code and never a traceback."""
 
     @pytest.fixture(scope="class")
     def bases(self, tmp_path_factory):
@@ -384,11 +387,13 @@ class TestCertificateFuzz:
             parent = doc
             for k in head:
                 parent = parent[k]
-            how = data.draw(st.sampled_from(["replace", "remove", "nudge"]))
+            how = data.draw(st.sampled_from(["replace", "remove", "nudge", "retype"]))
             if how == "remove":
                 del parent[last]
             elif how == "nudge" and type(parent[last]) is int:
                 parent[last] += data.draw(st.sampled_from([-1, 1]))
+            elif how == "retype" and type(parent[last]) is int:
+                parent[last] = data.draw(st.sampled_from([float(parent[last]), bool(parent[last])]))
             else:
                 parent[last] = data.draw(values)
             path.write_text(json.dumps(doc))
@@ -565,6 +570,119 @@ class TestClaims:
         del doc["matchings"]
         doc["partitions"] = doc["partitions"][:2]
         with pytest.raises(C.CertificateError, match="coloring"):
+            C.validate_certificate(doc)
+
+
+def flower_family_doc(tmp_path):
+    out = tmp_path / "flower7.json"
+    assert main(["family", "flower:7", "--emit-partitions", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+class TestFamilyClaims:
+    """validate checks the claimed family (its spec must generate the graph)
+    and profiles (the sorted trail lengths of each partition)."""
+
+    def test_tampered_flower_exit(self, tmp_path, capsys):
+        doc = flower_family_doc(tmp_path)
+        doc["family"] = "flower:9"
+        doc["profiles"][2] = doc["profiles"][0][::-1]
+        p = tmp_path / "tampered.json"
+        p.write_text(C.dumps(doc))
+        assert main(["validate", str(p)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["mismatch"] == {"family": True, "profiles": [2]}
+        assert all(e["odd"] and not e["violations"] for e in report["partitions"])
+
+    @pytest.mark.parametrize("spec", ["petersen", "goldberg:7", "k4", "flower:9"])
+    def test_family_of_another_graph(self, tmp_path, spec):
+        doc = flower_family_doc(tmp_path)
+        doc["family"] = spec
+        assert C.validate_certificate(doc)["mismatch"] == {"family": True}
+
+    def test_family_command_checks_its_spec_as_validate_does(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert main(["family", "petersen:3", "--out", str(out)]) == 5
+        assert main(["family", "flower:07", "--emit-partitions", "--out", str(out)]) == 0
+        assert main(["validate", str(out), "--graph", "flower:7"]) == 0
+
+    def test_other_generated_graph_claims_its_spec(self):
+        doc = conformal_cube_doc()
+        doc["family"] = "cube"
+        assert C.validate_certificate(doc)["ok"]
+
+    def test_profiles_of_invalid_partition_not_compared(self, tmp_path):
+        doc = flower_family_doc(tmp_path)
+        doc["partitions"][1] = doc["partitions"][1][1:]
+        doc["profiles"][1] = []
+        report = C.validate_certificate(doc)
+        assert not report["ok"] and report["partitions"][1]["violations"]
+        assert "mismatch" not in report
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("family", 7),
+            ("family", ["flower", 7]),
+            ("family", "hexagon"),
+            ("family", "flower:8"),
+            ("family", "flower:x"),
+            ("family", "flower"),
+            ("family", "petersen:3"),
+            ("family", "flower:99999999999999999"),
+            ("profiles", [[3, 1]] * 2),
+            ("profiles", [[3, 1]] * 3 + [[1]]),
+            ("profiles", [[3, 1], [3, 1], 3]),
+            ("profiles", [[3, 1], [3, 1], [3.0, 1]]),
+            ("profiles", [[3, 1], [3, 1], [True]]),
+            ("profiles", None),
+            ("family", None),
+        ],
+    )
+    def test_malformed_claim_exit(self, tmp_path, capsys, field, value):
+        doc = flower_family_doc(tmp_path)
+        doc[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        expect = 0 if value is None else 5  # a null field is an absent claim
+        assert main(["validate", str(p)]) == expect
+
+
+def matching_k4_doc():
+    from copnc.graph import generate
+
+    g = generate("k4")
+    return C.certificate(g, [nop_from_matching(g)], {"method": "matching"})
+
+
+class TestIdTypes:
+    """Trail vertex and edge ids must be ints: the equal float or a bool in
+    their place is a certificate of the wrong shape, exit 5."""
+
+    def test_one_float_vertex_id(self, tmp_path, capsys):
+        doc = matching_k4_doc()
+        t = next(t for t in doc["partitions"][0] if 0 in t["vertices"])
+        t["vertices"][t["vertices"].index(0)] = 0.0
+        p = tmp_path / "float.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 5
+        assert "int" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("retype", [float, bool])
+    @pytest.mark.parametrize("key", ["vertices", "edges"])
+    def test_retyped_ids_exit(self, tmp_path, capsys, retype, key):
+        doc = matching_k4_doc()
+        for t in doc["partitions"][0]:
+            t[key] = [retype(x) if x in (0, 1) else x for x in t[key]]
+        p = tmp_path / "retyped.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 5
+
+    @pytest.mark.parametrize("value", ["0123", {"0": 1}, 5, None])
+    def test_id_lists_of_wrong_type(self, value):
+        doc = matching_k4_doc()
+        doc["partitions"][0][0]["vertices"] = value
+        with pytest.raises(C.CertificateError):
             C.validate_certificate(doc)
 
 

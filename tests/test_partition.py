@@ -248,6 +248,35 @@ class TestMatchingsAndConformality:
         assert not is_odd(p)
         with pytest.raises(NotOdd):
             associated_matching(p)
+        assert not any(is_conformal(p, m) for m in perfect_matchings(cube))
+
+    def test_conformal_marking_rule_matches_trail_definition(self, cube, prism):
+        """is_conformal reads the marking alone; it must equal "odd, and the
+        odd edges are m" on every normal partition of the corpus graphs
+        with n <= 6 and of cube and prism, for every perfect matching and
+        for seeded edge sets that are not perfect matchings."""
+        import random
+
+        from copnc.corpus import corpus_all
+        from copnc.graph import is_perfect_matching
+        from copnc.search import enumerate_normal_partitions
+
+        rng = random.Random(2012)
+        graphs = [g for n in (2, 4, 6) for _, g in corpus_all(n)] + [cube, prism]
+        seen = {True: 0, False: 0}
+        even = 0
+        for g in graphs:
+            sets = list(perfect_matchings(g))
+            others = [frozenset(rng.sample(range(g.m), rng.randint(0, g.m))) for _ in range(4)]
+            sets += [s for s in others if not is_perfect_matching(g, s)]
+            for p in enumerate_normal_partitions(g):
+                odd = is_odd(p)
+                even += not odd
+                for m in sets:
+                    want = odd and associated_matching(p) == m
+                    assert is_conformal(p, m) == want
+                    seen[want] += 1
+        assert even and seen[True] and seen[False]
 
     def test_every_vertex_meets_one_odd_edge(self, petersen):
         for p in enumerate_nops(petersen)[:50]:

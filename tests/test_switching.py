@@ -11,6 +11,7 @@ from copnc.partition import (
     is_odd,
     trails_from_marking,
     validate_normal,
+    walk,
 )
 from copnc.search import enumerate_nops
 from copnc.switching import CapExceeded, conformal_switch, partition_classes
@@ -253,6 +254,27 @@ class TestLocalConformalSwitch:
         assert q._trails is None
         assert associated_matching(q) == m
         assert q._trails is not None
+
+
+def test_conformal_switch_walks_once(monkeypatch, cube):
+    """One walk a call, of the trail from v's mark, whatever the answer."""
+    from copnc import switching
+
+    starts = []
+
+    def counted(g, marked, start):
+        starts.append(start)
+        return walk(g, marked, start)
+
+    monkeypatch.setattr(switching, "walk", counted)
+    m = next(perfect_matchings(cube))
+    answers = set()
+    for p in enumerate_nops(cube, conformal_to=m):
+        for v in range(cube.n):
+            starts.clear()
+            answers.add(conformal_switch(cube, p.marked, m, v) is None)
+            assert starts == [p.marked[v]]
+    assert answers == {True, False}
 
 
 def complete_families(g):

@@ -11,7 +11,9 @@
 Each figure is CPU time (process_time) of one call, the best of --repeat
 calls; graphs are built beforehand.  The ratio column is the time over
 that of the row before, so a route linear in n reads about 2 per
-doubling.
+doubling.  On the circular ladders, switch_us is the CPU microseconds per
+copnc.switching.conformal_switch call over every (color, vertex) pair of
+the descent's seed marks, the best of --repeat rounds.
 
 Run from the repository root:  python3 tools/route_rate.py [--repeat 3]
 """
@@ -26,8 +28,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from copnc.construct import conformal_triple_general  # noqa: E402
-from copnc.graph import CubicGraph  # noqa: E402
+from copnc.construct import _conformal_seed, conformal_triple_general  # noqa: E402
+from copnc.graph import CubicGraph, color_classes, proper_3_edge_coloring  # noqa: E402
+from copnc.switching import conformal_switch  # noqa: E402
 from search_rate import circular_ladder  # noqa: E402
 
 SIZES = (800, 1600, 3200, 6400)
@@ -57,6 +60,21 @@ def measure(g: CubicGraph, repeat: int) -> float:
     return best
 
 
+def switch_us(g: CubicGraph, repeat: int) -> float:
+    """Best CPU microseconds per conformal_switch call, over every (color,
+    vertex) pair of the seed marks of the descent on g."""
+    classes = color_classes(proper_3_edge_coloring(g))
+    marks = _conformal_seed(g, classes)
+    pairs = [(marks[c], classes[c], v) for c in range(3) for v in range(g.n)]
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.process_time()
+        for marked, m, v in pairs:
+            conformal_switch(g, marked, m, v)
+        best = min(best, time.process_time() - t0)
+    return best / len(pairs) * 1e6
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3, help="calls per graph; the best is kept")
@@ -65,13 +83,14 @@ def main(argv: list[str] | None = None) -> int:
         ("circular", [circular_ladder(n // 2) for n in SIZES]),
         ("truncated", [truncated_ladder(round(n / 6)) for n in SIZES]),
     ]
-    print(f"{'case':<10} {'n':>6} {'cpu_s':>8} {'ratio':>6}")
+    print(f"{'case':<10} {'n':>6} {'cpu_s':>8} {'ratio':>6} {'switch_us':>9}")
     for name, graphs in cases:
         prev = None
         for g in graphs:
             secs = measure(g, args.repeat)
             ratio = f"{secs / prev:>6.2f}" if prev else f"{'-':>6}"
-            print(f"{name:<10} {g.n:>6} {secs:>8.3f} {ratio}")
+            us = f"{switch_us(g, args.repeat):>9.2f}" if name == "circular" else f"{'-':>9}"
+            print(f"{name:<10} {g.n:>6} {secs:>8.3f} {ratio} {us}")
             prev = secs
     return 0
 
