@@ -111,14 +111,16 @@ def _text(x, pad: str) -> str:
 
 
 def parse_graph(doc: dict) -> CubicGraph:
-    """The certificate's graph; CertificateError unless it is cubic.  The
-    size of a cubic graph, n > 0 and 3n = 2m, is checked before anything is
-    built for its vertices."""
+    """The certificate's graph; CertificateError unless it is cubic.  n and
+    the endpoints are ints, as trail ids are: no float, bool or string
+    stands for one.  The size of a cubic graph, n > 0 and 3n = 2m, is
+    checked before anything is built for its vertices."""
     try:
-        n = int(doc["graph"]["n"])
-        edges = [(int(u), int(v)) for u, v in doc["graph"]["edges"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, edges = doc["graph"]["n"], doc["graph"]["edges"]
+    except (KeyError, TypeError) as exc:
         raise CertificateError(f"bad graph payload: {exc}") from exc
+    if type(n) is not int or type(edges) is not list or not all(_ints(e) and len(e) == 2 for e in edges):
+        raise CertificateError("bad graph payload: n and the endpoints of every edge must be ints")
     if n <= 0 or 3 * n != 2 * len(edges):
         raise CertificateError(f"bad graph payload: {len(edges)} edges on {n} vertices")
     try:

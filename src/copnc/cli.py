@@ -41,6 +41,7 @@ from .graph import (
     CubicGraph,
     Malformed,
     NonCubic,
+    color_classes,
     generate,
     is_perfect_matching,
     parse_edge_list,
@@ -149,7 +150,8 @@ def _triple_doc(g: CubicGraph, triple: ConformalTriple, method: str) -> dict:
         {
             "method": method,
             "coloring": list(triple.coloring),
-            "matchings": [sorted(associated_matching(p)) for p in triple.partitions],
+            # triple.validate() has shown partition c conformal to class c
+            "matchings": [sorted(c) for c in color_classes(triple.coloring)],
         },
     )
 
@@ -226,10 +228,8 @@ def cmd_switch_class(args) -> int:
 
 
 def _sweep_worker(item):
-    (gid, n, edges), which = item
-    g = CubicGraph(n, edges)
-    rep = check_graph(g, which, gid)
-    return rep.to_json()
+    (gid, g), which = item
+    return check_graph(g, which, gid).to_json()
 
 
 def cmd_sweep(args) -> int:
@@ -238,7 +238,7 @@ def cmd_sweep(args) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
-    items = [((gid, g.n, g.endpoints), args.check) for gid, g in graphs]
+    items = [(graph, args.check) for graph in graphs]
     failures = 0
     with ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout

@@ -11,7 +11,9 @@ Conventions:
     at the first endpoint, 2*e+1 at the second.  A loop at v owns both of
     its darts at v.  The mate of dart d is d ^ 1.
   * Every vertex owns exactly 3 darts ("slots"), listed in increasing
-    order, so slot order is fixed by edge id.
+    order, so slot order is fixed by edge id.  The two tables are
+    vertex_darts (vertex -> its slots) and dart_vertices (dart -> its
+    vertex).
 
 Graphs are immutable after construction and safe to share between threads.
 """
@@ -45,7 +47,7 @@ class BadParameter(ValueError):
 class CubicGraph:
     """An immutable cubic multigraph with identity-bearing edges."""
 
-    __slots__ = ("n", "m", "endpoints", "vertex_darts", "_dart_vertex")
+    __slots__ = ("n", "m", "endpoints", "vertex_darts", "dart_vertices")
 
     def __init__(self, n: int, endpoints: Sequence[tuple[int, int]]):
         endpoints = tuple((int(u), int(v)) for u, v in endpoints)
@@ -65,13 +67,13 @@ class CubicGraph:
         self.m = len(endpoints)
         self.endpoints = endpoints
         self.vertex_darts = tuple(tuple(s) for s in slots)
-        self._dart_vertex = tuple(dart_vertex)
+        self.dart_vertices = tuple(dart_vertex)
 
     # -- dart helpers ---------------------------------------------------
 
     def dart_vertex(self, d: int) -> int:
         """Vertex carrying dart d."""
-        return self._dart_vertex[d]
+        return self.dart_vertices[d]
 
     def edges_at(self, v: int) -> tuple[int, int, int]:
         """Edge ids incident to v; a loop appears twice."""

@@ -11,9 +11,11 @@ the partition: the two unmarked slots at each vertex form the internal
 passage, and walking passages from marked slots reconstructs the trails.
 A marking decodes successfully exactly when no edge set closes into an
 internally paired cycle.  NormalPartition is the graph and the marking
-alone; its trails and key are decoded on demand by one walker, `walk`,
-which also serves the local switches.  Compatibility and agreement read
-the marking through one helper, `agreement`.
+alone; its trails and key are decoded on demand by `trails_from_marking`,
+which follows the step rule of the walker `walk` and builds each trail in
+the same pass.  `walk` itself serves the conformal switch and names the
+cycle of a marking that does not decode.  Compatibility and agreement
+read the marking through one helper, `agreement`.
 
 An odd partition is one whose trails all have odd length.  The edge at
 1-based position i of a trail is *odd* when both subtrails left by deleting
@@ -248,8 +250,8 @@ def _canonical(g: CubicGraph, vertices: tuple, edges: tuple, out_darts: tuple) -
     every out dart except at loop steps, which keep the lower dart."""
     rv, re = vertices[::-1], edges[::-1]
     if (rv, re) < (vertices, edges):
-        at = g.dart_vertex
-        out_darts = tuple(d if at(d) == at(d ^ 1) else d ^ 1 for d in reversed(out_darts))
+        at = g.dart_vertices
+        out_darts = tuple(d if at[d] == at[d ^ 1] else d ^ 1 for d in reversed(out_darts))
         vertices, edges = rv, re
     t = Trail.__new__(Trail)
     t.vertices, t.edges, t.out_darts = vertices, edges, out_darts
@@ -259,11 +261,10 @@ def _canonical(g: CubicGraph, vertices: tuple, edges: tuple, out_darts: tuple) -
 
 def _with_trails(g: CubicGraph, marked: Sequence[int], trails: list[Trail]) -> NormalPartition:
     """The partition with the given marking and its trails, which must be
-    canonically oriented; sorts them into canonical order."""
-    trails.sort(key=lambda t: t.key)
+    canonically oriented and in canonical order."""
     p = NormalPartition(g, marked)
     p._trails = tuple(trails)
-    p._key = tuple(t.key for t in trails)
+    p._key = tuple([t._key for t in trails])
     return p
 
 
@@ -302,6 +303,7 @@ def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
     if bad:
         raise InvalidPartition(bad)
     trails = [_canonical(g, t.vertices, t.edges, t.out_darts) for t in trails]
+    trails.sort(key=lambda t: t.key)
     marked = [0] * g.n
     for t in trails:
         marked[t.vertices[0]] = t.out_darts[0]
@@ -320,12 +322,12 @@ def walk(g: CubicGraph, marked: Sequence[int], start: int) -> list[int]:
     to start has gone round a cycle of unmarked darts and stops there.
     """
     slots = g.vertex_darts
-    at = g.dart_vertex
+    at = g.dart_vertices
     out = [start]
     cur = start
     while True:
         nxt = cur ^ 1
-        w = at(nxt)
+        w = at[nxt]
         mk = marked[w]
         if mk == nxt:
             return out
@@ -341,35 +343,53 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
     which keeps the marking exactly as given.
 
     Walks one trail from each marked dart whose vertex no earlier trail
-    ended at.  Raises CycleError, with the cycle through the lowest edge
-    left over as witness, when some edges close into a cycle instead of
-    trails.
+    ended at, by walk's step rule, and builds the trail in the same pass:
+    its vertices, its edges and the darts it leaves through (at a loop the
+    lower dart).  Each trail comes out canonically oriented, from its lower
+    end, and the trails in canonical order, by that end: vertices are
+    taken in increasing order, each vertex ends exactly one trail, and the
+    two ends of a trail are distinct vertices (a walk from d that came
+    back in through d would be its own reversal, and the passage at its
+    middle would pair a dart with itself).  Raises CycleError, with walk's
+    cycle through the lowest edge left over as witness, when some edges
+    close into a cycle instead of trails.
     """
     marking = tuple(marking)
     if len(marking) != g.n:
         raise ValueError("marking must assign one dart per vertex")
+    slots = g.vertex_darts
     for v, d in enumerate(marking):
-        if d not in g.vertex_darts[v]:
+        if d not in slots[v]:
             raise ValueError(f"marked dart {d} is not at vertex {v}")
-    at = g.dart_vertex
+    at = g.dart_vertices
     ended = [False] * g.n
     trails: list[Trail] = []
     walked = 0
     for v, d in enumerate(marking):
         if ended[v]:
             continue
-        darts = walk(g, marking, d)
-        verts = [v]
-        out = []
-        u = v
-        for x in darts:
-            w = at(x ^ 1)
-            out.append(x & ~1 if w == u else x)  # loops: lower dart
+        verts, edges, out = [v], [], []
+        cur, u = d, v
+        while True:
+            nxt = cur ^ 1
+            w = at[nxt]
             verts.append(w)
+            edges.append(cur >> 1)
+            out.append(cur & ~1 if w == u else cur)  # loops: lower dart
+            mk = marking[w]
+            if mk == nxt:
+                break
+            a, b, c = slots[w]
+            cur = a + b + c - nxt - mk
             u = w
-        ended[u] = True  # the trail's far end
-        walked += len(darts)
-        trails.append(_canonical(g, tuple(verts), tuple([x >> 1 for x in darts]), tuple(out)))
+        ended[w] = True  # the trail's far end
+        walked += len(edges)
+        t = Trail.__new__(Trail)
+        t.vertices = vt = tuple(verts)
+        t.edges = et = tuple(edges)
+        t.out_darts = tuple(out)
+        t._key = (vt, et)
+        trails.append(t)
     if walked < g.m:
         covered = {e for t in trails for e in t.edges}
         e0 = next(e for e in range(g.m) if e not in covered)

@@ -656,8 +656,9 @@ def matching_k4_doc():
 
 
 class TestIdTypes:
-    """Trail vertex and edge ids must be ints: the equal float or a bool in
-    their place is a certificate of the wrong shape, exit 5."""
+    """Trail vertex and edge ids must be ints, and so must the graph's n
+    and edge endpoints: a float, a bool or a digit string in their place
+    is a certificate of the wrong shape, exit 5."""
 
     def test_one_float_vertex_id(self, tmp_path, capsys):
         doc = matching_k4_doc()
@@ -677,6 +678,22 @@ class TestIdTypes:
         p = tmp_path / "retyped.json"
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == 5
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("edge", [0.9, 1]), ("edge", [False, True]), ("edge", ["0", "1"]), ("n", 4.7), ("n", 4.0)],
+    )
+    def test_retyped_graph_payload_exit(self, tmp_path, capsys, field, value):
+        doc = matching_k4_doc()
+        assert doc["graph"]["edges"][0] == [0, 1] and doc["graph"]["n"] == 4
+        if field == "n":
+            doc["graph"]["n"] = value
+        else:
+            doc["graph"]["edges"][0] = value
+        p = tmp_path / "retyped.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 5
+        assert "int" in json.loads(capsys.readouterr().out)["error"]
 
     @pytest.mark.parametrize("value", ["0123", {"0": 1}, 5, None])
     def test_id_lists_of_wrong_type(self, value):

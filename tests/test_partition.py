@@ -26,7 +26,7 @@ from copnc.partition import (
     validate_normal,
 )
 from copnc.construct import bipartite_triple, nop_from_matching
-from copnc.graph import perfect_matchings
+from copnc.graph import CubicGraph, perfect_matchings
 from copnc.search import enumerate_nops
 
 
@@ -222,6 +222,59 @@ class TestDecoderOracle:
             with pytest.raises(ValueError) as got:
                 trails_from_marking(k4, marking)
             assert str(got.value) == str(want.value)
+
+
+def pairing_model(rng, n):
+    """A random cubic multigraph on n vertices by the pairing model: three
+    points per vertex, matched uniformly at random, each pair an edge.  A
+    pair at one vertex is a loop and pairs on the same two vertices are
+    parallel edges; both are kept."""
+    points = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(points)
+    return CubicGraph(n, list(zip(points[::2], points[1::2])))
+
+
+class TestDecoderPairingModel:
+    """The decoder against the table decoder on seeded pairing-model
+    multigraphs with n = 10 ... 60, where TestDecoderOracle cannot try
+    every marking: random markings, about half of which close a cycle."""
+
+    def test_random_markings_match_table_decoder(self):
+        import random
+
+        import table_decoder
+
+        rng = random.Random(2012)
+        decoded = cycles = loops = parallel = 0
+        for n in range(10, 62, 2):
+            for _ in range(4):
+                g = pairing_model(rng, n)
+                loops += sum(u == v for u, v in g.endpoints)
+                links = [tuple(sorted(e)) for e in g.endpoints if e[0] != e[1]]
+                parallel += len(links) - len(set(links))
+                for _ in range(25):
+                    marking = tuple(rng.choice(slots) for slots in g.vertex_darts)
+                    try:
+                        want = table_decoder.decode(g, marking)
+                    except CycleError as exc:
+                        with pytest.raises(CycleError) as err:
+                            trails_from_marking(g, marking)
+                        assert err.value.args == exc.args
+                        assert err.value.cycle_edges == exc.cycle_edges
+                        cycles += 1
+                        continue
+                    got = trails_from_marking(g, marking)
+                    assert [(t.vertices, t.edges, t.out_darts) for t in got.trails] == [
+                        (t.vertices, t.edges, t.out_darts) for t in want.trails
+                    ]
+                    assert got.key == want.key
+                    assert got.marked == marking
+                    assert got.marked_edges() == tuple(d >> 1 for d in want.marked)
+                    # encode again: the marking read off the trails
+                    again = validate_normal(g, got.trails)
+                    assert again.key == got.key and again.marked_edges() == got.marked_edges()
+                    decoded += 1
+        assert decoded > 800 and cycles > 800 and loops > 50 and parallel > 50
 
 
 class TestMatchingsAndConformality:

@@ -3,6 +3,8 @@
 
   petersen   the markings of all normal odd partitions of the Petersen
              graph (n = 10)
+  cube       the markings of all 5,928 normal partitions of the cube
+             (n = 8), the largest pool of the switching benchmark
   simple12   the three markings of the first compatible triple on each
              simple graph with n = 12 that has one
   ladder400  the three markings of the conformal triple on the circular
@@ -30,7 +32,7 @@ from copnc.construct import conformal_triple_general  # noqa: E402
 from copnc.corpus import corpus_simple12  # noqa: E402
 from copnc.graph import CubicGraph, generate  # noqa: E402
 from copnc.partition import trails_from_marking  # noqa: E402
-from copnc.search import enumerate_nops, find_compatible_triple  # noqa: E402
+from copnc.search import enumerate_nops, enumerate_normal_partitions, find_compatible_triple  # noqa: E402
 from search_rate import circular_ladder  # noqa: E402
 
 RUN_SECONDS = 0.2  # least CPU seconds of one run
@@ -38,6 +40,7 @@ RUN_SECONDS = 0.2  # least CPU seconds of one run
 
 def cases() -> list[tuple[str, list[tuple[CubicGraph, tuple[int, ...]]]]]:
     petersen = generate("petersen")
+    cube = generate("cube")
     triples = []
     for _, g in corpus_simple12():
         triple = find_compatible_triple(g)
@@ -46,6 +49,7 @@ def cases() -> list[tuple[str, list[tuple[CubicGraph, tuple[int, ...]]]]]:
     ladder = circular_ladder(200)
     return [
         ("petersen", [(petersen, p.marked) for p in enumerate_nops(petersen)]),
+        ("cube", [(cube, p.marked) for p in enumerate_normal_partitions(cube)]),
         ("simple12", triples),
         ("ladder400", [(ladder, p.marked) for p in conformal_triple_general(ladder).partitions]),
     ]
