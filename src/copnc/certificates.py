@@ -16,6 +16,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Optional, Sequence
 
 from .graph import BadParameter, CubicGraph, Malformed, NonCubic, color_classes, generate, parse_spec
@@ -66,22 +67,58 @@ def dumps(doc: dict) -> str:
     """The canonical text of a JSON document: byte for byte
     json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) and a
     newline.  json writes any indented document with its pure-Python
-    encoder; here keys and scalars go through the C encoder, and a list of
-    ints or of int lists is joined in one go.  Keys must be strings."""
+    encoder; here keys and scalars go through the C encoder, a list of
+    ints is joined in one go, and a list of int lists or a partition's
+    list of trails is one compact C encode, re-indented.  Keys must be
+    strings."""
     return _text(doc, "") + "\n"
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _INT = {int}
+_LIST = {list}
+_TRAIL = {"edges", "vertices"}
+_HEAD, _TAIL = '[{"edges":[', "]}]"
 
 
-def _int_list(x) -> bool:
-    return type(x) is list and set(map(type, x)) == _INT
+def _int_lists(x) -> bool:
+    """A list of non-empty lists of ints; bools are not ints here."""
+    return set(map(type, x)) == _LIST and all(x) and set(map(type, chain.from_iterable(x))) == _INT
 
 
 def _ints(x) -> bool:
     """A list of ints, maybe empty; bools are not ints here."""
     return type(x) is list and _INT.issuperset(map(type, x))
+
+
+def _is_trails(x) -> bool:
+    """A list of trail dicts {"edges": [...], "vertices": [...]} whose two
+    lists are non-empty lists of ints."""
+    return all(type(t) is dict and t.keys() == _TRAIL for t in x) and _int_lists(
+        [v for t in x for v in t.values()]
+    )
+
+
+# Both writers below take one compact C encode and indent it by str.replace.
+# After the first replace every comma ends a line; the commas that do not
+# sit between two ints are then rewritten whole.
+
+
+def _int_lists_text(x, pad: str) -> str:
+    """A list of non-empty int lists as _text writes it."""
+    a, c = "\n" + pad + " ", "\n" + pad + "  "
+    s = _compact(x)[2:-2].replace(",", "," + c).replace("]," + c + "[", a + "]," + a + "[" + c)
+    return "[" + a + "[" + c + s + a + "]\n" + pad + "]"
+
+
+def _trails_text(x, pad: str) -> str:
+    """A list of trails (see _is_trails) as _text writes it."""
+    a, b, c = "\n" + pad + " ", "\n" + pad + "  ", "\n" + pad + "   "
+    s = _compact(x)[len(_HEAD):-len(_TAIL)].replace(",", "," + c)
+    s = s.replace("]," + c + '"vertices":[', b + "]," + b + '"vertices": [' + c)
+    s = s.replace("]}," + c + '{"edges":[', b + "]" + a + "}," + a + "{" + b + '"edges": [' + c)
+    return "[" + a + "{" + b + '"edges": [' + c + s + b + "]" + a + "}\n" + pad + "]"
 
 
 def _text(x, pad: str) -> str:
@@ -93,9 +130,10 @@ def _text(x, pad: str) -> str:
         sep = ",\n" + inner
         if set(map(type, x)) == _INT:
             body = sep.join(map(str, x))
-        elif all(map(_int_list, x)):
-            isep = sep + " "
-            body = sep.join([f"[\n{inner} {isep.join(map(str, v))}\n{inner}]" for v in x])
+        elif _int_lists(x):
+            return _int_lists_text(x, pad)
+        elif _is_trails(x):
+            return _trails_text(x, pad)
         else:
             body = sep.join([_text(v, inner) for v in x])
         return f"[\n{inner}{body}\n{pad}]"

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional
@@ -243,6 +242,9 @@ def cmd_sweep(args) -> int:
     with ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
         if args.jobs > 1:
+            # imported here: the process pool costs a tenth of the import of cli
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
             reports = pool.map(_sweep_worker, items, chunksize=4)
         else:

@@ -24,6 +24,17 @@ claws (flower) or blocks (Goldberg), inserts the new middle section, keeps
 every carried mark, re-points the six marks that sat on deleted edges to
 their replacement edges, and stamps the frozen gadget marks onto the new
 vertices.
+
+The replay keeps its tables in end coordinates: claw 1 and block 0 keep
+their positions, and every later claw or block is stored counted from
+the end, as a negative list index is.  The step inserts its two claws or
+blocks right after the first one, so a stored mark keeps its value: a
+step only re-points the six marks and stamps the new section, and the
+tables of F_k or G_k are turned back into vertex ids and decoded once, in
+O(k) for the whole replay.  A step moves no mark off an edge except the
+six it re-points, since every other edge keeps its distance from the end.
+The final tables are still checked: every mark must be an edge and the
+decoded triple odd and compatible, else FamilyDataError.
 """
 
 from __future__ import annotations
@@ -46,6 +57,11 @@ from .partition import (
 )
 
 Triple = tuple[NormalPartition, NormalPartition, NormalPartition]
+
+
+class FamilyDataError(ValueError):
+    """The frozen family data does not give a certified compatible triple."""
+
 
 _DATA_PACKAGE = "copnc.data"
 _DATA_FILE = "families.json"
@@ -93,45 +109,6 @@ def _flower_eqs(k: int) -> list[dict[tuple[str, int], tuple[str, int]]]:
     ]
 
 
-def _flower_role_edges(k: int) -> set[frozenset]:
-    es = set()
-    for i in range(1, k + 1):
-        es.add(frozenset((("u", i), ("u", i % k + 1))))
-        es.add(frozenset((("v", i), ("u", i))))
-        es.add(frozenset((("v", i), ("w", i))))
-        es.add(frozenset((("v", i), ("t", i))))
-    for i in range(1, k):
-        es.add(frozenset((("w", i), ("w", i + 1))))
-        es.add(frozenset((("t", i), ("t", i + 1))))
-    es.add(frozenset((("w", k), ("t", 1))))
-    es.add(frozenset((("t", k), ("w", 1))))
-    return es
-
-
-def _flower_rename(role: tuple[str, int]) -> tuple[str, int]:
-    x, i = role
-    return (x, 1) if i == 1 else (x, i + 2)
-
-
-def _flower_extend_tables(tables, k_new: int):
-    """Carry per-partition role marks from F_{k_new-2} into F_{k_new}:
-    rename indexes, re-point the six marks that lived on deleted edges."""
-    edges = _flower_role_edges(k_new)
-    out = []
-    for tab in tables:
-        new = {}
-        for role, nrole in tab.items():
-            r2, n2 = _flower_rename(role), _flower_rename(nrole)
-            if frozenset((r2, n2)) in edges:
-                new[r2] = n2
-            else:
-                x, i = r2
-                assert i in (1, 4), (r2, n2)
-                new[r2] = (x, 2) if i == 1 else (x, 3)
-        out.append(new)
-    return out
-
-
 def _is_odd_edge(p: NormalPartition, e: int) -> bool:
     """Whether e is an odd edge of the trail of p that holds it; defined
     for every normal partition, odd or not."""
@@ -168,35 +145,71 @@ def _roles_to_fixed(g, lut, k, tables):
     return {v: tuple(ds) for v, ds in fixed.items() if all(d is not None for d in ds)}
 
 
+def _flower_end_role(k: int, role: tuple[str, int]) -> tuple[str, int]:
+    """A role of F_k in end coordinates: claw 1 stays 1, claw i >= 2 is
+    stored as i - k - 1, so claw k is -1 and claw 2 is 1 - k."""
+    x, i = role
+    return role if i == 1 else (x, i - k - 1)
+
+
+def _flower_role(k: int, role: tuple[str, int]) -> tuple[str, int]:
+    """The role of F_k that end coordinates stand for."""
+    x, c = role
+    return role if c == 1 else (x, c + k + 1)
+
+
 def _flower_tables_for(k: int, base_tables, gadget_tables):
-    """Full role tables for F_k obtained by replaying the gadget."""
-    tables = [dict(t) for t in base_tables]
+    """Role tables of F_k: the base tables of F_3 replayed through every
+    k -> k+2 step.  A step deletes the chaining edges x1-x2 (x = u, w, t):
+    a mark from claw 1 to the old claw 2 re-points to the new claw 2, and
+    one from the old claw 2 to claw 1 to the new claw 3.  Then the boundary
+    marks of claw 2 (_flower_eqs) and the gadget's (claw 3) are stamped."""
+    tables = [
+        {_flower_end_role(3, r): _flower_end_role(3, s) for r, s in tab.items()}
+        for tab in base_tables
+    ]
     for kk in range(5, k + 1, 2):
-        tables = _flower_extend_tables(tables, kk)
-        eqs = _flower_eqs(kk)
-        for p_idx in range(3):
-            for role in (("u", 2), ("v", 2), ("w", 2), ("t", 2)):
-                tables[p_idx][role] = eqs[p_idx][role]
-            tables[p_idx].update(gadget_tables[p_idx])
-    return tables
+        old2, new2, new3 = 3 - kk, 1 - kk, 2 - kk  # claws 4, 2 and 3 of F_kk
+        for tab, eq, gadget in zip(tables, _flower_eqs(kk), gadget_tables):
+            for x in "uwt":
+                if tab.get((x, 1)) == (x, old2):
+                    tab[(x, 1)] = (x, new2)
+                if tab.get((x, old2)) == (x, 1):
+                    tab[(x, old2)] = (x, new3)
+            stamp = {(x, 2): eq[(x, 2)] for x in "uvwt"}
+            stamp.update(gadget)
+            for r, s in stamp.items():
+                tab[_flower_end_role(kk, r)] = _flower_end_role(kk, s)
+    return [{_flower_role(k, r): _flower_role(k, s) for r, s in tab.items()} for tab in tables]
 
 
-def _decode_flower(k: int, tables) -> Triple:
-    g = generate("flower", k)
+def _decode_marks(g: CubicGraph, tables) -> Triple:
+    """The partitions marked by vertex -> neighbour tables, one per
+    partition; FamilyDataError when a vertex has no mark or its mark is not
+    an edge."""
     lut = _edge_lookup(g)
     parts = []
     for tab in tables:
-        marking = [0] * g.n
-        for role, nrole in tab.items():
-            v, w = _flower_vid(k, role), _flower_vid(k, nrole)
-            marking[v] = _dart_at(g, lut, v, w)
+        try:
+            marking = [_dart_at(g, lut, v, tab[v]) for v in range(g.n)]
+        except KeyError as exc:
+            # a vertex without a mark, or a (vertex, neighbour) pair off the graph
+            raise FamilyDataError(f"the replayed tables mark no edge at {exc.args[0]}") from None
         parts.append(trails_from_marking(g, marking))
     return tuple(parts)  # type: ignore[return-value]
 
 
+def _decode_flower(k: int, tables) -> Triple:
+    vid = {(x, i): _flower_vid(k, (x, i)) for x in "uvwt" for i in range(1, k + 1)}
+    try:
+        vtabs = [{vid[r]: vid[s] for r, s in tab.items()} for tab in tables]
+    except KeyError as exc:
+        raise FamilyDataError(f"flower:{k} has no role {exc.args[0]}") from None
+    return _decode_marks(generate("flower", k), vtabs)
+
+
 # ---------------------------------------------------------------------------
-# Goldberg coordinates: absolute vertex ids, since blocks 0..3 occupy the
-# same id range 0..31 for every parameter
+# Goldberg coordinates: vertex ids; block 0 is ids 0..7 for every parameter
 # ---------------------------------------------------------------------------
 
 
@@ -204,26 +217,41 @@ def _gold_b(j: int, i: int) -> int:
     return 8 * j + i - 1
 
 
-def _gold_carry(k_new: int, marks_old):
-    """Carry per-partition vertex->neighbor marks from G_{k_new-2} into
-    G_{k_new}: old blocks j >= 1 shift by one double-block, marks on the
-    three deleted chaining edges re-point to their replacements."""
-    gk = generate("goldberg", k_new)
-    lut = _edge_lookup(gk)
-    shift = lambda v: v if v < 8 else v + 16
-    repoint = {
-        _gold_b(0, 6): _gold_b(1, 6), _gold_b(3, 6): _gold_b(2, 6),
-        _gold_b(0, 4): _gold_b(1, 3), _gold_b(3, 3): _gold_b(2, 4),
-        _gold_b(0, 7): _gold_b(1, 8), _gold_b(3, 8): _gold_b(2, 7),
-    }
-    out = []
-    for tab in marks_old:
-        new = {}
-        for v, w in tab.items():
-            v2, w2 = shift(v), shift(w)
-            new[v2] = w2 if (v2, w2) in lut else repoint[v2]
-        out.append(new)
-    return gk, lut, out
+# The marks a k -> k+2 step re-points: (vertex, its neighbour across a
+# deleted chaining edge, its neighbour across the new one), in ids of
+# G_{k+2}, where the old block 1 is block 3
+_GOLD_CUT = (
+    (_gold_b(0, 6), _gold_b(3, 6), _gold_b(1, 6)),
+    (_gold_b(3, 6), _gold_b(0, 6), _gold_b(2, 6)),
+    (_gold_b(0, 4), _gold_b(3, 3), _gold_b(1, 3)),
+    (_gold_b(3, 3), _gold_b(0, 4), _gold_b(2, 4)),
+    (_gold_b(0, 7), _gold_b(3, 8), _gold_b(1, 8)),
+    (_gold_b(3, 8), _gold_b(0, 7), _gold_b(2, 7)),
+)
+
+
+def _gold_end(k: int, v: int) -> int:
+    """A vertex id of G_k in end coordinates: block 0 stays, every later
+    id is stored as v - 8k, so block k-1 is ids -8..-1."""
+    return v if v < 8 else v - 8 * k
+
+
+def _gold_marks_for(k: int, base_marks, gadget_marks):
+    """Vertex -> neighbour marks of G_k: the base marks of G_3 replayed
+    through every k -> k+2 step, each step re-pointing the marks on the
+    three deleted chaining edges (_GOLD_CUT) and stamping the gadget's
+    marks on the new blocks 1 and 2."""
+    marks = [{_gold_end(3, v): _gold_end(3, w) for v, w in tab.items()} for tab in base_marks]
+    for kk in range(5, k + 1, 2):
+        cut = [tuple(_gold_end(kk, v) for v in row) for row in _GOLD_CUT]
+        for tab, gadget in zip(marks, gadget_marks):
+            for v, old, new in cut:
+                if tab.get(v) == old:
+                    tab[v] = new
+            for v, w in gadget.items():
+                tab[_gold_end(kk, v)] = _gold_end(kk, w)
+    n = 8 * k  # a stored id below 0 counts from the end, as a list index does
+    return [{v % n: w % n for v, w in tab.items()} for tab in marks]
 
 
 def _gold_marks_of(g: CubicGraph, parts: Sequence[NormalPartition]):
@@ -236,21 +264,6 @@ def _gold_marks_of(g: CubicGraph, parts: Sequence[NormalPartition]):
             tab[v] = b if a == v else a
         out.append(tab)
     return out
-
-
-def _decode_goldberg(k: int, base_marks, gadget_marks) -> Triple:
-    marks = [dict(t) for t in base_marks]
-    g = generate("goldberg", 3)
-    for kk in range(5, k + 1, 2):
-        g, _, marks = _gold_carry(kk, marks)
-        for p_idx in range(3):
-            marks[p_idx].update(gadget_marks[p_idx])
-    lut = _edge_lookup(g)
-    parts = []
-    for tab in marks:
-        marking = [_dart_at(g, lut, v, tab[v]) for v in range(g.n)]
-        parts.append(trails_from_marking(g, marking))
-    return tuple(parts)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +337,16 @@ def goldberg_triple(k: int) -> Triple:
     d = _data()["goldberg"]
     base = [{int(v): w for v, w in tab.items()} for tab in d["base"]]
     gadget = [{int(v): w for v, w in tab.items()} for tab in d["gadget"]]
-    triple = _decode_goldberg(k, base, gadget)
+    triple = _decode_marks(generate("goldberg", k), _gold_marks_for(k, base, gadget))
     _check_triple(triple)
     return triple
 
 
 def _check_triple(parts: Sequence[NormalPartition]) -> None:
-    assert all(is_odd(p) for p in parts)
-    assert not agreement(parts)
+    if not all(is_odd(p) for p in parts):
+        raise FamilyDataError("a partition of the family triple is not odd")
+    if agreement(parts):
+        raise FamilyDataError("the partitions of the family triple are not compatible")
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +409,7 @@ def derive_flower() -> tuple[list[dict], list[dict]]:
         if not _flower_side_ok(g3, lut3, 3, base):
             continue
         base_tables = role_tables(g3, 3, base, all_roles3)
-        carried = _flower_extend_tables(base_tables, 5)
-        eq5 = _flower_eqs(5)
-        for p_idx in range(3):
-            for role in (("u", 2), ("v", 2), ("w", 2), ("t", 2)):
-                carried[p_idx][role] = eq5[p_idx][role]
+        carried = _flower_tables_for(5, base_tables, [{}, {}, {}])
         fixed5 = _roles_to_fixed(g5, lut5, 5, carried)
         for trip5 in enumerate_compatible_triples(g5, fixed=fixed5):
             if not _flower_side_ok(g5, lut5, 5, trip5):
@@ -429,9 +440,11 @@ def derive_goldberg() -> tuple[list[dict], list[dict]]:
     from .search import enumerate_compatible_triples
 
     g3 = generate("goldberg", 3)
+    g5 = generate("goldberg", 5)
+    lut5 = _edge_lookup(g5)
     for base in enumerate_compatible_triples(g3):
         base_marks = _gold_marks_of(g3, base)
-        g5, lut5, carried = _gold_carry(5, base_marks)
+        carried = _gold_marks_for(5, base_marks, [{}, {}, {}])
         fixed5 = {}
         for p_idx, tab in enumerate(carried):
             for v, w in tab.items():
@@ -448,7 +461,7 @@ def derive_goldberg() -> tuple[list[dict], list[dict]]:
 def _gold_replays(base_marks, gadget) -> bool:
     for kk in (7, 9):
         try:
-            parts = _decode_goldberg(kk, base_marks, gadget)
+            parts = _decode_marks(generate("goldberg", kk), _gold_marks_for(kk, base_marks, gadget))
         except Exception:
             return False
         if not all(is_odd(p) for p in parts) or agreement(parts):

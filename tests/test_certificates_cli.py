@@ -215,6 +215,37 @@ class TestCli:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in lines] == ["two:0", "two:1"]
 
+    def test_process_pool_imported_only_for_jobs(self, tmp_path, k4, k33):
+        # a fresh interpreter: importing the CLI loads no process pool, and
+        # a --jobs 2 sweep still runs and writes what --jobs 1 writes
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import copnc
+        from copnc.graph import to_graph6
+
+        src = tmp_path / "two.g6"
+        src.write_text("\n".join(to_graph6(g) for g in (k4, k33)) + "\n")
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        code = "\n".join([
+            "import sys",
+            "import copnc.cli",
+            "assert 'concurrent.futures.process' not in sys.modules",
+            f"argv = ['sweep', '--input', '@{src}', '--check', 'conj25', '--jobs', '2', '--out', '{two}']",
+            "assert copnc.cli.main(argv) == 0",
+            "assert 'concurrent.futures.process' in sys.modules",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(copnc.__file__).resolve().parent.parent)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        assert main(["sweep", "--input", f"@{src}", "--check", "conj25", "--out", str(one)]) == 0
+
+        def records(path):
+            return [{k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in path.read_text().splitlines()]
+
+        assert records(two) == records(one)
+
     def test_family_regenerate(self, capsys):
         assert main(["family", "--regenerate"]) == 0
 

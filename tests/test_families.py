@@ -1,8 +1,20 @@
+import copy
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import copnc
+from copnc import families
 from copnc.families import (
+    FamilyDataError,
+    _check_triple,
+    _flower_tables_for,
+    _gold_marks_for,
+    _tables_from_json,
     derive_petersen,
     flower_boundary_ok,
     flower_triple,
@@ -24,6 +36,30 @@ from copnc.partition import (
 from copnc.search import fan_raspaud_witness
 
 from conftest import graph_automorphisms
+from family_replay import flower_replay, goldberg_replay
+
+
+def flower_data():
+    d = families._data()["flower"]
+    return _tables_from_json(d["base"]), _tables_from_json(d["gadget"])
+
+
+def goldberg_data():
+    d = families._data()["goldberg"]
+    return tuple([{int(v): w for v, w in tab.items()} for tab in d[key]] for key in ("base", "gadget"))
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """Swap in a deep copy of the frozen data, changed by the given
+    function, for the rest of the test."""
+
+    def apply(change):
+        data = copy.deepcopy(families._data())
+        change(data)
+        monkeypatch.setattr(families, "_cache", data)
+
+    return apply
 
 
 class TestPetersen:
@@ -233,3 +269,98 @@ class TestDeterminismAndAudit:
 
     def test_regeneration_reproduces_frozen_bytes(self):
         assert regenerate_check()
+
+
+class TestReplay:
+    """The replay in end coordinates against the quadratic replay of
+    tests/family_replay.py, which renames or shifts every mark at every
+    step."""
+
+    def test_flower_tables_match_quadratic_replay(self):
+        base, gadget = flower_data()
+        for k, tables in flower_replay(base, gadget, 99):
+            assert _flower_tables_for(k, base, gadget) == tables, k
+
+    def test_goldberg_marks_match_quadratic_replay(self):
+        base, gadget = goldberg_data()
+        for k, marks in goldberg_replay(base, gadget, 99):
+            assert _gold_marks_for(k, base, gadget) == marks, k
+
+    def test_carry_without_gadget(self):
+        # the derivations carry the base one step with no gadget stamped
+        empty = [{}, {}, {}]
+        base, _ = flower_data()
+        for k, tables in flower_replay(base, empty, 9):
+            assert _flower_tables_for(k, base, empty) == tables, k
+        base, _ = goldberg_data()
+        for k, marks in goldberg_replay(base, empty, 9):
+            assert _gold_marks_for(k, base, empty) == marks, k
+
+
+class TestFrozenDataChecked:
+    """Corrupted frozen data raises FamilyDataError instead of yielding an
+    uncertified triple; the checks are raises, so python -O keeps them."""
+
+    def test_flower_mark_off_the_graph(self, corrupt):
+        # u3 is not adjacent to w7 for any k
+        corrupt(lambda d: d["flower"]["gadget"][0].update(u3="w7"))
+        for k in (5, 7, 9):
+            with pytest.raises(FamilyDataError):
+                flower_triple(k)
+        flower_triple(3)  # the gadget is not used at k = 3
+
+    def test_flower_role_out_of_range(self, corrupt):
+        corrupt(lambda d: d["flower"]["base"][1].update(u3="x3"))
+        with pytest.raises(FamilyDataError):
+            flower_triple(3)
+
+    def test_goldberg_mark_off_the_graph(self, corrupt):
+        # vertex 8 (block 1, role 1) is not adjacent to vertex 30
+        corrupt(lambda d: d["goldberg"]["gadget"][2].update({"8": 30}))
+        for k in (5, 7):
+            with pytest.raises(FamilyDataError):
+                goldberg_triple(k)
+
+    def test_goldberg_vertex_without_mark(self, corrupt):
+        corrupt(lambda d: d["goldberg"]["gadget"][0].pop("9"))
+        with pytest.raises(FamilyDataError):
+            goldberg_triple(5)
+
+    def test_gadget_of_another_partition(self, corrupt):
+        # every mark is an edge, but two partitions now agree on the gadget
+        def change(d):
+            d["goldberg"]["gadget"][1] = dict(d["goldberg"]["gadget"][0])
+
+        corrupt(change)
+        with pytest.raises(FamilyDataError, match="not compatible"):
+            goldberg_triple(5)
+
+    def test_check_triple_raises(self):
+        a, b, c = petersen_triple()
+        with pytest.raises(FamilyDataError, match="not compatible"):
+            _check_triple((a, a, c))
+        g = a.graph
+        rng = random.Random(3)
+        while True:
+            try:
+                even = trails_from_marking(g, [rng.choice(ds) for ds in g.vertex_darts])
+            except CycleError:
+                continue
+            if not is_odd(even):
+                break
+        with pytest.raises(FamilyDataError, match="not odd"):
+            _check_triple((even, b, c))
+
+    def test_checks_survive_optimize_flag(self):
+        code = "\n".join([
+            "import copnc.families as F",
+            "gadget = F._data()['goldberg']['gadget']",
+            "gadget[1] = dict(gadget[0])",
+            "try:",
+            "    F.goldberg_triple(5)",
+            "except F.FamilyDataError:",
+            "    print('raised')",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(copnc.__file__).resolve().parent.parent)}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "raised", out.stderr
