@@ -43,7 +43,6 @@ from .graph import (
 from .partition import (
     NormalPartition,
     agreement,
-    associated_matching,
     is_conformal,
     is_odd,
     length_profile,
@@ -169,7 +168,8 @@ def nop_from_matching(
             raise NoMatching("graph has no perfect matching")
     m = frozenset(m)
     p = trails_from_marking(g, _incoming_marks(g, m, orientation))
-    assert is_odd(p) and associated_matching(p) == m
+    if not is_conformal(p, m):  # raised, not asserted, so python -O keeps it
+        raise AssertionError(f"matching route: partition not conformal to {sorted(m)}")
     return p
 
 
@@ -388,36 +388,6 @@ def conformal_triple(
 # ---------------------------------------------------------------------------
 
 
-def find_digon(g: CubicGraph) -> Optional[tuple[int, int]]:
-    """Lowest pair of parallel non-loop edges, as (edge, edge), or None."""
-    seen: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(g.endpoints):
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            return (seen[key], e)
-        seen[key] = e
-    return None
-
-
-def find_triangle(g: CubicGraph) -> Optional[tuple[int, int, int]]:
-    """Lowest vertex triple mutually joined by edges, or None."""
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.endpoints:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    for a in range(g.n):
-        for b in sorted(adj[a]):
-            if b <= a:
-                continue
-            for c in sorted(adj[a] & adj[b]):
-                if c > b:
-                    return (a, b, c)
-    return None
-
-
 class Contraction:
     """A cubic multigraph contracted in place, in the ids of its input.
 
@@ -430,13 +400,14 @@ class Contraction:
 
     Candidate digons wait in a lazy min-heap of edge ids, candidate
     triangles in one of sorted vertex triples; an entry is checked when it
-    reaches the top.  So digon() and triangle() return what find_digon and
-    find_triangle return on the current graph: the first edge in id order
-    that has an earlier parallel edge, with the lowest such edge, and the
-    lexicographically lowest triangle.  A surgery creates adjacencies only
-    at the site's surviving vertices, so only those are filed again, and
-    two live vertices never stop being adjacent, so a triangle entry is
-    valid while its three vertices live.  Each surgery costs O(log n).
+    reaches the top.  So digon() returns the lowest pair of parallel
+    non-loop edges of the current graph (the first edge in id order that
+    has an earlier parallel edge, with the lowest such edge), and
+    triangle() its lexicographically lowest triangle.  A surgery creates
+    adjacencies only at the site's surviving vertices, so only those are
+    filed again, and two live vertices never stop being adjacent, so a
+    triangle entry is valid while its three vertices live.  Each surgery
+    costs O(log n).
     """
 
     def __init__(self, g: CubicGraph, coloring: Sequence[int]):
@@ -760,7 +731,7 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
 
     The contraction runs in place on one Contraction of g, in g's vertex
     and edge ids, with the edges it creates numbered from m up.  Two lazy
-    min-heaps pick each site as find_digon and find_triangle would on the
+    min-heaps pick the lowest digon, else the lowest triangle, of the
     graph contracted so far, and only the site's surviving vertices are
     filed again, so a surgery costs O(log n).  The core is compacted into
     a CubicGraph once, and its triple is carried back into g's ids.  Each
@@ -834,13 +805,11 @@ def _conformal_route(g: CubicGraph, coloring: tuple[int, ...], seed: int) -> Con
     if not sites:
         return core
     # the core triple is validated; each lift rewrites a few marks in g's
-    # ids and checks them, and the lifted triple is validated once, in full
+    # ids, and the lifted triple is validated once, in full
     marks = [[-1] * g.n for _ in range(3)]
     _carry_marks(marks, core, vids, eids)
     for lift, site in reversed(sites):
-        rewritten = lift(site, marks)
-        # the three partitions mark three different edges at each rewritten vertex
-        assert all(len({m[v] >> 1 for m in marks}) == 3 for v in rewritten)
+        lift(site, marks)
     triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, m) for m in marks))
     triple.validate()
     return triple

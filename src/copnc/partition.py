@@ -431,11 +431,6 @@ def is_conformal(p: NormalPartition, m: frozenset[int]) -> bool:
     return is_perfect_matching(p.graph, m) and not any((d >> 1) in m for d in p.marked)
 
 
-def agrees_at(parts: Sequence[NormalPartition], v: int) -> bool:
-    """True when two of the partitions mark the same edge at v."""
-    return len({p.marked[v] >> 1 for p in parts}) < len(parts)
-
-
 def agreement(parts: Sequence[NormalPartition]) -> list[int]:
     """Vertices where two of the partitions mark the same edge, ascending.
 

@@ -17,28 +17,26 @@ bijection per vertex (6^n worst case instead of 27^n).  A vertex carrying
 a loop has only two distinct incident edges and admits no bijection, so
 such graphs have no triple and are rejected in O(1).
 
-Exploration order: next vertex with the most already-assigned neighbors
-(ties to the lowest id), which closes chains early.  For triples, the
-first assigned vertex keeps the identity bijection: the three partitions
-of a triple are interchangeable, so every solution class is still found,
-once.
+Exploration order: pinned vertices first, then the vertex with the most
+neighbors already entered (ties to the lowest id), which closes chains
+early.  No choice changes it, so it is computed once, before the search.
+For triples, the first vertex keeps the identity bijection: the three
+partitions of a triple are interchangeable, so every solution class is
+still found, once.
 
-The chain state of all k partitions lives in flat arrays, and no undo
-journal is kept.  A slot choice at a vertex is tested by reads alone: it
-writes only once it is accepted, so a rejected choice leaves nothing to
-undo.  An accepted choice is undone from its own darts: the two darts a
-passage joins become interior to their chain, an interior dart's entries
-are never written, and vertices are unassigned in the reverse order of
-their assignment, so those darts still lead to the ends the join wrote and
-still hold the lengths the joined chains had.
+The search runs in two parts: a plan, computed once (the vertex order
+and each vertex's choice row), and a kernel that keeps only the chain
+state of all k partitions, in flat arrays with no undo journal.  A choice
+is tested by reads alone and undone from its own darts (see _Search).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, is_perfect_matching, perfect_matchings
 from .partition import (
@@ -130,8 +128,9 @@ class _Search:
     of chosen vertices, one dart per partition, and no partition marks an
     edge of avoid.
 
-    Chain state lives in three flat arrays of size k * 2m; partition p's
-    dart d sits at index p * 2m + d:
+    The plan is computed once: the vertex order (_order) and, per vertex,
+    its choice row.  The kernel keeps only the chain state, in three flat
+    arrays of size k * 2m; partition p's dart d sits at index p * 2m + d:
       link[i]   -- for a chain-end dart i, the dart at the opposite end
       length[i] -- edge count of the chain, valid at end darts
       sealed[i] -- i is a marked (sealed) chain end
@@ -184,21 +183,18 @@ class _Search:
                 perms = (pins[v],)
             elif avoid:
                 perms = [perm for perm in perms if all(slots[s] >> 1 not in avoid for s in perm)]
-            d0, d1, d2 = slots
-            t0 = (d0, d1, d2), (d1, d0, d2), (d2, d0, d1)
+            rows = [[d + o for d in slots] for o in range(0, k * nd, nd)]
+            t = [((d0, d1, d2), (d1, d0, d2), (d2, d0, d1)) for d0, d1, d2 in rows]
             if k == 1:
-                out.append([(t0[a],) for (a,) in perms])
-                continue
-            e0, e1, e2 = d0 + nd, d1 + nd, d2 + nd
-            t1 = (e0, e1, e2), (e1, e0, e2), (e2, e0, e1)
-            f0, f1, f2 = e0 + nd, e1 + nd, e2 + nd
-            t2 = (f0, f1, f2), (f1, f0, f2), (f2, f0, f1)
-            out.append([(t0[a], t1[b], t2[c]) for a, b, c in perms])
+                out.append([(t[0][a],) for (a,) in perms])
+            else:
+                t0, t1, t2 = t
+                out.append([(t0[a], t1[b], t2[c]) for a, b, c in perms])
         return out
 
     def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Yield solutions as k markings.  For k = 3 without pins the first
-        vertex assigned keeps the identity bijection (one representative
+        vertex entered keeps the identity bijection (one representative
         per unordered triple)."""
         g, k, n = self.g, self.k, self.g.n
         if k == 3 and g.has_loop():
@@ -213,7 +209,10 @@ class _Search:
         if n == 0:
             yield ((),) * k
             return
+        order = _order(g, pins)
         choices = self._choices(pins)
+        if k == 3:  # symmetry break: one choice at the root, which a pin already has
+            choices[order[0]] = choices[order[0]][:1]
         size = k * 2 * g.m
         link = list(range(1, size + 1))  # each dart's chain is its edge: link[i] = i ^ 1
         link[1::2] = range(0, size, 2)
@@ -222,51 +221,27 @@ class _Search:
         odd = self.odd
         # no chain exceeds m edges, so m is no cap at all
         cap = g.m if self.length_cap is None else self.length_cap
-        # the exploration order: count[v] is the number of v's neighbors
-        # (with multiplicity) already assigned
-        dv = g.dart_vertex
-        nbrs = [(dv(a ^ 1), dv(b ^ 1), dv(c ^ 1)) for a, b, c in g.vertex_darts]
-        assigned = [False] * n
-        count = [0] * n
         chosen: list = [None] * n  # v -> the parts applied at v, or None
         offsets = range(0, size, 2 * g.m)
-        # pinned vertices are entered first, lowest id first, each with its
-        # one forced choice; placing a pin is not a search node, and a pin
-        # still pending when the search ends was never placed
-        pending = sorted(pins, reverse=True)
-        nodes = -len(pending)
+        # placing a pin is not a search node: the count reaches 0 once every
+        # pin is placed, and reads 0 when a pin is refused
+        nodes = -len(pins)
         # one frame per assigned depth: (vertex, iterator over its choices);
         # an explicit stack, so the depth is not bounded by the
         # interpreter's recursion limit
         stack: list[tuple] = []
-        first = k == 3 and not pins  # symmetry break: one choice at the root
         while True:
-            # enter the next vertex: a pin, else the unassigned vertex with the
-            # most assigned neighbors, ties to the lowest id
-            if pending:
-                v = pending.pop()
-            else:
-                v, score = -1, -1
-                for u in range(n):
-                    if not assigned[u] and count[u] > score:
-                        v, score = u, count[u]
-            assigned[v] = True
-            for w in nbrs[v]:
-                count[w] += 1
-            stack.append((v, iter(choices[v][:1] if first else choices[v])))
-            first = False
+            v = order[len(stack)]
+            stack.append((v, iter(choices[v])))
             # place the next choice at the top frame, backtracking until one fits
             while stack:
                 v, it = stack[-1]
                 parts = chosen[v]
                 if parts is not None:
                     for md, a, b in parts:
-                        x = link[a]
-                        y = link[b]
-                        link[x] = a
-                        link[y] = b
-                        length[x] = length[a]
-                        length[y] = length[b]
+                        x, y = link[a], link[b]
+                        link[x], link[y] = a, b
+                        length[x], length[y] = length[a], length[b]
                         sealed[md] = False
                 for parts in it:
                     nodes += 1
@@ -286,28 +261,52 @@ class _Search:
                     else:
                         for md, a, b in parts:
                             sealed[md] = True
-                            x = link[a]
-                            y = link[b]
-                            link[x] = y
-                            link[y] = x
+                            x, y = link[a], link[b]
+                            link[x], link[y] = y, x
                             length[x] = length[y] = length[a] + length[b]
                         chosen[v] = parts
                         break
                 else:
-                    # v is exhausted: leave it
-                    stack.pop()
+                    stack.pop()  # v is exhausted: leave it
                     chosen[v] = None
-                    for w in nbrs[v]:
-                        count[w] -= 1
-                    assigned[v] = False
                     continue
                 if len(stack) < n:
                     break
-                self.nodes = nodes + len(pending)
+                self.nodes = max(nodes, 0)
                 yield tuple(tuple(ps[p][0] - o for ps in chosen) for p, o in enumerate(offsets))
             else:
-                self.nodes = nodes + len(pending)
+                self.nodes = max(nodes, 0)
                 return
+
+
+def _order(g: CubicGraph, pins: Collection[int]) -> list[int]:
+    """The vertices in the order the search enters them: the pins, lowest
+    id first, then repeatedly the vertex with the most neighbors already
+    in the order (with multiplicity), ties to the lowest id.
+
+    heaps[c] is a lazy min-heap of the ids counting c placed neighbors,
+    and heaps[4] holds the pins; an entry whose vertex has since been
+    placed (count -1) or counts more is dropped when it reaches the top.
+    A vertex is pushed at most four times, so this is O(n log n)."""
+    count = [4 if v in pins else 0 for v in range(g.n)]
+    heaps = [[v for v in range(g.n) if v not in pins], [], [], [], sorted(pins)]
+    order = []
+    for _ in range(g.n):
+        c, h = 5, []
+        while not h:
+            c -= 1
+            h = heaps[c]
+            while h and count[h[0]] != c:
+                heappop(h)
+        v = heappop(h)
+        count[v] = -1
+        order.append(v)
+        for d in g.vertex_darts[v]:
+            w = g.dart_vertex(d ^ 1)
+            if 0 <= count[w] < 4:
+                count[w] += 1
+                heappush(heaps[count[w]], w)
+    return order
 
 
 def enumerate_compatible_triples(

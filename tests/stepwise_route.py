@@ -2,9 +2,9 @@
 in-place contraction in copnc.construct.
 
 Each step looks for the lowest digon or triangle with find_digon and
-find_triangle, builds the whole smaller CubicGraph with its vertices and
-edges compacted in order, and keeps the big and small graphs with the
-maps between them.  Each lift relabels all n marks into the big graph and
+find_triangle, two whole-graph scans, builds the whole smaller CubicGraph
+with its vertices and edges compacted in order, and keeps the big and
+small graphs with the maps between them.  Each lift relabels all n marks into the big graph and
 rewrites the site.  It costs O(n) per surgery, which is why the library
 no longer runs it, but every step is a plain graph, so the trail
 surgeries in trail_surgery.py can be run against it.
@@ -15,16 +15,44 @@ creates takes the next id after all edges made so far, as in the library.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from copnc.construct import (
     NotConformalTriple,
     _base_conformal_triple,
     conformal_triple,
-    find_digon,
-    find_triangle,
 )
 from copnc.graph import BLUE, RED, YELLOW, CubicGraph, proper_3_edge_coloring
+
+
+def find_digon(g: CubicGraph) -> Optional[tuple[int, int]]:
+    """Lowest pair of parallel non-loop edges, as (edge, edge), or None."""
+    seen: dict[tuple[int, int], int] = {}
+    for e, (u, v) in enumerate(g.endpoints):
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return (seen[key], e)
+        seen[key] = e
+    return None
+
+
+def find_triangle(g: CubicGraph) -> Optional[tuple[int, int, int]]:
+    """Lowest vertex triple mutually joined by edges, or None."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.endpoints:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    for a in range(g.n):
+        for b in sorted(adj[a]):
+            if b <= a:
+                continue
+            for c in sorted(adj[a] & adj[b]):
+                if c > b:
+                    return (a, b, c)
+    return None
 
 
 @dataclass(frozen=True)

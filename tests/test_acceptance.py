@@ -202,7 +202,7 @@ def test_criterion_07_odd_switch_connectivity():
 def test_criterion_08_conformal_triples_via_reductions():
     """Every 3-edge-colorable graph in the corpus (including members with
     digons and triangles) yields a conformal compatible triple."""
-    from copnc.construct import find_digon, find_triangle
+    from stepwise_route import find_digon, find_triangle
 
     t0 = time.perf_counter()
     done = digons = triangles = 0

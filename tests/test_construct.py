@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from copnc import construct
 from copnc.construct import (
     Contraction,
     NoMatching,
@@ -11,8 +17,6 @@ from copnc.construct import (
     conformal_triple_general,
     digon_contract,
     digon_extend,
-    find_digon,
-    find_triangle,
     nop_from_matching,
     triangle_contract,
     triangle_extend,
@@ -20,6 +24,8 @@ from copnc.construct import (
 )
 from copnc.graph import CubicGraph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
 from copnc.partition import agreement, associated_matching, is_conformal, length_profile
+
+from stepwise_route import find_digon, find_triangle
 
 
 class TestMatchingRoute:
@@ -45,6 +51,25 @@ class TestMatchingRoute:
     def test_convenience_form_raises_without_matching(self, loop_claw):
         with pytest.raises(NoMatching):
             nop_from_matching(loop_claw)
+
+    def test_conformal_check_survives_optimize_flag(self):
+        """A matching-route marking not conformal to m raises, also under
+        python -O: here _incoming_marks builds it from another matching."""
+        code = "\n".join([
+            "import copnc.construct as C",
+            "from copnc.graph import generate, perfect_matchings",
+            "g = generate('petersen')",
+            "m, other = list(perfect_matchings(g))[:2]",
+            "marks = C._incoming_marks",
+            "C._incoming_marks = lambda g, _, o: marks(g, other, o)",
+            "try:",
+            "    C.nop_from_matching(g, m)",
+            "except AssertionError:",
+            "    print('raised')",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(construct.__file__).resolve().parent.parent)}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "raised", out.stderr
 
     def test_dumbbell_loops_in_two_factor(self, dumbbell):
         p = nop_from_matching(dumbbell, frozenset({1}))
@@ -132,8 +157,6 @@ class TestConformalRoute:
     def test_fallback_and_reseed(self, cube, monkeypatch, caplog):
         """No known input leaves the guided descent, so the random walk
         and the re-seed are forced: the first 700 switches are blocked."""
-        from copnc import construct
-
         calls, seeds = [0], [0]
         switch, seed = construct.conformal_switch, construct._conformal_seed
 

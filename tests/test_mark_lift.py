@@ -16,8 +16,6 @@ from copnc import construct
 from copnc.construct import (
     conformal_triple_general,
     digon_extend,
-    find_digon,
-    find_triangle,
     triangle_extend,
 )
 from copnc.corpus import corpus_upto
@@ -25,6 +23,7 @@ from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 from copnc.partition import NormalPartition
 
 import stepwise_route
+from stepwise_route import find_digon, find_triangle
 import trail_surgery
 from conftest import digon_ladder, truncated_ladder
 

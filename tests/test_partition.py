@@ -13,7 +13,6 @@ from copnc.partition import (
     VertexEndCount,
     VertexNeverInternal,
     agreement,
-    agrees_at,
     associated_matching,
     edge_role_audit,
     is_conformal,
@@ -32,6 +31,12 @@ from copnc.search import enumerate_nops
 
 def dart(g, e, v):
     return 2 * e if g.endpoints[e][0] == v else 2 * e + 1
+
+
+def agrees_at(parts, v):
+    """True when two of the partitions mark the same edge at v: the
+    one-vertex oracle for agreement."""
+    return len({p.marked[v] >> 1 for p in parts}) < len(parts)
 
 
 class TestTrail:
@@ -275,6 +280,51 @@ class TestDecoderPairingModel:
                     assert again.key == got.key and again.marked_edges() == got.marked_edges()
                     decoded += 1
         assert decoded > 800 and cycles > 800 and loops > 50 and parallel > 50
+
+
+class TestConformalSwitchPairingModel:
+    """The conformal switch on seeded pairing-model multigraphs with a
+    perfect matching, n = 10 ... 60: a switch changes the marking at v
+    alone, and the new marking decodes to a partition conformal to m; no
+    switch means the passage dart off m closes a cycle."""
+
+    def test_random_switch_walks(self):
+        import random
+
+        import networkx as nx
+
+        from copnc.switching import conformal_switch
+
+        rng = random.Random(2013)
+        graphs = moves = blocked = 0
+        for n in range(10, 62, 2):
+            for _ in range(4):
+                g = pairing_model(rng, n)
+                # a maximum matching by networkx: the backtracking of
+                # perfect_matchings is slow on these graphs
+                edge = {frozenset(uv): e for e, uv in enumerate(g.endpoints) if uv[0] != uv[1]}
+                pairs = nx.max_weight_matching(nx.Graph(list(edge)), maxcardinality=True)
+                if 2 * len(pairs) < n:
+                    continue
+                graphs += 1
+                m = frozenset(edge[frozenset(uv)] for uv in pairs)
+                marked = list(nop_from_matching(g, m).marked)
+                for _ in range(30):
+                    v = rng.randrange(n)
+                    d = conformal_switch(g, marked, m, v)
+                    if d is None:
+                        (off,) = [x for x in g.vertex_darts[v] if x != marked[v] and x >> 1 not in m]
+                        with pytest.raises(CycleError):
+                            trails_from_marking(g, marked[:v] + [off] + marked[v + 1:])
+                        blocked += 1
+                        continue
+                    before = list(marked)
+                    marked[v] = d
+                    p = trails_from_marking(g, marked)
+                    assert [w for w in range(n) if p.marked[w] != before[w]] == [v]
+                    assert is_conformal(p, m)
+                    moves += 1
+        assert graphs > 80 and moves > 2000 and blocked > 50, (graphs, moves, blocked)
 
 
 class TestMatchingsAndConformality:

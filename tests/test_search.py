@@ -1,4 +1,7 @@
 
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from copnc.search import (
     find_length3_triple,
     find_nop,
     _Search,
+    _order,
 )
 from copnc.switching import CapExceeded
 
@@ -317,6 +321,52 @@ class TestKernelMatchesJournal:
                 assert run(_Search, g, 3, fixed=fixed) == want, fixed
             fixed1 = {0: (g.vertex_darts[0][1],), 2: (g.vertex_darts[2][0],)}
             assert run(_Search, g, 1, fixed=fixed1) == run(JournalSearch, g, 1, fixed=fixed1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_random_pins_on_corpus(self, k):
+        """Random pin sets on every corpus graph with n <= 8: pins taken
+        from a known solution, so the search goes on past them, the same
+        pins with one vertex given another perm, and random perms at random
+        vertices, which mostly contradict each other."""
+        rng = random.Random(1700 + k)
+        perms = list(permutations(range(3), k))
+        completed = refused = 0
+        for n in (2, 4, 6, 8):
+            for gid, g in corpus_all(n):
+                sols = run(JournalSearch, g, k)[0]
+                vs = rng.sample(range(n), rng.randint(1, n))
+
+                def darts(v, perm):
+                    return tuple(g.vertex_darts[v][s] for s in perm)
+
+                cases = [{v: darts(v, rng.choice(perms)) for v in vs}]
+                if sols:
+                    sol = rng.choice(sols)
+                    known = {v: tuple(mk[v] for mk in sol) for v in vs}
+                    w = rng.choice(vs)
+                    other = rng.choice([p for p in perms if darts(w, p) != known[w]])
+                    cases += [known, {**known, w: darts(w, other)}]
+                for fixed in cases:
+                    want = run(JournalSearch, g, k, fixed=fixed)
+                    assert run(_Search, g, k, fixed=fixed) == want, (gid, fixed)
+                    completed += bool(want[0])
+                    refused += not want[0] and want[1] == 0
+        assert completed > 40 and refused > 40, (completed, refused)
+
+    def test_order_matches_journal_pick(self):
+        """_order, computed once, is the order the journal's linear scan
+        picks one vertex at a time, with and without pins."""
+        rng = random.Random(17)
+        for gid, g in corpus_upto(12):
+            for pins in ([], rng.sample(range(g.n), rng.randint(1, g.n))):
+                j = JournalSearch(g, 1)
+                want = sorted(pins)
+                for v in want:
+                    j._set_assigned(v, True)
+                while len(want) < g.n:
+                    want.append(j._next_vertex())
+                    j._set_assigned(want[-1], True)
+                assert _order(g, pins) == want, (gid, pins)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.sampled_from(RELABEL_POOL), st.randoms(use_true_random=False))

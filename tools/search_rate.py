@@ -11,6 +11,8 @@
 Each figure is CPU time (process_time), the best of --repeat runs, for
 constructing the search and running it to its first solution or to
 exhaustion; graphs are built beforehand.  Nodes are the search's own count.
+On the ladder the ratio column is the time over that of the row before,
+so a search linear in n reads about 2 per doubling.
 
 Run from the repository root:  python3 tools/search_rate.py [--repeat 3]
 """
@@ -60,10 +62,13 @@ def main(argv: list[str] | None = None) -> int:
         ("simple12", [g for _, g in corpus_simple12()]),
     ]
     cases += [(f"ladder n={2 * r}", [circular_ladder(r)]) for r in (600, 1200, 2400, 4800)]
-    print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'cpu_s':>8} {'nodes/s':>10}")
+    print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'cpu_s':>8} {'nodes/s':>10} {'ratio':>6}")
+    prev = None
     for name, graphs in cases:
         nodes, secs = measure(graphs, args.repeat)
-        print(f"{name:<16} {len(graphs):>6} {nodes:>9} {secs:>8.3f} {nodes / secs:>10.0f}")
+        ratio = f"{secs / prev:>6.2f}" if prev and name.startswith("ladder") else f"{'-':>6}"
+        print(f"{name:<16} {len(graphs):>6} {nodes:>9} {secs:>8.3f} {nodes / secs:>10.0f} {ratio}")
+        prev = secs if name.startswith("ladder") else None
     return 0
 
 
