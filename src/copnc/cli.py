@@ -166,19 +166,17 @@ def cmd_family(args) -> int:
     try:
         # checked as validate checks a claimed family, so the output validates
         name, k = parse_spec(args.name)
-        g = generate(name, k)
-        if name == "petersen":
+        if name == "petersen" and k is None:
             triple = families.petersen_triple()
-        elif name == "flower":
-            triple = families.flower_triple(k)
-        elif name == "goldberg":
-            triple = families.goldberg_triple(k)
+        elif name in ("flower", "goldberg") and k is not None:
+            triple = (families.flower_triple if name == "flower" else families.goldberg_triple)(k)
         else:
+            generate(name, k)  # a spec that names no graph raises its own error here
             raise UsageError(f"unknown family '{name}'")
     except (BadParameter, ValueError) as exc:
         print(f"bad family: {exc}", file=sys.stderr)
         return EXIT_IO
-    doc = C.certificate(g, list(triple), {"family": args.name})
+    doc = C.certificate(triple[0].graph, list(triple), {"family": args.name})
     if args.emit_partitions:
         doc["matchings"] = [sorted(associated_matching(p)) for p in triple]
         doc["profiles"] = [sorted(p.lengths(), reverse=True) for p in triple]

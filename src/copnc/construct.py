@@ -140,14 +140,6 @@ def _outgoing_darts(
     return out
 
 
-def orientation_map(
-    g: CubicGraph, m: frozenset[int], orientation: Optional[Sequence[int]] = None
-) -> tuple[int, ...]:
-    """Vertex -> outgoing dart of the 2-factor g - m; every vertex has one
-    outgoing and one incoming 2-factor edge per cycle direction."""
-    return tuple(_outgoing_darts(g, m, orientation))
-
-
 def nop_from_matching(
     g: CubicGraph,
     m: Optional[frozenset[int]] = None,
@@ -704,21 +696,19 @@ def triangle_extend(
 
 
 def _base_conformal_triple(g: CubicGraph, coloring: tuple[int, ...]) -> ConformalTriple:
-    """Exhaustive conformal triple for graphs on at most 4 vertices."""
-    from .search import enumerate_nops
+    """The conformal triple least by trail keys of a graph on at most 4
+    vertices, among all solutions of the triple search whose table keeps
+    partition c off color class c (each vertex's two color 3-cycles)."""
+    from .search import _conformal_rows, _Search
 
-    classes = color_classes(coloring)
-    pools = [enumerate_nops(g, conformal_to=classes[c]) for c in (RED, BLUE, YELLOW)]
-    for p1 in pools[0]:
-        for p2 in pools[1]:
-            if agreement((p1, p2)):
-                continue
-            for p3 in pools[2]:
-                if not agreement((p1, p3)) and not agreement((p2, p3)):
-                    triple = ConformalTriple(g, coloring, (p1, p2, p3))
-                    triple.validate()
-                    return triple
-    raise SearchExhausted("no conformal triple on a base graph; should not happen")
+    search = _Search(g, 3, allowed=_conformal_rows(g, color_classes(coloring)))
+    triples = (tuple(NormalPartition(g, mk) for mk in sol) for sol in search.solutions())
+    best = min(triples, key=lambda t: [p.key for p in t], default=None)
+    if best is None:
+        raise SearchExhausted("no conformal triple on a base graph; should not happen")
+    triple = ConformalTriple(g, coloring, best)
+    triple.validate()
+    return triple
 
 
 def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:

@@ -128,21 +128,20 @@ def flower_boundary_ok(k: int, parts: Sequence[NormalPartition]) -> bool:
     position of its trail."""
     g = generate("flower", k)
     lut = _edge_lookup(g)
-    for tab, p in zip(_flower_eqs(k), parts):
-        for role, nrole in tab.items():
-            v, w = _flower_vid(k, role), _flower_vid(k, nrole)
-            if p.marked_edge(v) != lut[(v, w)]:
-                return False
+    for tab, p in zip(_flower_vertex_tables(k, _flower_eqs(k)), parts):
+        if any(p.marked_edge(v) != lut[(v, w)] for v, w in tab.items()):
+            return False
     return _flower_side_ok(g, lut, k, parts)
 
 
-def _roles_to_fixed(g, lut, k, tables):
-    fixed: dict[int, list] = {}
-    for p_idx, tab in enumerate(tables):
-        for role, nrole in tab.items():
-            v, w = _flower_vid(k, role), _flower_vid(k, nrole)
-            fixed.setdefault(v, [None, None, None])[p_idx] = _dart_at(g, lut, v, w)
-    return {v: tuple(ds) for v, ds in fixed.items() if all(d is not None for d in ds)}
+def _pins(g, lut, tables) -> dict[int, tuple[int, int, int]]:
+    """The search pins of three vertex -> neighbour mark tables: each
+    vertex all three tables mark, with its three marked darts."""
+    return {
+        v: tuple(_dart_at(g, lut, v, tab[v]) for tab in tables)
+        for v in tables[0]
+        if all(v in tab for tab in tables[1:])
+    }
 
 
 def _flower_end_role(k: int, role: tuple[str, int]) -> tuple[str, int]:
@@ -199,13 +198,13 @@ def _decode_marks(g: CubicGraph, tables) -> Triple:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _decode_flower(k: int, tables) -> Triple:
+def _flower_vertex_tables(k: int, tables) -> list[dict[int, int]]:
+    """Role tables of F_k as vertex -> neighbour mark tables."""
     vid = {(x, i): _flower_vid(k, (x, i)) for x in "uvwt" for i in range(1, k + 1)}
     try:
-        vtabs = [{vid[r]: vid[s] for r, s in tab.items()} for tab in tables]
+        return [{vid[r]: vid[s] for r, s in tab.items()} for tab in tables]
     except KeyError as exc:
         raise FamilyDataError(f"flower:{k} has no role {exc.args[0]}") from None
-    return _decode_marks(generate("flower", k), vtabs)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +324,7 @@ def flower_triple(k: int) -> Triple:
         raise BadParameter(f"flower parameter must be odd and >= 3, got {k}")
     d = _data()["flower"]
     tables = _flower_tables_for(k, _tables_from_json(d["base"]), _tables_from_json(d["gadget"]))
-    triple = _decode_flower(k, tables)
+    triple = _decode_marks(generate("flower", k), _flower_vertex_tables(k, tables))
     _check_triple(triple)
     return triple
 
@@ -387,7 +386,7 @@ def derive_flower() -> tuple[list[dict], list[dict]]:
 
     g3 = generate("flower", 3)
     lut3 = _edge_lookup(g3)
-    base_fixed = _roles_to_fixed(g3, lut3, 3, _flower_eqs(3))
+    base_fixed = _pins(g3, lut3, _flower_vertex_tables(3, _flower_eqs(3)))
     all_roles3 = [(x, i) for x in "uvwt" for i in range(1, 4)]
 
     def role_tables(g, k, parts, roles):
@@ -410,7 +409,7 @@ def derive_flower() -> tuple[list[dict], list[dict]]:
             continue
         base_tables = role_tables(g3, 3, base, all_roles3)
         carried = _flower_tables_for(5, base_tables, [{}, {}, {}])
-        fixed5 = _roles_to_fixed(g5, lut5, 5, carried)
+        fixed5 = _pins(g5, lut5, _flower_vertex_tables(5, carried))
         for trip5 in enumerate_compatible_triples(g5, fixed=fixed5):
             if not _flower_side_ok(g5, lut5, 5, trip5):
                 continue
@@ -423,7 +422,8 @@ def derive_flower() -> tuple[list[dict], list[dict]]:
 def _flower_replays(base_tables, gadget) -> bool:
     for kk in (7, 9):
         try:
-            parts = _decode_flower(kk, _flower_tables_for(kk, base_tables, gadget))
+            tables = _flower_tables_for(kk, base_tables, gadget)
+            parts = _decode_marks(generate("flower", kk), _flower_vertex_tables(kk, tables))
         except Exception:
             return False
         if not all(is_odd(p) for p in parts) or agreement(parts):
@@ -445,12 +445,7 @@ def derive_goldberg() -> tuple[list[dict], list[dict]]:
     for base in enumerate_compatible_triples(g3):
         base_marks = _gold_marks_of(g3, base)
         carried = _gold_marks_for(5, base_marks, [{}, {}, {}])
-        fixed5 = {}
-        for p_idx, tab in enumerate(carried):
-            for v, w in tab.items():
-                fixed5.setdefault(v, [None, None, None])[p_idx] = _dart_at(g5, lut5, v, w)
-        fixed5 = {v: tuple(ds) for v, ds in fixed5.items()}
-        for trip5 in enumerate_compatible_triples(g5, fixed=fixed5):
+        for trip5 in enumerate_compatible_triples(g5, fixed=_pins(g5, lut5, carried)):
             m5 = _gold_marks_of(g5, trip5)
             gadget = [{v: tab[v] for v in range(8, 24)} for tab in m5]
             if _gold_replays(base_marks, gadget):

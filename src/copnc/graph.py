@@ -24,7 +24,6 @@ from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
 
 RED, BLUE, YELLOW = 0, 1, 2
-COLOR_NAMES = ("red", "blue", "yellow")
 
 
 class NonCubic(ValueError):

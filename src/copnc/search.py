@@ -17,12 +17,17 @@ bijection per vertex (6^n worst case instead of 27^n).  A vertex carrying
 a loop has only two distinct incident edges and admits no bijection, so
 such graphs have no triple and are rejected in O(1).
 
-Exploration order: pinned vertices first, then the vertex with the most
-neighbors already entered (ties to the lowest id), which closes chains
-early.  No choice changes it, so it is computed once, before the search.
-For triples, the first vertex keeps the identity bijection: the three
-partitions of a triple are interchangeable, so every solution class is
-still found, once.
+Every constraint is one table: v -> the perms v may take.  Pins are
+one-perm rows (_pinned); partitions conformal to perfect matchings keep
+the perms whose marks avoid them (_conformal_rows), two a vertex for the
+three color classes of a proper coloring.
+
+Exploration order: forced vertices (a row of at most one perm) first,
+then the vertex with the most neighbors already entered (ties to the
+lowest id), which closes chains early.  No choice changes it, so it is
+computed once, before the search.  For triples with no table, the first
+vertex keeps the identity bijection: the three partitions of a triple
+are interchangeable, so every solution class is still found, once.
 
 The search runs in two parts: a plan, computed once (the vertex order
 and each vertex's choice row), and a kernel that keeps only the chain
@@ -78,15 +83,12 @@ def _check_cap(g: CubicGraph, cap: Optional[int]) -> None:
         raise CapExceeded(f"3^{g.n} markings exceed cap {cap}")
 
 
-def _distinct_partitions(
-    g: CubicGraph, cap: Optional[int], odd: bool, avoid: frozenset[int] = frozenset()
-) -> list[NormalPartition]:
-    """The normal partitions (odd ones only when odd is set) marking no
-    edge of avoid, decoded from the one-partition search, deduplicated by
-    key and sorted by it."""
+def _distinct_partitions(g: CubicGraph, cap: Optional[int], odd: bool, allowed=None) -> list[NormalPartition]:
+    """The normal partitions (odd ones only when odd is set) the table
+    allowed admits, deduplicated by key and sorted by it."""
     _check_cap(g, cap)
     out: dict[tuple, NormalPartition] = {}
-    for (marking,) in _Search(g, 1, odd=odd, avoid=avoid).solutions():
+    for (marking,) in _Search(g, 1, odd=odd, allowed=allowed).solutions():
         p = trails_from_marking(g, marking)
         out.setdefault(p.key, p)
     return [out[k] for k in sorted(out)]
@@ -112,7 +114,7 @@ def enumerate_nops(
     if not is_perfect_matching(g, m):
         _check_cap(g, cap)
         return []
-    return _distinct_partitions(g, cap, odd=True, avoid=m)
+    return _distinct_partitions(g, cap, odd=True, allowed=_conformal_rows(g, [m]))
 
 
 def enumerate_normal_partitions(g: CubicGraph, cap: Optional[int] = None) -> list[NormalPartition]:
@@ -120,13 +122,35 @@ def enumerate_normal_partitions(g: CubicGraph, cap: Optional[int] = None) -> lis
     return _distinct_partitions(g, cap, odd=False)
 
 
+def _pinned(g: CubicGraph, fixed: dict[int, tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
+    """The table of pins: at v the one perm marking the darts fixed[v],
+    or none when they are not distinct darts at v."""
+    out = {}
+    for v, darts in fixed.items():
+        slots = g.vertex_darts[v]
+        ok = len(set(darts)) == len(darts) and set(darts) <= set(slots)
+        out[v] = [tuple(map(slots.index, darts))] if ok else []
+    return out
+
+
+def _conformal_rows(g: CubicGraph, matchings: Sequence[frozenset[int]]) -> dict[int, list[tuple[int, ...]]]:
+    """The table of partitions conformal to matchings, one each: at every
+    vertex the perms, in _PERMS order, with no mark on its own matching."""
+    perms = _PERMS[len(matchings)]
+    return {
+        v: [perm for perm in perms if all(slots[s] >> 1 not in m for s, m in zip(perm, matchings))]
+        for v, slots in enumerate(g.vertex_darts)
+    }
+
+
 class _Search:
     """Backtracking over per-vertex slot choices with chain tracking.
 
     k is the number of partitions (1 or 3), odd turns the parity prune on,
-    length_cap bounds every trail's length, fixed pins the marked darts
-    of chosen vertices, one dart per partition, and no partition marks an
-    edge of avoid.
+    length_cap bounds every trail's length, and allowed maps a vertex to
+    the perms it may take, in the order tried (all of _PERMS[k] at a vertex
+    not in it).  A row of at most one perm is forced: entered first, and
+    not counted as a node, so a refused one ends the search at 0 nodes.
 
     The plan is computed once: the vertex order (_order) and, per vertex,
     its choice row.  The kernel keeps only the chain state, in three flat
@@ -157,32 +181,21 @@ class _Search:
         k: int,
         odd: bool = True,
         length_cap: Optional[int] = None,
-        fixed: Optional[dict[int, tuple[int, ...]]] = None,
-        avoid: frozenset[int] = frozenset(),
+        allowed: Optional[dict[int, list[tuple[int, ...]]]] = None,
     ):
-        self.g = g
-        self.k = k
-        self.odd = odd
-        self.length_cap = length_cap
-        self.fixed = dict(fixed) if fixed else {}
-        self.avoid = avoid
+        self.g, self.k, self.odd, self.length_cap, self.allowed = g, k, odd, length_cap, allowed
         self.nodes = 0
 
-    def _choices(self, pins: dict[int, tuple[int, ...]]) -> list[list]:
-        """v -> its choices as parts: the pinned perm alone at a pinned
-        vertex, else the perms of _PERMS marking no edge of avoid, in that
-        order.  Partition p's three per-slot triples (the marked dart, then
-        the two joined ones, offset by p * 2m) are built once per vertex and
-        shared by its perms."""
-        g, k, avoid = self.g, self.k, self.avoid
+    def _choices(self) -> list[list]:
+        """v -> its choices as parts, one per perm of its row.  Partition
+        p's three per-slot triples (the marked dart, then the two joined
+        ones, offset by p * 2m) are built once per vertex and shared by its
+        perms."""
+        g, k, allowed = self.g, self.k, self.allowed or {}
         nd = 2 * g.m
         out = []
         for v, slots in enumerate(g.vertex_darts):
-            perms = _PERMS[k]
-            if v in pins:
-                perms = (pins[v],)
-            elif avoid:
-                perms = [perm for perm in perms if all(slots[s] >> 1 not in avoid for s in perm)]
+            perms = allowed.get(v, _PERMS[k])
             rows = [[d + o for d in slots] for o in range(0, k * nd, nd)]
             t = [((d0, d1, d2), (d1, d0, d2), (d2, d0, d1)) for d0, d1, d2 in rows]
             if k == 1:
@@ -193,25 +206,19 @@ class _Search:
         return out
 
     def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Yield solutions as k markings.  For k = 3 without pins the first
-        vertex entered keeps the identity bijection (one representative
-        per unordered triple)."""
+        """Yield solutions as k markings.  For k = 3 with no table the
+        first vertex entered keeps the identity bijection (one
+        representative per unordered triple)."""
         g, k, n = self.g, self.k, self.g.n
         if k == 3 and g.has_loop():
             return  # a loop vertex cannot host three distinct marked edges
-        pins = {}
-        for v in sorted(self.fixed):
-            slots = g.vertex_darts[v]
-            darts = self.fixed[v]
-            if sorted(darts) != sorted(set(darts)) or any(d not in slots for d in darts):
-                return
-            pins[v] = tuple(slots.index(d) for d in darts)
         if n == 0:
             yield ((),) * k
             return
+        pins = {v for v, row in (self.allowed or {}).items() if len(row) <= 1}
         order = _order(g, pins)
-        choices = self._choices(pins)
-        if k == 3:  # symmetry break: one choice at the root, which a pin already has
+        choices = self._choices()
+        if k == 3 and self.allowed is None:  # symmetry break: one choice at the root
             choices[order[0]] = choices[order[0]][:1]
         size = k * 2 * g.m
         link = list(range(1, size + 1))  # each dart's chain is its edge: link[i] = i ^ 1
@@ -223,8 +230,8 @@ class _Search:
         cap = g.m if self.length_cap is None else self.length_cap
         chosen: list = [None] * n  # v -> the parts applied at v, or None
         offsets = range(0, size, 2 * g.m)
-        # placing a pin is not a search node: the count reaches 0 once every
-        # pin is placed, and reads 0 when a pin is refused
+        # placing a forced vertex is not a search node: the count reaches 0
+        # once every one is placed, and reads 0 when one is refused
         nodes = -len(pins)
         # one frame per assigned depth: (vertex, iterator over its choices);
         # an explicit stack, so the depth is not bounded by the
@@ -326,7 +333,8 @@ def enumerate_compatible_triples(
     # the search yields only markings that decode, so each partition
     # decodes on first use, and a caller that only asks whether a triple
     # exists decodes nothing
-    for markings in _Search(g, 3, length_cap=length_cap, fixed=fixed).solutions():
+    pins = _pinned(g, fixed) if fixed else None
+    for markings in _Search(g, 3, length_cap=length_cap, allowed=pins).solutions():
         yield tuple(NormalPartition(g, mk) for mk in markings)  # type: ignore[misc]
 
 

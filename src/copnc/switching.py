@@ -41,7 +41,8 @@ class CapExceeded(RuntimeError):
 def conformal_switch(g: CubicGraph, marked: Sequence[int], m: frozenset[int], v: int) -> Optional[int]:
     """The dart v marks after the switch at v that keeps the partition
     conformal to the perfect matching m, or None when there is no such
-    switch (v internal and end of the same trail in the blocking pattern).
+    switch (v internal and end of the same trail in the blocking pattern,
+    or v carrying a loop, whose other dart marks the same edge).
 
     The marking must be one of a partition conformal to m; it is read and
     never written, so applying the move is one write, marked[v] = the
@@ -55,7 +56,7 @@ def conformal_switch(g: CubicGraph, marked: Sequence[int], m: frozenset[int], v:
     d, o = [x for x in g.vertex_darts[v] if x != marked[v]]
     if (d >> 1) in m:
         d = o
-    return None if d in walk(g, marked, marked[v]) else d
+    return None if d == marked[v] ^ 1 or d in walk(g, marked, marked[v]) else d
 
 
 def partition_classes(

@@ -12,17 +12,40 @@ surgeries in trail_surgery.py can be run against it.
 route() also tracks the global id of every vertex and edge in every
 step: vertices keep their input ids, and the edge a digon contraction
 creates takes the next id after all edges made so far, as in the library.
+It solves a base graph (at most 4 vertices) with base_triple, nested
+loops over the three pools of conformal partitions: the oracle for the
+library's one table-driven triple search.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from copnc.construct import (
+    ConformalTriple,
     NotConformalTriple,
-    _base_conformal_triple,
     conformal_triple,
 )
-from copnc.graph import BLUE, RED, YELLOW, CubicGraph, proper_3_edge_coloring
+from copnc.graph import BLUE, RED, YELLOW, CubicGraph, color_classes, proper_3_edge_coloring
+from copnc.partition import agreement
+from copnc.search import enumerate_nops
+
+
+def base_triple(g: CubicGraph, coloring: tuple[int, ...]) -> ConformalTriple:
+    """The first compatible triple of the nested loops over the pools of
+    partitions conformal to each color class, each pool in trail-key
+    order: the triple least by trail keys."""
+    classes = color_classes(coloring)
+    pools = [enumerate_nops(g, conformal_to=classes[c]) for c in (RED, BLUE, YELLOW)]
+    for p1 in pools[0]:
+        for p2 in pools[1]:
+            if agreement((p1, p2)):
+                continue
+            for p3 in pools[2]:
+                if not agreement((p1, p3)) and not agreement((p2, p3)):
+                    triple = ConformalTriple(g, coloring, (p1, p2, p3))
+                    triple.validate()
+                    return triple
+    raise AssertionError("no conformal triple on a base graph")
 
 
 def find_digon(g: CubicGraph) -> Optional[tuple[int, int]]:
@@ -296,7 +319,7 @@ def route(g: CubicGraph, seed: int = 0) -> Route:
         steps.append(Step(kind, site, info, (vids, eids), (small_v, tuple(small_e))))
         cur_g, cur_col, vids, eids = small_g, small_col, small_v, tuple(small_e)
     if cur_g.n <= 4:
-        core = _base_conformal_triple(cur_g, cur_col)
+        core = base_triple(cur_g, cur_col)
     else:
         core = conformal_triple(cur_g, cur_col, seed=seed)
     marks = [list(p.marked) for p in core.partitions]

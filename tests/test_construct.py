@@ -76,11 +76,11 @@ class TestMatchingRoute:
         assert length_profile(p) == (3,)
 
     def test_orientation_map_degrees(self, petersen):
-        from copnc.construct import orientation_map
+        from copnc.construct import _outgoing_darts
         from copnc.graph import perfect_matchings
 
         m = next(perfect_matchings(petersen))
-        out = orientation_map(petersen, m)
+        out = _outgoing_darts(petersen, m, None)
         heads = [petersen.dart_vertex(d ^ 1) for d in out]
         for v in range(petersen.n):
             assert petersen.dart_vertex(out[v]) == v

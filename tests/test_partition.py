@@ -284,9 +284,10 @@ class TestDecoderPairingModel:
 
 class TestConformalSwitchPairingModel:
     """The conformal switch on seeded pairing-model multigraphs with a
-    perfect matching, n = 10 ... 60: a switch changes the marking at v
-    alone, and the new marking decodes to a partition conformal to m; no
-    switch means the passage dart off m closes a cycle."""
+    perfect matching, n = 10 ... 60: a switch changes the marked edge at
+    v and the marking nowhere else, and the new marking decodes to a
+    partition conformal to m; no switch means the passage dart off m
+    closes a cycle, or is the other dart of a loop at v."""
 
     def test_random_switch_walks(self):
         import random
@@ -296,7 +297,7 @@ class TestConformalSwitchPairingModel:
         from copnc.switching import conformal_switch
 
         rng = random.Random(2013)
-        graphs = moves = blocked = 0
+        graphs = moves = blocked = loops = 0
         for n in range(10, 62, 2):
             for _ in range(4):
                 g = pairing_model(rng, n)
@@ -314,6 +315,9 @@ class TestConformalSwitchPairingModel:
                     d = conformal_switch(g, marked, m, v)
                     if d is None:
                         (off,) = [x for x in g.vertex_darts[v] if x != marked[v] and x >> 1 not in m]
+                        if off == marked[v] ^ 1:  # a loop at v: its other dart marks the same edge
+                            loops += 1
+                            continue
                         with pytest.raises(CycleError):
                             trails_from_marking(g, marked[:v] + [off] + marked[v + 1:])
                         blocked += 1
@@ -322,9 +326,10 @@ class TestConformalSwitchPairingModel:
                     marked[v] = d
                     p = trails_from_marking(g, marked)
                     assert [w for w in range(n) if p.marked[w] != before[w]] == [v]
+                    assert d >> 1 != before[v] >> 1
                     assert is_conformal(p, m)
                     moves += 1
-        assert graphs > 80 and moves > 2000 and blocked > 50, (graphs, moves, blocked)
+        assert graphs > 80 and moves > 2000 and blocked > 50 and loops > 10, (graphs, moves, blocked, loops)
 
 
 class TestMatchingsAndConformality:

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
-from copnc.graph import CubicGraph, bridges, generate, has_perfect_matching, perfect_matchings
+from copnc.graph import (
+    CubicGraph,
+    bridges,
+    color_classes,
+    generate,
+    has_perfect_matching,
+    perfect_matchings,
+    proper_3_edge_coloring,
+)
 from copnc.partition import (
     agreement,
     associated_matching,
@@ -28,7 +36,9 @@ from copnc.search import (
     find_length3_triple,
     find_nop,
     _Search,
+    _conformal_rows,
     _order,
+    _pinned,
 )
 from copnc.switching import CapExceeded
 
@@ -259,9 +269,18 @@ class TestTripleSearch:
                 assert p.marked[0] == q.marked[0]
 
 
-def run(cls, g, k, first=False, **kw):
+def run(cls, g, k, first=False, fixed=None, avoid=None, **kw):
     """(solutions, nodes) of one search: the first solution or None, or
-    the list of all of them."""
+    the list of all of them.  The journal takes pins (fixed) and a
+    matching to avoid as they are; _Search gets them as its table, built
+    as enumerate_compatible_triples and enumerate_nops build it."""
+    if cls is _Search:
+        if fixed:
+            kw["allowed"] = _pinned(g, fixed)
+        if avoid is not None:
+            kw["allowed"] = _conformal_rows(g, [avoid])
+    else:
+        kw.update(fixed=fixed, avoid=avoid or frozenset())
     s = cls(g, k, **kw)
     sols = next(s.solutions(), None) if first else list(s.solutions())
     return sols, s.nodes
@@ -377,6 +396,36 @@ class TestKernelMatchesJournal:
             assert run(_Search, h, 3, first=True, length_cap=cap) == want
         if h.n <= 8:
             assert run(_Search, h, 1) == run(JournalSearch, h, 1)
+
+
+class TestConformalTable:
+    """The triple search under the table that keeps partition c off color
+    class c at every vertex (the two 3-cycles of its colors) finds exactly
+    the pairwise compatible triples drawn from the three pools of
+    partitions conformal to the color classes, each once."""
+
+    def test_color_class_rows_on_corpus(self):
+        graphs = 0
+        for n in (2, 4, 6, 8):
+            for gid, g in corpus_all(n):
+                coloring = proper_3_edge_coloring(g)
+                if coloring is None:
+                    continue
+                classes = color_classes(coloring)
+                # each pool member as its marking and its (vertex, marked edge) set
+                pools = [
+                    [(p.marked, frozenset(enumerate(p.marked_edges()))) for p in enumerate_nops(g, conformal_to=c)]
+                    for c in classes
+                ]
+                want = set()
+                for m1, s1 in pools[0]:
+                    for m2, s2 in pools[1]:
+                        if s1.isdisjoint(s2):
+                            want.update((m1, m2, m3) for m3, s3 in pools[2] if s1.isdisjoint(s3) and s2.isdisjoint(s3))
+                got = list(_Search(g, 3, allowed=_conformal_rows(g, classes)).solutions())
+                assert len(got) == len(set(got)) and set(got) == want, gid
+                graphs += 1
+        assert graphs == 24
 
 
 class TestLengthThreeTriples:

@@ -168,12 +168,13 @@ class TestClasses:
 
 
 def decode_oracle_switch(p, m, v):
-    """The conformal switch by full decodes: every switch candidate, kept
-    when odd with associated matching m."""
+    """The conformal switch by full decodes: every switch candidate that
+    changes v's marked edge (re-marking the other dart of a loop does
+    not), kept when odd with associated matching m."""
     winners = [
         q
         for q in decode_oracle_candidates(p, v)
-        if is_odd(q) and associated_matching(q) == m
+        if q.marked_edge(v) != p.marked_edge(v) and is_odd(q) and associated_matching(q) == m
     ]
     assert len(winners) <= 1
     return winners[0] if winners else None

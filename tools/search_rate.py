@@ -7,10 +7,14 @@
   ladder     the first triple on the circular ladder, n = 1,200 ... 9,600;
              it needs about n nodes, so its rate shows how the cost of a
              node grows with n
+  table      every triple of the cube and of the prism whose partition c
+             marks no edge of color class c: the search under the table of
+             each vertex's two color 3-cycles, run to exhaustion
 
 Each figure is CPU time (process_time), the best of --repeat runs, for
-constructing the search and running it to its first solution or to
-exhaustion; graphs are built beforehand.  Nodes are the search's own count.
+building the table (table rows only), constructing the search and running
+it to its first solution or to exhaustion; graphs and colorings are built
+beforehand.  Nodes are the search's own count.
 On the ladder the ratio column is the time over that of the row before,
 so a search linear in n reads about 2 per doubling.
 
@@ -28,8 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from copnc.corpus import corpus_all, corpus_simple12  # noqa: E402
-from copnc.graph import CubicGraph, bridges  # noqa: E402
-from copnc.search import _Search  # noqa: E402
+from copnc.graph import CubicGraph, bridges, color_classes, generate, proper_3_edge_coloring  # noqa: E402
+from copnc.search import _conformal_rows, _Search  # noqa: E402
 
 
 def circular_ladder(r: int) -> CubicGraph:
@@ -39,15 +43,23 @@ def circular_ladder(r: int) -> CubicGraph:
     return CubicGraph(2 * r, edges)
 
 
-def measure(graphs: list[CubicGraph], repeat: int) -> tuple[int, float]:
-    """(nodes, best CPU seconds) of one first-solution search per graph."""
+def measure(graphs: list[CubicGraph], repeat: int, table: bool = False) -> tuple[int, float]:
+    """(nodes, best CPU seconds) of one search per graph: to its first
+    solution, or with table set, to exhaustion under the table that keeps
+    partition c off color class c."""
+    classes = [color_classes(proper_3_edge_coloring(g)) for g in graphs] if table else []
     best, nodes = float("inf"), 0
     for _ in range(repeat):
         nodes = 0
         t0 = time.process_time()
-        for g in graphs:
-            s = _Search(g, 3)
-            next(s.solutions(), None)
+        for i, g in enumerate(graphs):
+            if table:
+                s = _Search(g, 3, allowed=_conformal_rows(g, classes[i]))
+                for _ in s.solutions():
+                    pass
+            else:
+                s = _Search(g, 3)
+                next(s.solutions(), None)
             nodes += s.nodes
         best = min(best, time.process_time() - t0)
     return nodes, best
@@ -62,12 +74,13 @@ def main(argv: list[str] | None = None) -> int:
         ("simple12", [g for _, g in corpus_simple12()]),
     ]
     cases += [(f"ladder n={2 * r}", [circular_ladder(r)]) for r in (600, 1200, 2400, 4800)]
+    cases += [(f"table {name}", [generate(name)]) for name in ("cube", "prism")]
     print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'cpu_s':>8} {'nodes/s':>10} {'ratio':>6}")
     prev = None
     for name, graphs in cases:
-        nodes, secs = measure(graphs, args.repeat)
+        nodes, secs = measure(graphs, args.repeat, table=name.startswith("table"))
         ratio = f"{secs / prev:>6.2f}" if prev and name.startswith("ladder") else f"{'-':>6}"
-        print(f"{name:<16} {len(graphs):>6} {nodes:>9} {secs:>8.3f} {nodes / secs:>10.0f} {ratio}")
+        print(f"{name:<16} {len(graphs):>6} {nodes:>9} {secs:>8.4f} {nodes / secs:>10.0f} {ratio}")
         prev = secs if name.startswith("ladder") else None
     return 0
 
