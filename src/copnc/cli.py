@@ -68,7 +68,7 @@ def resolve_graphs(spec: str) -> list[tuple[str, CubicGraph]]:
         path = Path(spec[1:])
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
         if path.suffix == ".g6":
             out = []
@@ -105,7 +105,7 @@ def cmd_validate(args) -> int:
     except OSError as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, an int too long, nested too deep
         print(f"certificate is not JSON: {exc}", file=sys.stderr)
         return EXIT_IO
     expect = resolve_graph(args.graph) if args.graph else None

@@ -138,6 +138,8 @@ def parse_graph6(line: str) -> CubicGraph:
     else:
         n = data[0]
         body = data[1:]
+    if n == 0:
+        raise Malformed("graph6 graph has no vertices")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) < need:
         raise Malformed(f"graph6 body too short for n={n}")

@@ -11,11 +11,14 @@ the partition: the two unmarked slots at each vertex form the internal
 passage, and walking passages from marked slots reconstructs the trails.
 A marking decodes successfully exactly when no edge set closes into an
 internally paired cycle.  NormalPartition is the graph and the marking
-alone; its trails and key are decoded on demand by `trails_from_marking`,
+alone, and the marking is its only dart table: a Trail holds vertices and
+edges.  The trails and key are decoded on demand by `trails_from_marking`,
 which follows the step rule of the walker `walk` and builds each trail in
-the same pass.  `walk` itself serves the conformal switch and names the
-cycle of a marking that does not decode.  Compatibility and agreement
-read the marking through one helper, `agreement`.
+the same pass; `validate_normal` checks given trails, reads the marking
+off their ends and decodes that.  `walk` itself serves the conformal
+switch and names the cycle of a marking that does not decode.
+Compatibility and agreement read the marking through one helper,
+`agreement`.
 
 An odd partition is one whose trails all have odd length.  The edge at
 1-based position i of a trail is *odd* when both subtrails left by deleting
@@ -98,12 +101,13 @@ Violation = Union[NotAPartition, VertexNeverInternal, VertexEndCount]
 class Trail:
     """Alternating vertex/edge sequence with distinct edges.
 
-    Stored with an orientation but compared up to reversal.  Darts are
-    resolved per step; a loop step uses the lower dart outbound, so equal
-    vertex/edge sequences resolve to equal dart sequences.
+    Stored with an orientation but compared up to reversal.  A trail holds
+    no darts: a step's darts follow from its vertices, except at a loop,
+    which leaves and enters its vertex by either dart.  A partition's darts
+    are its marking, whose loop rule validate_normal states.
     """
 
-    __slots__ = ("vertices", "edges", "out_darts", "_key")
+    __slots__ = ("vertices", "edges", "_key")
 
     def __init__(self, g: CubicGraph, vertices: Sequence[int], edges: Sequence[int]):
         vertices = tuple(vertices)
@@ -112,25 +116,17 @@ class Trail:
             raise MalformedTrail(f"{len(vertices)} vertices with {len(edges)} edges")
         if len(set(edges)) != len(edges):
             raise MalformedTrail("repeated edge id")
-        out = []
         for i, e in enumerate(edges):
             if not 0 <= e < g.m:
                 raise MalformedTrail(f"edge id {e} out of range")
             a, b = g.endpoints[e]
             u, v = vertices[i], vertices[i + 1]
-            if a == b:
-                if u != a or v != a:
+            if (u, v) != (a, b) and (v, u) != (a, b):
+                if a == b:
                     raise MalformedTrail(f"loop {e} does not sit at step {i}")
-                out.append(2 * e)
-            elif (u, v) == (a, b):
-                out.append(2 * e)
-            elif (u, v) == (b, a):
-                out.append(2 * e + 1)
-            else:
                 raise MalformedTrail(f"edge {e}=({a},{b}) does not join {u},{v}")
         self.vertices = vertices
         self.edges = edges
-        self.out_darts = tuple(out)
         self._key = min((vertices, edges), (vertices[::-1], edges[::-1]))
 
     @property
@@ -140,9 +136,6 @@ class Trail:
     @property
     def ends(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
-
-    def reversed(self, g: CubicGraph) -> "Trail":
-        return Trail(g, self.vertices[::-1], self.edges[::-1])
 
     @property
     def key(self):
@@ -244,30 +237,6 @@ class NormalPartition:
         return f"NormalPartition({len(self.trails)} trails, lengths {sorted(self.lengths(), reverse=True)})"
 
 
-def _canonical(g: CubicGraph, vertices: tuple, edges: tuple, out_darts: tuple) -> Trail:
-    """The trail in its canonical orientation, built from parts already
-    known to be incident, without Trail's per-step checks.  Reversal flips
-    every out dart except at loop steps, which keep the lower dart."""
-    rv, re = vertices[::-1], edges[::-1]
-    if (rv, re) < (vertices, edges):
-        at = g.dart_vertices
-        out_darts = tuple(d if at[d] == at[d ^ 1] else d ^ 1 for d in reversed(out_darts))
-        vertices, edges = rv, re
-    t = Trail.__new__(Trail)
-    t.vertices, t.edges, t.out_darts = vertices, edges, out_darts
-    t._key = (vertices, edges)
-    return t
-
-
-def _with_trails(g: CubicGraph, marked: Sequence[int], trails: list[Trail]) -> NormalPartition:
-    """The partition with the given marking and its trails, which must be
-    canonically oriented and in canonical order."""
-    p = NormalPartition(g, marked)
-    p._trails = tuple(trails)
-    p._key = tuple([t._key for t in trails])
-    return p
-
-
 def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violation]:
     """All ways the trails fail to be a normal partition; empty when valid."""
     cover = [0] * g.m
@@ -293,8 +262,14 @@ def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violati
 
 
 def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
-    """Check the normal-partition conditions and return the partition, its
-    marking read off the ends of the canonically oriented trails.
+    """Check the normal-partition conditions and return the partition: the
+    decode of the marking read off the trail ends.  A trail marks, at its
+    first vertex, its first edge's dart there and, at its last vertex, its
+    last edge's dart there; a loop gives its lower dart at a first vertex
+    and its upper dart at a last one.  Trails that pass the check decode to
+    themselves up to reversal: each vertex is an end exactly once, hence
+    internal exactly once, and that passage pairs the two darts it leaves
+    unmarked.
 
     Raises InvalidPartition carrying every violated condition with its
     witness, not just the first.
@@ -302,13 +277,14 @@ def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
     bad = partition_violations(g, trails)
     if bad:
         raise InvalidPartition(bad)
-    trails = [_canonical(g, t.vertices, t.edges, t.out_darts) for t in trails]
-    trails.sort(key=lambda t: t.key)
+    at = g.dart_vertices
     marked = [0] * g.n
     for t in trails:
-        marked[t.vertices[0]] = t.out_darts[0]
-        marked[t.vertices[-1]] = t.out_darts[-1] ^ 1
-    return _with_trails(g, marked, trails)
+        v, d = t.vertices[0], 2 * t.edges[0]
+        marked[v] = d if at[d] == v else d + 1
+        v, d = t.vertices[-1], 2 * t.edges[-1] + 1
+        marked[v] = d if at[d] == v else d - 1
+    return trails_from_marking(g, marked)
 
 
 def walk(g: CubicGraph, marked: Sequence[int], start: int) -> list[int]:
@@ -343,10 +319,10 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
     which keeps the marking exactly as given.
 
     Walks one trail from each marked dart whose vertex no earlier trail
-    ended at, by walk's step rule, and builds the trail in the same pass:
-    its vertices, its edges and the darts it leaves through (at a loop the
-    lower dart).  Each trail comes out canonically oriented, from its lower
-    end, and the trails in canonical order, by that end: vertices are
+    ended at, by walk's step rule, and builds the trail's vertices and
+    edges in the same pass; its darts stay in the marking, a loop end's
+    dart as given.  Each trail comes out canonically oriented, from its
+    lower end, and the trails in canonical order, by that end: vertices are
     taken in increasing order, each vertex ends exactly one trail, and the
     two ends of a trail are distinct vertices (a walk from d that came
     back in through d would be its own reversal, and the passage at its
@@ -368,33 +344,32 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
     for v, d in enumerate(marking):
         if ended[v]:
             continue
-        verts, edges, out = [v], [], []
-        cur, u = d, v
+        verts, edges, cur = [v], [], d
         while True:
             nxt = cur ^ 1
             w = at[nxt]
             verts.append(w)
             edges.append(cur >> 1)
-            out.append(cur & ~1 if w == u else cur)  # loops: lower dart
             mk = marking[w]
             if mk == nxt:
                 break
             a, b, c = slots[w]
             cur = a + b + c - nxt - mk
-            u = w
         ended[w] = True  # the trail's far end
         walked += len(edges)
         t = Trail.__new__(Trail)
         t.vertices = vt = tuple(verts)
         t.edges = et = tuple(edges)
-        t.out_darts = tuple(out)
         t._key = (vt, et)
         trails.append(t)
     if walked < g.m:
         covered = {e for t in trails for e in t.edges}
         e0 = next(e for e in range(g.m) if e not in covered)
         raise CycleError([x >> 1 for x in walk(g, marking, 2 * e0)])
-    return _with_trails(g, marking, trails)
+    p = NormalPartition(g, marking)
+    p._trails = tuple(trails)
+    p._key = tuple([t._key for t in trails])
+    return p
 
 
 def is_odd(p: NormalPartition) -> bool:

@@ -4,9 +4,10 @@ This is the decoder the library ran before it walked trails with
 partition.walk.  It pairs each vertex's two unmarked darts in a successor
 table, walks every trail through that table, builds each trail with
 Trail's checked constructor, and reads the marking and the passages back
-off the sorted trails.  At a loop end that marking holds the loop's lower
+off the sorted trails: each dart from a trail's vertices and edges and the
+graph's endpoints.  At a loop end that marking holds the loop's lower
 dart on a first edge and its upper dart on a last edge, whichever dart
-was given.
+was given; a loop step leaves by its lower dart and enters by its upper.
 """
 
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ def decode(g: CubicGraph, marking: Sequence[int]) -> Decoded:
                 break
             cur = succ[cur ^ 1]
         t = Trail(g, verts, edges)
-        trails.append(t if (t.vertices, t.edges) == t.key else t.reversed(g))
+        trails.append(t if (t.vertices, t.edges) == t.key else Trail(g, t.vertices[::-1], t.edges[::-1]))
     if not all(seen):
         d0 = seen.index(False)
         cycle, cur = [], d0
@@ -73,10 +74,20 @@ def decode(g: CubicGraph, marking: Sequence[int]) -> Decoded:
     marked = [-1] * g.n
     passage: list[Optional[tuple[int, int]]] = [None] * g.n
     for t in trails:
-        marked[t.vertices[0]] = t.out_darts[0]
-        marked[t.vertices[-1]] = t.out_darts[-1] ^ 1
-        for i in range(1, len(t.vertices) - 1):
-            into, outof = t.out_darts[i - 1] ^ 1, t.out_darts[i]
-            passage[t.vertices[i]] = (min(into, outof), max(into, outof))
+        vs, es = t.vertices, t.edges
+        marked[vs[0]] = _dart_at(g, es[0], vs[0], 0)
+        marked[vs[-1]] = _dart_at(g, es[-1], vs[-1], 1)
+        for i in range(1, len(vs) - 1):
+            into, outof = _dart_at(g, es[i - 1], vs[i], 1), _dart_at(g, es[i], vs[i], 0)
+            passage[vs[i]] = (min(into, outof), max(into, outof))
     return Decoded(tuple(trails), tuple(marked), tuple(passage))
+
+
+def _dart_at(g: CubicGraph, e: int, v: int, loop_dart: int) -> int:
+    """Edge e's dart at its end v, from the graph's endpoints; at a loop
+    the lower dart (loop_dart 0) or the upper one (loop_dart 1)."""
+    a, b = g.endpoints[e]
+    if a == b:
+        return 2 * e + loop_dart
+    return 2 * e if a == v else 2 * e + 1
 

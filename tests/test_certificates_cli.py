@@ -287,6 +287,35 @@ class TestCli:
         assert main(["validate", "/definitely/not/here.json"]) == 5
 
     @pytest.mark.parametrize(
+        "data",
+        [b'{"graph": "\xff"}', b"[" * 200_000 + b"]" * 200_000, b'{"n": ' + b"1" * 5000 + b"}"],
+        ids=["not_utf8", "deep", "long_int"],
+    )
+    def test_undecodable_certificate_exit(self, tmp_path, capsys, data):
+        # not UTF-8, JSON nested deeper than json's decoder recurses, or an
+        # int longer than the interpreter converts from a string
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        assert main(["validate", str(p)]) == 5
+        assert "certificate is not JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".g6", ".edges"])
+    def test_undecodable_graph_file_exit(self, tmp_path, capsys, suffix):
+        src = tmp_path / f"bad{suffix}"
+        src.write_bytes(b"\xff\n")
+        assert main(["sweep", "--input", str(src), "--check", "conj25"]) == 5
+        assert main(["construct", "--method", "matching", "--graph", f"@{src}"]) == 5
+        assert capsys.readouterr().err.count("cannot read") == 2
+
+    @pytest.mark.parametrize("line", ["?", "~???"])
+    def test_graph6_without_vertices_exit(self, tmp_path, capsys, line):
+        # the empty graph is no cubic graph, as the edge-list header "0 0" is not
+        src = tmp_path / "empty.g6"
+        src.write_text(line + "\n")
+        assert main(["sweep", "--input", str(src), "--check", "conj25"]) == 5
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"graph": {"n": 2, "edges": [[0, 1]] * 3}, "partitions": 5},

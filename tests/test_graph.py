@@ -95,6 +95,11 @@ class TestGraph6:
         with pytest.raises(NonCubic):
             parse_graph6(line)
 
+    @pytest.mark.parametrize("line", ["?", "~???", ">>graph6<<?"])
+    def test_no_vertices_rejected(self, line):
+        with pytest.raises(Malformed, match="no vertices"):
+            parse_graph6(line)
+
     def test_multigraph_rejected_by_encoder(self, theta):
         with pytest.raises(Malformed):
             to_graph6(theta)

@@ -39,6 +39,17 @@ def agrees_at(parts, v):
     return len({p.marked[v] >> 1 for p in parts}) < len(parts)
 
 
+def assert_validates_to(g, p):
+    """validate_normal gives p back from p's trails, both as they are and
+    with each trail reversed: equal, with equal marked edges and the same
+    canonically oriented trails."""
+    want = [(t.vertices, t.edges) for t in p.trails]
+    for trails in (p.trails, [Trail(g, t.vertices[::-1], t.edges[::-1]) for t in p.trails]):
+        q = validate_normal(g, trails)
+        assert q == p and q.marked_edges() == p.marked_edges()
+        assert [(t.vertices, t.edges) for t in q.trails] == want
+
+
 class TestTrail:
     def test_basic(self, k4):
         t = Trail(k4, (0, 1, 2, 3), (0, 3, 5))
@@ -111,6 +122,21 @@ class TestValidateNormal:
         p = validate_normal(theta, [Trail(theta, (0, 1, 0, 1), (0, 1, 2))])
         assert p.marked_edge(0) == 0 and p.marked_edge(1) == 2
         assert p.passage_edges(0) == (1, 2) and p.passage_edges(1) == (0, 1)
+
+    def test_every_corpus_partition_validates_to_itself(self):
+        # every normal partition of the corpus graphs with n <= 6, loops
+        # included: the end marking decodes to the given trails
+        from copnc.corpus import corpus_all
+        from copnc.search import enumerate_normal_partitions
+
+        checked = loops = 0
+        for g in [g for n in (2, 4, 6) for _, g in corpus_all(n)]:
+            has_loop = g.has_loop()
+            for p in enumerate_normal_partitions(g):
+                assert_validates_to(g, p)
+                checked += 1
+                loops += has_loop
+        assert checked > 4000 and loops > 1000, (checked, loops)
 
     def test_no_trail_may_close_on_one_vertex(self, k4):
         # a trail with both ends at the same vertex overloads its end slot
@@ -208,8 +234,8 @@ class TestDecoderOracle:
                     cycles += 1
                     continue
                 got = trails_from_marking(g, marking)
-                assert [(t.vertices, t.edges, t.out_darts) for t in got.trails] == [
-                    (t.vertices, t.edges, t.out_darts) for t in want.trails
+                assert [(t.vertices, t.edges) for t in got.trails] == [
+                    (t.vertices, t.edges) for t in want.trails
                 ]
                 assert got.key == want.key
                 assert got.marked == marking  # as given, loop darts included
@@ -269,15 +295,13 @@ class TestDecoderPairingModel:
                         cycles += 1
                         continue
                     got = trails_from_marking(g, marking)
-                    assert [(t.vertices, t.edges, t.out_darts) for t in got.trails] == [
-                        (t.vertices, t.edges, t.out_darts) for t in want.trails
+                    assert [(t.vertices, t.edges) for t in got.trails] == [
+                        (t.vertices, t.edges) for t in want.trails
                     ]
                     assert got.key == want.key
                     assert got.marked == marking
                     assert got.marked_edges() == tuple(d >> 1 for d in want.marked)
-                    # encode again: the marking read off the trails
-                    again = validate_normal(g, got.trails)
-                    assert again.key == got.key and again.marked_edges() == got.marked_edges()
+                    assert_validates_to(g, got)
                     decoded += 1
         assert decoded > 800 and cycles > 800 and loops > 50 and parallel > 50
 

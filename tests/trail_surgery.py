@@ -26,7 +26,7 @@ def _oriented_from(t: Trail, g: CubicGraph, start: int) -> Trail:
     if t.vertices[0] == start:
         return t
     assert t.vertices[-1] == start
-    return t.reversed(g)
+    return Trail(g, t.vertices[::-1], t.edges[::-1])
 
 
 def _oriented_pred(t: Trail, g: CubicGraph, e: int, x: int) -> Trail:
@@ -34,7 +34,7 @@ def _oriented_pred(t: Trail, g: CubicGraph, e: int, x: int) -> Trail:
     if t.vertices[i] == x:
         return t
     assert t.vertices[i + 1] == x
-    return t.reversed(g)
+    return Trail(g, t.vertices[::-1], t.edges[::-1])
 
 
 def lift_digon(info, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
