@@ -11,6 +11,10 @@ Schema tag "copnc/1".  A certificate is:
 Edge ids are positions in the edges array.  Serialization is canonical
 (sorted keys, fixed separators, trailing newline) so identical structures
 produce identical bytes.
+
+validate_certificate checks a partition's trails by one decode of the
+marking read off their ends (see validate_normal); only a document that
+fails gets its trails built and diagnosed one by one.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ from typing import Optional, Sequence
 from .graph import BadParameter, CubicGraph, Malformed, NonCubic, color_classes, generate, parse_spec
 from .partition import (
     InvalidPartition,
-    MalformedTrail,
     NormalPartition,
-    Trail,
     agreement,
     associated_matching,
     is_odd,
@@ -78,6 +80,7 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _INT = {int}
 _LIST = {list}
+_PAIR = {2}
 _TRAIL = {"edges", "vertices"}
 _HEAD, _TAIL = '[{"edges":[', "]}]"
 
@@ -148,17 +151,27 @@ def _text(x, pad: str) -> str:
     return _encode(x)
 
 
-def parse_graph(doc: dict) -> CubicGraph:
+def parse_graph(doc: dict, known: Optional[CubicGraph] = None) -> CubicGraph:
     """The certificate's graph; CertificateError unless it is cubic.  n and
     the endpoints are ints, as trail ids are: no float, bool or string
-    stands for one.  The size of a cubic graph, n > 0 and 3n = 2m, is
-    checked before anything is built for its vertices."""
+    stands for one.  When the payload has exactly the n and endpoints of
+    known, known itself is returned.  The size of a cubic graph, n > 0
+    and 3n = 2m, is checked before anything is built for its vertices."""
     try:
         n, edges = doc["graph"]["n"], doc["graph"]["edges"]
     except (KeyError, TypeError) as exc:
         raise CertificateError(f"bad graph payload: {exc}") from exc
-    if type(n) is not int or type(edges) is not list or not all(_ints(e) and len(e) == 2 for e in edges):
+    if not (
+        type(n) is int
+        and type(edges) is list
+        and _LIST.issuperset(map(type, edges))
+        and _INT.issuperset(map(type, chain.from_iterable(edges)))
+        and _PAIR.issuperset(map(len, edges))
+    ):
         raise CertificateError("bad graph payload: n and the endpoints of every edge must be ints")
+    # checked as ints first: True == 1, so a bool would compare equal
+    if known is not None and n == known.n and tuple(map(tuple, edges)) == known.endpoints:
+        return known
     if n <= 0 or 3 * n != 2 * len(edges):
         raise CertificateError(f"bad graph payload: {len(edges)} edges on {n} vertices")
     try:
@@ -173,20 +186,25 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
     "matchings", "coloring", "family" and "profiles", when present, must
     hold (see _mismatch).
 
+    Each partition is one validate_normal call on the trails' id lists as
+    they stand in the document, after one pass over all their ids checks
+    that they are ints.  A graph payload equal to expect_graph is not
+    built a second time.
+
     Returns a report dict with "ok" plus per-partition diagnostics; never
     raises for semantic failures.  The entry of each normal partition
     carries its "lengths" and whether it is "odd"; the indices of the even
     ones are listed under "even".  A document of the wrong shape raises
     CertificateError: not an object, a graph payload that is not a cubic
     graph, partitions that are not a non-empty list of lists, a trail
-    whose vertices or edges are not a list of int ids, or a claimed field
-    of the wrong shape (see _claims)."""
+    whose vertices or edges are not a list of int ids (the first such
+    trail is named), or a claimed field of the wrong shape (see _claims)."""
     if not isinstance(doc, dict):
         raise CertificateError("certificate is not a JSON object")
     raw = doc.get("partitions")
     if not isinstance(raw, list) or not raw or not all(isinstance(p, list) for p in raw):
         raise CertificateError("partitions must be a non-empty list of trail lists")
-    g = parse_graph(doc)
+    g = parse_graph(doc, expect_graph)
     claims = _claims(doc, g, len(raw))
     report: dict = {"schema": SCHEMA, "ok": True, "n": g.n, "m": g.m, "partitions": []}
     if expect_graph is not None and g != expect_graph:
@@ -196,22 +214,25 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
     parts: list[Optional[NormalPartition]] = []
     for i, part in enumerate(raw):
         entry: dict = {"index": i, "violations": []}
-        trails = []
-        for j, t in enumerate(part):
-            try:
-                if not (_ints(t["vertices"]) and _ints(t["edges"])):
-                    raise TypeError("vertices and edges must be lists of int ids")
-                trails.append(Trail(g, t["vertices"], t["edges"]))
-            except MalformedTrail as exc:
-                entry["violations"].append(f"trail {j} malformed: {exc}")
-            except (KeyError, TypeError) as exc:
-                raise CertificateError(f"partition {i} trail {j}: {exc}") from exc
-        p = None
-        if not entry["violations"]:
-            try:
-                p = validate_normal(g, trails)
-            except InvalidPartition as exc:
-                entry["violations"] = [str(v) for v in exc.violations]
+        try:
+            trails = [(t["vertices"], t["edges"]) for t in part]
+        except (KeyError, TypeError):
+            trails = None
+        if trails is None or not (
+            _LIST.issuperset(map(type, chain.from_iterable(trails)))
+            and _INT.issuperset(map(type, chain.from_iterable(chain.from_iterable(trails))))
+        ):
+            for j, t in enumerate(part):  # name the first trail of the wrong shape
+                try:
+                    if not (_ints(t["vertices"]) and _ints(t["edges"])):
+                        raise TypeError("vertices and edges must be lists of int ids")
+                except (KeyError, TypeError) as exc:
+                    raise CertificateError(f"partition {i} trail {j}: {exc}") from exc
+        try:
+            p: Optional[NormalPartition] = validate_normal(g, trails)
+        except InvalidPartition as exc:
+            p = None
+            entry["violations"] = [str(v) for v in exc.violations]
         parts.append(p)
         if p is None:
             report["ok"] = False

@@ -47,7 +47,6 @@ from .certificates import dumps
 from .graph import BadParameter, CubicGraph, generate
 from .partition import (
     NormalPartition,
-    Trail,
     agreement,
     is_odd,
     length_profile,
@@ -308,11 +307,10 @@ def petersen_triple() -> Triple:
     has one trail of length five, three of length three and one of length
     one."""
     g = generate("petersen")
-    parts = []
-    for trails_json in _data()["petersen"]["partitions"]:
-        trails = [Trail(g, t["vertices"], t["edges"]) for t in trails_json]
-        parts.append(validate_normal(g, trails))
-    triple = tuple(parts)
+    triple = tuple(
+        validate_normal(g, [(t["vertices"], t["edges"]) for t in trails])
+        for trails in _data()["petersen"]["partitions"]
+    )
     _check_triple(triple)
     return triple  # type: ignore[return-value]
 

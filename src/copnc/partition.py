@@ -14,9 +14,10 @@ internally paired cycle.  NormalPartition is the graph and the marking
 alone, and the marking is its only dart table: a Trail holds vertices and
 edges.  The trails and key are decoded on demand by `trails_from_marking`,
 which follows the step rule of the walker `walk` and builds each trail in
-the same pass; `validate_normal` checks given trails, reads the marking
-off their ends and decodes that.  `walk` itself serves the conformal
-switch and names the cycle of a marking that does not decode.
+the same pass; `validate_normal` reads the marking off the ends of
+given trails, decodes it and compares, building checked Trails only to
+name what is wrong.  `walk` itself serves the conformal switch and names
+the cycle of a marking that does not decode.
 Compatibility and agreement read the marking through one helper,
 `agreement`.
 
@@ -95,7 +96,16 @@ class VertexEndCount:
         return f"vertex {self.vertex} is a trail end {self.count} times, expected 1"
 
 
-Violation = Union[NotAPartition, VertexNeverInternal, VertexEndCount]
+@dataclass(frozen=True)
+class TrailMalformed:
+    index: int
+    reason: str  # the MalformedTrail message
+
+    def __str__(self) -> str:
+        return f"trail {self.index} malformed: {self.reason}"
+
+
+Violation = Union[NotAPartition, VertexNeverInternal, VertexEndCount, TrailMalformed]
 
 
 class Trail:
@@ -261,30 +271,55 @@ def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violati
     return out
 
 
-def validate_normal(g: CubicGraph, trails: Sequence[Trail]) -> NormalPartition:
-    """Check the normal-partition conditions and return the partition: the
-    decode of the marking read off the trail ends.  A trail marks, at its
-    first vertex, its first edge's dart there and, at its last vertex, its
-    last edge's dart there; a loop gives its lower dart at a first vertex
-    and its upper dart at a last one.  Trails that pass the check decode to
-    themselves up to reversal: each vertex is an end exactly once, hence
-    internal exactly once, and that passage pairs the two darts it leaves
-    unmarked.
+def validate_normal(g: CubicGraph, trails: Sequence[tuple[Sequence[int], Sequence[int]]]) -> NormalPartition:
+    """Check that the trails, given as (vertices, edges) id lists, form a
+    normal partition, and return it: the decode of the marking read off
+    the trail ends.  A trail marks, at its first vertex, its first edge's
+    dart there and, at its last vertex, its last edge's dart there; a loop
+    gives its lower dart at a first vertex and its upper dart at a last
+    one.
+
+    The trails are normal exactly when each vertex is an end once and the
+    marking decodes back to them up to reversal, one lookup per trail by
+    its lower end.  End ids are range-checked before they index anything,
+    the others only compared, and no Trail is built.  When the decode
+    differs, the trails are built as Trails and partition_violations
+    names what is wrong.
 
     Raises InvalidPartition carrying every violated condition with its
-    witness, not just the first.
+    witness: each malformed trail or, when none is, every failed
+    normal-partition condition.
     """
-    bad = partition_violations(g, trails)
-    if bad:
-        raise InvalidPartition(bad)
-    at = g.dart_vertices
-    marked = [0] * g.n
-    for t in trails:
-        v, d = t.vertices[0], 2 * t.edges[0]
-        marked[v] = d if at[d] == v else d + 1
-        v, d = t.vertices[-1], 2 * t.edges[-1] + 1
-        marked[v] = d if at[d] == v else d - 1
-    return trails_from_marking(g, marked)
+    n, m, at = g.n, g.m, g.dart_vertices
+    marked = [-1] * n
+    try:  # a LookupError or ValueError: not the trails their ends decode to
+        for vs, es in trails:
+            v, w, e, f = vs[0], vs[-1], es[0], es[-1]
+            if not (0 <= v < n and 0 <= w < n and 0 <= e < m and 0 <= f < m):
+                raise LookupError
+            marked[v] = 2 * e if at[2 * e] == v else 2 * e + 1
+            marked[w] = 2 * f + 1 if at[2 * f + 1] == w else 2 * f
+        if 2 * len(trails) != n or -1 in marked:
+            raise LookupError  # some vertex is not an end exactly once
+        p = trails_from_marking(g, marked)
+        decoded = {t.vertices[0]: t for t in p._trails}
+        for vs, es in trails:
+            if vs[0] > vs[-1]:
+                vs, es = vs[::-1], es[::-1]
+            t = decoded[vs[0]]
+            if t.vertices != tuple(vs) or t.edges != tuple(es):
+                raise LookupError
+        return p
+    except (LookupError, ValueError):
+        pass
+    given: list[Trail] = []
+    bad: list[Violation] = []
+    for j, (vs, es) in enumerate(trails):
+        try:
+            given.append(Trail(g, vs, es))
+        except MalformedTrail as exc:
+            bad.append(TrailMalformed(j, str(exc)))
+    raise InvalidPartition(bad or partition_violations(g, given))
 
 
 def walk(g: CubicGraph, marked: Sequence[int], start: int) -> list[int]:

@@ -63,7 +63,7 @@ def validated_triple(g, triple) -> None:
     """Full audit of one compatible triple; feeds the audit criteria."""
     for p in triple:
         assert p.graph == g
-        validate_normal(g, p.trails)
+        validate_normal(g, [(t.vertices, t.edges) for t in p.trails])
         assert is_odd(p)
         assert stats(p).balance() == 0
         REGISTRY["partitions"] += 1

@@ -6,6 +6,27 @@ from copnc import certificates as C
 from copnc.cli import main
 from copnc.construct import bipartite_triple, nop_from_matching
 from copnc.families import petersen_triple
+from validate_oracle import outcome
+from validate_oracle import validate_certificate as gate_first
+
+
+@pytest.fixture(autouse=True)
+def against_oracle(monkeypatch):
+    """Every validate_certificate call here, the CLI's included, must give
+    the gate-first oracle's report byte for byte, or raise what it raises."""
+    fast = C.validate_certificate
+
+    def both(doc, expect_graph=None):
+        want = outcome(gate_first, doc, expect_graph)
+        try:
+            report = fast(doc, expect_graph)
+        except Exception as exc:
+            assert f"{type(exc).__name__}: {exc}" == want
+            raise
+        assert json.dumps(report, sort_keys=True) == want
+        return report
+
+    monkeypatch.setattr(C, "validate_certificate", both)
 
 
 class TestCertificates:

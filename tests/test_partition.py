@@ -44,7 +44,7 @@ def assert_validates_to(g, p):
     with each trail reversed: equal, with equal marked edges and the same
     canonically oriented trails."""
     want = [(t.vertices, t.edges) for t in p.trails]
-    for trails in (p.trails, [Trail(g, t.vertices[::-1], t.edges[::-1]) for t in p.trails]):
+    for trails in (want, [(vs[::-1], es[::-1]) for vs, es in want]):
         q = validate_normal(g, trails)
         assert q == p and q.marked_edges() == p.marked_edges()
         assert [(t.vertices, t.edges) for t in q.trails] == want
@@ -94,7 +94,7 @@ class TestOddEdges:
 
 class TestValidateNormal:
     def test_theta_single_trail(self, theta):
-        p = validate_normal(theta, [Trail(theta, (0, 1, 0, 1), (0, 1, 2))])
+        p = validate_normal(theta, [((0, 1, 0, 1), (0, 1, 2))])
         assert len(p.trails) == 1 == theta.n // 2
         assert is_odd(p)
 
@@ -110,7 +110,7 @@ class TestValidateNormal:
         bad = partition_violations(k4, [t1, t2])
         assert NotAPartition(5, 2) in bad
         with pytest.raises(InvalidPartition):
-            validate_normal(k4, [t1, t2])
+            validate_normal(k4, [(t1.vertices, t1.edges), (t2.vertices, t2.edges)])
 
     def test_all_violations_reported(self, k4):
         t1 = Trail(k4, (0, 1), (0,))
@@ -119,7 +119,7 @@ class TestValidateNormal:
         assert kinds == {NotAPartition, VertexNeverInternal, VertexEndCount}
 
     def test_enrichment_tables(self, theta):
-        p = validate_normal(theta, [Trail(theta, (0, 1, 0, 1), (0, 1, 2))])
+        p = validate_normal(theta, [((0, 1, 0, 1), (0, 1, 2))])
         assert p.marked_edge(0) == 0 and p.marked_edge(1) == 2
         assert p.passage_edges(0) == (1, 2) and p.passage_edges(1) == (0, 1)
 
@@ -371,10 +371,10 @@ class TestMatchingsAndConformality:
     def test_not_odd_raises(self, cube):
         # a hand-built normal partition of the cube with two even trails
         trails = [
-            Trail(cube, (1, 0, 2, 3, 7), (0, 1, 5, 7)),
-            Trail(cube, (0, 4, 5, 1, 3), (2, 8, 4, 3)),
-            Trail(cube, (2, 6, 7, 5), (6, 11, 10)),
-            Trail(cube, (4, 6), (9,)),
+            ((1, 0, 2, 3, 7), (0, 1, 5, 7)),
+            ((0, 4, 5, 1, 3), (2, 8, 4, 3)),
+            ((2, 6, 7, 5), (6, 11, 10)),
+            ((4, 6), (9,)),
         ]
         p = validate_normal(cube, trails)
         assert not is_odd(p)

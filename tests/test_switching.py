@@ -73,7 +73,7 @@ class TestSwitch:
     def test_theta_partial_reversal(self, theta):
         # single-trail partition; the switch on vertex 0 reverses the closed
         # part and re-ends the trail, worked out by following the rewrite
-        p = validate_normal(theta, [Trail(theta, (0, 1, 0, 1), (0, 1, 2))])
+        p = validate_normal(theta, [((0, 1, 0, 1), (0, 1, 2))])
         (q,) = decode_oracle_candidates(p, 0)
         assert q.trails[0] == Trail(theta, (0, 1, 0, 1), (1, 0, 2))
 

@@ -132,7 +132,7 @@ def lift_digon(info, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
                         [e2] + lift_e(t.edges[i + 1 :]),
                     )
                 )
-        out.append(validate_normal(gb, trails))
+        out.append(validate_normal(gb, [(t.vertices, t.edges) for t in trails]))
     return out
 
 
@@ -186,5 +186,5 @@ def lift_triangle(info, parts: Sequence[NormalPartition]) -> list[NormalPartitio
                         new_edges.append(edges[j])
             trails.append(Trail(gb, verts, new_edges))
         trails.append(Trail(gb, (min(P, Q), max(P, Q)), (tri_edge[frozenset((P, Q))],)))
-        out.append(validate_normal(gb, trails))
+        out.append(validate_normal(gb, [(t.vertices, t.edges) for t in trails]))
     return out

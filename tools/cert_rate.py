@@ -11,9 +11,10 @@
 
 Each figure is CPU time (process_time) of one call, the best of --repeat
 calls: `write` is copnc.certificates.dumps on the document, `loads` is
-json.loads on its text and `validate` is validate_certificate on the
-loaded document.  Documents are built beforehand, so only these three
-steps are timed.
+json.loads on its text, `validate` is validate_certificate on the
+loaded document and `validate_g` the same against the certificate's
+graph built on its own, as `copnc validate --graph` runs it.  Documents
+and graphs are built beforehand, so only these four steps are timed.
 
 Run from the repository root:  python3 tools/cert_rate.py [--repeat 15] [--seed 1]
 """
@@ -43,17 +44,18 @@ N = 400
 FAMILIES = {"goldberg": 49, "flower": 99}
 
 
-def documents(seed: int) -> list[tuple[str, int, dict]]:
-    """(label, n, certificate) for each case, built as the CLI builds them."""
+def documents(seed: int) -> list[tuple[str, CubicGraph, dict]]:
+    """(label, graph, certificate) for each case, built as the CLI builds
+    them."""
     rng = random.Random(seed)
     out = []
     for shape, build in SHAPES.items():
         g = CubicGraph(*oriented(*build(N, rng), rng))
-        out.append((shape, g.n, _triple_doc(g, conformal_triple_general(g, seed=seed), "conformal")))
+        out.append((shape, g, _triple_doc(g, conformal_triple_general(g, seed=seed), "conformal")))
     for name, k in FAMILIES.items():
         g = generate(name, k)
         triple = getattr(families, f"{name}_triple")(k)
-        out.append((f"{name}:{k}", g.n, C.certificate(g, list(triple), {"family": f"{name}:{k}"})))
+        out.append((f"{name}:{k}", g, C.certificate(g, list(triple), {"family": f"{name}:{k}"})))
     return out
 
 
@@ -71,15 +73,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--repeat", type=int, default=15, help="calls per step; the best is kept")
     ap.add_argument("--seed", type=int, default=1, help="labelling and orientation of the shapes")
     args = ap.parse_args(argv)
-    print(f"{'case':<12} {'n':>5} {'bytes':>8} {'write_ms':>9} {'loads_ms':>9} {'validate_ms':>12}")
-    for label, n, doc in documents(args.seed):
+    print(f"{'case':<12} {'n':>5} {'bytes':>8} {'write_ms':>9} {'loads_ms':>9} {'validate_ms':>12} {'validate_g_ms':>14}")
+    for label, g, doc in documents(args.seed):
         text = C.dumps(doc)
         loaded = json.loads(text)
-        assert C.validate_certificate(loaded)["ok"], label
+        expect = CubicGraph(g.n, g.endpoints)
+        assert C.validate_certificate(loaded)["ok"] and C.validate_certificate(loaded, expect)["ok"], label
         write = best_ms(lambda: C.dumps(doc), args.repeat)
         loads = best_ms(lambda: json.loads(text), args.repeat)
         check = best_ms(lambda: C.validate_certificate(loaded), args.repeat)
-        print(f"{label:<12} {n:>5} {len(text):>8} {write:>9.2f} {loads:>9.2f} {check:>12.2f}")
+        check_g = best_ms(lambda: C.validate_certificate(loaded, expect), args.repeat)
+        print(f"{label:<12} {g.n:>5} {len(text):>8} {write:>9.2f} {loads:>9.2f} {check:>12.2f} {check_g:>14.2f}")
     return 0
 
 
