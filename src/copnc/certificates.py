@@ -24,14 +24,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .graph import BadParameter, CubicGraph, Malformed, NonCubic, color_classes, generate, parse_spec
-from .partition import (
-    InvalidPartition,
-    NormalPartition,
-    agreement,
-    associated_matching,
-    is_odd,
-    validate_normal,
-)
+from .partition import InvalidPartition, NormalPartition, associated_matching, validate_normal
 
 SCHEMA = "copnc/1"
 
@@ -193,9 +186,10 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
 
     Returns a report dict with "ok" plus per-partition diagnostics; never
     raises for semantic failures.  The entry of each normal partition
-    carries its "lengths" and whether it is "odd"; the indices of the even
-    ones are listed under "even".  A document of the wrong shape raises
-    CertificateError: not an object, a graph payload that is not a cubic
+    carries its "lengths" and whether it is "odd", both from one pass over
+    its trail lengths; the indices of the even ones are listed under
+    "even".  Pairs are compared on marked edges read once per partition.
+    A document of the wrong shape raises CertificateError: not an object, a graph payload that is not a cubic
     graph, partitions that are not a non-empty list of lists, a trail
     whose vertices or edges are not a list of int ids (the first such
     trail is named), or a claimed field of the wrong shape (see _claims)."""
@@ -237,18 +231,21 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
         if p is None:
             report["ok"] = False
         else:
-            entry["lengths"] = sorted(p.lengths(), reverse=True)
-            entry["odd"] = is_odd(p)
+            lengths = [len(t.edges) for t in p.trails]
+            entry["lengths"] = sorted(lengths, reverse=True)
+            entry["odd"] = all(x & 1 for x in lengths)
             if not entry["odd"]:
                 report["ok"] = False
                 report.setdefault("even", []).append(i)
         report["partitions"].append(entry)
     live = [p for p in parts if p is not None]
     if len(live) == len(parts) and len(live) >= 2:
+        # agreement of each pair, from marked edges built once a partition
+        marks = [p.marked_edges() for p in live]
         conflicts = []
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
-                agree = agreement((live[i], live[j]))
+                agree = [v for v, (a, b) in enumerate(zip(marks[i], marks[j])) if a == b]
                 if agree:
                     conflicts.append({"pair": [i, j], "agreement": agree})
         if conflicts:

@@ -194,6 +194,8 @@ def cmd_switch_class(args) -> int:
         print(f"bad --matching '{args.matching}': expected comma separated edge ids", file=sys.stderr)
         return EXIT_IO
     try:
+        if matching is not None and args.moves != "conformal":
+            raise UsageError(f"--matching applies to conformal moves only, not {args.moves}")
         if args.moves == "plain":
             pool = enumerate_normal_partitions(g, cap=args.cap)
         elif args.moves == "odd":

@@ -353,12 +353,13 @@ def _check_triple(parts: Sequence[NormalPartition]) -> None:
 
 def derive_petersen() -> Triple:
     """First compatible triple among profile-(5,3,3,3,1) partitions in
-    canonical order."""
+    canonical (trail key) order; enumerate_nops gives search order, so
+    the candidates are sorted here."""
     from .search import enumerate_nops
 
     g = generate("petersen")
     want = (5, 3, 3, 3, 1)
-    cand = [p for p in enumerate_nops(g) if length_profile(p) == want]
+    cand = [p for p in sorted(enumerate_nops(g), key=lambda p: p.key) if length_profile(p) == want]
     marks = [tuple(p.marked_edge(v) for v in range(g.n)) for p in cand]
 
     def ok(i: int, j: int) -> bool:

@@ -9,13 +9,16 @@ for odd partitions, completing a chain whose edge count is even is pruned
 as well.  A full assignment that survives the prunes is exactly a marking
 that decodes, with all trails odd when parity is asked for.
 
-k = 1 enumerates single normal (odd) partitions.  k = 3 searches for three
-pairwise compatible normal odd partitions: compatibility at a cubic vertex
-forces the three marked edges there to be three distinct edges, i.e. a
-bijection between partitions and the vertex's slots, so a triple is one
-bijection per vertex (6^n worst case instead of 27^n).  A vertex carrying
-a loop has only two distinct incident edges and admits no bijection, so
-such graphs have no triple and are rejected in O(1).
+k = 1 enumerates single normal (odd) partitions: each one is its
+marking, returned in the order the search yields it and decoded only on
+first use, so a caller that reads markings alone (switch classes) never
+decodes.  k = 3 searches for three pairwise compatible normal odd
+partitions: compatibility at a cubic vertex forces the three marked
+edges there to be three distinct edges, i.e. a bijection between
+partitions and the vertex's slots, so a triple is one bijection per
+vertex (6^n worst case instead of 27^n).  A vertex carrying a loop has
+only two distinct incident edges and admits no bijection, so such graphs
+have no triple and are rejected in O(1).
 
 Every constraint is one table: v -> the perms v may take.  Pins are
 one-perm rows (_pinned); partitions conformal to perfect matchings keep
@@ -44,12 +47,7 @@ from itertools import permutations, product
 from typing import Collection, Iterator, Optional, Sequence
 
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, is_perfect_matching, perfect_matchings
-from .partition import (
-    NormalPartition,
-    agreement,
-    associated_matching,
-    trails_from_marking,
-)
+from .partition import NormalPartition, agreement, associated_matching
 from .switching import CapExceeded
 
 # k -> the ways to give each of k partitions its own slot at a vertex
@@ -85,13 +83,21 @@ def _check_cap(g: CubicGraph, cap: Optional[int]) -> None:
 
 def _distinct_partitions(g: CubicGraph, cap: Optional[int], odd: bool, allowed=None) -> list[NormalPartition]:
     """The normal partitions (odd ones only when odd is set) the table
-    allowed admits, deduplicated by key and sorted by it."""
+    allowed admits, each once, in the order the search yields them; none
+    is decoded (each decodes on first use).
+
+    Two markings give the same partition exactly when they differ only at
+    loop vertices, where either dart of the loop marks the same edge.  A
+    marking of a loop's upper dart is dropped: its twin with the lower
+    dart decodes too and comes first, as the search tries slots in dart
+    order."""
     _check_cap(g, cap)
-    out: dict[tuple, NormalPartition] = {}
-    for (marking,) in _Search(g, 1, odd=odd, allowed=allowed).solutions():
-        p = trails_from_marking(g, marking)
-        out.setdefault(p.key, p)
-    return [out[k] for k in sorted(out)]
+    uppers = {2 * e + 1 for e, (u, w) in enumerate(g.endpoints) if u == w}
+    return [
+        NormalPartition(g, marking)
+        for (marking,) in _Search(g, 1, odd=odd, allowed=allowed).solutions()
+        if not uppers or uppers.isdisjoint(marking)
+    ]
 
 
 def enumerate_nops(
@@ -99,7 +105,8 @@ def enumerate_nops(
     cap: Optional[int] = None,
     conformal_to: Optional[frozenset[int]] = None,
 ) -> list[NormalPartition]:
-    """All normal odd partitions, deduplicated, in canonical order.
+    """All normal odd partitions, each once, in search order (not sorted:
+    a caller that needs the canonical order sorts by p.key), undecoded.
 
     With conformal_to set, keeps only partitions whose odd edges equal that
     matching.  A normal partition is conformal to a perfect matching m
@@ -118,7 +125,8 @@ def enumerate_nops(
 
 
 def enumerate_normal_partitions(g: CubicGraph, cap: Optional[int] = None) -> list[NormalPartition]:
-    """All normal partitions (odd or not), deduplicated canonically."""
+    """All normal partitions (odd or not), each once, in search order,
+    undecoded (see enumerate_nops)."""
     return _distinct_partitions(g, cap, odd=False)
 
 
@@ -379,15 +387,16 @@ def complete_system(
     At a cubic vertex three pairwise distinct marked edges must be all
     three incident edges, so the condition is: every slot edge of every
     vertex is marked by some member.  Tiny graphs only; the candidate pool
-    is the full set of normal odd partitions, so a k larger than the pool
-    gets None at once.  The marks are counted as partitions are chosen and
-    dropped, so a search node costs O(n).
+    is the full set of normal odd partitions in canonical (trail key)
+    order, so a k larger than the pool gets None at once.  The marks are
+    counted as partitions are chosen and dropped, so a search node costs
+    O(n).
     """
     if k < 3:
         raise ValueError("a complete system has order at least 3")
     if g.has_loop():
         return None
-    pool = enumerate_nops(g, cap=cap)
+    pool = sorted(enumerate_nops(g, cap=cap), key=lambda p: p.key)
     # with no loop a vertex's three darts carry its three edges: cover[d]
     # counts the chosen partitions marking dart d, missing[v] the darts of
     # v none marks, and by_missing[x] the vertices missing x darts

@@ -70,12 +70,15 @@ def partition_classes(
     The family must hold all partitions of its kind: normal ones for plain
     moves, odd ones for odd moves, ones conformal to the perfect matching
     m (by default the first member's) for conformal moves, as
-    enumerate_normal_partitions and enumerate_nops return them.  There a
-    move is exactly a change of one vertex's mark, so the classes are the
-    family's components under one-vertex mark changes, joined from the
-    folded markings bucketed once per vertex with that vertex left out; no
-    move is built.  Moves that leave an incomplete family go unseen: such
-    a family gets its components.  A member not of the kind (even under
+    enumerate_normal_partitions and enumerate_nops return them: in search
+    order and undecoded.  The classes come from the markings alone, so
+    plain moves, and conformal moves given m, decode no member unless
+    there are several classes to order; odd moves decode each member once
+    for its check.  There a move is exactly a change of one vertex's mark,
+    so the classes are the family's components under one-vertex mark
+    changes, joined from the folded markings bucketed once per vertex with
+    that vertex left out; no move is built.  Moves that leave an
+    incomplete family go unseen: such a family gets its components.  A member not of the kind (even under
     odd moves, marking an edge of m under conformal ones: see
     partition.is_conformal) or a matching that is not perfect raises
     ValueError.  Members equal as partitions are kept once, the first.

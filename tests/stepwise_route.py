@@ -35,7 +35,7 @@ def base_triple(g: CubicGraph, coloring: tuple[int, ...]) -> ConformalTriple:
     partitions conformal to each color class, each pool in trail-key
     order: the triple least by trail keys."""
     classes = color_classes(coloring)
-    pools = [enumerate_nops(g, conformal_to=classes[c]) for c in (RED, BLUE, YELLOW)]
+    pools = [sorted(enumerate_nops(g, conformal_to=classes[c]), key=lambda p: p.key) for c in (RED, BLUE, YELLOW)]
     for p1 in pools[0]:
         for p2 in pools[1]:
             if agreement((p1, p2)):

@@ -195,6 +195,49 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert (doc["count"], doc["sizes"]) == (1, [size])
 
+    @pytest.mark.parametrize(
+        "graph,moves,matching,decodes",
+        [
+            ("k33", "plain", None, 0),
+            ("cube", "plain", None, 0),
+            ("cube", "conformal", "0,5,8,11", 0),
+            ("cube", "conformal", "1,3,9,10", 0),
+            ("k33", "odd", None, 300),
+            ("prism", "odd", None, 226),
+        ],
+    )
+    def test_switch_class_decodes(self, capsys, monkeypatch, graph, moves, matching, decodes):
+        # the pool is read as markings: plain and conformal queries decode
+        # nothing, odd ones decode each member once for the odd check
+        import sys
+
+        from copnc import partition
+
+        calls = []
+        decode = partition.trails_from_marking
+
+        def counted(g, marked):
+            calls.append(1)
+            return decode(g, marked)
+
+        for name, module in list(sys.modules.items()):  # every module holding the decoder
+            if name.split(".")[0] == "copnc" and getattr(module, "trails_from_marking", None) is decode:
+                monkeypatch.setattr(module, "trails_from_marking", counted)
+        argv = ["switch-class", "--graph", graph, "--moves", moves]
+        if matching:
+            argv += ["--matching", matching]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 1
+        assert len(calls) == decodes
+
+    @pytest.mark.parametrize("moves", ["plain", "odd"])
+    def test_switch_class_matching_needs_conformal(self, capsys, moves):
+        argv = ["switch-class", "--graph", "k33", "--moves", moves, "--matching", "1,2"]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--matching applies to conformal moves only" in captured.err
+
     @pytest.mark.parametrize("graph,matching", [("k4", "0,0"), ("k4", "0,1"), ("cube", "0,5,8"), ("theta", "7")])
     def test_switch_class_needs_perfect_matching(self, capsys, graph, matching):
         argv = ["switch-class", "--graph", graph, "--moves", "conformal", "--matching", matching]

@@ -43,6 +43,7 @@ from copnc.search import (
 from copnc.switching import CapExceeded
 
 from journal_search import JournalSearch
+from keyed_enumeration import first_by_key
 
 
 def scan_oracle(g):
@@ -154,21 +155,21 @@ def keys(parts):
 
 
 class TestEnumerationMatchesScan:
-    """The one-partition search returns exactly the partitions, in the same
-    order, that decoding all 3^n markings returns: plain, odd, and odd
-    conformal to each perfect matching."""
+    """The one-partition search returns exactly the partitions, each once,
+    that decoding all 3^n markings returns: plain, odd, and odd conformal
+    to each perfect matching."""
 
     @staticmethod
     def check(gid, g, odd_only=False):
         every = scan_oracle(g)
         odd = [p for p in every if is_odd(p)]
-        assert keys(enumerate_nops(g)) == keys(odd), gid
+        assert sorted(keys(enumerate_nops(g))) == keys(odd), gid
         if odd_only:
             return
-        assert keys(enumerate_normal_partitions(g)) == keys(every), gid
+        assert sorted(keys(enumerate_normal_partitions(g))) == keys(every), gid
         for m in perfect_matchings(g):
             want = [p for p in odd if associated_matching(p) == m]
-            assert keys(enumerate_nops(g, conformal_to=m)) == keys(want), (gid, m)
+            assert sorted(keys(enumerate_nops(g, conformal_to=m))) == keys(want), (gid, m)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_corpus(self, n):
@@ -181,6 +182,43 @@ class TestEnumerationMatchesScan:
 
     def test_petersen_odd(self, petersen):
         self.check("petersen", petersen, odd_only=True)
+
+
+def pools(g):
+    """(name, search pool, table, odd) of each pool on g: plain, odd, and
+    odd conformal to each perfect matching."""
+    yield "plain", enumerate_normal_partitions(g), None, False
+    yield "odd", enumerate_nops(g), None, True
+    for m in perfect_matchings(g):
+        yield f"conformal:{sorted(m)}", enumerate_nops(g, conformal_to=m), _conformal_rows(g, [m]), True
+
+
+class TestSearchOrderPools:
+    """The pools keep the search's order and decode nothing.  Against the
+    keyed enumeration they hold the same partitions, each once, each by
+    the same marking, and in order they are the search's yield order with
+    each marking whose partition was yielded before (at a loop, by the
+    other dart) left out."""
+
+    @staticmethod
+    def check(gid, g):
+        for name, pool, allowed, odd in pools(g):
+            assert all(p._trails is None for p in pool), (gid, name)
+            first = first_by_key(g, odd, allowed)
+            assert [p.marked for p in pool] == [p.marked for p in first.values()], (gid, name)
+            got = {p.key: p.marked for p in pool}
+            assert len(got) == len(pool), (gid, name)
+            assert sorted(got) == sorted(first), (gid, name)
+            assert all(got[k] == p.marked for k, p in first.items()), (gid, name)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_corpus(self, n):
+        for gid, g in corpus_all(n):
+            self.check(gid, g)
+
+    @pytest.mark.parametrize("name", ["k33", "prism", "cube"])
+    def test_named(self, name):
+        self.check(name, generate(name))
 
 
 def unordered_triple_keys(triples):
@@ -502,14 +540,14 @@ class TestCompleteSystem:
         node cap."""
         assert len(enumerate_nops(prism)) == 226
         assert complete_system(prism, 300, cap=1000) is None
-        assert complete_system(prism, 226, cap=1000) == enumerate_nops(prism)
+        assert complete_system(prism, 226, cap=1000) == sorted(enumerate_nops(prism), key=lambda p: p.key)
 
     def test_matches_recursive_search(self, k4, k33, prism, cube):
         """The explicit stack picks in the order of the recursion it
         replaced, kept here as the oracle."""
 
         def recursive(g, k):
-            pool = enumerate_nops(g)
+            pool = sorted(enumerate_nops(g), key=lambda p: p.key)
             need = [frozenset(g.edges_at(v)) for v in range(g.n)]
 
             def rec(start, chosen):
@@ -544,7 +582,7 @@ class TestCompleteSystem:
 
         limit = sys.getrecursionlimit()
         got = complete_system(cube, 1200)
-        pool = enumerate_nops(cube)
+        pool = sorted(enumerate_nops(cube), key=lambda p: p.key)
         assert got == pool[:1199] + [pool[1216]]
         for v in range(cube.n):
             assert {p.marked_edge(v) for p in got} == set(cube.edges_at(v))
