@@ -13,7 +13,6 @@ from .graph import (
     Malformed,
     NonCubic,
     bridges,
-    chromatic_index,
     generate,
     is_bipartite,
     parse_edge_list,
@@ -30,13 +29,11 @@ from .partition import (
     Trail,
     agreement,
     associated_matching,
-    edge_role_audit,
     is_conformal,
     is_odd,
     length_profile,
     odd_edges,
     partition_violations,
-    stats,
     trails_from_marking,
     validate_normal,
 )
@@ -50,13 +47,10 @@ from .construct import (
     bipartite_triple,
     conformal_triple,
     conformal_triple_general,
-    digon_extend,
     nop_from_matching,
-    triangle_extend,
 )
 from .families import flower_triple, goldberg_triple, petersen_triple
 from .search import (
-    complete_system,
     enumerate_compatible_triples,
     enumerate_nops,
     fan_raspaud_witness,

@@ -91,10 +91,19 @@ def resolve_graph(spec: str) -> CubicGraph:
     return graphs[0][1]
 
 
+def _open_out(path: str):
+    """path opened for writing; a path that cannot be written is exit 5."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc: dict, out: Optional[str]) -> None:
     text = C.dumps(doc)
     if out:
-        Path(out).write_text(text)
+        with _open_out(out) as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -187,12 +196,11 @@ def cmd_family(args) -> int:
 def cmd_switch_class(args) -> int:
     g = resolve_graph(args.graph)
     try:
-        matching = (
-            frozenset(int(x) for x in args.matching.split(",")) if args.matching else None
-        )
+        ids = [int(x) for x in args.matching.split(",")] if args.matching else None
     except ValueError:
         print(f"bad --matching '{args.matching}': expected comma separated edge ids", file=sys.stderr)
         return EXIT_IO
+    matching = frozenset(ids) if ids else None
     try:
         if matching is not None and args.moves != "conformal":
             raise UsageError(f"--matching applies to conformal moves only, not {args.moves}")
@@ -203,8 +211,9 @@ def cmd_switch_class(args) -> int:
         else:
             if matching is None:
                 raise UsageError("--matching is required for conformal moves")
-            if not is_perfect_matching(g, matching):
-                print(f"precondition failed: edges {sorted(matching)} are not a perfect matching", file=sys.stderr)
+            # an id given twice covers its ends twice
+            if len(matching) < len(ids) or not is_perfect_matching(g, matching):
+                print(f"precondition failed: edges {sorted(ids)} are not a perfect matching", file=sys.stderr)
                 return EXIT_PRECONDITION
             pool = enumerate_nops(g, cap=args.cap, conformal_to=matching)
         classes = partition_classes(pool, args.moves, matching, cap=args.cap)
@@ -240,7 +249,7 @@ def cmd_sweep(args) -> int:
     items = [(graph, args.check) for graph in graphs]
     failures = 0
     with ExitStack() as stack:
-        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        out = stack.enter_context(_open_out(args.out)) if args.out else sys.stdout
         if args.jobs > 1:
             # imported here: the process pool costs a tenth of the import of cli
             from concurrent.futures import ProcessPoolExecutor

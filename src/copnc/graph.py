@@ -638,11 +638,6 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
     return tuple(color)
 
 
-def chromatic_index(g: CubicGraph) -> int:
-    """3 if a proper 3-edge-coloring exists, else 4."""
-    return 3 if proper_3_edge_coloring(g) is not None else 4
-
-
 def color_classes(coloring: Sequence[int]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """Split an edge coloring into its three color classes."""
     out: list[set[int]] = [set(), set(), set()]

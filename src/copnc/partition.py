@@ -30,7 +30,6 @@ odd partition form a perfect matching (each vertex meets exactly one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .graph import CubicGraph, is_perfect_matching
@@ -58,15 +57,6 @@ class InvalidPartition(ValueError):
     def __init__(self, violations: Sequence["Violation"]):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in violations))
-
-
-class AuditViolation(AssertionError):
-    """The edge-role structure of a triple is broken: an implementation bug."""
-
-    def __init__(self, edge: int, roles: tuple[str, str, str]):
-        self.edge = edge
-        self.roles = roles
-        super().__init__(f"edge {edge} has roles {roles}")
 
 
 @dataclass(frozen=True)
@@ -458,65 +448,6 @@ def agreement(parts: Sequence[NormalPartition]) -> list[int]:
     return [v for v, es in enumerate(zip(*marks)) if len(set(es)) < k]
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    mu: Fraction                  # average trail length; always exactly 3
-    n_of: dict[int, int]          # length -> number of trails of that length
-    max_length: int
-
-    def balance(self) -> int:
-        """Sum of (3 - i) over trail lengths i; zero for normal partitions."""
-        return sum((3 - i) * c for i, c in self.n_of.items())
-
-
-def stats(p: NormalPartition) -> PartitionStats:
-    n_of: dict[int, int] = {}
-    for t in p.trails:
-        n_of[t.length] = n_of.get(t.length, 0) + 1
-    total = sum(i * c for i, c in n_of.items())
-    count = sum(n_of.values())
-    return PartitionStats(Fraction(total, count), n_of, max(n_of))
-
-
 def length_profile(p: NormalPartition) -> tuple[int, ...]:
     """Trail lengths in decreasing order, e.g. (5, 3, 3, 3, 1)."""
     return tuple(sorted(p.lengths(), reverse=True))
-
-
-def edge_role_audit(
-    p1: NormalPartition, p2: NormalPartition, p3: NormalPartition
-) -> dict[int, tuple[str, str, str]]:
-    """Classify every edge's role in each of three normal partitions.
-
-    For each edge whose endpoints all lie outside the triple agreement set,
-    check that it is an internal edge in exactly one or exactly two of the
-    partitions, and that in the two-internal case the edge is a length-1
-    trail of the third.  Violations raise AuditViolation since that
-    structure is forced for any three normal partitions.
-
-    Returns a mapping edge -> (role in p1, role in p2, role in p3) where a
-    role is "internal", "end" or "unit" (a length-1 trail).
-    """
-    g = p1.graph
-    agree = set(agreement((p1, p2, p3)))
-    role_of = []
-    for p in (p1, p2, p3):
-        role = [""] * g.m
-        for t in p.trails:
-            last = t.length - 1
-            for i, e in enumerate(t.edges):
-                role[e] = "unit" if last == 0 else "internal" if 0 < i < last else "end"
-        role_of.append(role)
-    report: dict[int, tuple[str, str, str]] = {}
-    for e, roles in enumerate(zip(*role_of)):
-        report[e] = roles
-        u, v = g.endpoints[e]
-        if u in agree or v in agree:
-            continue
-        internal = roles.count("internal")
-        if internal == 1:
-            continue
-        if internal == 2 and roles.count("unit") == 1:
-            continue
-        raise AuditViolation(e, roles)
-    return report

@@ -378,86 +378,6 @@ def fan_raspaud_witness(
     return m1, m2, m3
 
 
-def complete_system(
-    g: CubicGraph, k: int, cap: int = 10**6
-) -> Optional[list[NormalPartition]]:
-    """k normal odd partitions such that every vertex sees three of them
-    marking three distinct edges, or None when no such system exists.
-
-    At a cubic vertex three pairwise distinct marked edges must be all
-    three incident edges, so the condition is: every slot edge of every
-    vertex is marked by some member.  Tiny graphs only; the candidate pool
-    is the full set of normal odd partitions in canonical (trail key)
-    order, so a k larger than the pool gets None at once.  The marks are
-    counted as partitions are chosen and dropped, so a search node costs
-    O(n).
-    """
-    if k < 3:
-        raise ValueError("a complete system has order at least 3")
-    if g.has_loop():
-        return None
-    pool = sorted(enumerate_nops(g, cap=cap), key=lambda p: p.key)
-    # with no loop a vertex's three darts carry its three edges: cover[d]
-    # counts the chosen partitions marking dart d, missing[v] the darts of
-    # v none marks, and by_missing[x] the vertices missing x darts
-    cover = [0] * (2 * g.m)
-    missing = [3] * g.n
-    by_missing = [0, 0, 0, g.n]
-    nodes = 0
-    chosen: list[NormalPartition] = []
-
-    def count(p: NormalPartition, step: int) -> None:
-        """Add p's marks to the counts (step 1) or take them out (step -1)."""
-        for v, d in enumerate(p.marked):
-            was = cover[d]
-            cover[d] = was + step
-            if not was or not cover[d]:  # d turned covered or uncovered
-                x = missing[v]
-                missing[v] = x - step
-                by_missing[x] -= 1
-                by_missing[x - step] += 1
-
-    def verdict() -> Optional[bool]:
-        """Visit the search node of chosen: True when it is a complete
-        system, False when it is a dead end, None when it branches."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise CapExceeded(f"complete-system search exceeded {cap} nodes")
-        if len(chosen) == k:
-            return by_missing[0] == g.n
-        # prune: remaining picks must be able to finish the coverage
-        if any(by_missing[k - len(chosen) + 1 :]):
-            return False
-        return None
-
-    # the search runs on an explicit stack: nexts holds, for each open node
-    # on the path (the root, then one per chosen partition), the next pool
-    # index it tries, in the order of the recursion it replaces; a node is
-    # closed once fewer members are left to try than it still has to pick
-    if verdict() is not None:  # the root always branches, as k >= 3
-        return None
-    nexts = [0]
-    while nexts:
-        i = nexts[-1]
-        if len(pool) - i < k - len(chosen):
-            nexts.pop()
-            if chosen:
-                count(chosen.pop(), -1)
-            continue
-        nexts[-1] = i + 1
-        chosen.append(pool[i])
-        count(pool[i], 1)
-        hit = verdict()
-        if hit:
-            return chosen
-        if hit is None:
-            nexts.append(i + 1)
-        else:
-            count(chosen.pop(), -1)
-    return None
-
-
 @dataclass
 class SweepReport:
     """One record of a conjecture sweep over a graph corpus."""

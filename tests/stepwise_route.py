@@ -15,6 +15,12 @@ creates takes the next id after all edges made so far, as in the library.
 It solves a base graph (at most 4 vertices) with base_triple, nested
 loops over the three pools of conformal partitions: the oracle for the
 library's one table-driven triple search.
+
+digon_extend and triangle_extend run one surgery the other way: they
+grow a graph by a digon or a triangle and lift a conformal triple across
+it with the library's own mark lifts, so a test can check those lifts
+on a step it chooses; digon_extend_info and triangle_extend_info
+describe the same step as the stepwise route would.
 """
 
 from dataclasses import dataclass
@@ -23,10 +29,14 @@ from typing import Optional, Sequence
 from copnc.construct import (
     ConformalTriple,
     NotConformalTriple,
+    _DigonSite,
+    _lift_digon,
+    _lift_triangle,
+    _TriangleSite,
     conformal_triple,
 )
 from copnc.graph import BLUE, RED, YELLOW, CubicGraph, color_classes, proper_3_edge_coloring
-from copnc.partition import agreement
+from copnc.partition import NormalPartition, agreement
 from copnc.search import enumerate_nops
 
 
@@ -344,6 +354,80 @@ def from_global(ids: tuple[tuple[int, ...], tuple[int, ...]], marks: Sequence[in
     vids, eids = ids
     local = {e: i for i, e in enumerate(eids)}
     return [2 * local[marks[w] >> 1] | (marks[w] & 1) for w in vids]
+
+
+def _lifted_triple(lift, site, gb: CubicGraph, coloring: Sequence[int], triple: ConformalTriple) -> ConformalTriple:
+    """The triple lifted across one extension by two vertices, validated in full."""
+    marks = [list(p.marked) + [-1, -1] for p in triple.partitions]
+    lift(site, marks)
+    lifted = ConformalTriple(gb, tuple(coloring), tuple(NormalPartition(gb, m) for m in marks))
+    lifted.validate()
+    return lifted
+
+
+def digon_extend(
+    g: CubicGraph, e: int, triple: ConformalTriple
+) -> tuple[CubicGraph, ConformalTriple]:
+    """Subdivide edge e with two vertices joined by a doubled edge and
+    extend the conformal triple across the new digon.
+
+    New vertices are n (next to the lower frame endpoint) and n+1; edge e
+    keeps its id for the first subdivision piece and ids m, m+1, m+2 are
+    the other piece and the two digon edges.
+    """
+    triple.validate()
+    if not 0 <= e < g.m or g.is_loop(e):
+        raise ValueError(f"edge {e} cannot be subdivided into a digon")
+    coloring = triple.coloring
+    rho = coloring[e]
+    beta, gamma = [c for c in (RED, BLUE, YELLOW) if c != rho]
+    x, y = g.endpoints[e]
+    u, v = g.n, g.n + 1
+    edges = list(g.endpoints)
+    edges[e] = (x, u)
+    edges.append((v, y))   # id m
+    edges.append((u, v))   # id m+1, beta colored
+    edges.append((u, v))   # id m+2, gamma colored
+    gb = CubicGraph(g.n + 2, edges)
+    at_u = [-1, -1, -1]
+    at_u[beta], at_u[gamma] = 2 * (g.m + 1), 2 * (g.m + 2)
+    # exy is e itself: the small graph's e is the edge the digon subdivides
+    site = _DigonSite((g.m + 1, g.m + 2), e, rho, ((x, u, 2 * e), (y, v, 2 * g.m + 1)), tuple(at_u))
+    return gb, _lifted_triple(_lift_digon, site, gb, tuple(coloring) + (rho, beta, gamma), triple)
+
+
+def triangle_extend(
+    g: CubicGraph, v: int, triple: ConformalTriple
+) -> tuple[CubicGraph, ConformalTriple]:
+    """Expand vertex v into a triangle and extend the conformal triple.
+
+    The inheritor of v's RED edge keeps id v; the YELLOW and BLUE
+    inheritors are n and n+1.  Appended edges m, m+1, m+2 join
+    (RED,YELLOW), (YELLOW,BLUE), (BLUE,RED) inheritors and take the color
+    opposite to the excluded inheritor.
+    """
+    triple.validate()
+    coloring = triple.coloring
+    if v in g.neighbors(v):
+        raise ValueError("vertex with a loop cannot be expanded")
+    inherit = (v, g.n + 1, g.n)  # the RED, BLUE and YELLOW inheritors
+    edges = list(g.endpoints)
+    outer = [-1, -1, -1]
+    for d in g.vertex_darts[v]:
+        e = d >> 1
+        outer[coloring[e]] = e
+        a, b = edges[e]
+        target = inherit[coloring[e]]
+        edges[e] = (target, b) if (d & 1) == 0 else (a, target)
+    tri_marks = [None, None, None]
+    big_coloring = list(coloring)
+    for p, q, col in ((v, g.n, BLUE), (g.n, g.n + 1, RED), (g.n + 1, v, YELLOW)):
+        tri_marks[col] = ((p, 2 * len(edges)), (q, 2 * len(edges) + 1))
+        edges.append((p, q))
+        big_coloring.append(col)
+    gb = CubicGraph(g.n + 2, edges)
+    site = _TriangleSite((v, g.n, g.n + 1), tuple(outer), inherit, tuple(tri_marks))
+    return gb, _lifted_triple(_lift_triangle, site, gb, big_coloring, triple)
 
 
 def digon_extend_info(g: CubicGraph, e: int, coloring: Sequence[int]) -> DigonInfo:

@@ -30,10 +30,8 @@ from copnc.graph import bridges, generate, has_perfect_matching, is_bipartite, p
 from copnc.partition import (
     agreement,
     associated_matching,
-    edge_role_audit,
     is_odd,
     length_profile,
-    stats,
     validate_normal,
 )
 from copnc.search import (
@@ -44,6 +42,8 @@ from copnc.search import (
     find_nop,
 )
 from copnc.switching import partition_classes
+
+from lemma_checks import edge_role_audit
 
 REGISTRY = {"triples": 0, "partitions": 0}
 
@@ -65,7 +65,7 @@ def validated_triple(g, triple) -> None:
         assert p.graph == g
         validate_normal(g, [(t.vertices, t.edges) for t in p.trails])
         assert is_odd(p)
-        assert stats(p).balance() == 0
+        assert sum(p.lengths()) == 3 * len(p.trails)
         REGISTRY["partitions"] += 1
     assert agreement(triple) == []
     edge_role_audit(*triple)
@@ -85,7 +85,7 @@ def test_criterion_01_odd_partition_iff_matching():
         if (p is not None) != pm:
             disagreements += 1
         if p is not None:
-            assert is_odd(p) and stats(p).balance() == 0
+            assert is_odd(p) and sum(p.lengths()) == 3 * len(p.trails)
         checked += 1
     ok = disagreements == 0 and checked == 483
     _report(1, ok, time.perf_counter() - t0, 300,
@@ -255,7 +255,7 @@ def test_criterion_10_structural_audits():
     t0 = time.perf_counter()
     for gid, g in corpus_upto(6):
         for p in enumerate_nops(g):
-            assert stats(p).balance() == 0
+            assert sum(p.lengths()) == 3 * len(p.trails)
             REGISTRY["partitions"] += 1
     bridged = none_count = 0
     for gid, g in corpus_upto(10, include_simple12=False):

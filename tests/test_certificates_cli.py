@@ -29,6 +29,29 @@ def against_oracle(monkeypatch):
     monkeypatch.setattr(C, "validate_certificate", both)
 
 
+# what `import copnc` offers next to the CLI; a name added or dropped here
+# is a change of the library's surface
+PUBLIC = """
+    BadParameter CapExceeded ConformalTriple CubicGraph CycleError InvalidPartition Malformed
+    NoMatching NonCubic NormalPartition NotBipartite NotThreeEdgeColorable SearchExhausted Trail
+    agreement associated_matching bipartite_triple bridges conformal_switch conformal_triple
+    conformal_triple_general enumerate_compatible_triples enumerate_nops fan_raspaud_witness
+    find_compatible_triple find_length3_triple find_nop flower_triple generate goldberg_triple
+    is_bipartite is_conformal is_odd length_profile nop_from_matching odd_edges parse_edge_list
+    parse_graph6 partition_classes partition_violations perfect_matchings petersen_triple
+    proper_3_edge_coloring to_edge_list to_graph6 trails_from_marking validate_normal
+""".split()
+
+
+def test_public_surface():
+    import types
+
+    import copnc
+
+    names = {n for n in dir(copnc) if not n.startswith("_") and not isinstance(getattr(copnc, n), types.ModuleType)}
+    assert names == set(PUBLIC)
+
+
 class TestCertificates:
     def test_roundtrip(self, k33):
         t = bipartite_triple(k33)
@@ -238,7 +261,10 @@ class TestCli:
         assert captured.out == ""
         assert "--matching applies to conformal moves only" in captured.err
 
-    @pytest.mark.parametrize("graph,matching", [("k4", "0,0"), ("k4", "0,1"), ("cube", "0,5,8"), ("theta", "7")])
+    # k4's 0,5 is a perfect matching, but 0,0,5 names edge 0 twice
+    @pytest.mark.parametrize(
+        "graph,matching", [("k4", "0,0"), ("k4", "0,1"), ("cube", "0,5,8"), ("theta", "7"), ("k4", "0,0,5")]
+    )
     def test_switch_class_needs_perfect_matching(self, capsys, graph, matching):
         argv = ["switch-class", "--graph", graph, "--moves", "conformal", "--matching", matching]
         assert main(argv) == 3
@@ -346,6 +372,27 @@ class TestCli:
         p = tmp_path / "cert.json"
         p.write_text(C.dumps(C.certificate(k33, list(t.partitions))))
         assert main(["validate", str(p), "--graph", "cube"]) == 2
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no_dir", "a_dir"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--method", "conformal", "--graph", "k4"],
+            ["family", "petersen"],
+            ["sweep", "--input", "@{src}", "--check", "conj25"],
+        ],
+        ids=["construct", "family", "sweep"],
+    )
+    def test_unwritable_out_exit(self, tmp_path, capsys, k4, argv, target):
+        from copnc.graph import to_graph6
+
+        src = tmp_path / "k4.g6"
+        src.write_text(to_graph6(k4) + "\n")
+        argv = [a.format(src=src) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / target)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
 
     def test_missing_certificate_exit(self):
         assert main(["validate", "/definitely/not/here.json"]) == 5

@@ -16,16 +16,15 @@ from copnc.construct import (
     conformal_triple,
     conformal_triple_general,
     digon_contract,
-    digon_extend,
     nop_from_matching,
     triangle_contract,
-    triangle_extend,
     two_factor_cycles,
 )
 from copnc.graph import CubicGraph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
 from copnc.partition import agreement, associated_matching, is_conformal, length_profile
 
-from stepwise_route import find_digon, find_triangle
+from lemma_checks import edge_role_audit
+from stepwise_route import digon_extend, find_digon, find_triangle, triangle_extend
 
 
 class TestMatchingRoute:
@@ -103,8 +102,6 @@ class TestBipartiteRoute:
             bipartite_triple(k4)
 
     def test_every_edge_internal_exactly_once(self, cube):
-        from copnc.partition import edge_role_audit
-
         t = bipartite_triple(cube)
         report = edge_role_audit(*t.partitions)
         assert all(roles.count("internal") == 1 for roles in report.values())

@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copnc import construct
-from copnc.construct import conformal_triple_general, digon_extend, triangle_extend
+from copnc.construct import conformal_triple_general
 from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 
 import stepwise_route
-from stepwise_route import base_triple, find_digon, find_triangle
+from stepwise_route import base_triple, digon_extend, find_digon, find_triangle, triangle_extend
 from conftest import digon_ladder, truncated_ladder
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,17 +27,16 @@ from copnc.graph import BadParameter, generate
 from copnc.partition import (
     CycleError,
     agreement,
-    edge_role_audit,
     is_odd,
     length_profile,
     odd_edges,
-    stats,
     trails_from_marking,
 )
 from copnc.search import fan_raspaud_witness
 
 from conftest import graph_automorphisms
 from family_replay import flower_replay, goldberg_replay
+from lemma_checks import edge_role_audit
 
 
 def flower_data():
@@ -66,7 +66,7 @@ class TestPetersen:
     def test_profile(self):
         for p in petersen_triple():
             assert length_profile(p) == (5, 3, 3, 3, 1)
-            assert stats(p).n_of == {5: 1, 3: 3, 1: 1}
+            assert Counter(p.lengths()) == {5: 1, 3: 3, 1: 1}
 
     def test_pairwise_compatible(self):
         assert agreement(petersen_triple()) == []
@@ -113,7 +113,7 @@ class TestFlower:
         for p in triple:
             assert p.graph == g
             assert is_odd(p)
-            assert stats(p).balance() == 0
+            assert sum(p.lengths()) == 3 * len(p.trails)
         assert agreement(triple) == []
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11, 13, 15])
@@ -241,7 +241,7 @@ class TestGoldberg:
         for p in triple:
             assert p.graph == g
             assert is_odd(p)
-            assert stats(p).balance() == 0
+            assert sum(p.lengths()) == 3 * len(p.trails)
         assert agreement(triple) == []
 
     @pytest.mark.parametrize("k", [3, 7, 11])

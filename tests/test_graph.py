@@ -6,7 +6,6 @@ from copnc.graph import (
     Malformed,
     NonCubic,
     bridges,
-    chromatic_index,
     color_classes,
     generate,
     has_perfect_matching,
@@ -144,7 +143,7 @@ class TestGenerate:
     def test_flower5_snark(self):
         g = generate("flower", 5)
         assert g.n == 20
-        assert chromatic_index(g) == 4
+        assert proper_3_edge_coloring(g) is None
 
     def test_goldberg3_size(self):
         g = generate("goldberg", 3)
@@ -155,7 +154,7 @@ class TestGenerate:
         for family in ("flower", "goldberg"):
             g = generate(family, k)
             assert is_bridgeless(g)
-            assert chromatic_index(g) == 4
+            assert proper_3_edge_coloring(g) is None
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
@@ -389,10 +388,9 @@ class TestColoring:
 
     def test_petersen_class_two(self, petersen):
         assert proper_3_edge_coloring(petersen) is None
-        assert chromatic_index(petersen) == 4
 
     def test_k4(self, k4):
-        assert chromatic_index(k4) == 3
+        assert proper_3_edge_coloring(k4) is not None
 
     def test_loops_uncolorable(self, dumbbell):
         assert proper_3_edge_coloring(dumbbell) is None

@@ -1,8 +1,10 @@
 """The digon and triangle surgeries lift markings in place, in the ids of
 the input graph; the trail surgeries in trail_surgery.py rebuild every
-trail of one contraction step instead.  Each mark lift the library makes,
-inside conformal_triple_general or through digon_extend and
-triangle_extend, is checked here against that oracle, mark for mark.
+trail of one contraction step instead.  Each mark lift the library makes
+is checked here against that oracle, mark for mark: inside
+conformal_triple_general, and on the single steps that digon_extend and
+triangle_extend in stepwise_route.py build around the library's
+_lift_digon and _lift_triangle.
 
 Inside the route, each lift is matched with its step of the stepwise
 route in stepwise_route.py, which builds the graphs on both sides of
@@ -13,17 +15,13 @@ make the same surgeries (test_contraction.py checks that).
 import pytest
 
 from copnc import construct
-from copnc.construct import (
-    conformal_triple_general,
-    digon_extend,
-    triangle_extend,
-)
+from copnc.construct import conformal_triple_general
 from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 from copnc.partition import NormalPartition
 
 import stepwise_route
-from stepwise_route import find_digon, find_triangle
+from stepwise_route import digon_extend, find_digon, find_triangle, triangle_extend
 import trail_surgery
 from conftest import digon_ladder, truncated_ladder
 

@@ -1,5 +1,5 @@
 import itertools
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 
@@ -14,19 +14,19 @@ from copnc.partition import (
     VertexNeverInternal,
     agreement,
     associated_matching,
-    edge_role_audit,
     is_conformal,
     is_odd,
     length_profile,
     odd_edges,
     partition_violations,
-    stats,
     trails_from_marking,
     validate_normal,
 )
 from copnc.construct import bipartite_triple, nop_from_matching
 from copnc.graph import CubicGraph, perfect_matchings
 from copnc.search import enumerate_nops
+
+from lemma_checks import edge_role_audit
 
 
 def dart(g, e, v):
@@ -476,13 +476,11 @@ class TestCompatibility:
 class TestStatsAndAudit:
     def test_mu_exactly_three(self, petersen):
         for p in enumerate_nops(petersen)[:25]:
-            s = stats(p)
-            assert s.mu == Fraction(3)
-            assert s.balance() == 0
+            assert sum(p.lengths()) == 3 * len(p.trails)
 
     def test_profile_counts(self, k33):
         p = bipartite_triple(k33).partitions[0]
-        assert stats(p).n_of == {3: 3}
+        assert Counter(p.lengths()) == {3: 3}
         assert length_profile(p) == (3, 3, 3)
 
     def test_audit_on_bipartite_triple(self, k33):

@@ -26,7 +26,6 @@ from copnc.partition import (
 )
 from copnc.search import (
     check_graph,
-    complete_system,
     enumerate_compatible_triples,
     enumerate_markings,
     enumerate_nops,
@@ -44,6 +43,7 @@ from copnc.switching import CapExceeded
 
 from journal_search import JournalSearch
 from keyed_enumeration import first_by_key
+from lemma_checks import complete_system
 
 
 def scan_oracle(g):
