@@ -37,6 +37,7 @@ from .graph import (
     color_classes,
     components,
     is_bipartite,
+    is_perfect_matching,
     perfect_matchings,
     proper_3_edge_coloring,
 )
@@ -112,33 +113,6 @@ def two_factor_cycles(g: CubicGraph, m: frozenset[int]) -> list[list[int]]:
     return cycles
 
 
-def _outgoing_darts(
-    g: CubicGraph, m: frozenset[int], orientation: Optional[Sequence[int]]
-) -> list[int]:
-    """Per-vertex outgoing 2-factor dart under the chosen orientation.
-
-    orientation gives one bit per cycle (in two_factor_cycles order);
-    bit 1 walks the cycle the other way.  Default: all canonical.
-    """
-    cycles = two_factor_cycles(g, m)
-    if orientation is None:
-        orientation = (0,) * len(cycles)
-    if len(orientation) != len(cycles):
-        raise ValueError(
-            f"orientation has {len(orientation)} bits for {len(cycles)} cycles"
-        )
-    out = [-1] * g.n
-    for bits, cycle in zip(orientation, cycles):
-        if len(cycle) == 1:  # a loop: both directions agree
-            d = cycle[0]
-            out[g.dart_vertex(d)] = d
-            continue
-        darts = [d ^ 1 for d in reversed(cycle)] if bits else cycle
-        for d in darts:
-            out[g.dart_vertex(d)] = d
-    return out
-
-
 def nop_from_matching(
     g: CubicGraph,
     m: Optional[frozenset[int]] = None,
@@ -168,10 +142,41 @@ def _incoming_marks(
     g: CubicGraph, m: frozenset[int], orientation: Optional[Sequence[int]]
 ) -> list[int]:
     """nop_from_matching's marking: every vertex marks its incoming
-    2-factor dart."""
-    marking = [0] * g.n
-    for d in _outgoing_darts(g, m, orientation):
-        marking[g.dart_vertex(d ^ 1)] = d ^ 1
+    2-factor dart.
+
+    Each cycle of g - m is walked once, in two_factor_cycles' order and
+    direction.  orientation gives one bit per cycle in that order
+    (default: all 0); bit 1 walks the cycle the other way, so each step
+    writes the dart it leaves by instead of the one it arrives by.  A
+    loop's vertex marks the loop's upper dart either way.
+    """
+    if not is_perfect_matching(g, m):
+        raise ValueError("edge set is not a perfect matching")
+    darts, dv = g.vertex_darts, g.dart_vertices
+    # rest[v] sums v's two 2-factor darts: a walk entering v by a leaves by rest[v] - a
+    rest = [a + b + c for a, b, c in darts]
+    for e in m:
+        u, v = g.endpoints[e]
+        rest[u] -= 2 * e
+        rest[v] -= 2 * e + 1
+    marking = [-1] * g.n
+    bits = iter(orientation or ())
+    cycles = 0
+    for v0 in range(g.n):
+        if marking[v0] >= 0:
+            continue
+        cycles += 1
+        x, y, _ = darts[v0]
+        d = d0 = y if x >> 1 in m else x
+        arriving = not next(bits, 0) or dv[d0 ^ 1] == v0
+        while True:
+            w = d ^ arriving
+            marking[dv[w]] = w
+            d = rest[dv[d ^ 1]] - (d ^ 1)
+            if d == d0:
+                break
+    if orientation is not None and len(orientation) != cycles:
+        raise ValueError(f"orientation has {len(orientation)} bits for {cycles} cycles")
     return marking
 
 
@@ -405,8 +410,16 @@ class Contraction:
         self.n = g.n  # live vertices
         self.digons: list[int] = []
         self.triangles: list[tuple[int, int, int]] = []
-        for v in range(g.n):
-            self.file(v)
+        # file the lowest vertex of each digon (its other end, above it, is
+        # a repeated neighbor) and of each triangle (two adjacent neighbors
+        # above it); asking only the first neighbor of a pair to be above v
+        # files some other site vertices too, and the lazy heaps take the
+        # duplicates
+        dv = g.dart_vertices
+        nbrs = [(dv[a ^ 1], dv[b ^ 1], dv[c ^ 1]) for a, b, c in g.vertex_darts]
+        for v, (a, b, c) in enumerate(nbrs):
+            if v < a and (a == b or a == c or b in nbrs[a] or c in nbrs[a]) or v < b and (b == c or c in nbrs[b]):
+                self.file(v)
 
     def far(self, d: int) -> int:
         """The vertex at the other end of dart d."""

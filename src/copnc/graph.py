@@ -458,6 +458,7 @@ def is_bridgeless(g: CubicGraph) -> bool:
 def components(g: CubicGraph) -> list[list[int]]:
     """The vertices of each connected component, sorted, ordered by their
     lowest vertex."""
+    darts, dv = g.vertex_darts, g.dart_vertices
     seen = [False] * g.n
     out = []
     for s in range(g.n):
@@ -467,8 +468,8 @@ def components(g: CubicGraph) -> list[list[int]]:
         queue, members = [s], [s]
         while queue:
             v = queue.pop()
-            for d in g.vertex_darts[v]:
-                w = g.dart_vertex(d ^ 1)
+            for d in darts[v]:
+                w = dv[d ^ 1]
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -543,6 +544,11 @@ def is_perfect_matching(g: CubicGraph, m: frozenset[int]) -> bool:
 # class of an uncolored edge by the bitmask of colors in use at its ends:
 # 0 when at most one color is left free, 1 when two are, 2 when all three
 _CLASS = (2, 1, 1, 0, 1, 0, 0, 0)
+# _NEXT[free][first]: the lowest color c >= first in the bitmask free, or -1
+_NEXT = tuple(
+    tuple(next((c for c in (RED, BLUE, YELLOW) if c >= first and free >> c & 1), -1) for first in range(4))
+    for free in range(8)
+)
 
 
 def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
@@ -561,7 +567,7 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
     m = g.m
     if m == 0:
         return ()
-    ends = g.endpoints
+    ends, darts = g.endpoints, g.vertex_darts
     color = [-1] * m
     used = [0] * g.n  # bitmask of colors present at each vertex
     # break color symmetry: edge 0 is RED and the smallest other edge at its
@@ -585,57 +591,49 @@ def proper_3_edge_coloring(g: CubicGraph) -> Optional[tuple[int, ...]]:
             a, b = ends[e]
             klass[e] = _CLASS[used[a] | used[b]]
             heaps[klass[e]].append(e)  # ascending ids already form a heap
-    beside = [{d >> 1 for w in ends[e] for d in g.vertex_darts[w]} - {e} for e in range(m)]
-
-    def touch(e: int) -> None:
-        """Refile the uncolored edges next to e after e changed color."""
-        for f in beside[e]:
+    # depth-first search on an explicit stack of the edges it has colored;
+    # each edge tries its free colors in the order RED, BLUE, YELLOW
+    stack: list[int] = []
+    e, first = -1, RED  # e < 0: pick the lowest edge of the lowest class
+    while True:
+        if e < 0:
+            for k in (0, 1, 2):
+                heap = heaps[k]
+                while heap and (color[heap[0]] >= 0 or klass[heap[0]] != k):
+                    heappop(heap)
+                if heap:
+                    e = heap[0]
+                    break
+            else:
+                return tuple(color)
+        u, v = ends[e]
+        c = _NEXT[~(used[u] | used[v]) & 7][first]
+        if c >= 0:
+            color[e] = c
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            stack.append(e)
+            e, first = -1, RED
+        elif stack:
+            # every color failed below the last colored edge: undo it, try its next
+            e = stack.pop()
+            u, v = ends[e]
+            c = color[e]
+            color[e] = klass[e] = -1  # refiled below, whatever its class was
+            used[u] &= ~(1 << c)
+            used[v] &= ~(1 << c)
+            first = c + 1
+        else:
+            return None
+        # refile the uncolored edges at u and v whose class changed
+        for d in darts[u] + darts[v]:
+            f = d >> 1
             if color[f] < 0:
                 a, b = ends[f]
                 k = _CLASS[used[a] | used[b]]
                 if k != klass[f]:
                     klass[f] = k
                     heappush(heaps[k], f)
-
-    def pick() -> int:
-        for k, heap in enumerate(heaps):
-            while heap:
-                e = heap[0]
-                if color[e] < 0 and klass[e] == k:
-                    return e
-                heappop(heap)
-        return -1
-
-    # depth-first search on an explicit stack of the edges it has colored;
-    # each edge tries its free colors in the order RED, BLUE, YELLOW
-    stack: list[int] = []
-    e, first = pick(), RED
-    while e >= 0:
-        u, v = ends[e]
-        avail = ~(used[u] | used[v]) & 7
-        c = next((c for c in (RED, BLUE, YELLOW) if c >= first and avail >> c & 1), -1)
-        if c >= 0:
-            color[e] = c
-            used[u] |= 1 << c
-            used[v] |= 1 << c
-            touch(e)
-            stack.append(e)
-            e, first = pick(), RED
-            continue
-        if not stack:
-            return None
-        # every color failed below the last colored edge: undo it, try its next
-        e = stack.pop()
-        u, v = ends[e]
-        c = color[e]
-        color[e] = -1
-        used[u] &= ~(1 << c)
-        used[v] &= ~(1 << c)
-        touch(e)
-        klass[e] = _CLASS[used[u] | used[v]]
-        heappush(heaps[klass[e]], e)
-        first = c + 1
-    return tuple(color)
 
 
 def color_classes(coloring: Sequence[int]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:

@@ -1,3 +1,9 @@
+import importlib.util
+import random
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from copnc.graph import CubicGraph, generate
@@ -84,6 +90,16 @@ def graph_automorphisms(g: CubicGraph):
     return [dict(m) for m in matcher.isomorphisms_iter()]
 
 
+def relabelled(g: CubicGraph, rng: random.Random) -> CubicGraph:
+    """g with its vertices renumbered, its edges reordered and each edge
+    listed from a random end."""
+    vmap = list(range(g.n))
+    rng.shuffle(vmap)
+    edges = [(vmap[u], vmap[v]) if rng.random() < 0.5 else (vmap[v], vmap[u]) for u, v in g.endpoints]
+    rng.shuffle(edges)
+    return CubicGraph(g.n, edges)
+
+
 # Shapes of the construct benchmark, as (n, edge list) in generator labelling.
 
 
@@ -130,3 +146,27 @@ def digon_ladder(r):
         n += 2
         edges += [(u, a), (a, b), (a, b), (b, v)]
     return n, edges
+
+
+@lru_cache(maxsize=None)
+def _perfbench_workloads():
+    """perfbench/workloads.py of this checkout, loaded by its path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def construct_workload_graphs(seed):
+    """The construct benchmark's ten shape graphs for a seed, as (n, edges)
+    in the order its set-up draws them: the five shapes at n ~ 200, then
+    at n ~ 400, each relabelled by an automorphism and oriented at random."""
+    wl = _perfbench_workloads()
+    rng = random.Random(seed)
+    return [
+        wl.oriented(*build(n_target, rng), rng)
+        for _, n_target in wl.Construct.SIZES
+        for build in wl.SHAPES.values()
+    ]

@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from copnc.construct import (
     NotBipartite,
     NotThreeEdgeColorable,
     SearchExhausted,
+    _incoming_marks,
     bipartite_triple,
     conformal_triple,
     conformal_triple_general,
@@ -20,10 +23,13 @@ from copnc.construct import (
     triangle_contract,
     two_factor_cycles,
 )
+from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
 from copnc.partition import agreement, associated_matching, is_conformal, length_profile
 
+from conftest import construct_workload_graphs
 from lemma_checks import edge_role_audit
+from route_oracles import incoming_marks_by_cycles
 from stepwise_route import digon_extend, find_digon, find_triangle, triangle_extend
 
 
@@ -75,16 +81,49 @@ class TestMatchingRoute:
         assert length_profile(p) == (3,)
 
     def test_orientation_map_degrees(self, petersen):
-        from copnc.construct import _outgoing_darts
-        from copnc.graph import perfect_matchings
-
+        """Each vertex marks a 2-factor dart at itself, and each vertex is
+        left by exactly one marked dart's edge: one incoming dart each."""
         m = next(perfect_matchings(petersen))
-        out = _outgoing_darts(petersen, m, None)
-        heads = [petersen.dart_vertex(d ^ 1) for d in out]
+        marks = _incoming_marks(petersen, m, None)
+        tails = [petersen.dart_vertex(d ^ 1) for d in marks]
         for v in range(petersen.n):
-            assert petersen.dart_vertex(out[v]) == v
-            assert (out[v] >> 1) not in m
-        assert sorted(heads) == list(range(petersen.n))  # one incoming each
+            assert petersen.dart_vertex(marks[v]) == v
+            assert (marks[v] >> 1) not in m
+        assert sorted(tails) == list(range(petersen.n))
+
+    def test_incoming_marks_refuse_bad_input(self, petersen):
+        m = next(perfect_matchings(petersen))
+        cycles = len(two_factor_cycles(petersen, m))
+        for bits in ((0,) * (cycles - 1), (0,) * (cycles + 1)):
+            with pytest.raises(ValueError, match="bits for"):
+                _incoming_marks(petersen, m, bits)
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            _incoming_marks(petersen, m - {min(m)}, None)
+
+    def test_incoming_marks_match_cycle_oracle_on_corpus(self):
+        """One walk per cycle writes the marks that the list of cycles and
+        the outgoing dart per vertex gave, for the first perfect matchings
+        of every corpus graph with n <= 10 (loops and digons in the
+        2-factor included), with all bits 0 and with random bits."""
+        rng = random.Random(2024)
+        cases = 0
+        for gid, g in corpus_upto(10, include_simple12=False):
+            for m in islice(perfect_matchings(g), 4):
+                bits = [rng.randrange(2) for _ in two_factor_cycles(g, m)]
+                for orientation in (None, [0] * len(bits), bits):
+                    assert _incoming_marks(g, m, orientation) == incoming_marks_by_cycles(g, m, orientation), gid
+                cases += 1
+        assert cases > 1000
+
+    @pytest.mark.parametrize("seed", [2001, 7])
+    def test_incoming_marks_match_cycle_oracle_on_benchmark_shapes(self, seed):
+        rng = random.Random(seed)
+        for n, edges in construct_workload_graphs(seed):
+            g = CubicGraph(n, edges)
+            for m in color_classes(proper_3_edge_coloring(g)):
+                bits = [rng.randrange(2) for _ in two_factor_cycles(g, m)]
+                for orientation in (None, bits):
+                    assert _incoming_marks(g, m, orientation) == incoming_marks_by_cycles(g, m, orientation)
 
 
 class TestBipartiteRoute:

@@ -20,7 +20,16 @@ from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 
 import stepwise_route
 from stepwise_route import base_triple, digon_extend, find_digon, find_triangle, triangle_extend
-from conftest import digon_ladder, truncated_ladder
+from conftest import (
+    circular_ladder,
+    construct_workload_graphs,
+    digon_ladder,
+    generalized_petersen3,
+    moebius_ladder,
+    relabelled,
+    truncated_ladder,
+)
+from route_oracles import FilingEveryVertex, contracted_sites
 
 
 @contextmanager
@@ -152,3 +161,57 @@ def test_base_triple_matches_nested_pools():
                 assert [p.marked for p in got.partitions] == [p.marked for p in want.partitions], (gid, r, perm)
                 cases += 1
     assert cases == 1278
+
+
+def test_site_free_graph_files_nothing(monkeypatch):
+    """A graph with no digon and no triangle goes straight to the descent:
+    the route files no vertex."""
+    calls = [0]
+    file = construct.Contraction.file
+
+    def counted(state, v):
+        calls[0] += 1
+        return file(state, v)
+
+    monkeypatch.setattr(construct.Contraction, "file", counted)
+    conformal_triple_general(CubicGraph(*circular_ladder(50))).validate()
+    assert calls[0] == 0
+    conformal_triple_general(CubicGraph(*truncated_ladder(5))).validate()
+    assert calls[0] > 0
+
+
+def test_filing_site_vertices_keeps_the_contraction():
+    """Filing only the vertices on a digon or a triangle contracts the same
+    sites in the same order, down to the same core, as filing every
+    vertex: on the corpora with n <= 12 and two seeded relabellings of
+    each, and on the benchmark shapes with their generator labels and
+    with the construct workload's labels for two seeds.  (A random
+    relabelling of a large shape can make the coloring search run for
+    minutes, so the shapes keep labels it finds a coloring on fast.)"""
+    rng = random.Random(1307)
+    graphs = [g for _, g in corpus_upto(12)]
+    graphs += [relabelled(g, rng) for g in graphs for _ in range(2)]
+    graphs += [
+        CubicGraph(*build(r))
+        for build, r in (
+            (circular_ladder, 30),
+            (moebius_ladder, 30),
+            (generalized_petersen3, 30),
+            (truncated_ladder, 10),
+            (digon_ladder, 15),
+            (truncated_ladder, 33),
+            (digon_ladder, 50),
+        )
+    ]
+    graphs += [CubicGraph(*shape) for seed in (2001, 7) for shape in construct_workload_graphs(seed)]
+    surgeries = 0
+    for g in graphs:
+        coloring = proper_3_edge_coloring(g)
+        if coloring is None:
+            continue
+        fast, oracle = construct.Contraction(g, coloring), FilingEveryVertex(g, coloring)
+        sites = contracted_sites(fast)
+        assert sites == contracted_sites(oracle)
+        assert fast.core() == oracle.core()
+        surgeries += len(sites)
+    assert surgeries > 1000

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from copnc.graph import (
@@ -24,9 +26,11 @@ from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
 from conftest import (
     brute_perfect_matchings,
     circular_ladder,
+    construct_workload_graphs,
     digon_ladder,
     generalized_petersen3,
     moebius_ladder,
+    relabelled,
     truncated_ladder,
 )
 
@@ -304,9 +308,10 @@ def recursive_perfect_matchings(g):
     return rec()
 
 
-def coloring_by_scan(g):
+def coloring_by_scan(g, undos=None):
     """The coloring search with its edge pick done by scanning every edge:
-    the oracle for the pick from class heaps."""
+    the oracle for the pick from class heaps.  A list given as undos gets
+    each edge whose color the search undoes."""
     free_of = (3, 2, 2, 1, 2, 1, 1, 0)
     if g.has_loop():
         return None
@@ -354,6 +359,8 @@ def coloring_by_scan(g):
         if not stack:
             return None
         e = stack.pop()
+        if undos is not None:
+            undos.append(e)
         u, v = g.endpoints[e]
         c = color[e]
         color[e] = -1
@@ -374,6 +381,44 @@ class TestColoring:
             col = proper_3_edge_coloring(g)
             assert col is not None
             assert col == coloring_by_scan(g)
+
+    def test_matches_scan_oracle_when_it_backtracks(self):
+        """The undo path refiles the undone edge and the edges beside it:
+        on seeded relabellings of the corpora with n <= 12, each one on
+        which the search undoes colors and still finds a coloring."""
+        rng = random.Random(2401)
+        cases, undone = 0, 0
+        for name, g in corpus_upto(12):
+            for _ in range(3):
+                h = relabelled(g, rng)
+                undos = []
+                want = coloring_by_scan(h, undos)
+                if want is not None and undos:
+                    assert proper_3_edge_coloring(h) == want, name
+                    cases += 1
+                    undone = max(undone, len(undos))
+        assert (cases, undone) == (97, 38)
+
+    def test_undone_edge_is_refiled_when_its_class_is_unchanged(self):
+        """A relabelling of n12_0042 (1 of 17,040 seeded relabellings of
+        the corpora) where an undone edge has lost its heap entry and
+        keeps its class: the search must refile it anyway."""
+        edges = [
+            (10, 7), (1, 8), (2, 11), (10, 8), (7, 6), (10, 2), (9, 2), (11, 7), (6, 5),
+            (4, 0), (3, 5), (9, 3), (6, 1), (1, 4), (5, 9), (3, 0), (0, 8), (4, 11),
+        ]
+        g = CubicGraph(12, edges)
+        undos = []
+        want = coloring_by_scan(g, undos)
+        assert want is not None and len(undos) == 40
+        assert proper_3_edge_coloring(g) == want
+
+    @pytest.mark.parametrize("seed", [2001, 7])
+    def test_matches_scan_oracle_on_benchmark_shapes(self, seed):
+        for n, edges in construct_workload_graphs(seed)[:5]:
+            want = coloring_by_scan(CubicGraph(n, edges))
+            assert want is not None
+            assert proper_3_edge_coloring(CubicGraph(n, edges)) == want
 
     def test_matches_scan_oracle_on_snarks(self):
         for g in (generate("petersen"), generate("flower", 5), generate("flower", 7), generate("goldberg", 5)):

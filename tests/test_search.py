@@ -41,6 +41,7 @@ from copnc.search import (
 )
 from copnc.switching import CapExceeded
 
+from conftest import relabelled
 from journal_search import JournalSearch
 from keyed_enumeration import first_by_key
 from lemma_checks import complete_system
@@ -322,16 +323,6 @@ def run(cls, g, k, first=False, fixed=None, avoid=None, **kw):
     s = cls(g, k, **kw)
     sols = next(s.solutions(), None) if first else list(s.solutions())
     return sols, s.nodes
-
-
-def relabelled(g, rng):
-    """g with its vertices renumbered, its edges reordered and each edge
-    listed from a random end."""
-    vmap = list(range(g.n))
-    rng.shuffle(vmap)
-    edges = [(vmap[u], vmap[v]) if rng.random() < 0.5 else (vmap[v], vmap[u]) for u, v in g.endpoints]
-    rng.shuffle(edges)
-    return CubicGraph(g.n, edges)
 
 
 RELABEL_POOL = [g for _, g in corpus_all(8)] + [generate(x) for x in ("k4", "k33", "prism", "cube", "petersen")]
