@@ -63,19 +63,20 @@ def dumps(doc: dict) -> str:
     json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) and a
     newline.  json writes any indented document with its pure-Python
     encoder; here keys and scalars go through the C encoder, a list of
-    ints is joined in one go, and a list of int lists or a partition's
-    list of trails is one compact C encode, re-indented.  Keys must be
-    strings."""
+    ints is joined in one go, and a list of int lists is one compact C
+    encode, re-indented.  A NormalPartition in the document is written
+    straight from its decoded trails, as the list of trail objects that
+    certificate() makes of it, from one compact C encode as well.  Keys
+    must be strings."""
     return _text(doc, "") + "\n"
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode
-_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# only ever given ints in lists and tuples, which cannot hold themselves
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _INT = {int}
 _LIST = {list}
 _PAIR = {2}
-_TRAIL = {"edges", "vertices"}
-_HEAD, _TAIL = '[{"edges":[', "]}]"
 
 
 def _int_lists(x) -> bool:
@@ -88,17 +89,9 @@ def _ints(x) -> bool:
     return type(x) is list and _INT.issuperset(map(type, x))
 
 
-def _is_trails(x) -> bool:
-    """A list of trail dicts {"edges": [...], "vertices": [...]} whose two
-    lists are non-empty lists of ints."""
-    return all(type(t) is dict and t.keys() == _TRAIL for t in x) and _int_lists(
-        [v for t in x for v in t.values()]
-    )
-
-
 # Both writers below take one compact C encode and indent it by str.replace.
-# After the first replace every comma ends a line; the commas that do not
-# sit between two ints are then rewritten whole.
+# After the comma replace every comma ends a line; the commas that do not
+# sit between two ints are rewritten whole, before it or after it.
 
 
 def _int_lists_text(x, pad: str) -> str:
@@ -108,12 +101,18 @@ def _int_lists_text(x, pad: str) -> str:
     return "[" + a + "[" + c + s + a + "]\n" + pad + "]"
 
 
-def _trails_text(x, pad: str) -> str:
-    """A list of trails (see _is_trails) as _text writes it."""
+def _partition_text(p: NormalPartition, pad: str) -> str:
+    """p's trails as _text writes the trail objects {"edges": [...],
+    "vertices": [...]} of certificate(): "]],[[" ends a trail and "],["
+    its edges, each marked by one character before the commas are
+    rewritten."""
+    if not p.trails:
+        return "[]"
     a, b, c = "\n" + pad + " ", "\n" + pad + "  ", "\n" + pad + "   "
-    s = _compact(x)[len(_HEAD):-len(_TAIL)].replace(",", "," + c)
-    s = s.replace("]," + c + '"vertices":[', b + "]," + b + '"vertices": [' + c)
-    s = s.replace("]}," + c + '{"edges":[', b + "]" + a + "}," + a + "{" + b + '"edges": [' + c)
+    s = _compact([(t.edges, t.vertices) for t in p.trails])[3:-3]
+    s = s.replace("]],[[", "|").replace("],[", ";").replace(",", "," + c)
+    s = s.replace(";", b + "]," + b + '"vertices": [' + c)
+    s = s.replace("|", b + "]" + a + "}," + a + "{" + b + '"edges": [' + c)
     return "[" + a + "{" + b + '"edges": [' + c + s + b + "]" + a + "}\n" + pad + "]"
 
 
@@ -128,8 +127,6 @@ def _text(x, pad: str) -> str:
             body = sep.join(map(str, x))
         elif _int_lists(x):
             return _int_lists_text(x, pad)
-        elif _is_trails(x):
-            return _trails_text(x, pad)
         else:
             body = sep.join([_text(v, inner) for v in x])
         return f"[\n{inner}{body}\n{pad}]"
@@ -141,6 +138,8 @@ def _text(x, pad: str) -> str:
         inner = pad + " "
         body = f",\n{inner}".join([f"{_encode(k)}: {_text(v, inner)}" for k, v in sorted(x.items())])
         return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(x, NormalPartition):
+        return _partition_text(x, pad)
     return _encode(x)
 
 

@@ -99,8 +99,13 @@ def _open_out(path: str):
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(doc: dict, out: Optional[str]) -> None:
-    text = C.dumps(doc)
+def _certificate_text(g: CubicGraph, partitions, extra: dict) -> str:
+    """The certificate of partitions on g with the fields extra, written
+    by dumps straight from the partitions' trails."""
+    return C.dumps(C.certificate(g, [], extra) | {"partitions": partitions})
+
+
+def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with _open_out(out) as f:
             f.write(text)
@@ -131,14 +136,13 @@ def cmd_construct(args) -> int:
     g = resolve_graph(args.graph)
     try:
         if args.method == "matching":
-            p = nop_from_matching(g)
-            doc = C.certificate(g, [p], {"method": "matching"})
+            text = _certificate_text(g, [nop_from_matching(g)], {"method": "matching"})
         elif args.method == "bipartite":
             triple = bipartite_triple(g)
-            doc = _triple_doc(g, triple, "bipartite")
+            text = _certificate_text(g, triple.partitions, _triple_claims(triple, "bipartite"))
         elif args.method == "conformal":
             triple = conformal_triple_general(g, seed=args.seed)
-            doc = _triple_doc(g, triple, "conformal")
+            text = _certificate_text(g, triple.partitions, _triple_claims(triple, "conformal"))
         else:  # pragma: no cover - argparse restricts choices
             raise UsageError(f"unknown method {args.method}")
     except (NotBipartite, NotThreeEdgeColorable, NoMatching) as exc:
@@ -147,21 +151,18 @@ def cmd_construct(args) -> int:
     except SearchExhausted as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    _emit(doc, args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
-def _triple_doc(g: CubicGraph, triple: ConformalTriple, method: str) -> dict:
-    return C.certificate(
-        g,
-        list(triple.partitions),
-        {
-            "method": method,
-            "coloring": list(triple.coloring),
-            # triple.validate() has shown partition c conformal to class c
-            "matchings": [sorted(c) for c in color_classes(triple.coloring)],
-        },
-    )
+def _triple_claims(triple: ConformalTriple, method: str) -> dict:
+    """The fields a triple's certificate carries besides its partitions."""
+    return {
+        "method": method,
+        "coloring": list(triple.coloring),
+        # triple.validate() has shown partition c conformal to class c
+        "matchings": [sorted(c) for c in color_classes(triple.coloring)],
+    }
 
 
 def cmd_family(args) -> int:
@@ -185,11 +186,11 @@ def cmd_family(args) -> int:
     except (BadParameter, ValueError) as exc:
         print(f"bad family: {exc}", file=sys.stderr)
         return EXIT_IO
-    doc = C.certificate(triple[0].graph, list(triple), {"family": args.name})
+    claims = {"family": args.name}
     if args.emit_partitions:
-        doc["matchings"] = [sorted(associated_matching(p)) for p in triple]
-        doc["profiles"] = [sorted(p.lengths(), reverse=True) for p in triple]
-    _emit(doc, args.out)
+        claims["matchings"] = [sorted(associated_matching(p)) for p in triple]
+        claims["profiles"] = [sorted(p.lengths(), reverse=True) for p in triple]
+    _emit(_certificate_text(triple[0].graph, triple, claims), args.out)
     return EXIT_OK
 
 

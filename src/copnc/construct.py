@@ -264,8 +264,27 @@ def conformal_triple(
     seed: int = 0,
     budget: int = 10**6,
 ) -> ConformalTriple:
-    """Compatible triple conformal to a proper coloring of a simple
-    triangle-free cubic graph, by descent on the agreement set A.
+    """Compatible triple conformal to a proper coloring (one is computed
+    when none is given) of a simple triangle-free cubic graph: the descent
+    on the agreement set A (see _descent), decoded and validated once."""
+    if coloring is None:
+        coloring = proper_3_edge_coloring(g)
+        if coloring is None:
+            raise NotThreeEdgeColorable("graph has chromatic index 4")
+    coloring = tuple(coloring)
+    return _checked(g, coloring, _descent(g, coloring, seed=seed, budget=budget))
+
+
+def _checked(g: CubicGraph, coloring: tuple[int, ...], marks: Sequence[Sequence[int]]) -> ConformalTriple:
+    """The triple of three mark lists on g, validated."""
+    triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, mk) for mk in marks))
+    triple.validate()
+    return triple
+
+
+def _descent(g: CubicGraph, coloring: tuple[int, ...], seed: int = 0, budget: int = 10**6) -> list[list[int]]:
+    """conformal_triple's three mark lists, by descent on the agreement
+    set A; nothing is decoded or validated here.
 
     Seeds one partition per color class by the matching route, then runs
     on their three mark lists with one rule: while A is not empty, take
@@ -284,14 +303,8 @@ def conformal_triple(
     goes back to the walk's starting state unless the fresh seed is as
     good.  The budget caps the switches tried; exceeding it raises
     SearchExhausted, which the theory says should not happen.  The seed
-    and every move stay mark lists; the partitions are built and decoded
-    once, for the final validation.
+    and every move stay mark lists.
     """
-    if coloring is None:
-        coloring = proper_3_edge_coloring(g)
-        if coloring is None:
-            raise NotThreeEdgeColorable("graph has chromatic index 4")
-    coloring = tuple(coloring)
     classes = color_classes(coloring)
     marks = _conformal_seed(g, classes)
     m0, m1, m2 = marks
@@ -371,9 +384,7 @@ def conformal_triple(
         if strategy == "seed":
             strategy = "guided"
     log.debug("conformal triple reached A=0 via %s", strategy)
-    triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, mk) for mk in marks))
-    triple.validate()
-    return triple
+    return marks
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +696,9 @@ def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
     for vids in parts:
         eids = sorted({d >> 1 for v in vids for d in g.vertex_darts[v]})
         sub = _compacted(g.n, [g.endpoints[e] for e in eids], vids)
-        _carry_marks(marks, _conformal_route(sub, tuple(coloring[e] for e in eids), seed), vids, eids)
-    triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, m) for m in marks))
-    triple.validate()
-    return triple
+        part = _conformal_route(sub, tuple(coloring[e] for e in eids), seed, whole=False)
+        _carry_marks(marks, [p.marked for p in part.partitions], vids, eids)
+    return _checked(g, coloring, marks)
 
 
 def _compacted(n: int, ends: Sequence[Sequence[int]], vids: Sequence[int]) -> CubicGraph:
@@ -700,16 +710,19 @@ def _compacted(n: int, ends: Sequence[Sequence[int]], vids: Sequence[int]) -> Cu
     return CubicGraph(len(vids), [(new[u], new[v]) for u, v in ends])
 
 
-def _carry_marks(marks: list[list[int]], triple: ConformalTriple, vids: Sequence[int], eids: Sequence[int]) -> None:
-    """Write the marks of a triple on a compacted graph into marks, in the
-    ids vids and eids it was compacted from."""
-    for mk, p in zip(marks, triple.partitions):
-        for w, d in zip(vids, p.marked):
+def _carry_marks(marks: list[list[int]], sub: Sequence[Sequence[int]], vids: Sequence[int], eids: Sequence[int]) -> None:
+    """Write the three mark lists sub of a compacted graph into marks, in
+    the ids vids and eids it was compacted from."""
+    for mk, part in zip(marks, sub):
+        for w, d in zip(vids, part):
             mk[w] = 2 * eids[d >> 1] | (d & 1)
 
 
-def _conformal_route(g: CubicGraph, coloring: tuple[int, ...], seed: int) -> ConformalTriple:
-    """conformal_triple_general on a connected g with its coloring."""
+def _conformal_route(g: CubicGraph, coloring: tuple[int, ...], seed: int, whole: bool = True) -> ConformalTriple:
+    """conformal_triple_general on a connected g with its coloring, decoded
+    and validated once, on g: with no site, g is its own core, solved by
+    conformal_triple (or the base search); else the core's mark lists are
+    lifted undecoded.  whole=False leaves the validation to the caller."""
     state = Contraction(g, coloring)
     sites = []
     while state.n > 4:
@@ -721,20 +734,19 @@ def _conformal_route(g: CubicGraph, coloring: tuple[int, ...], seed: int) -> Con
         if tri is None:
             break
         sites.append((_lift_triangle, triangle_contract(state, tri)))
+    if whole and not sites:
+        return _base_conformal_triple(g, coloring) if g.n <= 4 else conformal_triple(g, coloring, seed=seed)
     core_g, core_col, vids, eids = state.core() if sites else (g, coloring, None, None)
     del state  # the sites hold all the lifts need; free the graph copy before the core solve
     if core_g.n <= 4:
-        core = _base_conformal_triple(core_g, core_col)
+        marks = [p.marked for p in _base_conformal_triple(core_g, core_col).partitions]
     else:
-        core = conformal_triple(core_g, core_col, seed=seed)
-    if not sites:
-        return core
-    # the core triple is validated; each lift rewrites a few marks in g's
-    # ids, and the lifted triple is validated once, in full
-    marks = [[-1] * g.n for _ in range(3)]
-    _carry_marks(marks, core, vids, eids)
-    for lift, site in reversed(sites):
-        lift(site, marks)
-    triple = ConformalTriple(g, coloring, tuple(NormalPartition(g, m) for m in marks))
-    triple.validate()
-    return triple
+        marks = _descent(core_g, core_col, seed=seed)
+    if sites:  # each lift rewrites a few marks in g's ids
+        core, marks = marks, [[-1] * g.n for _ in range(3)]
+        _carry_marks(marks, core, vids, eids)
+        for lift, site in reversed(sites):
+            lift(site, marks)
+    if whole:
+        return _checked(g, coloring, marks)
+    return ConformalTriple(g, coloring, tuple(NormalPartition(g, m) for m in marks))

@@ -464,21 +464,14 @@ def _gold_replays(base_marks, gadget) -> bool:
 
 
 def derive_family_data() -> dict:
-    """Re-run every derivation and assemble the frozen-data document."""
+    """Re-run every derivation and assemble the frozen-data document; the
+    Petersen partitions stay partitions, which dumps writes as their trails."""
     pet = derive_petersen()
     fl_base, fl_gadget = derive_flower()
     go_base, go_gadget = derive_goldberg()
     return {
         "schema": "copnc/1",
-        "petersen": {
-            "partitions": [
-                [
-                    {"vertices": list(t.vertices), "edges": list(t.edges)}
-                    for t in p.trails
-                ]
-                for p in pet
-            ]
-        },
+        "petersen": {"partitions": list(pet)},
         "flower": {
             "base": _tables_to_json(fl_base),
             "gadget": _tables_to_json(fl_gadget),

@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Collection, Iterator, Optional, Sequence
 
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, is_perfect_matching, perfect_matchings
@@ -238,6 +239,7 @@ class _Search:
         cap = g.m if self.length_cap is None else self.length_cap
         chosen: list = [None] * n  # v -> the parts applied at v, or None
         offsets = range(0, size, 2 * g.m)
+        first = itemgetter(0)
         # placing a forced vertex is not a search node: the count reaches 0
         # once every one is placed, and reads 0 when one is refused
         nodes = -len(pins)
@@ -288,7 +290,10 @@ class _Search:
                 if len(stack) < n:
                     break
                 self.nodes = max(nodes, 0)
-                yield tuple(tuple(ps[p][0] - o for ps in chosen) for p, o in enumerate(offsets))
+                if k == 1:  # each vertex's one part, at offset 0, leads with its mark
+                    yield (tuple(map(first, map(first, chosen))),)
+                else:
+                    yield tuple(tuple(ps[p][0] - o for ps in chosen) for p, o in enumerate(offsets))
             else:
                 self.nodes = max(nodes, 0)
                 return

@@ -636,6 +636,13 @@ class TestWriter:
     def test_small_values(self, x):
         assert C.dumps(x) == json_oracle(x)
 
+    def test_partition_without_trails(self):
+        from copnc.graph import CubicGraph
+        from copnc.partition import trails_from_marking
+
+        p = trails_from_marking(CubicGraph(0, []), [])
+        assert C.dumps({"p": [p]}) == json_oracle({"p": [[]]})
+
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError):
             C.dumps({1: 2})
@@ -670,13 +677,142 @@ class TestWriter:
         assert families.family_data_text(data) == frozen == json_oracle(data)
 
 
+def _emitted(tmp_path, argv) -> str:
+    """The certificate text the CLI writes for argv."""
+    out = tmp_path / "cert.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _graph_arg(tmp_path, g) -> str:
+    from copnc.graph import to_edge_list
+
+    path = tmp_path / "g.edges"
+    path.write_text(to_edge_list(g))
+    return f"@{path}"
+
+
+def _shape_graphs():
+    """The five shapes of the construct benchmark at n = 20 ... 48,
+    relabelled and oriented as the benchmark does."""
+    import random
+
+    from conftest import _perfbench_workloads
+
+    from copnc.graph import CubicGraph
+
+    wl = _perfbench_workloads()
+    rng = random.Random(25)
+    return [
+        (f"{shape}:{n}", CubicGraph(*wl.oriented(*build(n, rng), rng)))
+        for n in (20, 32, 48)
+        for shape, build in wl.SHAPES.items()
+    ]
+
+
+def _loop_graphs():
+    """The corpus graphs on 4 and 6 vertices with a loop and a perfect
+    matching: the matching route ends trails in their loops."""
+    from copnc.corpus import corpus_all
+    from copnc.graph import has_perfect_matching
+
+    return [(gid, g) for n in (4, 6) for gid, g in corpus_all(n) if g.has_loop() and has_perfect_matching(g)]
+
+
+class TestEmitterOracle:
+    """Every emitter writes its partitions straight from their trails; the
+    bytes must be json's indent=1 text of certificate(), which holds the
+    trails as objects {"edges": [...], "vertices": [...]}."""
+
+    @pytest.mark.parametrize(
+        "method,name",
+        [("conformal", name) for name in ("k4", "k33", "prism", "cube")] + [("bipartite", "k33"), ("bipartite", "cube")],
+    )
+    def test_named_triples(self, tmp_path, method, name):
+        from copnc.cli import _triple_claims
+        from copnc.construct import conformal_triple_general
+        from copnc.graph import generate
+
+        g = generate(name)
+        t = (conformal_triple_general if method == "conformal" else bipartite_triple)(g)
+        want = json_oracle(C.certificate(g, list(t.partitions), _triple_claims(t, method)))
+        assert _emitted(tmp_path, ["construct", "--method", method, "--graph", name]) == want
+
+    @pytest.mark.parametrize("label,g", _shape_graphs(), ids=lambda x: x if isinstance(x, str) else "")
+    def test_conformal_shapes(self, tmp_path, label, g):
+        from copnc.cli import _triple_claims
+        from copnc.construct import conformal_triple_general
+
+        t = conformal_triple_general(g, seed=7)
+        want = json_oracle(C.certificate(g, list(t.partitions), _triple_claims(t, "conformal")))
+        argv = ["construct", "--method", "conformal", "--graph", _graph_arg(tmp_path, g), "--seed", "7"]
+        assert _emitted(tmp_path, argv) == want
+
+    def test_matching_on_loop_graphs(self, tmp_path):
+        graphs = _loop_graphs()
+        assert {g.n for _, g in graphs} == {4, 6}
+        for gid, g in graphs:
+            p = nop_from_matching(g)
+            loops = {e for e, (u, v) in enumerate(g.endpoints) if u == v}
+            assert any({t.edges[0], t.edges[-1]} & loops for t in p.trails), gid
+            want = json_oracle(C.certificate(g, [p], {"method": "matching"}))
+            argv = ["construct", "--method", "matching", "--graph", _graph_arg(tmp_path, g)]
+            assert _emitted(tmp_path, argv) == want, gid
+
+    @pytest.mark.parametrize("spec", ["petersen", "flower:7", "goldberg:5"])
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_family(self, tmp_path, spec, emit):
+        from copnc import families
+        from copnc.partition import associated_matching
+
+        name, _, k = spec.partition(":")
+        triple = families.petersen_triple() if name == "petersen" else getattr(families, f"{name}_triple")(int(k))
+        claims = {"family": spec}
+        if emit:
+            claims["matchings"] = [sorted(associated_matching(p)) for p in triple]
+            claims["profiles"] = [sorted(p.lengths(), reverse=True) for p in triple]
+        want = json_oracle(C.certificate(triple[0].graph, list(triple), claims))
+        assert _emitted(tmp_path, ["family", spec] + ["--emit-partitions"] * emit) == want
+
+    def test_random_markings(self):
+        """Partitions of random decodable markings on the corpus graphs up
+        to n = 10, loops and trails of length 1 among them, written at
+        several depths of a document."""
+        from hypothesis import assume, given, seed, settings
+        from hypothesis import strategies as st
+
+        from copnc.corpus import corpus_upto
+        from copnc.partition import CycleError, trails_from_marking
+
+        graphs = [g for _, g in corpus_upto(10, include_simple12=False)]
+
+        @seed(2025)
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(st.data())
+        def check(data):
+            g = data.draw(st.sampled_from(graphs))
+            parts = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                marking = [data.draw(st.sampled_from(ds)) for ds in g.vertex_darts]
+                try:
+                    parts.append(trails_from_marking(g, marking))
+                except CycleError:
+                    assume(False)
+            trails = C.certificate(g, parts)["partitions"]
+            assert C.dumps(C.certificate(g, []) | {"partitions": parts}) == json_oracle(C.certificate(g, parts))
+            assert C.dumps({"a": [[parts[0]], {"b": parts}]}) == json_oracle({"a": [[trails[0]], {"b": trails}]})
+
+        check()
+
+
 def conformal_cube_doc():
     from copnc.construct import conformal_triple_general
     from copnc.graph import generate
-    from copnc.cli import _triple_doc
+    from copnc.cli import _triple_claims
 
     g = generate("cube")
-    return _triple_doc(g, conformal_triple_general(g), "conformal")
+    t = conformal_triple_general(g)
+    return C.certificate(g, list(t.partitions), _triple_claims(t, "conformal"))
 
 
 class TestClaims:

@@ -190,6 +190,55 @@ class TestConformalRoute:
         conformal_triple_general(CubicGraph(*circular_ladder(50))).validate()
         assert calls[0] == 3
 
+    @pytest.mark.parametrize("shape", ["truncated", "digon"])
+    def test_lifted_route_decodes_once(self, monkeypatch, shape):
+        """With sites to contract, the core's mark lists are lifted
+        undecoded: only the lifted triple is decoded, once, to validate
+        it, and the partitions it returns carry those trails."""
+        from conftest import digon_ladder, truncated_ladder
+
+        from copnc import construct, partition
+
+        calls = [0]
+        decode = partition.trails_from_marking
+
+        def counted(*args):
+            calls[0] += 1
+            return decode(*args)
+
+        monkeypatch.setattr(partition, "trails_from_marking", counted)
+        monkeypatch.setattr(construct, "trails_from_marking", counted)
+        g = CubicGraph(*(truncated_ladder(8) if shape == "truncated" else digon_ladder(12)))
+        t = conformal_triple_general(g)
+        assert calls[0] == 3
+        t.validate()
+        assert all(p.trails for p in t.partitions) and calls[0] == 3
+
+    def test_components_validated_as_a_whole(self, monkeypatch):
+        """Two components with sites and one without: the triple on the
+        whole graph is the only one decoded."""
+        from conftest import circular_ladder, digon_ladder, truncated_ladder
+
+        from copnc import construct, partition
+
+        parts = [truncated_ladder(5), digon_ladder(6), circular_ladder(7)]
+        edges, n = [], 0
+        for k, es in parts:
+            edges += [(u + n, v + n) for u, v in es]
+            n += k
+        g = CubicGraph(n, edges)
+        calls = []
+        decode = partition.trails_from_marking
+
+        def counted(h, marking):
+            calls.append(h.n)
+            return decode(h, marking)
+
+        monkeypatch.setattr(partition, "trails_from_marking", counted)
+        monkeypatch.setattr(construct, "trails_from_marking", counted)
+        conformal_triple_general(g).validate()
+        assert calls == [g.n] * 3
+
     def test_fallback_and_reseed(self, cube, monkeypatch, caplog):
         """No known input leaves the guided descent, so the random walk
         and the re-seed are forced: the first 700 switches are blocked."""

@@ -39,7 +39,7 @@ def recording():
     rec = {"surgeries": [], "core": []}
     saved = {
         name: getattr(construct, name)
-        for name in ("digon_contract", "triangle_contract", "conformal_triple", "_base_conformal_triple")
+        for name in ("digon_contract", "triangle_contract", "_descent", "_base_conformal_triple")
     }
 
     def contract(kind, field):
@@ -59,7 +59,7 @@ def recording():
 
     construct.digon_contract = contract("digon", "digon")
     construct.triangle_contract = contract("triangle", "tri")
-    construct.conformal_triple = solve("conformal_triple")
+    construct._descent = solve("_descent")
     construct._base_conformal_triple = solve("_base_conformal_triple")
     try:
         yield rec

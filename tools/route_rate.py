@@ -24,11 +24,11 @@ which the route's functions are wrapped with timers:
                and the compaction of the core
   seed_ms      the descent's seed marks (construct._conformal_seed)
   descent_ms   the descent on the core (or the base-graph solve), less
-               its seed, with the validation of the core triple
+               its seed
   lift_ms      the rest of the call: the lifts back through the
-               surgeries and the decode and validation of the lifted
+               surgeries and the one decode and validation of the
                triple (on the circular ladders, which have no site to
-               contract, only the split into components)
+               contract, the split into components and the validation)
 
 Run from the repository root:  python3 tools/route_rate.py [--repeat 3]
 """
@@ -60,7 +60,7 @@ TIMED = {
     "digon_contract": "contract",
     "triangle_contract": "contract",
     "_conformal_seed": "seed",
-    "conformal_triple": "descent",
+    "_descent": "descent",
     "_base_conformal_triple": "descent",
 }
 
