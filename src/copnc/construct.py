@@ -553,19 +553,21 @@ def triangle_contract(state: Contraction, tri: tuple[int, int, int]) -> _Triangl
     outside edges with their colors."""
     ends, darts, color = state.ends, state.darts, state.color
     a, b, c = tri
-    # the lowest-id edge of each pair: darts are sorted
-    tri_edges = [next(d >> 1 for d in darts[p] if state.far(d) == q) for p, q in ((a, b), (b, c), (c, a))]
-    outer, inherit, out_darts = [-1, -1, -1], [-1, -1, -1], []
+    # one pass over the triangle's nine darts: each triangle edge is seen
+    # from both ends and filed from its tail dart (2t, at ends[t][0])
+    tri_edges, tri_marks, outer, inherit, out_darts = [], [None, None, None], [-1, -1, -1], [-1, -1, -1], []
     for w in tri:
-        ds = [d for d in darts[w] if d >> 1 not in tri_edges]
-        assert len(ds) == 1, "triangle vertices carry one outside edge each"
-        outer[color[ds[0] >> 1]] = ds[0] >> 1
-        inherit[color[ds[0] >> 1]] = w
-        out_darts.append(ds[0])
-    tri_marks = [None, None, None]
-    for t in tri_edges:
-        p, q = ends[t]
-        tri_marks[color[t]] = ((p, 2 * t), (q, 2 * t + 1))
+        for d in darts[w]:
+            e = d >> 1
+            f = ends[e][~d & 1]
+            if f != a and f != b and f != c:
+                outer[color[e]] = e
+                inherit[color[e]] = w
+                out_darts.append(d)
+            elif not d & 1:
+                tri_edges.append(e)
+                tri_marks[color[e]] = ((w, d), (f, d + 1))
+    assert len(out_darts) == 3 == len(tri_edges), "triangle vertices carry one outside edge each"
     assert -1 not in inherit and None not in tri_marks, "the colors at a triangle are all distinct"
     for d in out_darts:
         ends[d >> 1][d & 1] = a

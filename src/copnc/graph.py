@@ -20,6 +20,7 @@ Graphs are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from heapq import heappop, heappush
 from typing import Iterator, Optional, Sequence
 
@@ -183,6 +184,18 @@ def to_graph6(g: CubicGraph) -> str:
     return "".join(out)
 
 
+# a comment runs from '#' to the next line boundary, the boundaries being
+# exactly those of str.splitlines; compiled on the first parse, not on import
+_COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
+
+
+def _int_or_none(token: str) -> Optional[int]:
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def parse_edge_list(text: str) -> list[CubicGraph]:
     """Parse edge-list text: records of a "n m" header followed by m "u v" lines.
 
@@ -190,37 +203,33 @@ def parse_edge_list(text: str) -> list[CubicGraph]:
     starting with '#' are ignored.  A header must have n > 0 and 3n = 2m,
     as every cubic graph does.
     """
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = re.sub(_COMMENT, "", text).split()
     if len(tokens) % 2:
         raise Malformed("odd token count in edge-list text")
-    pairs = [
-        (tokens[i], tokens[i + 1]) for i in range(0, len(tokens), 2)
-    ]
+    try:
+        nums: list = list(map(int, tokens))
+        bad = False
+    except ValueError:
+        nums, bad = list(map(_int_or_none, tokens)), True  # a bad token reads None
     graphs = []
     i = 0
-    while i < len(pairs):
-        try:
-            n, m = int(pairs[i][0]), int(pairs[i][1])
-        except ValueError as exc:
-            raise Malformed(f"bad header near record {len(graphs)}") from exc
+    while i < len(nums):
+        n, m = nums[i], nums[i + 1]
+        if n is None or m is None:
+            raise Malformed(f"bad header near record {len(graphs)}")
         if n <= 0 or 3 * n != 2 * m:
             # checked before CubicGraph allocates n slot lists
             raise Malformed(f"record {len(graphs)}: header '{n} {m}' needs n > 0 and 3n = 2m")
-        i += 1
-        if m > len(pairs) - i:
+        i += 2
+        if 2 * m > len(nums) - i:
             raise Malformed("edge-list record truncated")
-        edges = []
-        for u, v in pairs[i : i + m]:
-            try:
-                edges.append((int(u), int(v)))
-            except ValueError as exc:
-                raise Malformed(f"bad edge line '{u} {v}'") from exc
-        i += m
-        graphs.append(CubicGraph(n, edges))
+        ends = nums[i : i + 2 * m]
+        if bad and None in ends:
+            j = i + (ends.index(None) & ~1)
+            raise Malformed(f"bad edge line '{tokens[j]} {tokens[j + 1]}'")
+        i += 2 * m
+        pairs = iter(ends)
+        graphs.append(CubicGraph(n, list(zip(pairs, pairs))))
     if not graphs:
         raise Malformed("no records in edge-list text")
     return graphs

@@ -4,10 +4,15 @@ Every search and enumeration here runs on one backtracking engine over
 markings.  Each of k partitions marks one slot per vertex; the search
 assigns vertices one at a time and keeps, per partition, the growing trail
 fragments as chains of edges with open or sealed (marked) ends.  Pairing
-two ends of the same chain would close a cycle and is pruned immediately;
-for odd partitions, completing a chain whose edge count is even is pruned
-as well.  A full assignment that survives the prunes is exactly a marking
-that decodes, with all trails odd when parity is asked for.
+two ends of the same chain would close a cycle and is pruned immediately,
+and so is a chain that grows past the length cap.  Completing a chain
+(sealing both its ends) is refused by one table of trail lengths: even
+lengths for odd partitions, and under a cap of 3 every length but 3.  A
+normal partition of a cubic graph has one trail end per vertex, so n/2
+trails, and all 3n/2 edges, so its trails average exactly 3 edges; with
+none longer than 3, each has exactly 3.  A full assignment that survives
+the prunes is exactly a marking that decodes, with all trails odd when
+parity is asked for and within the cap.
 
 k = 1 enumerates single normal (odd) partitions: each one is its
 marking, returned in the order the search yields it and decoded only on
@@ -171,12 +176,19 @@ class _Search:
     per partition, in flat indices, a and b being the two darts the
     passage joins.  A solution's markings are read off the chosen parts.
 
+    The refusal table dead, built once per search, says which completed
+    trails are refused: dead[t] holds when t > cap, when t is even and
+    parity is asked for, or when the cap is 3 and t < 3 (the n/2 trails of
+    a normal partition share its 3n/2 edges, so with none over 3 each has
+    exactly 3).  An open chain is refused only past the cap.
+
     A choice is accepted or rejected by reads alone.  Per partition, in
     order: the seal check (the marked dart ends a chain whose other end is
-    sealed), then the join check (a-b closes a cycle, breaks the cap, or
-    completes an even chain), where an end counts as sealed when it is
-    the marked dart itself (x == marked or sealed[x]), since nothing is
-    written yet.  Only an accepted choice writes.  Undo needs no journal:
+    sealed, and dead[its length]), then the join check (a-b closes a
+    cycle, breaks the cap, or completes a chain of a dead length), where
+    an end counts as sealed when it is the marked dart itself
+    (x == marked or sealed[x]), since nothing is written yet.  Only an
+    accepted choice writes.  Undo needs no journal:
     a joined dart is interior to its chain, and an interior dart's entries
     are never written, so while the frame is live link[a] and link[b] still
     name the ends the join wrote, and length[a] and length[b] still hold
@@ -234,9 +246,12 @@ class _Search:
         link[1::2] = range(0, size, 2)
         length = [1] * size
         sealed = [False] * size
-        odd = self.odd
         # no chain exceeds m edges, so m is no cap at all
         cap = g.m if self.length_cap is None else self.length_cap
+        # the refusal table; chains start at 1 edge and no join passes the
+        # cap, so every length looked up is at most max(cap, 1)
+        exact = self.length_cap == 3
+        dead = [t > cap or self.odd and not t & 1 or exact and t < 3 for t in range(max(cap, 1) + 1)]
         chosen: list = [None] * n  # v -> the parts applied at v, or None
         offsets = range(0, size, 2 * g.m)
         first = itemgetter(0)
@@ -263,9 +278,8 @@ class _Search:
                 for parts in it:
                     nodes += 1
                     for md, a, b in parts:
-                        ln = length[md]
-                        if sealed[link[md]] and (ln > cap or odd and not ln & 1):
-                            break  # sealing md ends a chain too long or even
+                        if sealed[link[md]] and dead[length[md]]:
+                            break  # sealing md completes a refused trail
                         x = link[a]
                         if x == b:
                             break  # joining a-b closes a cycle
@@ -273,8 +287,8 @@ class _Search:
                         t = length[a] + length[b]
                         if t > cap:
                             break  # chains never shrink
-                        if odd and not t & 1 and (x == md or sealed[x]) and (y == md or sealed[y]):
-                            break  # the joined chain is complete and even
+                        if dead[t] and (x == md or sealed[x]) and (y == md or sealed[y]):
+                            break  # the joined chain completes a refused trail
                     else:
                         for md, a, b in parts:
                             sealed[md] = True

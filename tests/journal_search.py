@@ -6,6 +6,11 @@ written before the join of the same partition, and the linear scan of
 _next_vertex picks the next vertex.  The library's kernel rejects a slot
 choice by reads alone and undoes a vertex from its own darts; it must
 visit the same nodes and yield the same solutions in the same order.
+
+Verbatim, the journal refuses a completed trail only when it is even or
+over the cap.  Under a cap of 3 the kernel also refuses one shorter than
+3 edges (a normal partition's trails average exactly 3 edges); the exact
+option adds that rule here, so the capped node counts can be compared.
 """
 
 from itertools import permutations
@@ -24,6 +29,8 @@ class JournalSearch:
     over darts: link[d] is the dart at the opposite end of d's chain,
     length[d] its edge count (both valid at end darts), sealed[d] marks a
     sealed (marked) chain end.  Sealing and joining journal their writes.
+    With exact set, a completed trail shorter than length_cap is refused
+    too, so every trail has exactly length_cap edges; off by default.
     """
 
     def __init__(
@@ -34,6 +41,7 @@ class JournalSearch:
         length_cap: Optional[int] = None,
         fixed: Optional[dict[int, tuple[int, ...]]] = None,
         avoid: frozenset[int] = frozenset(),
+        exact: bool = False,
     ):
         self.g = g
         self.n = g.n
@@ -51,6 +59,7 @@ class JournalSearch:
         self.assigned_nbrs = [0] * g.n
         self.odd = odd
         self.length_cap = length_cap
+        self.exact = exact
         self.fixed = dict(fixed) if fixed else {}
         self.perms = [
             tuple(
@@ -72,6 +81,8 @@ class JournalSearch:
                 return False
             if self.length_cap is not None and length[d] > self.length_cap:
                 return False
+            if self.exact and length[d] < self.length_cap:
+                return False
         return True
 
     def _join(self, p: int, a: int, b: int) -> bool:
@@ -89,6 +100,8 @@ class JournalSearch:
         if self.length_cap is not None and total > self.length_cap:
             return False  # chains never shrink
         if self.odd and sealed[x] and sealed[y] and total % 2 == 0:
+            return False
+        if self.exact and sealed[x] and sealed[y] and total < self.length_cap:
             return False
         return True
 

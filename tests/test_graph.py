@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copnc.graph import (
     BadParameter,
@@ -23,6 +25,7 @@ from copnc.graph import (
 
 from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
 
+from edge_list_oracle import parse_edge_list_by_lines
 from conftest import (
     brute_perfect_matchings,
     circular_ladder,
@@ -137,6 +140,101 @@ class TestEdgeList:
         # a cubic graph has n > 0 and 3n = 2m; the header is checked first
         with pytest.raises(Malformed):
             parse_edge_list(text)
+
+
+def parse_outcome(parse, text):
+    """The graphs parse reads from text, or the type and message of the
+    ValueError (Malformed, NonCubic) it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# whitespace that str.split splits at: the line boundaries of
+# str.splitlines, and others, which a comment runs through
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SEPARATORS = LINE_ENDS + [" ", "\t", "\x1f", "\xa0", "\u3000"]
+SMALL = [generate(name) for name in ("theta", "k4", "k33", "prism")] + [g for _, g in corpus_all(4)]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list records of small graphs, their tokens joined by random
+    separators with comments between them, and now and then a token
+    replaced, dropped or added."""
+    tokens = [t for g in draw(st.lists(st.sampled_from(SMALL), max_size=3)) for t in to_edge_list(g).split()]
+    junk = st.sampled_from(["x", "1.5", "-1", "0", "7", "+2", "1_0", "#", "0#1", "\u0663", "99"])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(tokens)))
+        action = draw(st.sampled_from(["replace", "replace", "drop", "add"]))
+        if action == "add" or not tokens:
+            tokens.insert(i, draw(junk))
+        elif action == "replace":
+            tokens[min(i, len(tokens) - 1)] = draw(junk)
+        else:
+            del tokens[min(i, len(tokens) - 1)]
+    seps = st.one_of(
+        st.sampled_from(SEPARATORS),
+        st.builds(lambda a, c, b: a + "#" + c + b, st.sampled_from(SEPARATORS), st.sampled_from(["", " c", "1 2", "#", "\x1f3 3"]), st.sampled_from(LINE_ENDS)),
+    )
+    out = draw(seps)
+    for t in tokens:
+        out += t + draw(seps)
+    return out
+
+
+class TestEdgeListTokenizer:
+    """parse_edge_list, one comment regex and one split over the whole
+    text, reads what the line-by-line tokenizer read (edge_list_oracle.py),
+    and raises the same errors with the same messages."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# only a comment\n",
+            "\n\n2 3\n\n0 1\n0 1\n0 1\n\n",
+            "2 3 # header\n0 1#a\n0 1 # b # c\n0 1",
+            "2 3\r\n0 1\r\n0 1\r\n0 1\r\n",
+            "2 3\x0b0 1\x1c0 1\u20280 1",
+            "2 3#c\x850 1#c\u20290 1#c\x1e0 1",
+            "2 3\n0 1 #c\x1f 0 1\n0 1\n",  # \x1f splits words but ends no line
+            "2\t3\n0\t1\n0\xa01\n0\u30001\n",
+            "2 3\n0 1\n0 x\n0 1\n",
+            "2 3\n0 1\n0 1\n0 1\nx 3\n",
+            "2 3\n0 1\n0 1\n0 1\n2 3\n0 1\n0 1.0\n",
+            "2 3\n0 1\n0 1\n0\n",
+            "2 3\n0 1\n0 1\n",
+            "2 y\n0 1\n",
+            "3 3\n0 1\n0 1\n",
+            "2 3\n0 1\n0 1\n0 2\n",
+            "2 3\n0 0\n0 1\n1 1\n",
+            "2 3\n0 1\n0 1\n1 1\n",
+            "2 3\n0 1\n0#1\n0 1\n",
+            "4 6 0 1 0 2 0 3 1 2 1 3 2 3 2 3 0 1 0 1 0 1",
+            "2 3\n+0 1\n0 1_0\n\u0660 \u0661\n",
+        ],
+    )
+    def test_cases(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(parse_edge_list_by_lines, text)
+
+    def test_corpus_files(self):
+        from copnc.corpus import MULTI_SIZES, _read
+
+        for n in MULTI_SIZES:
+            text = _read(f"corpus_all_n{n:02d}.edges")
+            assert parse_edge_list(text) == parse_edge_list_by_lines(text), n
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    def test_records(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(parse_edge_list_by_lines, text)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123 -#x" + "".join(SEPARATORS), max_size=40))
+    def test_raw_text(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(parse_edge_list_by_lines, text)
 
 
 class TestGenerate:

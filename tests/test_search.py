@@ -332,13 +332,40 @@ class TestKernelMatchesJournal:
     """The journal-free kernel of _Search visits the same nodes and yields
     the same solutions, in the same order, as the journaled search it
     replaced (journal_search.py): one slot choice per node, tested by reads
-    alone, and each vertex undone from its own darts."""
+    alone, and each vertex undone from its own darts.  Capped at 3, the
+    kernel refuses a completed trail shorter than 3 edges too, so capped
+    node counts are compared with the journal's exact option on, and
+    capped solutions with the verbatim journal as well."""
 
     @pytest.mark.parametrize("cap", [None, 3])
     def test_first_triple_on_corpus(self, cap):
         for gid, g in corpus_upto(12):
-            want = run(JournalSearch, g, 3, first=True, length_cap=cap)
+            want = run(JournalSearch, g, 3, first=True, length_cap=cap, exact=cap == 3)
             assert run(_Search, g, 3, first=True, length_cap=cap) == want, gid
+
+    def test_capped_solutions_match_verbatim_journal(self):
+        """Refusing short trails under a cap of 3 loses no solution: every
+        capped triple in order on the corpus up to n = 8, and the first
+        one on the corpus up to n = 12, as the verbatim journal finds
+        them."""
+        found = 0
+        for gid, g in corpus_upto(8):
+            want = run(JournalSearch, g, 3, length_cap=3)[0]
+            assert run(_Search, g, 3, length_cap=3)[0] == want, gid
+            found += len(want)
+        assert found > 0
+        for gid, g in corpus_upto(12):
+            want = run(JournalSearch, g, 3, first=True, length_cap=3)[0]
+            assert run(_Search, g, 3, first=True, length_cap=3)[0] == want, gid
+
+    def test_capped_search_visits_fewer_nodes(self):
+        """On the simple n = 12 corpus the capped kernel visits fewer nodes
+        in all than the verbatim journal, which walks every subtree that
+        completes a trail of length 1."""
+        graphs = [g for _, g in corpus_simple12()]
+        kernel = sum(run(_Search, g, 3, first=True, length_cap=3)[1] for g in graphs)
+        journal = sum(run(JournalSearch, g, 3, first=True, length_cap=3)[1] for g in graphs)
+        assert kernel < journal, (kernel, journal)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_all_single_partitions(self, n):
@@ -421,7 +448,7 @@ class TestKernelMatchesJournal:
     def test_relabelled(self, g, rng):
         h = relabelled(g, rng)
         for cap in (None, 3):
-            want = run(JournalSearch, h, 3, first=True, length_cap=cap)
+            want = run(JournalSearch, h, 3, first=True, length_cap=cap, exact=cap == 3)
             assert run(_Search, h, 3, first=True, length_cap=cap) == want
         if h.n <= 8:
             assert run(_Search, h, 1) == run(JournalSearch, h, 1)

@@ -10,6 +10,10 @@
   table      every triple of the cube and of the prism whose partition c
              marks no edge of color class c: the search under the table of
              each vertex's two color 3-cycles, run to exhaustion
+  length3    find_length3_triple's search (every trail capped at 3 edges,
+             so each has exactly 3) on the 388 graphs of the n = 10 corpus
+             and the 85 simple graphs with n = 12; all but the bipartite
+             ones exhaust it
 
 Each figure is CPU time (process_time), the best of --repeat runs, for
 building the table (table rows only), constructing the search and running
@@ -43,10 +47,10 @@ def circular_ladder(r: int) -> CubicGraph:
     return CubicGraph(2 * r, edges)
 
 
-def measure(graphs: list[CubicGraph], repeat: int, table: bool = False) -> tuple[int, float]:
-    """(nodes, best CPU seconds) of one search per graph: to its first
-    solution, or with table set, to exhaustion under the table that keeps
-    partition c off color class c."""
+def measure(graphs: list[CubicGraph], repeat: int, table: bool = False, cap: int | None = None) -> tuple[int, float]:
+    """(nodes, best CPU seconds) of one search per graph, with every trail
+    capped at cap edges: to its first solution, or with table set, to
+    exhaustion under the table that keeps partition c off color class c."""
     classes = [color_classes(proper_3_edge_coloring(g)) for g in graphs] if table else []
     best, nodes = float("inf"), 0
     for _ in range(repeat):
@@ -58,7 +62,7 @@ def measure(graphs: list[CubicGraph], repeat: int, table: bool = False) -> tuple
                 for _ in s.solutions():
                     pass
             else:
-                s = _Search(g, 3)
+                s = _Search(g, 3, length_cap=cap)
                 next(s.solutions(), None)
             nodes += s.nodes
         best = min(best, time.process_time() - t0)
@@ -75,10 +79,12 @@ def main(argv: list[str] | None = None) -> int:
     ]
     cases += [(f"ladder n={2 * r}", [circular_ladder(r)]) for r in (600, 1200, 2400, 4800)]
     cases += [(f"table {name}", [generate(name)]) for name in ("cube", "prism")]
+    cases += [("length3 n=10", [g for _, g in corpus_all(10)]), ("length3 n=12", cases[1][1])]
     print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'cpu_s':>8} {'nodes/s':>10} {'ratio':>6}")
     prev = None
     for name, graphs in cases:
-        nodes, secs = measure(graphs, args.repeat, table=name.startswith("table"))
+        cap = 3 if name.startswith("length3") else None
+        nodes, secs = measure(graphs, args.repeat, table=name.startswith("table"), cap=cap)
         ratio = f"{secs / prev:>6.2f}" if prev and name.startswith("ladder") else f"{'-':>6}"
         print(f"{name:<16} {len(graphs):>6} {nodes:>9} {secs:>8.4f} {nodes / secs:>10.0f} {ratio}")
         prev = secs if name.startswith("ladder") else None
