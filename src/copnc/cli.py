@@ -236,6 +236,11 @@ def cmd_switch_class(args) -> int:
     return EXIT_OK
 
 
+# one encoder for every sweep record: the bytes of json.dumps(rep,
+# sort_keys=True), without the circular check (a record is a tree)
+_RECORD = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _sweep_worker(item):
     (gid, g), which = item
     return check_graph(g, which, gid).to_json()
@@ -260,7 +265,7 @@ def cmd_sweep(args) -> int:
         else:
             reports = map(_sweep_worker, items)
         for rep in reports:
-            out.write(json.dumps(rep, sort_keys=True) + "\n")
+            out.write(_RECORD.encode(rep) + "\n")
             failures += 0 if rep.get("agree", True) else 1
     if failures:
         print(f"{failures} graphs disagree with the expected property", file=sys.stderr)

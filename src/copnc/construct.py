@@ -92,6 +92,7 @@ def two_factor_cycles(g: CubicGraph, m: frozenset[int]) -> list[list[int]]:
         if len(cyc_darts[v]) != 2:
             raise ValueError(f"edge set is not a perfect matching at vertex {v}")
     seen = [False] * (2 * g.m)
+    dv = g.dart_vertices
     cycles = []
     for v0 in range(g.n):
         d0 = cyc_darts[v0][0]
@@ -104,7 +105,7 @@ def two_factor_cycles(g: CubicGraph, m: frozenset[int]) -> list[list[int]]:
             seen[d] = True
             nxt = d ^ 1
             seen[nxt] = True
-            w = g.dart_vertex(nxt)
+            w = dv[nxt]
             a, b = cyc_darts[w]
             d = b if a == nxt else a
             if d == d0:
@@ -244,13 +245,14 @@ def _conformal_seed(
 
 
 def _ball(g: CubicGraph, centers: Sequence[int], radius: int = 2) -> list[int]:
+    dv = g.dart_vertices
     seen = set(centers)
     frontier = list(centers)
     for _ in range(radius):
         nxt = []
         for v in frontier:
             for d in g.vertex_darts[v]:
-                w = g.dart_vertex(d ^ 1)
+                w = dv[d ^ 1]
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

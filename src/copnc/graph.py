@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from heapq import heappop, heappush
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 RED, BLUE, YELLOW = 0, 1, 2
@@ -50,23 +51,30 @@ class CubicGraph:
     __slots__ = ("n", "m", "endpoints", "vertex_darts", "dart_vertices")
 
     def __init__(self, n: int, endpoints: Sequence[tuple[int, int]]):
-        endpoints = tuple((int(u), int(v)) for u, v in endpoints)
+        """Edge e joins endpoints[e] = (u, v), two ints in 0..n-1, taken as
+        they are: an endpoint that is not an int (a float, a str, None) is
+        Malformed, never truncated."""
+        endpoints = tuple(map(tuple, endpoints))
         dart_vertex = []
         slots: list[list[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(endpoints):
-            if not (0 <= u < n and 0 <= v < n):
-                raise Malformed(f"edge {e} endpoint out of range: ({u}, {v})")
-            slots[u].append(2 * e)
-            slots[v].append(2 * e + 1)
-            dart_vertex.append(u)
-            dart_vertex.append(v)
+        try:
+            for e, (u, v) in enumerate(endpoints):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise Malformed(f"edge {e} endpoint out of range: ({u}, {v})")
+                slots[u].append(2 * e)
+                slots[v].append(2 * e + 1)
+                dart_vertex.append(u)
+                dart_vertex.append(v)
+        except TypeError:
+            # a non-int compares with no int or indexes no list
+            raise Malformed(f"edge {e} endpoints are not ints: {endpoints[e]!r}") from None
         for v in range(n):
             if len(slots[v]) != 3:
                 raise NonCubic(v, len(slots[v]))
         self.n = n
         self.m = len(endpoints)
         self.endpoints = endpoints
-        self.vertex_darts = tuple(tuple(s) for s in slots)
+        self.vertex_darts = tuple(map(tuple, slots))
         self.dart_vertices = tuple(dart_vertex)
 
     # -- dart helpers ---------------------------------------------------
@@ -93,7 +101,8 @@ class CubicGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors with multiplicity, following slot order; loops yield v."""
-        return tuple(self.dart_vertex(d ^ 1) for d in self.vertex_darts[v])
+        dv = self.dart_vertices
+        return tuple(dv[d ^ 1] for d in self.vertex_darts[v])
 
     # -- value semantics ------------------------------------------------
 
@@ -114,6 +123,10 @@ class CubicGraph:
 # ---------------------------------------------------------------------------
 # graph6 (simple graphs only) and plain edge-list text (multigraphs)
 # ---------------------------------------------------------------------------
+
+
+# a graph6 byte's six bits, most significant first
+_SIX_BITS = tuple(format(b, "06b") for b in range(64))
 
 
 def parse_graph6(line: str) -> CubicGraph:
@@ -141,19 +154,19 @@ def parse_graph6(line: str) -> CubicGraph:
         body = data[1:]
     if n == 0:
         raise Malformed("graph6 graph has no vertices")
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) < need:
         raise Malformed(f"graph6 body too short for n={n}")
-    bits = []
-    for b in body[:need]:
-        bits.extend((b >> k) & 1 for k in range(5, -1, -1))
+    # one '0' or '1' per vertex pair, then the padding of the last byte
+    bits = "".join([_SIX_BITS[b] for b in body[:need]])
     edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    i = bits.find("1")
+    while 0 <= i < pairs:
+        # pair i is (u, v) with i = v(v-1)/2 + u and u < v
+        v = (isqrt(8 * i + 1) + 1) // 2
+        edges.append((i - v * (v - 1) // 2, v))
+        i = bits.find("1", i + 1)
     edges.sort()  # edge ids in lexicographic pair order, not column-major
     return CubicGraph(n, edges)
 
@@ -397,6 +410,7 @@ def is_bipartite(g: CubicGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
 
     Loops and odd cycles make the graph non bipartite.
     """
+    dv = g.dart_vertices
     side: list[int] = [-1] * g.n
     for s in range(g.n):
         if side[s] >= 0:
@@ -406,7 +420,7 @@ def is_bipartite(g: CubicGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
         while queue:
             v = queue.pop()
             for d in g.vertex_darts[v]:
-                w = g.dart_vertex(d ^ 1)
+                w = dv[d ^ 1]
                 if side[w] < 0:
                     side[w] = side[v] ^ 1
                     queue.append(w)
@@ -424,6 +438,7 @@ def bridges(g: CubicGraph) -> frozenset[int]:
     (vertex, tree edge in, darts left), so its depth is not bounded by the
     interpreter's recursion limit.
     """
+    dv = g.dart_vertices
     disc = [-1] * g.n
     low = [0] * g.n
     out: set[int] = set()
@@ -438,7 +453,7 @@ def bridges(g: CubicGraph) -> frozenset[int]:
             v, pe, darts = stack[-1]
             for d in darts:
                 e = d >> 1
-                w = g.dart_vertex(d ^ 1)
+                w = dv[d ^ 1]
                 if w == v or e == pe:
                     continue
                 if disc[w] < 0:

@@ -37,8 +37,10 @@ computed once, before the search.  For triples with no table, the first
 vertex keeps the identity bijection: the three partitions of a triple
 are interchangeable, so every solution class is still found, once.
 
-The search runs in two parts: a plan, computed once (the vertex order
-and each vertex's choice row), and a kernel that keeps only the chain
+The search runs in two parts: a plan (the vertex order, computed once,
+and each vertex's choice row, built when the kernel first enters the
+vertex and kept for the rest of the search, so a search that stops early
+pays only for the rows it reached) and a kernel that keeps only the chain
 state of all k partitions, in flat arrays with no undo journal.  A choice
 is tested by reads alone and undone from its own darts (see _Search).
 """
@@ -166,15 +168,18 @@ class _Search:
     not in it).  A row of at most one perm is forced: entered first, and
     not counted as a node, so a refused one ends the search at 0 nodes.
 
-    The plan is computed once: the vertex order (_order) and, per vertex,
-    its choice row.  The kernel keeps only the chain state, in three flat
-    arrays of size k * 2m; partition p's dart d sits at index p * 2m + d:
+    The plan is the vertex order (_order), computed once, and per vertex
+    its choice row (_row), built when the kernel first enters the vertex
+    and kept in rows (v -> its row, None for a vertex never entered; the
+    k = 3 root row without a table is cut to its first perm).  The kernel
+    keeps only the chain state, in three flat arrays of size k * 2m;
+    partition p's dart d sits at index p * 2m + d:
       link[i]   -- for a chain-end dart i, the dart at the opposite end
       length[i] -- edge count of the chain, valid at end darts
       sealed[i] -- i is a marked (sealed) chain end
-    Each vertex's slot choices are precomputed as parts: one (marked, a, b)
-    per partition, in flat indices, a and b being the two darts the
-    passage joins.  A solution's markings are read off the chosen parts.
+    A row holds a vertex's slot choices as parts: one (marked, a, b) per
+    partition, in flat indices, a and b being the two darts the passage
+    joins.  A solution's markings are read off the chosen parts.
 
     The refusal table dead, built once per search, says which completed
     trails are refused: dead[t] holds when t > cap, when t is even and
@@ -206,25 +211,25 @@ class _Search:
     ):
         self.g, self.k, self.odd, self.length_cap, self.allowed = g, k, odd, length_cap, allowed
         self.nodes = 0
+        self.rows: list = []
 
-    def _choices(self) -> list[list]:
-        """v -> its choices as parts, one per perm of its row.  Partition
-        p's three per-slot triples (the marked dart, then the two joined
-        ones, offset by p * 2m) are built once per vertex and shared by its
-        perms."""
-        g, k, allowed = self.g, self.k, self.allowed or {}
-        nd = 2 * g.m
-        out = []
-        for v, slots in enumerate(g.vertex_darts):
-            perms = allowed.get(v, _PERMS[k])
-            rows = [[d + o for d in slots] for o in range(0, k * nd, nd)]
-            t = [((d0, d1, d2), (d1, d0, d2), (d2, d0, d1)) for d0, d1, d2 in rows]
-            if k == 1:
-                out.append([(t[0][a],) for (a,) in perms])
-            else:
-                t0, t1, t2 = t
-                out.append([(t0[a], t1[b], t2[c]) for a, b, c in perms])
-        return out
+    def _row(self, v: int) -> list:
+        """v's choices as parts, one per perm of its row.  Partition p's
+        three per-slot triples (the marked dart, then the two joined ones,
+        offset by p * 2m) are built once and shared by v's perms; they are
+        spelled out, as the row costs a good part of a search that enters
+        each vertex about once."""
+        k, nd = self.k, 2 * self.g.m
+        perms = self.allowed.get(v, _PERMS[k]) if self.allowed else _PERMS[k]
+        d0, d1, d2 = self.g.vertex_darts[v]
+        t0 = ((d0, d1, d2), (d1, d0, d2), (d2, d0, d1))
+        if k == 1:
+            return [(t0[a],) for (a,) in perms]
+        d0, d1, d2 = d0 + nd, d1 + nd, d2 + nd
+        t1 = ((d0, d1, d2), (d1, d0, d2), (d2, d0, d1))
+        d0, d1, d2 = d0 + nd, d1 + nd, d2 + nd
+        t2 = ((d0, d1, d2), (d1, d0, d2), (d2, d0, d1))
+        return [(t0[a], t1[b], t2[c]) for a, b, c in perms]
 
     def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Yield solutions as k markings.  For k = 3 with no table the
@@ -238,9 +243,11 @@ class _Search:
             return
         pins = {v for v, row in (self.allowed or {}).items() if len(row) <= 1}
         order = _order(g, pins)
-        choices = self._choices()
+        # v -> its choice row, built when the kernel first enters v
+        rows: list = [None] * n
+        self.rows = rows
         if k == 3 and self.allowed is None:  # symmetry break: one choice at the root
-            choices[order[0]] = choices[order[0]][:1]
+            rows[order[0]] = self._row(order[0])[:1]
         size = k * 2 * g.m
         link = list(range(1, size + 1))  # each dart's chain is its edge: link[i] = i ^ 1
         link[1::2] = range(0, size, 2)
@@ -264,7 +271,10 @@ class _Search:
         stack: list[tuple] = []
         while True:
             v = order[len(stack)]
-            stack.append((v, iter(choices[v])))
+            row = rows[v]
+            if row is None:
+                row = rows[v] = self._row(v)
+            stack.append((v, iter(row)))
             # place the next choice at the top frame, backtracking until one fits
             while stack:
                 v, it = stack[-1]
@@ -322,6 +332,7 @@ def _order(g: CubicGraph, pins: Collection[int]) -> list[int]:
     and heaps[4] holds the pins; an entry whose vertex has since been
     placed (count -1) or counts more is dropped when it reaches the top.
     A vertex is pushed at most four times, so this is O(n log n)."""
+    dv = g.dart_vertices
     count = [4 if v in pins else 0 for v in range(g.n)]
     heaps = [[v for v in range(g.n) if v not in pins], [], [], [], sorted(pins)]
     order = []
@@ -336,7 +347,7 @@ def _order(g: CubicGraph, pins: Collection[int]) -> list[int]:
         count[v] = -1
         order.append(v)
         for d in g.vertex_darts[v]:
-            w = g.dart_vertex(d ^ 1)
+            w = dv[d ^ 1]
             if 0 <= count[w] < 4:
                 count[w] += 1
                 heappush(heaps[count[w]], w)

@@ -11,6 +11,10 @@ Verbatim, the journal refuses a completed trail only when it is even or
 over the cap.  Under a cap of 3 the kernel also refuses one shorter than
 3 edges (a normal partition's trails average exactly 3 edges); the exact
 option adds that rule here, so the capped node counts can be compared.
+
+whole_plan_choices is the library's old plan of choice rows, built for
+every vertex before the first node; the kernel now builds each row when it
+first enters the vertex, and every row it builds must equal this one.
 """
 
 from itertools import permutations
@@ -20,6 +24,26 @@ from copnc.graph import CubicGraph
 
 # k -> the ways to give each of k partitions its own slot at a vertex
 PERMS = {k: tuple(permutations(range(3), k)) for k in (1, 3)}
+
+
+def whole_plan_choices(g: CubicGraph, k: int, allowed: Optional[dict] = None) -> list[list]:
+    """v -> its choices as parts, one per perm of its row (the perms of
+    allowed[v], all of PERMS[k] at a vertex not in it).  Partition p's
+    three per-slot triples (the marked dart, then the two joined ones,
+    offset by p * 2m) are built once per vertex and shared by its perms."""
+    allowed = allowed or {}
+    nd = 2 * g.m
+    out = []
+    for v, slots in enumerate(g.vertex_darts):
+        perms = allowed.get(v, PERMS[k])
+        rows = [[d + o for d in slots] for o in range(0, k * nd, nd)]
+        t = [((d0, d1, d2), (d1, d0, d2), (d2, d0, d1)) for d0, d1, d2 in rows]
+        if k == 1:
+            out.append([(t[0][a],) for (a,) in perms])
+        else:
+            t0, t1, t2 = t
+            out.append([(t0[a], t1[b], t2[c]) for a, b, c in perms])
+    return out
 
 
 class JournalSearch:

@@ -305,6 +305,25 @@ class TestCli:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in lines] == ["two:0", "two:1"]
 
+    @pytest.mark.parametrize("check", ["conj25", "thm12", "thm5"])
+    def test_sweep_records_are_sorted_dumps(self, tmp_path, check):
+        """Every line a sweep writes is the bytes of json.dumps(record,
+        sort_keys=True), on the n = 8, 10 and simple n = 12 corpora, and
+        through the process pool on n = 8."""
+        from importlib import resources
+
+        data = resources.files("copnc.data")
+        runs = [(name, "1") for name in ("corpus_all_n08.edges", "corpus_all_n10.edges", "corpus_simple_n12.g6")]
+        runs.append(("corpus_all_n08.edges", "2"))
+        for name, jobs in runs:
+            out = tmp_path / f"{name}.{jobs}.jsonl"
+            argv = ["sweep", "--input", str(data.joinpath(name)), "--check", check, "--jobs", jobs, "--out", str(out)]
+            assert main(argv) == 0
+            lines = out.read_text().splitlines()
+            assert len(lines) >= 71, name  # 71 graphs at n = 8, the fewest
+            for line in lines:
+                assert line == json.dumps(json.loads(line), sort_keys=True), (name, jobs)
+
     def test_process_pool_imported_only_for_jobs(self, tmp_path, k4, k33):
         # a fresh interpreter: importing the CLI loads no process pool, and
         # a --jobs 2 sweep still runs and writes what --jobs 1 writes

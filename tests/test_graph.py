@@ -73,6 +73,53 @@ class TestBuild:
         assert all(len(petersen.vertex_darts[v]) == 3 for v in range(10))
         assert 2 * petersen.m == 3 * petersen.n
 
+    @pytest.mark.parametrize("bad", [(0, 1.7), (1.0, 0), (0, "1"), (None, 1)])
+    def test_non_int_endpoint_is_malformed(self, bad):
+        # a float, str or None endpoint names its edge; none is truncated to an int
+        with pytest.raises(Malformed, match=r"^edge 1 endpoints are not ints"):
+            CubicGraph(2, [(0, 1), bad, (0, 1)])
+
+    def test_list_pairs_become_tuples(self, theta):
+        g = CubicGraph(2, [[0, 1], [0, 1], [0, 1]])
+        assert g == theta and g.endpoints == ((0, 1),) * 3
+
+
+def parse_graph6_by_bits(line):
+    """The graph6 decoder the library ran before its one-string bit scan:
+    every bit unpacked into a list, every vertex pair visited in column
+    order.  The oracle for parse_graph6."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[10:]
+    if not s:
+        raise Malformed("empty graph6 line")
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        raise Malformed("graph6 characters out of range")
+    if data[0] == 63:
+        if len(data) < 4:
+            raise Malformed("truncated graph6 size field")
+        n, body = (data[1] << 12) | (data[2] << 6) | data[3], data[4:]
+    else:
+        n, body = data[0], data[1:]
+    if n == 0:
+        raise Malformed("graph6 graph has no vertices")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) < need:
+        raise Malformed(f"graph6 body too short for n={n}")
+    bits = []
+    for b in body[:need]:
+        bits.extend((b >> k) & 1 for k in range(5, -1, -1))
+    edges = []
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                edges.append((u, v))
+            i += 1
+    edges.sort()
+    return CubicGraph(n, edges)
+
 
 class TestGraph6:
     def test_k4_is_c_tilde(self, k4):
@@ -120,6 +167,25 @@ class TestGraph6:
 
     def test_header_prefix_accepted(self, k4):
         assert parse_graph6(">>graph6<<C~") == parse_graph6("C~")
+
+    def test_matches_bit_list_decoder(self):
+        """The corpus lines, random cubic graphs up to n = 70 (past the
+        one-byte size field), random bodies (mostly not cubic) with their
+        padding bits set, and random strings: the same graph or the same
+        error as the decoder that unpacked every bit."""
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(6)
+        lines = [to_graph6(g) for _, g in corpus_simple12()]
+        for n in (4, 8, 30, 62, 64, 70):
+            g = nx.random_regular_graph(3, n, seed=rng.randrange(1 << 30))
+            lines.append(nx.to_graph6_bytes(g, header=False).decode().strip())
+        for _ in range(300):
+            n = rng.choice([1, 2, 3, 4, 5, 6, 7, 8])
+            need = (n * (n - 1) // 2 + 5) // 6
+            line = chr(n + 63) + "".join(chr(63 + rng.randrange(64)) for _ in range(need + rng.randrange(-1, 2)))
+            lines += [line, "".join(chr(rng.randrange(60, 130)) for _ in range(rng.randrange(1, 6)))]
+        for line in lines:
+            assert parse_outcome(parse_graph6, line) == parse_outcome(parse_graph6_by_bits, line), line
 
 
 class TestEdgeList:

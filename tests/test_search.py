@@ -42,7 +42,7 @@ from copnc.search import (
 from copnc.switching import CapExceeded
 
 from conftest import relabelled
-from journal_search import JournalSearch
+from journal_search import JournalSearch, whole_plan_choices
 from keyed_enumeration import first_by_key
 from lemma_checks import complete_system
 
@@ -452,6 +452,102 @@ class TestKernelMatchesJournal:
             assert run(_Search, h, 3, first=True, length_cap=cap) == want
         if h.n <= 8:
             assert run(_Search, h, 1) == run(JournalSearch, h, 1)
+
+
+def tables(g, k, rng):
+    """(name, table) pairs for a search with k partitions on g: no table,
+    pins at a random vertex set (taken from a known solution when there is
+    one, else random perms), and the conformal rows of a perfect matching
+    (k = 1) or of a proper coloring's three color classes (k = 3)."""
+    out = [("none", None)]
+    sol = next(_Search(g, k).solutions(), None)
+    vs = rng.sample(range(g.n), rng.randint(1, g.n))
+    if sol is not None:
+        fixed = {v: tuple(mk[v] for mk in sol) for v in vs}
+    else:
+        perms = list(permutations(range(3), k))
+        fixed = {v: tuple(g.vertex_darts[v][s] for s in rng.choice(perms)) for v in vs}
+    out.append(("pinned", _pinned(g, fixed)))
+    if k == 1:
+        m = next(perfect_matchings(g), None)
+        if m is not None:
+            out.append(("conformal", _conformal_rows(g, [m])))
+    else:
+        coloring = proper_3_edge_coloring(g)
+        if coloring is not None:
+            out.append(("conformal", _conformal_rows(g, color_classes(coloring))))
+    return out
+
+
+class TestLazyRows:
+    """The kernel builds a vertex's choice row when it first enters the
+    vertex.  Every row it builds equals the row of the whole plan it
+    replaced (journal_search.whole_plan_choices), the k = 3 root row
+    without a table cut to its first perm, and a search that stops early
+    builds only the rows it reached."""
+
+    def assert_rows(self, g, k, allowed, mode, where):
+        """Run one search (mode "first": to its first solution, "cap3": the
+        same with every trail capped at 3 edges, "all": to the end), check
+        each row it built and return how many it built."""
+        s = _Search(g, k, length_cap=3 if mode == "cap3" else None, allowed=allowed)
+        if mode == "all":
+            for _ in s.solutions():
+                pass
+        else:
+            next(s.solutions(), None)
+        if k == 3 and g.has_loop():
+            assert s.rows == [], where  # refused before any row
+            return 0
+        want = whole_plan_choices(g, k, allowed)
+        root = _order(g, {v for v, row in (allowed or {}).items() if len(row) <= 1})[0]
+        built = 0
+        for v, row in enumerate(s.rows):
+            if row is not None:
+                cut = k == 3 and allowed is None and v == root
+                assert row == (want[v][:1] if cut else want[v]), (where, v)
+                built += 1
+        return built
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rows_match_whole_plan_on_corpus(self, k):
+        rng = random.Random(2700 + k)
+        built = {}
+        for gid, g in corpus_upto(12):
+            for name, allowed in tables(g, k, rng):
+                for mode in ("first", "cap3") if k == 3 else ("first",):
+                    n = self.assert_rows(g, k, allowed, mode, (gid, name, mode))
+                    built[name] = built.get(name, 0) + n
+        assert all(built.get(name, 0) > 1000 for name in ("none", "pinned", "conformal")), built
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rows_match_whole_plan_run_to_the_end(self, k):
+        rng = random.Random(2710 + k)
+        for n in (2, 4, 6, 8):
+            for gid, g in corpus_all(n):
+                for name, allowed in tables(g, k, rng):
+                    self.assert_rows(g, k, allowed, "all", (gid, name))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(RELABEL_POOL), st.randoms(use_true_random=False))
+    def test_rows_match_whole_plan_relabelled(self, g, rng):
+        h = relabelled(g, rng)
+        for k in (1, 3):
+            for name, allowed in tables(h, k, rng):
+                for mode in ("first", "cap3") if k == 3 else ("first",):
+                    self.assert_rows(h, k, allowed, mode, (name, mode))
+
+    def test_length3_refusal_builds_fewer_rows(self):
+        """Every non-bipartite simple n = 12 graph refuses the length-3
+        search before the kernel has entered all of its vertices."""
+        from copnc.graph import is_bipartite
+
+        refused = 0
+        for gid, g in corpus_simple12():
+            if not is_bipartite(g)[0]:
+                assert self.assert_rows(g, 3, None, "cap3", gid) < g.n, gid
+                refused += 1
+        assert refused == 80
 
 
 class TestConformalTable:

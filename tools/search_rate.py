@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Search nodes per second of copnc's triple search, on three cases.
+"""Search nodes per second of copnc's triple search, on five cases.
 
   bridged10  the 25 loopless bridged graphs of the n = 10 corpus; each
              search exhausts with no triple (283,807 nodes in all)
@@ -18,7 +18,10 @@
 Each figure is CPU time (process_time), the best of --repeat runs, for
 building the table (table rows only), constructing the search and running
 it to its first solution or to exhaustion; graphs and colorings are built
-beforehand.  Nodes are the search's own count.
+beforehand.  Nodes are the search's own count, and rows the mean number
+of choice rows a search built, out of its graph's n (the kernel builds a
+vertex's row when it first enters the vertex, so a search that stops
+early builds fewer, and a graph with a loop, refused at once, none).
 On the ladder the ratio column is the time over that of the row before,
 so a search linear in n reads about 2 per doubling.
 
@@ -47,14 +50,17 @@ def circular_ladder(r: int) -> CubicGraph:
     return CubicGraph(2 * r, edges)
 
 
-def measure(graphs: list[CubicGraph], repeat: int, table: bool = False, cap: int | None = None) -> tuple[int, float]:
-    """(nodes, best CPU seconds) of one search per graph, with every trail
-    capped at cap edges: to its first solution, or with table set, to
-    exhaustion under the table that keeps partition c off color class c."""
+def measure(
+    graphs: list[CubicGraph], repeat: int, table: bool = False, cap: int | None = None
+) -> tuple[int, int, float]:
+    """(nodes, rows built, best CPU seconds) of one search per graph, with
+    every trail capped at cap edges: to its first solution, or with table
+    set, to exhaustion under the table that keeps partition c off color
+    class c."""
     classes = [color_classes(proper_3_edge_coloring(g)) for g in graphs] if table else []
-    best, nodes = float("inf"), 0
+    best, nodes, rows = float("inf"), 0, 0
     for _ in range(repeat):
-        nodes = 0
+        nodes = rows = 0
         t0 = time.process_time()
         for i, g in enumerate(graphs):
             if table:
@@ -65,8 +71,9 @@ def measure(graphs: list[CubicGraph], repeat: int, table: bool = False, cap: int
                 s = _Search(g, 3, length_cap=cap)
                 next(s.solutions(), None)
             nodes += s.nodes
+            rows += len(s.rows) - s.rows.count(None)
         best = min(best, time.process_time() - t0)
-    return nodes, best
+    return nodes, rows, best
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,13 +87,14 @@ def main(argv: list[str] | None = None) -> int:
     cases += [(f"ladder n={2 * r}", [circular_ladder(r)]) for r in (600, 1200, 2400, 4800)]
     cases += [(f"table {name}", [generate(name)]) for name in ("cube", "prism")]
     cases += [("length3 n=10", [g for _, g in corpus_all(10)]), ("length3 n=12", cases[1][1])]
-    print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'cpu_s':>8} {'nodes/s':>10} {'ratio':>6}")
+    print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'rows':>7} {'cpu_s':>8} {'nodes/s':>10} {'ratio':>6}")
     prev = None
     for name, graphs in cases:
         cap = 3 if name.startswith("length3") else None
-        nodes, secs = measure(graphs, args.repeat, table=name.startswith("table"), cap=cap)
+        nodes, rows, secs = measure(graphs, args.repeat, table=name.startswith("table"), cap=cap)
         ratio = f"{secs / prev:>6.2f}" if prev and name.startswith("ladder") else f"{'-':>6}"
-        print(f"{name:<16} {len(graphs):>6} {nodes:>9} {secs:>8.4f} {nodes / secs:>10.0f} {ratio}")
+        line = f"{name:<16} {len(graphs):>6} {nodes:>9} {rows / len(graphs):>7.1f} {secs:>8.4f}"
+        print(f"{line} {nodes / secs:>10.0f} {ratio}")
         prev = secs if name.startswith("ladder") else None
     return 0
 
