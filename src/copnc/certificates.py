@@ -12,19 +12,22 @@ Edge ids are positions in the edges array.  Serialization is canonical
 (sorted keys, fixed separators, trailing newline) so identical structures
 produce identical bytes.
 
-validate_certificate checks a partition's trails by one decode of the
-marking read off their ends (see validate_normal); only a document that
-fails gets its trails built and diagnosed one by one.
+validate_certificate checks a partition's trails by walking each one
+under the marking read off their ends (see validate_normal), and reads
+lengths, oddness and associated matchings off the id lists it has just
+checked, so a valid certificate is validated without one decode; only a
+document that fails gets its trails built and diagnosed one by one.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .graph import BadParameter, CubicGraph, Malformed, NonCubic, color_classes, generate, parse_spec
-from .partition import InvalidPartition, NormalPartition, associated_matching, validate_normal
+from .partition import InvalidPartition, NormalPartition, agreement, validate_normal
 
 SCHEMA = "copnc/1"
 
@@ -66,8 +69,9 @@ def dumps(doc: dict) -> str:
     ints is joined in one go, and a list of int lists is one compact C
     encode, re-indented.  A NormalPartition in the document is written
     straight from its decoded trails, as the list of trail objects that
-    certificate() makes of it, from one compact C encode as well.  Keys
-    must be strings."""
+    certificate() makes of it, and a CubicGraph straight from its
+    endpoints, as graph_payload() makes it, each from one compact C
+    encode as well.  Keys must be strings."""
     return _text(doc, "") + "\n"
 
 
@@ -77,6 +81,10 @@ _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _INT = {int}
 _LIST = {list}
 _PAIR = {2}
+_SECOND = itemgetter(1)
+_ODD_EDGES = itemgetter(slice(1, None, 2))
+_COLORS = {0, 1, 2}
+_COLOR_BIT = (1, 2, 4)
 
 
 def _int_lists(x) -> bool:
@@ -140,6 +148,10 @@ def _text(x, pad: str) -> str:
         return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(x, NormalPartition):
         return _partition_text(x, pad)
+    if isinstance(x, CubicGraph):
+        inner = pad + " "
+        edges = _int_lists_text(x.endpoints, inner) if x.endpoints else "[]"
+        return f'{{\n{inner}"edges": {edges},\n{inner}"n": {x.n}\n{pad}}}'
     return _encode(x)
 
 
@@ -185,9 +197,11 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
 
     Returns a report dict with "ok" plus per-partition diagnostics; never
     raises for semantic failures.  The entry of each normal partition
-    carries its "lengths" and whether it is "odd", both from one pass over
-    its trail lengths; the indices of the even ones are listed under
-    "even".  Pairs are compared on marked edges read once per partition.
+    carries its "lengths" and whether it is "odd", both read off the id
+    lists validate_normal has just checked, as is the associated matching
+    of an odd one (its edges at odd list positions) when a claim needs it;
+    the indices of the even ones are listed under "even".  Pairs are
+    compared by agreement.
     A document of the wrong shape raises CertificateError: not an object, a graph payload that is not a cubic
     graph, partitions that are not a non-empty list of lists, a trail
     whose vertices or edges are not a list of int ids (the first such
@@ -205,6 +219,9 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
         report["graph_mismatch"] = True
         return report
     parts: list[Optional[NormalPartition]] = []
+    # the associated matching of each normal odd partition, for _mismatch
+    own: list[Optional[frozenset[int]]] = []
+    want_matchings = "matchings" in claims or "coloring" in claims
     for i, part in enumerate(raw):
         entry: dict = {"index": i, "violations": []}
         try:
@@ -227,30 +244,32 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
             p = None
             entry["violations"] = [str(v) for v in exc.violations]
         parts.append(p)
+        own.append(None)
         if p is None:
             report["ok"] = False
         else:
-            lengths = [len(t.edges) for t in p.trails]
+            edges = list(map(_SECOND, trails))
+            lengths = list(map(len, edges))
             entry["lengths"] = sorted(lengths, reverse=True)
             entry["odd"] = all(x & 1 for x in lengths)
             if not entry["odd"]:
                 report["ok"] = False
                 report.setdefault("even", []).append(i)
+            elif want_matchings:
+                own[i] = frozenset(chain.from_iterable(map(_ODD_EDGES, edges)))
         report["partitions"].append(entry)
     live = [p for p in parts if p is not None]
     if len(live) == len(parts) and len(live) >= 2:
-        # agreement of each pair, from marked edges built once a partition
-        marks = [p.marked_edges() for p in live]
         conflicts = []
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
-                agree = [v for v, (a, b) in enumerate(zip(marks[i], marks[j])) if a == b]
+                agree = agreement((live[i], live[j]))
                 if agree:
                     conflicts.append({"pair": [i, j], "agreement": agree})
         if conflicts:
             report["ok"] = False
             report["incompatible"] = conflicts
-    mismatch = _mismatch(g, parts, report["partitions"], claims)
+    mismatch = _mismatch(g, own, report["partitions"], claims)
     if mismatch:
         report["ok"] = False
         report["mismatch"] = mismatch
@@ -276,7 +295,8 @@ def _claims(doc: dict, g: CubicGraph, k: int) -> dict:
         k == 3
         and isinstance(coloring, list)
         and len(coloring) == g.m
-        and all(type(c) is int and 0 <= c <= 2 for c in coloring)
+        and _INT.issuperset(map(type, coloring))
+        and _COLORS.issuperset(coloring)
     ):
         raise CertificateError(f"coloring must give each of {g.m} edges a color 0, 1 or 2, for three partitions")
     if "family" in claims:
@@ -294,18 +314,17 @@ def _claims(doc: dict, g: CubicGraph, k: int) -> dict:
     return claims
 
 
-def _mismatch(
-    g: CubicGraph, parts: list[Optional[NormalPartition]], entries: list[dict], claims: dict
-) -> dict:
-    """The claimed fields that do not hold, by name.  matchings[i] must be
-    the associated matching of partition i; the coloring must be proper
-    ("improper" lists the vertices where it is not) and its class c must
-    be the associated matching of partition c ("classes" lists the c where
-    it is not), so that class c is matchings[c] when both fields hold;
-    profiles[i] must be the lengths of partition i, longest first; the
-    family spec must generate g (see _claims).  A partition that is not normal and odd
-    has no associated matching to compare, and one that is not normal no
-    lengths; either is already reported through its entry."""
+def _mismatch(g: CubicGraph, own: list[Optional[frozenset[int]]], entries: list[dict], claims: dict) -> dict:
+    """The claimed fields that do not hold, by name.  own[i] is the
+    associated matching of partition i, None when it is not normal and
+    odd or no claim needs it.  matchings[i] must be own[i]; the coloring
+    must be proper ("improper" lists the vertices where it is not) and
+    its class c must be own[c] ("classes" lists the c where it is not),
+    so that class c is matchings[c] when both fields hold; profiles[i]
+    must be the lengths of partition i, longest first; the family spec
+    must generate g (see _claims).  A partition that is not normal and
+    odd has no associated matching to compare, and one that is not
+    normal no lengths; either is already reported through its entry."""
     out: dict = {}
     if claims.get("family") is False:
         out["family"] = True
@@ -317,15 +336,22 @@ def _mismatch(
     matchings, coloring = claims.get("matchings"), claims.get("coloring")
     if matchings is None and coloring is None:
         return out
-    own = [associated_matching(p) if e.get("odd") else None for p, e in zip(parts, entries)]
     if matchings is not None:
-        bad = [i for i, m in enumerate(matchings) if own[i] is not None and sorted(m) != sorted(own[i])]
+        # own[i] has no repeats: as multisets, m and own[i] are equal
+        # exactly when they have equal sizes and equal sets
+        bad = [
+            i for i, m in enumerate(matchings)
+            if own[i] is not None and (len(m) != len(own[i]) or own[i] != set(m))
+        ]
         if bad:
             out["matchings"] = bad
     if coloring is not None:
+        # a vertex is proper exactly when the bits 1 << color of its three
+        # edges add up to 7, one bit each
+        bit = [_COLOR_BIT[c] for c in coloring]
         improper = [
             v for v, (a, b, c) in enumerate(g.vertex_darts)
-            if len({coloring[a >> 1], coloring[b >> 1], coloring[c >> 1]}) < 3
+            if bit[a >> 1] + bit[b >> 1] + bit[c >> 1] != 7
         ]
         classes = color_classes(coloring)
         bad = [c for c in range(3) if own[c] is not None and classes[c] != own[c]]

@@ -101,8 +101,8 @@ def _open_out(path: str):
 
 def _certificate_text(g: CubicGraph, partitions, extra: dict) -> str:
     """The certificate of partitions on g with the fields extra, written
-    by dumps straight from the partitions' trails."""
-    return C.dumps(C.certificate(g, [], extra) | {"partitions": partitions})
+    by dumps straight from g's endpoints and the partitions' trails."""
+    return C.dumps({"schema": C.SCHEMA, "graph": g, **extra, "partitions": partitions})
 
 
 def _emit(text: str, out: Optional[str]) -> None:

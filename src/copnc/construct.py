@@ -27,7 +27,7 @@ import logging
 import random
 from heapq import heappop, heappush
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import (
     BLUE,
@@ -299,6 +299,14 @@ def _descent(g: CubicGraph, coloring: tuple[int, ...], seed: int = 0, budget: in
     write.  So A only loses vertices, and min(A) is found by a pointer
     that only moves up.
 
+    The guided step at v is written inline: partition c's switch at v
+    would mark v's passage dart off class c (see conformal_switch), so
+    whether it takes v out of A is read off the three marks at v, and
+    conformal_switch, which walks a trail to tell whether that mark
+    decodes, runs only when it would.  A switch that would leave v in A
+    is counted against the budget and passed over, as it would be undone
+    at once.
+
     When no candidate helps, a random conformal walk drawn from seed runs
     until |A| falls below its value at the start of the walk; after 200
     tries without that it re-seeds with random cycle orientations, and
@@ -310,6 +318,7 @@ def _descent(g: CubicGraph, coloring: tuple[int, ...], seed: int = 0, budget: in
     classes = color_classes(coloring)
     marks = _conformal_seed(g, classes)
     m0, m1, m2 = marks
+    slots = g.vertex_darts
     rng = random.Random(seed)
     spent = 0
 
@@ -328,63 +337,76 @@ def _descent(g: CubicGraph, coloring: tuple[int, ...], seed: int = 0, budget: in
     agree = [agrees(v) for v in range(g.n)]
     size = sum(agree)
 
-    def candidates(v: int) -> Iterator[tuple[int, int]]:
-        for c in (RED, BLUE, YELLOW):
-            yield c, v
-        at_v = [mk[v] >> 1 for mk in marks]
-        w = g.other_end(at_v[0] if at_v.count(at_v[0]) > 1 else at_v[1], v)
-        near = [u for u in _ball(g, [v, w], 2) if agree[u]]
-        for c in (RED, BLUE, YELLOW):
-            for u in near:
-                yield c, u
-
     low = 0  # no vertex below low is in A
     # "fallback" sticks, so the final line tells whether the walk ever ran
     strategy = "seed"
     while size:
         while not agree[low]:
             low += 1
-        for c, u in candidates(low):
-            d = move(c, u)
-            if d is None:
-                continue
-            old, marks[c][u] = marks[c][u], d
-            if not agrees(u):
-                agree[u] = False
-                size -= 1
-                break
-            marks[c][u] = old
-        else:
-            strategy = "fallback"
-            low = 0  # the walk may put any vertex into A
-            start, start_size = [list(mk) for mk in marks], size
-            for _ in range(200):
-                c, v = rng.randrange(3), rng.randrange(g.n)
-                d = move(c, v)
+        v = low
+        x, y, z = slots[v]
+        e0, e1, e2 = m0[v] >> 1, m1[v] >> 1, m2[v] >> 1
+        kept = False
+        for c, mk, o1, o2 in ((RED, m0, e1, e2), (BLUE, m1, e0, e2), (YELLOW, m2, e0, e1)):
+            spent += 1
+            if spent > budget:
+                raise SearchExhausted(f"conformal search exceeded {budget} switches")
+            d = mk[v]
+            p, q = (y, z) if d == x else ((x, z) if d == y else (x, y))
+            e = q >> 1 if p >> 1 in classes[c] else p >> 1
+            if e != o1 and e != o2 and o1 != o2:
+                d = conformal_switch(g, mk, classes[c], v)
+                if d is not None:
+                    mk[v] = d
+                    agree[v] = False
+                    size -= 1
+                    kept = True
+                    break
+        if not kept:
+            w = g.other_end(e0 if e0 == e1 or e0 == e2 else e1, v)
+            near = [u for u in _ball(g, [v, w], 2) if agree[u]]
+            for c, u in [(c, u) for c in (RED, BLUE, YELLOW) for u in near]:
+                d = move(c, u)
                 if d is None:
                     continue
-                marks[c][v] = d
-                now = agrees(v)
-                size += now - agree[v]
-                agree[v] = now
-                if size < start_size:
+                old, marks[c][u] = marks[c][u], d
+                if not agrees(u):
+                    agree[u] = False
+                    size -= 1
+                    kept = True
                     break
-            else:
-                cycles = [len(two_factor_cycles(g, classes[c])) for c in range(3)]
-                orientations = tuple(
-                    tuple(rng.randrange(2) for _ in range(cycles[c])) for c in range(3)
-                )
-                fresh = _conformal_seed(g, classes, orientations)
-                # |A| of the fresh seed, read off its mark lists
-                if sum(len({mk[v] >> 1 for mk in fresh}) < 3 for v in range(g.n)) <= start_size:
-                    start = fresh
-                for mk, new in zip(marks, start):
-                    mk[:] = new  # in place: agrees reads m0, m1 and m2
-                agree = [agrees(v) for v in range(g.n)]
-                size = sum(agree)
+                marks[c][u] = old
+        if kept:
+            if strategy == "seed":
+                strategy = "guided"
             continue
-        if strategy == "seed":
-            strategy = "guided"
+        strategy = "fallback"
+        low = 0  # the walk may put any vertex into A
+        start, start_size = [list(mk) for mk in marks], size
+        for _ in range(200):
+            c, v = rng.randrange(3), rng.randrange(g.n)
+            d = move(c, v)
+            if d is None:
+                continue
+            marks[c][v] = d
+            now = agrees(v)
+            size += now - agree[v]
+            agree[v] = now
+            if size < start_size:
+                break
+        else:
+            cycles = [len(two_factor_cycles(g, classes[c])) for c in range(3)]
+            orientations = tuple(
+                tuple(rng.randrange(2) for _ in range(cycles[c])) for c in range(3)
+            )
+            fresh = _conformal_seed(g, classes, orientations)
+            # |A| of the fresh seed, read off its mark lists
+            if sum(len({mk[v] >> 1 for mk in fresh}) < 3 for v in range(g.n)) <= start_size:
+                start = fresh
+            for mk, new in zip(marks, start):
+                mk[:] = new  # in place: agrees reads m0, m1 and m2
+            agree = [agrees(v) for v in range(g.n)]
+            size = sum(agree)
     log.debug("conformal triple reached A=0 via %s", strategy)
     return marks
 

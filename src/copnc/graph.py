@@ -516,8 +516,12 @@ def perfect_matchings(g: CubicGraph) -> Iterator[frozenset[int]]:
     frame's vertex is the lowest one unmatched when it was pushed, and
     every vertex below it stays matched, so the next frame's vertex is
     looked for from there on.
+
+    A pair v, w is refused when it leaves an unmatched neighbour of v or
+    w with no unmatched partner across a non-loop edge.  No matching
+    extends such a pair, so the sequence is the unpruned one.
     """
-    n, slots, ends = g.n, g.vertex_darts, g.endpoints
+    n, slots, ends, at = g.n, g.vertex_darts, g.endpoints, g.dart_vertices
     matched = [False] * n
     chosen: list[int] = []  # chosen[k] is the edge frame k matched
     stack: list[list[int]] = []
@@ -541,12 +545,30 @@ def perfect_matchings(g: CubicGraph) -> Iterator[frozenset[int]]:
                 frame[1] += 1
                 a, b = ends[e]
                 w = b if a == v else a
-                if a != b and not matched[w]:
+                if a == b or matched[w]:
+                    continue
+                matched[v] = matched[w] = True
+                for d in slots[v] + slots[w]:
+                    x = at[d ^ 1]
+                    if matched[x]:
+                        continue
+                    p, q, r = slots[x]
+                    y = at[p ^ 1]
+                    if y != x and not matched[y]:
+                        continue
+                    y = at[q ^ 1]
+                    if y != x and not matched[y]:
+                        continue
+                    y = at[r ^ 1]
+                    if y != x and not matched[y]:
+                        continue
+                    break  # x is left with no partner
+                else:
                     break
+                matched[v] = matched[w] = False
             else:
                 stack.pop()
                 continue
-            matched[v] = matched[w] = True
             chosen.append(e)
             start = v + 1
             break

@@ -15,9 +15,10 @@ alone, and the marking is its only dart table: a Trail holds vertices and
 edges.  The trails and key are decoded on demand by `trails_from_marking`,
 which follows the step rule of the walker `walk` and builds each trail in
 the same pass; `validate_normal` reads the marking off the ends of
-given trails, decodes it and compares, building checked Trails only to
-name what is wrong.  `walk` itself serves the conformal switch and names
-the cycle of a marking that does not decode.
+given trails and walks each given trail under it, comparing ids step by
+step, so it decodes nothing and builds checked Trails only to name what
+is wrong.  `walk` itself serves the conformal switch and names the cycle
+of a marking that does not decode.
 Compatibility and agreement read the marking through one helper,
 `agreement`.
 
@@ -30,6 +31,8 @@ odd partition form a perfect matching (each vertex meets exactly one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq, rshift
 from typing import Optional, Sequence, Union
 
 from .graph import CubicGraph, is_perfect_matching
@@ -166,9 +169,10 @@ class NormalPartition:
     The marking is the only state: it is exactly what a switch changes,
     and compatibility, agreement and passages read it alone.  The trails
     and the canonical key are decoded from it on first access and cached;
-    a partition built by decoding or validating trails carries them from
-    the start.  The associated matching is cached as well, computed from
-    the trails on first use.
+    a partition built by decoding carries them from the start, one that
+    validate_normal checked against given trails does not.  The
+    associated matching is cached as well, computed from the trails on
+    first use.
 
     Equality and hashing treat trails up to reversal: two partitions are
     equal exactly when their trail sets agree modulo reversal, which also
@@ -206,7 +210,7 @@ class NormalPartition:
         return self.marked[v] >> 1
 
     def marked_edges(self) -> tuple[int, ...]:
-        return tuple(d >> 1 for d in self.marked)
+        return tuple(map(rshift, self.marked, repeat(1)))
 
     def passage(self, v: int) -> tuple[int, int]:
         """v's two unmarked darts, ascending: its internal passage."""
@@ -263,44 +267,61 @@ def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violati
 
 def validate_normal(g: CubicGraph, trails: Sequence[tuple[Sequence[int], Sequence[int]]]) -> NormalPartition:
     """Check that the trails, given as (vertices, edges) id lists, form a
-    normal partition, and return it: the decode of the marking read off
-    the trail ends.  A trail marks, at its first vertex, its first edge's
-    dart there and, at its last vertex, its last edge's dart there; a loop
-    gives its lower dart at a first vertex and its upper dart at a last
-    one.
+    normal partition, and return it undecoded: the partition of the
+    marking read off the trail ends, whose trails are decoded on first
+    use.  A trail marks, at its first vertex, its first edge's dart there
+    and, at its last vertex, its last edge's dart there; a loop gives its
+    lower dart at a first vertex and its upper dart at a last one.
 
-    The trails are normal exactly when each vertex is an end once and the
-    marking decodes back to them up to reversal, one lookup per trail by
-    its lower end.  End ids are range-checked before they index anything,
-    the others only compared, and no Trail is built.  When the decode
-    differs, the trails are built as Trails and partition_violations
-    names what is wrong.
+    The trails are normal exactly when each vertex is an end once and each
+    trail is the walk (walk's step rule) under that marking from its
+    first vertex's mark, stopping at its last ids: the walks of distinct
+    ends are edge-disjoint, so when their lengths add up to m no edge is
+    left over for a cycle.  End ids are range-checked before they index
+    anything, the others only compared, and no Trail, tuple or lookup is
+    built.  When a walk differs, the trails are built as Trails and
+    partition_violations names what is wrong.
 
     Raises InvalidPartition carrying every violated condition with its
     witness: each malformed trail or, when none is, every failed
     normal-partition condition.
     """
-    n, m, at = g.n, g.m, g.dart_vertices
+    n, m, at, slots = g.n, g.m, g.dart_vertices, g.vertex_darts
     marked = [-1] * n
-    try:  # a LookupError or ValueError: not the trails their ends decode to
+    try:  # a LookupError: not the trails their ends walk to
         for vs, es in trails:
             v, w, e, f = vs[0], vs[-1], es[0], es[-1]
             if not (0 <= v < n and 0 <= w < n and 0 <= e < m and 0 <= f < m):
                 raise LookupError
-            marked[v] = 2 * e if at[2 * e] == v else 2 * e + 1
-            marked[w] = 2 * f + 1 if at[2 * f + 1] == w else 2 * f
+            marked[v] = d = 2 * e if at[2 * e] == v else 2 * e + 1
+            marked[w] = x = 2 * f + 1 if at[2 * f + 1] == w else 2 * f
+            if at[d] != v or at[x] != w:
+                raise LookupError  # an end edge not at its end vertex
         if 2 * len(trails) != n or -1 in marked:
             raise LookupError  # some vertex is not an end exactly once
-        p = trails_from_marking(g, marked)
-        decoded = {t.vertices[0]: t for t in p._trails}
+        walked = 0
         for vs, es in trails:
-            if vs[0] > vs[-1]:
-                vs, es = vs[::-1], es[::-1]
-            t = decoded[vs[0]]
-            if t.vertices != tuple(vs) or t.edges != tuple(es):
+            last = len(es)
+            if len(vs) != last + 1:
                 raise LookupError
-        return p
-    except (LookupError, ValueError):
+            walked += last
+            cur, i = marked[vs[0]], 0
+            for e in es:
+                i += 1
+                nxt = cur ^ 1
+                w = at[nxt]
+                if e != cur >> 1 or w != vs[i]:
+                    raise LookupError
+                mk = marked[w]
+                if mk == nxt:
+                    break
+                a, b, c = slots[w]
+                cur = a + b + c - nxt - mk
+            if i != last or mk != nxt:
+                raise LookupError  # the walk stops before or after the trail
+        if walked == m:
+            return NormalPartition(g, marked)
+    except LookupError:
         pass
     given: list[Trail] = []
     bad: list[Violation] = []
@@ -398,7 +419,7 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
 
 
 def is_odd(p: NormalPartition) -> bool:
-    return all(t.length % 2 == 1 for t in p.trails)
+    return all(len(t.edges) & 1 for t in p.trails)
 
 
 def associated_matching(p: NormalPartition) -> frozenset[int]:
@@ -428,7 +449,7 @@ def is_conformal(p: NormalPartition, m: frozenset[int]) -> bool:
     marks one.  An even partition gives False.
     """
     m = frozenset(m)
-    return is_perfect_matching(p.graph, m) and not any((d >> 1) in m for d in p.marked)
+    return is_perfect_matching(p.graph, m) and m.isdisjoint(map(rshift, p.marked, repeat(1)))
 
 
 def agreement(parts: Sequence[NormalPartition]) -> list[int]:
@@ -443,7 +464,9 @@ def agreement(parts: Sequence[NormalPartition]) -> list[int]:
         raise ValueError("partitions live on different graphs")
     marks = [p.marked_edges() for p in parts]
     if len(marks) == 2:
-        return [v for v, (a, b) in enumerate(zip(*marks)) if a == b]
+        return list(compress(range(g.n), map(eq, *marks)))
+    if len(marks) == 3:
+        return [v for v, (a, b, c) in enumerate(zip(*marks)) if a == b or a == c or b == c]
     k = len(marks)
     return [v for v, es in enumerate(zip(*marks)) if len(set(es)) < k]
 

@@ -468,8 +468,8 @@ def check_graph(g: CubicGraph, which: str, gid: str = "?") -> SweepReport:
         rep.detail["bipartite"] = bip
         rep.agree = bip == (triple is not None)
     elif which == "thm5":
-        nop = find_nop(g)
         pm = has_perfect_matching(g)
+        nop = find_nop(g) if pm else None
         rep = SweepReport(gid, g.n, which)
         rep.detail["matching_exists"] = pm
         rep.detail["nop_exists"] = nop is not None

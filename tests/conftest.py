@@ -148,6 +148,16 @@ def digon_ladder(r):
     return n, edges
 
 
+def pairing_model(rng, n):
+    """A random cubic multigraph on n vertices by the pairing model: three
+    points per vertex, matched uniformly at random, each pair an edge.  A
+    pair at one vertex is a loop and pairs on the same two vertices are
+    parallel edges; both are kept."""
+    points = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(points)
+    return CubicGraph(n, list(zip(points[::2], points[1::2])))
+
+
 @lru_cache(maxsize=None)
 def _perfbench_workloads():
     """perfbench/workloads.py of this checkout, loaded by its path."""

@@ -27,7 +27,7 @@ from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
 from copnc.partition import agreement, associated_matching, is_conformal, length_profile
 
-from conftest import construct_workload_graphs
+from conftest import circular_ladder, construct_workload_graphs
 from lemma_checks import edge_role_audit
 from route_oracles import incoming_marks_by_cycles
 from stepwise_route import digon_extend, find_digon, find_triangle, triangle_extend
@@ -277,6 +277,88 @@ class TestConformalRoute:
         lines = [r.getMessage() for r in caplog.records if "reached A=0 via" in r.getMessage()]
         assert len(lines) > 50
         assert not any("fallback" in line for line in lines)
+
+
+class TestDescentOracle:
+    """construct._descent, whose guided step walks only the switches that
+    would take min(A) out of A, against route_oracles.descent_by_candidates,
+    which walks a conformal_switch for every candidate: the same mark
+    lists, or SearchExhausted at the same budget."""
+
+    # Two disconnected multigraphs with digons, with the coloring each
+    # was drawn with as three perfect matchings (colors 0, 1, 2 in edge
+    # order), found by a seeded search: the route never hands _descent
+    # such a graph (it solves one component at a time), but _descent
+    # itself takes any proper coloring.  WALK leaves the guided step for
+    # the random walk, which takes |A| down once before one re-seed;
+    # RESEED re-seeds 39 times and its walk never helps.
+    WALK = [(2, 1), (0, 3), (4, 7), (5, 6), (1, 2), (3, 7), (4, 0), (5, 6), (6, 5), (1, 2), (4, 0), (7, 3)]
+    RESEED = [(0, 4), (1, 7), (2, 3), (6, 5), (3, 7), (5, 6), (2, 1), (0, 4), (2, 3), (7, 4), (0, 1), (6, 5)]
+
+    @staticmethod
+    def outcome(descent, g, coloring, seed=0, budget=10**6):
+        try:
+            return descent(g, coloring, seed=seed, budget=budget)
+        except SearchExhausted as exc:
+            return f"SearchExhausted: {exc}"
+
+    def assert_same(self, g, coloring, seed=0, budget=10**6):
+        from route_oracles import descent_by_candidates
+
+        coloring = tuple(coloring)
+        want = self.outcome(descent_by_candidates, g, coloring, seed, budget)
+        assert self.outcome(construct._descent, g, coloring, seed, budget) == want
+        return want
+
+    @pytest.mark.parametrize("seed", [0, 7, 2001])
+    def test_construct_workload_shapes(self, seed):
+        for n, edges in construct_workload_graphs(seed):
+            g = CubicGraph(n, edges)
+            assert isinstance(self.assert_same(g, proper_3_edge_coloring(g), seed), list)
+
+    def test_colorable_corpus(self):
+        graphs = 0
+        for _, g in corpus_upto(12):
+            coloring = proper_3_edge_coloring(g)
+            if coloring is not None:
+                graphs += 1
+                assert isinstance(self.assert_same(g, coloring), list)
+        assert graphs > 150
+
+    @pytest.mark.parametrize("edges, reseeds", [(WALK, 1), (RESEED, 39)])
+    def test_walk_and_reseed(self, monkeypatch, caplog, edges, reseeds):
+        g = CubicGraph(8, edges)
+        coloring = [0] * 4 + [1] * 4 + [2] * 4
+        seeds, seed = [0], construct._conformal_seed
+
+        def counted(*args):
+            seeds[0] += 1
+            return seed(*args)
+
+        monkeypatch.setattr(construct, "_conformal_seed", counted)
+        with caplog.at_level("DEBUG", logger="copnc.construct"):
+            assert isinstance(self.assert_same(g, coloring), list)
+        assert "reached A=0 via fallback" in caplog.text
+        # _descent's own seed, then each of its re-seeds; the oracle
+        # calls route_oracles' binding, which is not counted
+        assert seeds[0] == 1 + reseeds
+
+    def test_budget_exhausted_at_the_same_switch(self):
+        n, edges = circular_ladder(100)
+        g = CubicGraph(n, edges)
+        coloring = proper_3_edge_coloring(g)
+        for budget in range(1, 11):
+            assert self.assert_same(g, coloring, budget=budget) == f"SearchExhausted: conformal search exceeded {budget} switches"
+        # the least budget that suffices, and one less
+        from route_oracles import descent_by_candidates
+
+        low, high = 10, 10**6
+        while high - low > 1:
+            mid = (low + high) // 2
+            ok = isinstance(self.outcome(descent_by_candidates, g, coloring, budget=mid), list)
+            low, high = (low, mid) if ok else (mid, high)
+        assert isinstance(self.assert_same(g, coloring, budget=high), list)
+        assert self.assert_same(g, coloring, budget=low).startswith("SearchExhausted")
 
 
 class TestDigonSurgery:

@@ -33,6 +33,7 @@ from conftest import (
     digon_ladder,
     generalized_petersen3,
     moebius_ladder,
+    pairing_model,
     relabelled,
     truncated_ladder,
 )
@@ -431,10 +432,22 @@ class TestMatchings:
         assert [sorted(m) for m in perfect_matchings(dumbbell)] == [[1]]
 
     def test_same_sequence_as_recursion(self):
+        """The full sequence, also where perfect_matchings refuses pairs
+        that strand a neighbour: every corpus graph with n <= 12 and
+        seeded pairing-model multigraphs with n <= 12."""
+        import random
+
         graphs = [g for _, g in corpus_upto(10, include_simple12=False)]
         assert len(graphs) == 483  # every multigraph with n <= 10
+        graphs += [g for _, g in corpus_simple12()]
+        rng = random.Random(2013)
+        graphs += [pairing_model(rng, n) for n in (2, 4, 6, 8, 10, 12) for _ in range(40)]
+        empty = 0
         for g in graphs:
-            assert list(perfect_matchings(g)) == list(recursive_perfect_matchings(g))
+            want = list(recursive_perfect_matchings(g))
+            assert list(perfect_matchings(g)) == want
+            empty += not want
+        assert empty > 100
 
     def test_long_ladder_leaves_recursion_limit(self):
         import sys
@@ -447,7 +460,8 @@ class TestMatchings:
 
 def recursive_perfect_matchings(g):
     """The backtracking enumerator as it was written with one generator
-    frame per matched pair: the order oracle for perfect_matchings."""
+    frame per matched pair and no pruning: the order oracle for
+    perfect_matchings."""
     matched = [False] * g.n
     chosen = []
 

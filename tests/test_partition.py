@@ -23,9 +23,10 @@ from copnc.partition import (
     validate_normal,
 )
 from copnc.construct import bipartite_triple, nop_from_matching
-from copnc.graph import CubicGraph, perfect_matchings
+from copnc.graph import perfect_matchings
 from copnc.search import enumerate_nops
 
+from conftest import pairing_model
 from lemma_checks import edge_role_audit
 
 
@@ -253,16 +254,6 @@ class TestDecoderOracle:
             with pytest.raises(ValueError) as got:
                 trails_from_marking(k4, marking)
             assert str(got.value) == str(want.value)
-
-
-def pairing_model(rng, n):
-    """A random cubic multigraph on n vertices by the pairing model: three
-    points per vertex, matched uniformly at random, each pair an edge.  A
-    pair at one vertex is a loop and pairs on the same two vertices are
-    parallel edges; both are kept."""
-    points = [v for v in range(n) for _ in range(3)]
-    rng.shuffle(points)
-    return CubicGraph(n, list(zip(points[::2], points[1::2])))
 
 
 class TestDecoderPairingModel:

@@ -11,7 +11,7 @@ import random
 from importlib import resources
 
 import pytest
-from conftest import circular_ladder, digon_ladder, generalized_petersen3, moebius_ladder, truncated_ladder
+from conftest import circular_ladder, digon_ladder, generalized_petersen3, moebius_ladder, pairing_model, truncated_ladder
 
 import validate_oracle as oracle
 from copnc import certificates as C
@@ -207,7 +207,9 @@ def test_marking_with_a_cycle():
     assert report["ok"] is False and report["partitions"][0]["violations"]
 
 
-def test_passing_document_decodes_once_and_builds_no_trail(monkeypatch, bases):
+def _counting_decodes(monkeypatch) -> list:
+    """Refuse every Trail built and record every trails_from_marking call."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("a Trail was built")
 
@@ -219,10 +221,32 @@ def test_passing_document_decodes_once_and_builds_no_trail(monkeypatch, bases):
 
     monkeypatch.setattr(partition.Trail, "__init__", refuse)
     monkeypatch.setattr(partition, "trails_from_marking", counted)
+    return calls
+
+
+def test_passing_document_decodes_nothing_and_builds_no_trail(monkeypatch, bases):
+    calls = _counting_decodes(monkeypatch)
     for doc, g in bases:
-        calls.clear()
         assert C.validate_certificate(doc, g)["ok"] is True
-        assert len(calls) == len(doc["partitions"])
+    assert calls == []
+
+
+def test_large_certificates_validate_without_a_decode(monkeypatch, tmp_path):
+    """Valid conformal certificates at n = 400 and the goldberg:49 and
+    flower:99 family certificates validate with no trails_from_marking
+    call, their matchings and coloring checked included."""
+    n, edges = circular_ladder(200)
+    docs = [(emitted(tmp_path, ["construct", "--method", "conformal", "--graph", graph_file(tmp_path, n, edges)]), CubicGraph(n, edges))]
+    for spec in ("goldberg:49", "flower:99"):
+        name, k = spec.split(":")
+        docs.append((emitted(tmp_path, ["family", spec, "--emit-partitions"]), generate(name, int(k))))
+    calls = _counting_decodes(monkeypatch)
+    for doc, g in docs:
+        assert g.n >= 392 and {"matchings"} <= doc.keys()
+        for expect in (None, g):
+            report = C.validate_certificate(doc, expect)
+            assert report["ok"] is True and "mismatch" not in report
+    assert calls == []
 
 
 def test_expected_graph_reused_only_when_equal():
@@ -237,3 +261,104 @@ def test_expected_graph_reused_only_when_equal():
         bad["graph"]["edges"][e] = [value if x == 1 else x for x in bad["graph"]["edges"][e]]
         with pytest.raises(C.CertificateError):
             C.parse_graph(bad, g)
+
+
+def _pairing_model_partitions():
+    """(graph, trails as [vertices, edges] id lists) for normal partitions
+    of seeded pairing-model multigraphs, loops and parallel edges kept,
+    n = 6 ... 30: the decodes of random markings, two per graph, most of
+    them even, and the odd partition of the matching route on each graph
+    with a perfect matching."""
+    rng = random.Random(2028)
+    out = []
+    for n in range(6, 32, 2):
+        for _ in range(3):
+            g = pairing_model(rng, n)
+            p = find_nop(g)
+            if p is not None:
+                out.append((g, [[list(t.vertices), list(t.edges)] for t in p.trails]))
+            found = 0
+            for _ in range(60):
+                try:
+                    p = trails_from_marking(g, [rng.choice(s) for s in g.vertex_darts])
+                except CycleError:
+                    continue
+                out.append((g, [[list(t.vertices), list(t.edges)] for t in p.trails]))
+                found += 1
+                if found == 2:
+                    break
+    return out
+
+
+def _id_list_mutants(g, trails):
+    """(label, trails) pairs, each one change to trails."""
+    n, m = g.n, g.m
+    yield "as given", trails
+    yield "empty list", []
+    yield "empty trail", [[[], []]] + trails[1:]
+    for k in range(1, min(len(trails), 3)):
+        yield "rotated trail order", trails[k:] + trails[:k]
+        yield "duplicated trail", trails[:k] + [trails[0]] + trails[k + 1 :]
+    yield "appended duplicate", trails + [trails[-1]]
+    for j, (vs, es) in enumerate(trails):
+
+        def put(vertices, edges):
+            return trails[:j] + [[vertices, edges]] + trails[j + 1 :]
+
+        if g.is_loop(es[0]) or g.is_loop(es[-1]):
+            # the loop's end dart flips between lower and upper
+            yield "loop crossed the other way", put(vs[::-1], es[::-1])
+        if j > 2:
+            continue
+        yield "reversed", put(vs[::-1], es[::-1])
+        yield "truncated at the end", put(vs[:-1], es[:-1])
+        yield "truncated at the start", put(vs[1:], es[1:])
+        for i in {0, len(vs) // 2, len(vs) - 1}:
+            yield "vertex changed", put(vs[:i] + [(vs[i] + 1) % n] + vs[i + 1 :], es)
+        for i in {0, len(es) // 2, len(es) - 1}:
+            yield "edge changed", put(vs, es[:i] + [(es[i] + 1) % m] + es[i + 1 :])
+            for e in range(m):
+                if e != es[i] and sorted(g.endpoints[e]) == sorted(g.endpoints[es[i]]):
+                    yield "parallel edge", put(vs, es[:i] + [e] + es[i + 1 :])
+
+
+def test_pairing_model_mutations():
+    """validate_normal against the decode-and-compare oracle, and
+    validate_certificate against the gate-first oracle, byte for byte,
+    on mutated normal partitions of multigraphs with loops and parallel
+    edges."""
+    counts: dict[str, int] = {}
+    oks: dict[str, int] = {}
+    loops = parallel = 0
+    for g, trails in _pairing_model_partitions():
+        loops += sum(u == v for u, v in g.endpoints)
+        links = [tuple(sorted(e)) for e in g.endpoints if e[0] != e[1]]
+        parallel += len(links) - len(set(links))
+        for label, mutant in _id_list_mutants(g, trails):
+            want = oracle.partition_outcome(oracle.decode_and_compare, g, mutant)
+            assert oracle.partition_outcome(partition.validate_normal, g, mutant) == want, label
+            doc = {"graph": C.graph_payload(g), "partitions": [[{"vertices": vs, "edges": es} for vs, es in mutant]]}
+            report = assert_same(doc)
+            assert_same(doc, g)
+            counts[label] = counts.get(label, 0) + 1
+            if report.startswith("{") and json.loads(report)["ok"]:
+                oks[label] = oks.get(label, 0) + 1
+    assert loops > 20 and parallel > 20, (loops, parallel)
+    assert min(counts.values()) > 10 and len(counts) == 13, counts
+    # reordering and reversing keep a valid certificate; these break it
+    assert oks["as given"] > 20 and 2 * oks["as given"] == oks["rotated trail order"], oks
+    assert not {"empty list", "empty trail", "duplicated trail", "appended duplicate", "truncated at the end"} & oks.keys()
+
+
+def test_first_edge_away_from_its_vertex():
+    """Trail 0 claims to start at 3 by edge 1 = (0, 2), which does not
+    meet 3: its walk from the mark read off that edge still follows the
+    ids from 0 on, and every id after the first matches, so only the
+    check that an end edge meets its end vertex refuses it (found by a
+    seeded search over such id lists)."""
+    g = CubicGraph(4, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 3), (2, 2)])
+    trails = [([3, 0, 1, 3, 2, 1], [1, 0, 3, 5, 4]), ([2, 0], [2])]
+    want = oracle.partition_outcome(oracle.decode_and_compare, g, trails)
+    assert want.startswith("InvalidPartition")
+    assert oracle.partition_outcome(partition.validate_normal, g, trails) == want
+    assert json.loads(assert_same({"graph": C.graph_payload(g), "partitions": [[{"vertices": vs, "edges": es} for vs, es in trails]]}))["ok"] is False

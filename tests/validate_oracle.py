@@ -5,22 +5,31 @@ This is the validator the library ran before validate_normal decoded the
 end marking and compared.  Every trail is built as a checked Trail, its
 ids are type-checked trail by trail, and partition_violations gates each
 partition before its end marking is decoded.  The graph payload is always
-built, even when it equals the expected graph.  Claims are read and
-compared by the library's own _claims and _mismatch, which this change
-leaves alone.
+built, even when it equals the expected graph.  Claims are read by the
+library's own _claims and compared by mismatch, a frozen copy of the
+library's _mismatch from before it read the associated matchings off the
+checked id lists: here they come from the decoded trails.  Pairs are
+compared by agreement, a frozen copy of partition.agreement from before
+it ran as C-level map and compress.
+
+decode_and_compare is a second oracle, for partition.validate_normal: the
+validator of id lists that decodes the end marking and compares, as the
+library ran it before validate_normal walked the given trails.
 """
 
 import json
-from typing import Optional
+from typing import Optional, Sequence
 
-from copnc.certificates import SCHEMA, CertificateError, _claims, _mismatch
-from copnc.graph import CubicGraph, Malformed, NonCubic
+from copnc.certificates import SCHEMA, CertificateError, _claims
+from copnc.graph import CubicGraph, Malformed, NonCubic, color_classes
 from copnc.partition import (
     InvalidPartition,
     MalformedTrail,
     NormalPartition,
     Trail,
-    agreement,
+    TrailMalformed,
+    Violation,
+    associated_matching,
     is_odd,
     partition_violations,
     trails_from_marking,
@@ -116,11 +125,106 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
         if conflicts:
             report["ok"] = False
             report["incompatible"] = conflicts
-    mismatch = _mismatch(g, parts, report["partitions"], claims)
-    if mismatch:
+    wrong = mismatch(g, parts, report["partitions"], claims)
+    if wrong:
         report["ok"] = False
-        report["mismatch"] = mismatch
+        report["mismatch"] = wrong
     return report
+
+
+def agreement(parts: Sequence[NormalPartition]) -> list[int]:
+    """Vertices where two of the partitions mark the same edge, ascending."""
+    g = parts[0].graph
+    if any(p.graph != g for p in parts[1:]):
+        raise ValueError("partitions live on different graphs")
+    marks = [tuple(d >> 1 for d in p.marked) for p in parts]
+    if len(marks) == 2:
+        return [v for v, (a, b) in enumerate(zip(*marks)) if a == b]
+    k = len(marks)
+    return [v for v, es in enumerate(zip(*marks)) if len(set(es)) < k]
+
+
+def mismatch(g: CubicGraph, parts: list[Optional[NormalPartition]], entries: list[dict], claims: dict) -> dict:
+    """The claimed fields that do not hold, by name, with each associated
+    matching taken from the decoded trails."""
+    out: dict = {}
+    if claims.get("family") is False:
+        out["family"] = True
+    if "profiles" in claims:
+        pairs = enumerate(zip(claims["profiles"], entries))
+        bad = [i for i, (want, e) in pairs if "lengths" in e and want != e["lengths"]]
+        if bad:
+            out["profiles"] = bad
+    matchings, coloring = claims.get("matchings"), claims.get("coloring")
+    if matchings is None and coloring is None:
+        return out
+    own = [associated_matching(p) if e.get("odd") else None for p, e in zip(parts, entries)]
+    if matchings is not None:
+        bad = [i for i, m in enumerate(matchings) if own[i] is not None and sorted(m) != sorted(own[i])]
+        if bad:
+            out["matchings"] = bad
+    if coloring is not None:
+        improper = [
+            v for v, (a, b, c) in enumerate(g.vertex_darts)
+            if len({coloring[a >> 1], coloring[b >> 1], coloring[c >> 1]}) < 3
+        ]
+        classes = color_classes(coloring)
+        bad = [c for c in range(3) if own[c] is not None and classes[c] != own[c]]
+        wrong = {}
+        if improper:
+            wrong["improper"] = improper
+        if bad:
+            wrong["classes"] = bad
+        if wrong:
+            out["coloring"] = wrong
+    return out
+
+
+def decode_and_compare(g: CubicGraph, trails) -> NormalPartition:
+    """The id-list validator that decodes the marking read off the trail
+    ends and compares the decode with the given trails up to reversal,
+    one lookup per trail by its lower end; its partition comes decoded."""
+    n, m, at = g.n, g.m, g.dart_vertices
+    marked = [-1] * n
+    try:  # a LookupError or ValueError: not the trails their ends decode to
+        for vs, es in trails:
+            v, w, e, f = vs[0], vs[-1], es[0], es[-1]
+            if not (0 <= v < n and 0 <= w < n and 0 <= e < m and 0 <= f < m):
+                raise LookupError
+            marked[v] = 2 * e if at[2 * e] == v else 2 * e + 1
+            marked[w] = 2 * f + 1 if at[2 * f + 1] == w else 2 * f
+        if 2 * len(trails) != n or -1 in marked:
+            raise LookupError  # some vertex is not an end exactly once
+        p = trails_from_marking(g, marked)
+        decoded = {t.vertices[0]: t for t in p._trails}
+        for vs, es in trails:
+            if vs[0] > vs[-1]:
+                vs, es = vs[::-1], es[::-1]
+            t = decoded[vs[0]]
+            if t.vertices != tuple(vs) or t.edges != tuple(es):
+                raise LookupError
+        return p
+    except (LookupError, ValueError):
+        pass
+    given: list[Trail] = []
+    bad: list[Violation] = []
+    for j, (vs, es) in enumerate(trails):
+        try:
+            given.append(Trail(g, vs, es))
+        except MalformedTrail as exc:
+            bad.append(TrailMalformed(j, str(exc)))
+    raise InvalidPartition(bad or partition_violations(g, given))
+
+
+def partition_outcome(validate, g, trails) -> str:
+    """What a validator of id lists answers, as text: the marking and the
+    decoded trails of the partition it returns, or the type and message of
+    what it raised."""
+    try:
+        p = validate(g, trails)
+        return repr((p.marked, [(t.vertices, t.edges) for t in p.trails]))
+    except Exception as exc:  # compared, not handled
+        return f"{type(exc).__name__}: {exc}"
 
 
 def outcome(validate, doc, expect_graph=None) -> str:
