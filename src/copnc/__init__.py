@@ -26,13 +26,11 @@ from .partition import (
     CycleError,
     InvalidPartition,
     NormalPartition,
-    Trail,
     agreement,
     associated_matching,
     is_conformal,
     is_odd,
     length_profile,
-    odd_edges,
     partition_violations,
     trails_from_marking,
     validate_normal,

@@ -50,8 +50,8 @@ def certificate(
         "graph": graph_payload(g),
         "partitions": [
             [
-                {"vertices": list(t.vertices), "edges": list(t.edges)}
-                for t in p.trails
+                {"vertices": list(vs), "edges": list(es)}
+                for vs, es in p.trails
             ]
             for p in partitions
         ],
@@ -117,7 +117,7 @@ def _partition_text(p: NormalPartition, pad: str) -> str:
     if not p.trails:
         return "[]"
     a, b, c = "\n" + pad + " ", "\n" + pad + "  ", "\n" + pad + "   "
-    s = _compact([(t.edges, t.vertices) for t in p.trails])[3:-3]
+    s = _compact([(es, vs) for vs, es in p.trails])[3:-3]
     s = s.replace("]],[[", "|").replace("],[", ";").replace(",", "," + c)
     s = s.replace(";", b + "]," + b + '"vertices": [' + c)
     s = s.replace("|", b + "]" + a + "}," + a + "{" + b + '"edges": [' + c)

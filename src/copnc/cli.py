@@ -47,7 +47,7 @@ from .graph import (
     parse_graph6,
     parse_spec,
 )
-from .partition import associated_matching
+from .partition import associated_matching, length_profile
 from .search import check_graph, enumerate_normal_partitions, enumerate_nops
 from .switching import CapExceeded, partition_classes
 
@@ -189,7 +189,7 @@ def cmd_family(args) -> int:
     claims = {"family": args.name}
     if args.emit_partitions:
         claims["matchings"] = [sorted(associated_matching(p)) for p in triple]
-        claims["profiles"] = [sorted(p.lengths(), reverse=True) for p in triple]
+        claims["profiles"] = [list(length_profile(p)) for p in triple]
     _emit(_certificate_text(triple[0].graph, triple, claims), args.out)
     return EXIT_OK
 
@@ -243,7 +243,7 @@ _RECORD = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 def _sweep_worker(item):
     (gid, g), which = item
-    return check_graph(g, which, gid).to_json()
+    return check_graph(g, which, gid)
 
 
 def cmd_sweep(args) -> int:

@@ -668,14 +668,14 @@ def _lift_triangle(site: _TriangleSite, marks: Sequence[list[int]]) -> tuple[int
 
 
 def _base_conformal_triple(g: CubicGraph, coloring: tuple[int, ...]) -> ConformalTriple:
-    """The conformal triple least by trail keys of a graph on at most 4
+    """The conformal triple least by trails of a graph on at most 4
     vertices, among all solutions of the triple search whose table keeps
     partition c off color class c (each vertex's two color 3-cycles)."""
     from .search import _conformal_rows, _Search
 
     search = _Search(g, 3, allowed=_conformal_rows(g, color_classes(coloring)))
     triples = (tuple(NormalPartition(g, mk) for mk in sol) for sol in search.solutions())
-    best = min(triples, key=lambda t: [p.key for p in t], default=None)
+    best = min(triples, key=lambda t: [p.trails for p in t], default=None)
     if best is None:
         raise SearchExhausted("no conformal triple on a base graph; should not happen")
     triple = ConformalTriple(g, coloring, best)

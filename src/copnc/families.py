@@ -50,7 +50,6 @@ from .partition import (
     agreement,
     is_odd,
     length_profile,
-    odd_edges,
     trails_from_marking,
     validate_normal,
 )
@@ -111,7 +110,7 @@ def _flower_eqs(k: int) -> list[dict[tuple[str, int], tuple[str, int]]]:
 def _is_odd_edge(p: NormalPartition, e: int) -> bool:
     """Whether e is an odd edge of the trail of p that holds it; defined
     for every normal partition, odd or not."""
-    return any(e in odd_edges(t) for t in p.trails)
+    return any(e in es[1::2] for _, es in p.trails)
 
 
 def _flower_side_ok(g, lut, k, parts: Sequence[NormalPartition]) -> bool:
@@ -353,13 +352,13 @@ def _check_triple(parts: Sequence[NormalPartition]) -> None:
 
 def derive_petersen() -> Triple:
     """First compatible triple among profile-(5,3,3,3,1) partitions in
-    canonical (trail key) order; enumerate_nops gives search order, so
+    canonical (trails) order; enumerate_nops gives search order, so
     the candidates are sorted here."""
     from .search import enumerate_nops
 
     g = generate("petersen")
     want = (5, 3, 3, 3, 1)
-    cand = [p for p in sorted(enumerate_nops(g), key=lambda p: p.key) if length_profile(p) == want]
+    cand = [p for p in sorted(enumerate_nops(g), key=lambda p: p.trails) if length_profile(p) == want]
     marks = [tuple(p.marked_edge(v) for v in range(g.n)) for p in cand]
 
     def ok(i: int, j: int) -> bool:

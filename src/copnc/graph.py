@@ -79,18 +79,10 @@ class CubicGraph:
 
     # -- dart helpers ---------------------------------------------------
 
-    def dart_vertex(self, d: int) -> int:
-        """Vertex carrying dart d."""
-        return self.dart_vertices[d]
-
     def edges_at(self, v: int) -> tuple[int, int, int]:
         """Edge ids incident to v; a loop appears twice."""
         a, b, c = self.vertex_darts[v]
         return (a >> 1, b >> 1, c >> 1)
-
-    def is_loop(self, e: int) -> bool:
-        u, v = self.endpoints[e]
-        return u == v
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self.endpoints[e]
@@ -98,11 +90,6 @@ class CubicGraph:
 
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.endpoints)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors with multiplicity, following slot order; loops yield v."""
-        dv = self.dart_vertices
-        return tuple(dv[d ^ 1] for d in self.vertex_darts[v])
 
     # -- value semantics ------------------------------------------------
 
@@ -475,10 +462,6 @@ def bridges(g: CubicGraph) -> frozenset[int]:
     return frozenset(out)
 
 
-def is_bridgeless(g: CubicGraph) -> bool:
-    return not bridges(g)
-
-
 def components(g: CubicGraph) -> list[list[int]]:
     """The vertices of each connected component, sorted, ordered by their
     lowest vertex."""
@@ -500,10 +483,6 @@ def components(g: CubicGraph) -> list[list[int]]:
                     members.append(w)
         out.append(sorted(members))
     return out
-
-
-def is_connected(g: CubicGraph) -> bool:
-    return len(components(g)) <= 1
 
 
 def perfect_matchings(g: CubicGraph) -> Iterator[frozenset[int]]:

@@ -1,6 +1,7 @@
 """Trails, normal partitions, markings, odd/even edges, compatibility.
 
-A *trail* is a walk with distinct edges (vertices may repeat).  A partition
+A *trail* is a walk with distinct edges (vertices may repeat), held as the
+pair (vertices, edges) of its id tuples.  A partition
 of the edge set into trails is *normal* when every vertex is an internal
 vertex of some trail and an end vertex of exactly one trail end.  A normal
 partition of a cubic graph has exactly n/2 trails, and each vertex v owns a
@@ -11,14 +12,16 @@ the partition: the two unmarked slots at each vertex form the internal
 passage, and walking passages from marked slots reconstructs the trails.
 A marking decodes successfully exactly when no edge set closes into an
 internally paired cycle.  NormalPartition is the graph and the marking
-alone, and the marking is its only dart table: a Trail holds vertices and
-edges.  The trails and key are decoded on demand by `trails_from_marking`,
-which follows the step rule of the walker `walk` and builds each trail in
-the same pass; `validate_normal` reads the marking off the ends of
-given trails and walks each given trail under it, comparing ids step by
-step, so it decodes nothing and builds checked Trails only to name what
-is wrong.  `walk` itself serves the conformal switch and names the cycle
-of a marking that does not decode.
+alone, and the marking is its only dart table: a trail holds vertex and
+edge ids, no darts.  The trails are decoded on demand by
+`trails_from_marking`, which follows the step rule of the walker `walk`
+and builds each trail in the same pass, canonically oriented and ordered,
+so the tuple of trails is the partition's canonical key; `validate_normal`
+reads the marking off the ends of given trails and walks each given trail
+under it, comparing ids step by step, so it decodes nothing and checks
+the trails one by one only to name what is wrong.  `walk` itself serves
+the conformal switch and names the cycle of a marking that does not
+decode.
 Compatibility and agreement read the marking through one helper,
 `agreement`.
 
@@ -36,10 +39,6 @@ from operator import eq, rshift
 from typing import Optional, Sequence, Union
 
 from .graph import CubicGraph, is_perfect_matching
-
-
-class MalformedTrail(ValueError):
-    """A trail description violates incidence or edge distinctness."""
 
 
 class CycleError(ValueError):
@@ -90,77 +89,35 @@ class VertexEndCount:
 
 
 @dataclass(frozen=True)
-class TrailMalformed:
+class NotATrail:
     index: int
-    reason: str  # the MalformedTrail message
+    reason: str  # what _malformed says of the trail
 
     def __str__(self) -> str:
         return f"trail {self.index} malformed: {self.reason}"
 
 
-Violation = Union[NotAPartition, VertexNeverInternal, VertexEndCount, TrailMalformed]
+Violation = Union[NotAPartition, VertexNeverInternal, VertexEndCount, NotATrail]
 
 
-class Trail:
-    """Alternating vertex/edge sequence with distinct edges.
-
-    Stored with an orientation but compared up to reversal.  A trail holds
-    no darts: a step's darts follow from its vertices, except at a loop,
-    which leaves and enters its vertex by either dart.  A partition's darts
-    are its marking, whose loop rule validate_normal states.
-    """
-
-    __slots__ = ("vertices", "edges", "_key")
-
-    def __init__(self, g: CubicGraph, vertices: Sequence[int], edges: Sequence[int]):
-        vertices = tuple(vertices)
-        edges = tuple(edges)
-        if len(edges) < 1 or len(vertices) != len(edges) + 1:
-            raise MalformedTrail(f"{len(vertices)} vertices with {len(edges)} edges")
-        if len(set(edges)) != len(edges):
-            raise MalformedTrail("repeated edge id")
-        for i, e in enumerate(edges):
-            if not 0 <= e < g.m:
-                raise MalformedTrail(f"edge id {e} out of range")
-            a, b = g.endpoints[e]
-            u, v = vertices[i], vertices[i + 1]
-            if (u, v) != (a, b) and (v, u) != (a, b):
-                if a == b:
-                    raise MalformedTrail(f"loop {e} does not sit at step {i}")
-                raise MalformedTrail(f"edge {e}=({a},{b}) does not join {u},{v}")
-        self.vertices = vertices
-        self.edges = edges
-        self._key = min((vertices, edges), (vertices[::-1], edges[::-1]))
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
-    def ends(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
-    @property
-    def key(self):
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Trail) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"Trail({'-'.join(map(str, self.vertices))} via {list(self.edges)})"
-
-
-def odd_edges(trail: Trail) -> tuple[int, ...]:
-    """Edges at even 1-based positions: both deletion subtrails are odd.
-
-    A trail of length 1 has no odd edge: deleting its edge leaves two empty,
-    hence even, subtrails.
-    """
-    return trail.edges[1::2]
+def _malformed(g: CubicGraph, vertices: Sequence[int], edges: Sequence[int]) -> Optional[str]:
+    """Why the id lists are not a trail of g, or None when they are: at
+    least one edge, one vertex more than edges, no edge twice, and each
+    edge joining the vertices on either side of it."""
+    if len(edges) < 1 or len(vertices) != len(edges) + 1:
+        return f"{len(vertices)} vertices with {len(edges)} edges"
+    if len(set(edges)) != len(edges):
+        return "repeated edge id"
+    for i, e in enumerate(edges):
+        if not 0 <= e < g.m:
+            return f"edge id {e} out of range"
+        a, b = g.endpoints[e]
+        u, v = vertices[i], vertices[i + 1]
+        if (u, v) != (a, b) and (v, u) != (a, b):
+            if a == b:
+                return f"loop {e} does not sit at step {i}"
+            return f"edge {e}=({a},{b}) does not join {u},{v}"
+    return None
 
 
 class NormalPartition:
@@ -168,41 +125,33 @@ class NormalPartition:
 
     The marking is the only state: it is exactly what a switch changes,
     and compatibility, agreement and passages read it alone.  The trails
-    and the canonical key are decoded from it on first access and cached;
-    a partition built by decoding carries them from the start, one that
-    validate_normal checked against given trails does not.  The
-    associated matching is cached as well, computed from the trails on
-    first use.
+    are decoded from it on first access and cached; a partition built by
+    decoding carries them from the start, one that validate_normal
+    checked against given trails does not.  The associated matching is
+    cached as well, computed from the trails on first use.
 
-    Equality and hashing treat trails up to reversal: two partitions are
-    equal exactly when their trail sets agree modulo reversal, which also
-    makes them equal exactly when their markings agree edge-end-wise at
-    non-loop slots.
+    The trails are canonical, so they are the partition's key: two
+    partitions are equal exactly when their trail sets agree modulo
+    reversal, which also makes them equal exactly when their markings
+    agree edge-end-wise at non-loop slots.  Sort partitions by trails.
     """
 
-    __slots__ = ("graph", "marked", "_trails", "_key", "_matching")
+    __slots__ = ("graph", "marked", "_trails", "_matching")
 
     def __init__(self, graph: CubicGraph, marked: Sequence[int]):
         self.graph = graph
         self.marked = tuple(marked)          # vertex -> marked dart
-        self._trails: Optional[tuple[Trail, ...]] = None
-        self._key: Optional[tuple] = None
+        self._trails: Optional[tuple[tuple, ...]] = None
         self._matching: Optional[frozenset[int]] = None
 
-    def _decoded(self) -> "NormalPartition":
+    @property
+    def trails(self) -> tuple[tuple, ...]:
+        """Trails as (vertices, edges) id tuples, in canonical order, each
+        in its canonical orientation: from its lower end vertex, by that
+        end."""
         if self._trails is None:
-            q = trails_from_marking(self.graph, self.marked)
-            self._trails, self._key = q._trails, q._key
-        return self
-
-    @property
-    def trails(self) -> tuple[Trail, ...]:
-        """Trails in canonical order, each in its canonical orientation."""
-        return self._decoded()._trails
-
-    @property
-    def key(self):
-        return self._decoded()._key
+            self._trails = trails_from_marking(self.graph, self.marked)._trails
+        return self._trails
 
     # -- views ------------------------------------------------------------
 
@@ -225,33 +174,34 @@ class NormalPartition:
         return (a >> 1, b >> 1)
 
     def lengths(self) -> tuple[int, ...]:
-        return tuple(t.length for t in self.trails)
+        return tuple(len(es) for _, es in self.trails)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NormalPartition)
             and self.graph == other.graph
-            and self.key == other.key
+            and self.trails == other.trails
         )
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash(self.trails)
 
     def __repr__(self) -> str:
-        return f"NormalPartition({len(self.trails)} trails, lengths {sorted(self.lengths(), reverse=True)})"
+        return f"NormalPartition({len(self.trails)} trails, lengths {list(length_profile(self))})"
 
 
-def partition_violations(g: CubicGraph, trails: Sequence[Trail]) -> list[Violation]:
-    """All ways the trails fail to be a normal partition; empty when valid."""
+def partition_violations(g: CubicGraph, trails: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[Violation]:
+    """All ways the trails, (vertices, edges) id lists that _malformed
+    passes, fail to be a normal partition; empty when valid."""
     cover = [0] * g.m
     end_count = [0] * g.n
     internal_count = [0] * g.n
-    for t in trails:
-        for e in t.edges:
+    for vs, es in trails:
+        for e in es:
             cover[e] += 1
-        end_count[t.vertices[0]] += 1
-        end_count[t.vertices[-1]] += 1
-        for v in t.vertices[1:-1]:
+        end_count[vs[0]] += 1
+        end_count[vs[-1]] += 1
+        for v in vs[1:-1]:
             internal_count[v] += 1
     out: list[Violation] = []
     for e, c in enumerate(cover):
@@ -278,8 +228,8 @@ def validate_normal(g: CubicGraph, trails: Sequence[tuple[Sequence[int], Sequenc
     first vertex's mark, stopping at its last ids: the walks of distinct
     ends are edge-disjoint, so when their lengths add up to m no edge is
     left over for a cycle.  End ids are range-checked before they index
-    anything, the others only compared, and no Trail, tuple or lookup is
-    built.  When a walk differs, the trails are built as Trails and
+    anything, the others only compared, and no tuple or lookup is built.
+    When a walk differs, _malformed checks each trail and
     partition_violations names what is wrong.
 
     Raises InvalidPartition carrying every violated condition with its
@@ -323,14 +273,12 @@ def validate_normal(g: CubicGraph, trails: Sequence[tuple[Sequence[int], Sequenc
             return NormalPartition(g, marked)
     except LookupError:
         pass
-    given: list[Trail] = []
     bad: list[Violation] = []
     for j, (vs, es) in enumerate(trails):
-        try:
-            given.append(Trail(g, vs, es))
-        except MalformedTrail as exc:
-            bad.append(TrailMalformed(j, str(exc)))
-    raise InvalidPartition(bad or partition_violations(g, given))
+        why = _malformed(g, vs, es)
+        if why is not None:
+            bad.append(NotATrail(j, why))
+    raise InvalidPartition(bad or partition_violations(g, trails))
 
 
 def walk(g: CubicGraph, marked: Sequence[int], start: int) -> list[int]:
@@ -385,7 +333,7 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
             raise ValueError(f"marked dart {d} is not at vertex {v}")
     at = g.dart_vertices
     ended = [False] * g.n
-    trails: list[Trail] = []
+    trails: list[tuple] = []
     walked = 0
     for v, d in enumerate(marking):
         if ended[v]:
@@ -403,23 +351,18 @@ def trails_from_marking(g: CubicGraph, marking: Sequence[int]) -> NormalPartitio
             cur = a + b + c - nxt - mk
         ended[w] = True  # the trail's far end
         walked += len(edges)
-        t = Trail.__new__(Trail)
-        t.vertices = vt = tuple(verts)
-        t.edges = et = tuple(edges)
-        t._key = (vt, et)
-        trails.append(t)
+        trails.append((tuple(verts), tuple(edges)))
     if walked < g.m:
-        covered = {e for t in trails for e in t.edges}
+        covered = {e for _, es in trails for e in es}
         e0 = next(e for e in range(g.m) if e not in covered)
         raise CycleError([x >> 1 for x in walk(g, marking, 2 * e0)])
     p = NormalPartition(g, marking)
     p._trails = tuple(trails)
-    p._key = tuple([t._key for t in trails])
     return p
 
 
 def is_odd(p: NormalPartition) -> bool:
-    return all(len(t.edges) & 1 for t in p.trails)
+    return all(len(es) & 1 for _, es in p.trails)
 
 
 def associated_matching(p: NormalPartition) -> frozenset[int]:
@@ -429,10 +372,10 @@ def associated_matching(p: NormalPartition) -> frozenset[int]:
     """
     if p._matching is None:
         odd: list[int] = []
-        for t in p.trails:
-            if len(t.edges) % 2 == 0:
+        for _, es in p.trails:
+            if len(es) % 2 == 0:
                 raise NotOdd("partition has an even trail")
-            odd += t.edges[1::2]
+            odd += es[1::2]
         p._matching = frozenset(odd)
     return p._matching
 

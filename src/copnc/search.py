@@ -17,11 +17,12 @@ parity is asked for and within the cap.
 k = 1 enumerates single normal (odd) partitions: each one is its
 marking, returned in the order the search yields it and decoded only on
 first use, so a caller that reads markings alone (switch classes) never
-decodes.  k = 3 searches for three pairwise compatible normal odd
-partitions: compatibility at a cubic vertex forces the three marked
-edges there to be three distinct edges, i.e. a bijection between
-partitions and the vertex's slots, so a triple is one bijection per
-vertex (6^n worst case instead of 27^n).  A vertex carrying a loop has
+decodes; one that needs the canonical order sorts by their trails.
+k = 3 searches for three pairwise compatible normal odd partitions:
+compatibility at a cubic vertex forces the three marked edges there to
+be three distinct edges, i.e. a bijection between partitions and the
+vertex's slots, so a triple is one bijection per vertex (6^n worst case
+instead of 27^n).  A vertex carrying a loop has
 only two distinct incident edges and admits no bijection, so such graphs
 have no triple and are rejected in O(1).
 
@@ -43,12 +44,14 @@ vertex and kept for the rest of the search, so a search that stops early
 pays only for the rows it reached) and a kernel that keeps only the chain
 state of all k partitions, in flat arrays with no undo journal.  A choice
 is tested by reads alone and undone from its own darts (see _Search).
+
+A sweep runs check_graph on each graph of a corpus; each check returns
+its JSONL record as a plain dict, ready to encode.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import permutations, product
 from operator import itemgetter
@@ -114,7 +117,7 @@ def enumerate_nops(
     conformal_to: Optional[frozenset[int]] = None,
 ) -> list[NormalPartition]:
     """All normal odd partitions, each once, in search order (not sorted:
-    a caller that needs the canonical order sorts by p.key), undecoded.
+    a caller that needs the canonical order sorts by p.trails), undecoded.
 
     With conformal_to set, keeps only partitions whose odd edges equal that
     matching.  A normal partition is conformal to a perfect matching m
@@ -408,39 +411,11 @@ def fan_raspaud_witness(
     return m1, m2, m3
 
 
-@dataclass
-class SweepReport:
-    """One record of a conjecture sweep over a graph corpus."""
-
-    id: str
-    n: int
-    check: str
-    bridgeless: Optional[bool] = None
-    triple_found: Optional[bool] = None
-    agree: Optional[bool] = None
-    detail: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-
-    def to_json(self) -> dict:
-        out = {
-            "schema": "copnc/1",
-            "check": self.check,
-            "id": self.id,
-            "n": self.n,
-            "elapsed": round(self.elapsed, 6),
-        }
-        if self.bridgeless is not None:
-            out["bridgeless"] = self.bridgeless
-        if self.triple_found is not None:
-            out["triple_found"] = self.triple_found
-        if self.agree is not None:
-            out["agree"] = self.agree
-        out.update(self.detail)
-        return out
-
-
-def check_graph(g: CubicGraph, which: str, gid: str = "?") -> SweepReport:
-    """Run one conjecture check on one graph.
+def check_graph(g: CubicGraph, which: str, gid: str = "?") -> dict:
+    """Run one conjecture check on one graph; returns its copnc/1 sweep
+    record: schema, check, id, n, the check's own fields, whether the
+    graph "agree"s with the expected property, and "elapsed", seconds
+    rounded to 6 digits.
 
     conj25: every bridgeless cubic graph should admit a compatible triple;
             a bridgeless graph without one is a counterexample and gets
@@ -452,30 +427,30 @@ def check_graph(g: CubicGraph, which: str, gid: str = "?") -> SweepReport:
     from .certificates import certificate
 
     t0 = time.perf_counter()
+    rec: dict = {"schema": "copnc/1", "check": which, "id": gid, "n": g.n}
     if which == "conj25":
         free = not bridges(g)
         triple = find_compatible_triple(g)
-        rep = SweepReport(gid, g.n, which, bridgeless=free, triple_found=triple is not None)
+        rec["bridgeless"] = free
+        rec["triple_found"] = triple is not None
         if triple is not None:
-            rep.detail["certificate"] = certificate(g, list(triple))
-        rep.agree = (not free) or triple is not None
+            rec["certificate"] = certificate(g, list(triple))
+        rec["agree"] = (not free) or triple is not None
         if free and triple is None:
-            rep.detail["counterexample"] = True
+            rec["counterexample"] = True
     elif which == "thm12":
         bip, _ = is_bipartite(g)
         triple = find_length3_triple(g)
-        rep = SweepReport(gid, g.n, which, triple_found=triple is not None)
-        rep.detail["bipartite"] = bip
-        rep.agree = bip == (triple is not None)
+        rec["triple_found"] = triple is not None
+        rec["bipartite"] = bip
+        rec["agree"] = bip == (triple is not None)
     elif which == "thm5":
         pm = has_perfect_matching(g)
         nop = find_nop(g) if pm else None
-        rep = SweepReport(gid, g.n, which)
-        rep.detail["matching_exists"] = pm
-        rep.detail["nop_exists"] = nop is not None
-        rep.agree = pm == (nop is not None)
+        rec["matching_exists"] = pm
+        rec["nop_exists"] = nop is not None
+        rec["agree"] = pm == (nop is not None)
     else:
         raise ValueError(f"unknown check '{which}'")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
-
+    rec["elapsed"] = round(time.perf_counter() - t0, 6)
+    return rec

@@ -83,7 +83,7 @@ def partition_classes(
     partition.is_conformal) or a matching that is not perfect raises
     ValueError.  Members equal as partitions are kept once, the first.
 
-    Classes come out in canonical order of their least (trail key)
+    Classes come out in canonical order of their least (by trails)
     member, members in family order.  Raises CapExceeded when a class has
     more than cap members.
     """
@@ -140,5 +140,5 @@ def partition_classes(
     if cap is not None and any(len(c) > cap for c in classes):
         raise CapExceeded(f"switch class exceeds cap {cap}")
     if len(classes) > 1:
-        classes.sort(key=lambda c: min(p.key for p in c))
+        classes.sort(key=lambda c: min(p.trails for p in c))
     return classes

@@ -78,7 +78,7 @@ class JournalSearch:
         self.assigned = [False] * g.n
         self.trail: list[tuple] = []  # undo journal
         self.neighbors = [
-            tuple(g.dart_vertex(d ^ 1) for d in g.vertex_darts[v]) for v in range(g.n)
+            tuple(g.dart_vertices[d ^ 1] for d in g.vertex_darts[v]) for v in range(g.n)
         ]
         self.assigned_nbrs = [0] * g.n
         self.odd = odd

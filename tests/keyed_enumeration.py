@@ -13,11 +13,11 @@ from copnc.search import _Search
 
 
 def first_by_key(g: CubicGraph, odd: bool, allowed=None) -> dict[tuple, NormalPartition]:
-    """Trail key -> the first partition the search yields with that key,
+    """Trails -> the first partition the search yields with those trails,
     decoded, in the order the search yields them: the normal partitions
     (odd ones only when odd is set) the table allowed admits."""
     out: dict[tuple, NormalPartition] = {}
     for (marking,) in _Search(g, 1, odd=odd, allowed=allowed).solutions():
         p = trails_from_marking(g, marking)
-        out.setdefault(p.key, p)
+        out.setdefault(p.trails, p)
     return out

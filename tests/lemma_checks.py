@@ -44,9 +44,9 @@ def edge_role_audit(
     role_of = []
     for p in (p1, p2, p3):
         role = [""] * g.m
-        for t in p.trails:
-            last = t.length - 1
-            for i, e in enumerate(t.edges):
+        for _, es in p.trails:
+            last = len(es) - 1
+            for i, e in enumerate(es):
                 role[e] = "unit" if last == 0 else "internal" if 0 < i < last else "end"
         role_of.append(role)
     report: dict[int, tuple[str, str, str]] = {}
@@ -82,7 +82,7 @@ def complete_system(
         raise ValueError("a complete system has order at least 3")
     if g.has_loop():
         return None
-    pool = sorted(enumerate_nops(g, cap=cap), key=lambda p: p.key)
+    pool = sorted(enumerate_nops(g, cap=cap), key=lambda p: p.trails)
     # with no loop a vertex's three darts carry its three edges: cover[d]
     # counts the chosen partitions marking dart d, missing[v] the darts of
     # v none marks, and by_missing[x] the vertices missing x darts

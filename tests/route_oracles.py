@@ -46,11 +46,11 @@ def outgoing_darts(g: CubicGraph, m: frozenset[int], orientation: Optional[Seque
     for bits, cycle in zip(orientation, cycles):
         if len(cycle) == 1:  # a loop: both directions agree
             d = cycle[0]
-            out[g.dart_vertex(d)] = d
+            out[g.dart_vertices[d]] = d
             continue
         darts = [d ^ 1 for d in reversed(cycle)] if bits else cycle
         for d in darts:
-            out[g.dart_vertex(d)] = d
+            out[g.dart_vertices[d]] = d
     return out
 
 
@@ -61,7 +61,7 @@ def incoming_marks_by_cycles(
     outgoing dart of the vertex before it."""
     marking = [0] * g.n
     for d in outgoing_darts(g, m, orientation):
-        marking[g.dart_vertex(d ^ 1)] = d ^ 1
+        marking[g.dart_vertices[d ^ 1]] = d ^ 1
     return marking
 
 

@@ -45,7 +45,7 @@ def base_triple(g: CubicGraph, coloring: tuple[int, ...]) -> ConformalTriple:
     partitions conformal to each color class, each pool in trail-key
     order: the triple least by trail keys."""
     classes = color_classes(coloring)
-    pools = [sorted(enumerate_nops(g, conformal_to=classes[c]), key=lambda p: p.key) for c in (RED, BLUE, YELLOW)]
+    pools = [sorted(enumerate_nops(g, conformal_to=classes[c]), key=lambda p: p.trails) for c in (RED, BLUE, YELLOW)]
     for p1 in pools[0]:
         for p2 in pools[1]:
             if agreement((p1, p2)):
@@ -141,7 +141,7 @@ def digon_contract(g: CubicGraph, coloring: Sequence[int], digon: tuple[int, int
     du = next(d for d in g.vertex_darts[u] if d >> 1 not in (eA, eB))
     dv = next(d for d in g.vertex_darts[v] if d >> 1 not in (eA, eB))
     e1, e2 = du >> 1, dv >> 1
-    x, y = g.dart_vertex(du ^ 1), g.dart_vertex(dv ^ 1)
+    x, y = g.dart_vertices[du ^ 1], g.dart_vertices[dv ^ 1]
     rho = coloring[e1]
     assert coloring[e2] == rho
     assert x not in (u, v) and y not in (u, v) and x != y
@@ -181,7 +181,7 @@ def triangle_contract(g: CubicGraph, coloring: Sequence[int], tri: tuple[int, in
     a, b, c = tri
     tri_set = {a, b, c}
     tri_edges = {
-        next(d >> 1 for d in g.vertex_darts[p] if g.dart_vertex(d ^ 1) == q)
+        next(d >> 1 for d in g.vertex_darts[p] if g.dart_vertices[d ^ 1] == q)
         for p, q in ((a, b), (b, c), (c, a))
     }
     outer = {}
@@ -376,7 +376,7 @@ def digon_extend(
     the other piece and the two digon edges.
     """
     triple.validate()
-    if not 0 <= e < g.m or g.is_loop(e):
+    if not 0 <= e < g.m or g.endpoints[e][0] == g.endpoints[e][1]:
         raise ValueError(f"edge {e} cannot be subdivided into a digon")
     coloring = triple.coloring
     rho = coloring[e]
@@ -408,7 +408,7 @@ def triangle_extend(
     """
     triple.validate()
     coloring = triple.coloring
-    if v in g.neighbors(v):
+    if any(g.dart_vertices[d ^ 1] == v for d in g.vertex_darts[v]):
         raise ValueError("vertex with a loop cannot be expanded")
     inherit = (v, g.n + 1, g.n)  # the RED, BLUE and YELLOW inheritors
     edges = list(g.endpoints)

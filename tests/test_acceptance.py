@@ -63,7 +63,7 @@ def validated_triple(g, triple) -> None:
     """Full audit of one compatible triple; feeds the audit criteria."""
     for p in triple:
         assert p.graph == g
-        validate_normal(g, [(t.vertices, t.edges) for t in p.trails])
+        validate_normal(g, p.trails)
         assert is_odd(p)
         assert sum(p.lengths()) == 3 * len(p.trails)
         REGISTRY["partitions"] += 1

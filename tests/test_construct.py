@@ -85,9 +85,9 @@ class TestMatchingRoute:
         left by exactly one marked dart's edge: one incoming dart each."""
         m = next(perfect_matchings(petersen))
         marks = _incoming_marks(petersen, m, None)
-        tails = [petersen.dart_vertex(d ^ 1) for d in marks]
+        tails = [petersen.dart_vertices[d ^ 1] for d in marks]
         for v in range(petersen.n):
-            assert petersen.dart_vertex(marks[v]) == v
+            assert petersen.dart_vertices[marks[v]] == v
             assert (marks[v] >> 1) not in m
         assert sorted(tails) == list(range(petersen.n))
 
@@ -446,7 +446,7 @@ class TestGeneralRoute:
     def test_deterministic(self, cube):
         t1 = conformal_triple_general(cube)
         t2 = conformal_triple_general(cube)
-        assert [p.key for p in t1.partitions] == [p.key for p in t2.partitions]
+        assert [p.trails for p in t1.partitions] == [p.trails for p in t2.partitions]
 
     @pytest.mark.parametrize("names", [("theta", "k33"), ("k4", "theta"), ("prism", "k33"), ("k4", "k4", "cube")])
     def test_disconnected(self, names):

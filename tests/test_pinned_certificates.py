@@ -20,7 +20,8 @@ import pytest
 
 from copnc.cli import main
 from copnc.corpus import corpus_upto
-from copnc.graph import proper_3_edge_coloring
+from copnc.graph import CubicGraph, proper_3_edge_coloring
+from copnc.partition import trails_from_marking, validate_normal
 
 from conftest import circular_ladder, digon_ladder, generalized_petersen3, moebius_ladder, truncated_ladder
 
@@ -154,3 +155,28 @@ def test_family_certificate_bytes_pinned(spec, emit, tmp_path):
     cert = tmp_path / "family.json"
     assert main(["family", spec, "--out", str(cert)] + (["--emit-partitions"] if emit else [])) == 0
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PINNED_FAMILIES[spec][emit]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES) + ["flower:9", "goldberg:9"])
+def test_trails_are_the_certificate_id_lists(name, tmp_path):
+    """Each trail of a partition read back from a pinned certificate is a
+    pair of int tuples, (vertices, edges), equal to the certificate's id
+    lists of that trail, in the certificate's order."""
+    if name in SHAPES:
+        raw = certificate_bytes(name, shape_edges_text(name), tmp_path)
+        assert hashlib.sha256(raw).hexdigest() == PINNED[name]
+    else:
+        cert = tmp_path / "family.json"
+        assert main(["family", name, "--out", str(cert)]) == 0
+        raw = cert.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == PINNED_FAMILIES[name][False]
+    doc = json.loads(raw)
+    g = CubicGraph(doc["graph"]["n"], doc["graph"]["edges"])
+    for part in doc["partitions"]:
+        given = [(t["vertices"], t["edges"]) for t in part]
+        p = validate_normal(g, given)
+        assert p.trails == trails_from_marking(g, p.marked).trails
+        for t, (vs, es) in zip(p.trails, given, strict=True):
+            assert type(t) is tuple and len(t) == 2
+            assert type(t[0]) is tuple and type(t[1]) is tuple
+            assert t == (tuple(vs), tuple(es))

@@ -1,7 +1,7 @@
 """validate_certificate against the gate-first oracle in validate_oracle:
 the same report byte for byte, or the same error, on every emitter's
 output and on targeted mutations of it; and on a passing document
-validate_normal decodes each partition once and builds no Trail.
+validate_normal decodes nothing and checks no trail one by one.
 Every call in tests/test_certificates_cli.py, its hypothesis mutations
 included, is compared as well (see its against_oracle fixture)."""
 
@@ -208,10 +208,11 @@ def test_marking_with_a_cycle():
 
 
 def _counting_decodes(monkeypatch) -> list:
-    """Refuse every Trail built and record every trails_from_marking call."""
+    """Refuse every one-by-one trail check and record every
+    trails_from_marking call."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a Trail was built")
+        raise AssertionError("a trail was checked one by one")
 
     calls = []
 
@@ -219,7 +220,7 @@ def _counting_decodes(monkeypatch) -> list:
         calls.append(1)
         return trails_from_marking(g, marking)
 
-    monkeypatch.setattr(partition.Trail, "__init__", refuse)
+    monkeypatch.setattr(partition, "_malformed", refuse)
     monkeypatch.setattr(partition, "trails_from_marking", counted)
     return calls
 
@@ -276,14 +277,14 @@ def _pairing_model_partitions():
             g = pairing_model(rng, n)
             p = find_nop(g)
             if p is not None:
-                out.append((g, [[list(t.vertices), list(t.edges)] for t in p.trails]))
+                out.append((g, [[list(vs), list(es)] for vs, es in p.trails]))
             found = 0
             for _ in range(60):
                 try:
                     p = trails_from_marking(g, [rng.choice(s) for s in g.vertex_darts])
                 except CycleError:
                     continue
-                out.append((g, [[list(t.vertices), list(t.edges)] for t in p.trails]))
+                out.append((g, [[list(vs), list(es)] for vs, es in p.trails]))
                 found += 1
                 if found == 2:
                     break
@@ -305,7 +306,7 @@ def _id_list_mutants(g, trails):
         def put(vertices, edges):
             return trails[:j] + [[vertices, edges]] + trails[j + 1 :]
 
-        if g.is_loop(es[0]) or g.is_loop(es[-1]):
+        if any(g.endpoints[e][0] == g.endpoints[e][1] for e in (es[0], es[-1])):
             # the loop's end dart flips between lower and upper
             yield "loop crossed the other way", put(vs[::-1], es[::-1])
         if j > 2:
@@ -362,3 +363,29 @@ def test_first_edge_away_from_its_vertex():
     assert want.startswith("InvalidPartition")
     assert oracle.partition_outcome(partition.validate_normal, g, trails) == want
     assert json.loads(assert_same({"graph": C.graph_payload(g), "partitions": [[{"vertices": vs, "edges": es} for vs, es in trails]]}))["ok"] is False
+
+
+# the five ways a trail is malformed, each as validate_certificate has
+# always reported it: a trail of K4 or of the dumbbell changed, and the
+# violations of its partition, byte for byte
+_K4_T0 = [[0, 1, 2, 3], [0, 3, 5]]
+MALFORMED_TRAILS = [
+    ("k4", [_K4_T0, [[1, 3, 0], [4, 2, 1]]], ["trail 1 malformed: 3 vertices with 3 edges"]),
+    ("k4", [_K4_T0, [[1, 3, 0, 2], [4, 4, 1]]], ["trail 1 malformed: repeated edge id"]),
+    ("k4", [_K4_T0, [[1, 3, 0, 2], [4, 2, 6]]], ["trail 1 malformed: edge id 6 out of range"]),
+    ("k4", [_K4_T0, [[1, 3, 0, 3], [4, 2, 1]]], ["trail 1 malformed: edge 1=(0,2) does not join 0,3"]),
+    ("dumbbell", [[[0, 1, 1, 1], [0, 1, 2]]], ["trail 0 malformed: loop 0 does not sit at step 0"]),
+    (
+        "k4",
+        [[[0, 1, 2], [0, 3, 5]], [[1, 3, 0, 2], [4, -1, 1]]],
+        ["trail 0 malformed: 3 vertices with 3 edges", "trail 1 malformed: edge id -1 out of range"],
+    ),
+]
+
+
+@pytest.mark.parametrize("name,trails,violations", MALFORMED_TRAILS)
+def test_malformed_trail_messages(name, trails, violations, k4, dumbbell):
+    g = {"k4": k4, "dumbbell": dumbbell}[name]
+    doc = {"graph": C.graph_payload(g), "partitions": [[{"vertices": vs, "edges": es} for vs, es in trails]]}
+    report = json.loads(assert_same(doc))
+    assert report["ok"] is False and report["partitions"][0]["violations"] == violations

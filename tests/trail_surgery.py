@@ -3,38 +3,42 @@ the mark lifts in copnc.construct.
 
 These rebuild every trail of the three big partitions from the small
 ones: the trails away from the surgery site are relabelled, and the one
-or two trails through the site are rewritten edge by edge.  The result is validated trail by trail,
+or two trails through the site are rewritten edge by edge, each trail a
+(vertices, edges) pair of id lists.  The result is validated trail by trail,
 so comparing its markings with the library's mark lift checks each
 rewritten mark against an independent construction.
 """
 
 from typing import Sequence
 
-from copnc.graph import BLUE, RED, YELLOW, CubicGraph
-from copnc.partition import NormalPartition, Trail, validate_normal
+from copnc.graph import BLUE, RED, YELLOW
+from copnc.partition import NormalPartition, validate_normal
 
 
-def _lift_trail(t: Trail, gb: CubicGraph, vmap: Sequence[int], emap: Sequence[int]) -> Trail:
-    return Trail(gb, [vmap[v] for v in t.vertices], [emap[e] for e in t.edges])
+def _lift_trail(t: tuple, vmap: Sequence[int], emap: Sequence[int]) -> tuple:
+    vs, es = t
+    return [vmap[v] for v in vs], [emap[e] for e in es]
 
 
-def _trail_of_edge(p: NormalPartition, e: int) -> Trail:
-    return next(t for t in p.trails if e in t.edges)
+def _trail_of_edge(p: NormalPartition, e: int) -> tuple:
+    return next(t for t in p.trails if e in t[1])
 
 
-def _oriented_from(t: Trail, g: CubicGraph, start: int) -> Trail:
-    if t.vertices[0] == start:
+def _oriented_from(t: tuple, start: int) -> tuple:
+    vs, es = t
+    if vs[0] == start:
         return t
-    assert t.vertices[-1] == start
-    return Trail(g, t.vertices[::-1], t.edges[::-1])
+    assert vs[-1] == start
+    return vs[::-1], es[::-1]
 
 
-def _oriented_pred(t: Trail, g: CubicGraph, e: int, x: int) -> Trail:
-    i = t.edges.index(e)
-    if t.vertices[i] == x:
+def _oriented_pred(t: tuple, e: int, x: int) -> tuple:
+    vs, es = t
+    i = es.index(e)
+    if vs[i] == x:
         return t
-    assert t.vertices[i + 1] == x
-    return Trail(g, t.vertices[::-1], t.edges[::-1])
+    assert vs[i + 1] == x
+    return vs[::-1], es[::-1]
 
 
 def lift_digon(info, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
@@ -74,65 +78,33 @@ def lift_digon(info, parts: Sequence[NormalPartition]) -> list[NormalPartition]:
         p = parts[c]
         trails = []
         for t in p.trails:
-            if exy not in t.edges:
-                trails.append(_lift_trail(t, gb, v_s2b, e_s2b))
+            if exy not in t[1]:
+                trails.append(_lift_trail(t, v_s2b, e_s2b))
         lift_v = lambda vs: [v_s2b[v] for v in vs]
         lift_e = lambda es: [e_s2b[e] for e in es]
         if c == rho:
-            t = _oriented_pred(_trail_of_edge(p, exy), gs, exy, x_s)
-            i = t.edges.index(exy)
-            trails.append(
-                Trail(gb, lift_v(t.vertices[: i + 1]) + [u_b, v_b], lift_e(t.edges[:i]) + [e1, e3])
-            )
-            trails.append(
-                Trail(
-                    gb,
-                    lift_v(t.vertices[i + 1 :][::-1]) + [v_b, u_b],
-                    lift_e(t.edges[i + 1 :][::-1]) + [e2, e4],
-                )
-            )
+            vs, es = _oriented_pred(_trail_of_edge(p, exy), exy, x_s)
+            i = es.index(exy)
+            trails.append((lift_v(vs[: i + 1]) + [u_b, v_b], lift_e(es[:i]) + [e1, e3]))
+            trails.append((lift_v(vs[i + 1 :][::-1]) + [v_b, u_b], lift_e(es[i + 1 :][::-1]) + [e2, e4]))
         elif c == beta:
-            t = _oriented_from(_trail_of_edge(p, exy), gs, x_s)
-            assert t.edges[0] == exy
-            trails.append(Trail(gb, (x_b, u_b), (e1,)))
-            trails.append(
-                Trail(
-                    gb,
-                    [v_b, u_b, v_b] + lift_v(t.vertices[1:]),
-                    [e4, e3, e2] + lift_e(t.edges[1:]),
-                )
-            )
+            vs, es = _oriented_from(_trail_of_edge(p, exy), x_s)
+            assert es[0] == exy
+            trails.append(((x_b, u_b), (e1,)))
+            trails.append(([v_b, u_b, v_b] + lift_v(vs[1:]), [e4, e3, e2] + lift_e(es[1:])))
         else:
             t = _trail_of_edge(p, exy)
             if p.marked_edge(y_s) == exy:
-                t = _oriented_from(t, gs, y_s)
-                assert t.edges[0] == exy
-                trails.append(
-                    Trail(
-                        gb,
-                        [u_b, v_b, u_b] + lift_v(t.vertices[1:]),
-                        [e3, e4, e1] + lift_e(t.edges[1:]),
-                    )
-                )
-                trails.append(Trail(gb, (y_b, v_b), (e2,)))
+                vs, es = _oriented_from(t, y_s)
+                assert es[0] == exy
+                trails.append(([u_b, v_b, u_b] + lift_v(vs[1:]), [e3, e4, e1] + lift_e(es[1:])))
+                trails.append(((y_b, v_b), (e2,)))
             else:
-                t = _oriented_pred(t, gs, exy, x_s)
-                i = t.edges.index(exy)
-                trails.append(
-                    Trail(
-                        gb,
-                        lift_v(t.vertices[: i + 1]) + [u_b, v_b, u_b],
-                        lift_e(t.edges[:i]) + [e1, e4, e3],
-                    )
-                )
-                trails.append(
-                    Trail(
-                        gb,
-                        [v_b] + lift_v(t.vertices[i + 1 :]),
-                        [e2] + lift_e(t.edges[i + 1 :]),
-                    )
-                )
-        out.append(validate_normal(gb, [(t.vertices, t.edges) for t in trails]))
+                vs, es = _oriented_pred(t, exy, x_s)
+                i = es.index(exy)
+                trails.append((lift_v(vs[: i + 1]) + [u_b, v_b, u_b], lift_e(es[:i]) + [e1, e4, e3]))
+                trails.append(([v_b] + lift_v(vs[i + 1 :]), [e2] + lift_e(es[i + 1 :])))
+        out.append(validate_normal(gb, trails))
     return out
 
 
@@ -156,35 +128,36 @@ def lift_triangle(info, parts: Sequence[NormalPartition]) -> list[NormalPartitio
         P = inherit[col[pa]]
         Q = inherit[col[pb]]
         for t in p.trails:
-            if vs not in t.vertices:
-                trails.append(_lift_trail(t, gb, v_s2b, e_s2b))
+            t_vs, t_es = t
+            if vs not in t_vs:
+                trails.append(_lift_trail(t, v_s2b, e_s2b))
                 continue
             verts: list[int] = []
-            edges = [e_s2b[e] for e in t.edges]
+            edges = [e_s2b[e] for e in t_es]
             new_edges: list[int] = []
-            for j, w in enumerate(t.vertices):
+            for j, w in enumerate(t_vs):
                 if w != vs:
                     verts.append(v_s2b[w])
-                    if j < len(t.edges):
+                    if j < len(t_es):
                         new_edges.append(edges[j])
                     continue
-                if 0 < j < len(t.vertices) - 1:
+                if 0 < j < len(t_vs) - 1:
                     # internal: route the passage through the triangle
-                    a = inherit[col[t.edges[j - 1]]]
-                    b = inherit[col[t.edges[j]]]
+                    a = inherit[col[t_es[j - 1]]]
+                    b = inherit[col[t_es[j]]]
                     r = next(x for x in inherit if x not in (a, b))
                     verts.extend([a, r, b])
                     new_edges.append(tri_edge[frozenset((a, r))])
                     new_edges.append(tri_edge[frozenset((r, b))])
-                    if j < len(t.edges):
+                    if j < len(t_es):
                         new_edges.append(edges[j])
                 else:
                     # trail end at the old vertex: land on the inheritor
-                    e_end = t.edges[0] if j == 0 else t.edges[-1]
+                    e_end = t_es[0] if j == 0 else t_es[-1]
                     verts.append(inherit[col[e_end]])
-                    if j < len(t.edges):
+                    if j < len(t_es):
                         new_edges.append(edges[j])
-            trails.append(Trail(gb, verts, new_edges))
-        trails.append(Trail(gb, (min(P, Q), max(P, Q)), (tri_edge[frozenset((P, Q))],)))
-        out.append(validate_normal(gb, [(t.vertices, t.edges) for t in trails]))
+            trails.append((verts, new_edges))
+        trails.append(((min(P, Q), max(P, Q)), (tri_edge[frozenset((P, Q))],)))
+        out.append(validate_normal(gb, trails))
     return out

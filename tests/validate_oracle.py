@@ -2,8 +2,9 @@
 copnc.certificates.validate_certificate.
 
 This is the validator the library ran before validate_normal decoded the
-end marking and compared.  Every trail is built as a checked Trail, its
-ids are type-checked trail by trail, and partition_violations gates each
+end marking and compared.  Every trail is checked by checked_trail, a
+frozen copy of the library's former Trail constructor, its ids are
+type-checked trail by trail, and partition_violations gates each
 partition before its end marking is decoded.  The graph payload is always
 built, even when it equals the expected graph.  Claims are read by the
 library's own _claims and compared by mismatch, a frozen copy of the
@@ -24,16 +25,40 @@ from copnc.certificates import SCHEMA, CertificateError, _claims
 from copnc.graph import CubicGraph, Malformed, NonCubic, color_classes
 from copnc.partition import (
     InvalidPartition,
-    MalformedTrail,
     NormalPartition,
-    Trail,
-    TrailMalformed,
+    NotATrail,
     Violation,
     associated_matching,
     is_odd,
     partition_violations,
     trails_from_marking,
 )
+
+
+class MalformedTrail(ValueError):
+    """A trail description violates incidence or edge distinctness."""
+
+
+def checked_trail(g: CubicGraph, vertices: Sequence[int], edges: Sequence[int]) -> tuple[tuple, tuple]:
+    """(vertices, edges) as tuples, once they pass the five checks of the
+    library's former Trail constructor, frozen here; MalformedTrail names
+    the first that fails."""
+    vertices = tuple(vertices)
+    edges = tuple(edges)
+    if len(edges) < 1 or len(vertices) != len(edges) + 1:
+        raise MalformedTrail(f"{len(vertices)} vertices with {len(edges)} edges")
+    if len(set(edges)) != len(edges):
+        raise MalformedTrail("repeated edge id")
+    for i, e in enumerate(edges):
+        if not 0 <= e < g.m:
+            raise MalformedTrail(f"edge id {e} out of range")
+        a, b = g.endpoints[e]
+        u, v = vertices[i], vertices[i + 1]
+        if (u, v) != (a, b) and (v, u) != (a, b):
+            if a == b:
+                raise MalformedTrail(f"loop {e} does not sit at step {i}")
+            raise MalformedTrail(f"edge {e}=({a},{b}) does not join {u},{v}")
+    return vertices, edges
 
 
 def _ints(x) -> bool:
@@ -49,10 +74,10 @@ def validate_normal(g: CubicGraph, trails) -> NormalPartition:
         raise InvalidPartition(bad)
     at = g.dart_vertices
     marked = [0] * g.n
-    for t in trails:
-        v, d = t.vertices[0], 2 * t.edges[0]
+    for vs, es in trails:
+        v, d = vs[0], 2 * es[0]
         marked[v] = d if at[d] == v else d + 1
-        v, d = t.vertices[-1], 2 * t.edges[-1] + 1
+        v, d = vs[-1], 2 * es[-1] + 1
         marked[v] = d if at[d] == v else d - 1
     return trails_from_marking(g, marked)
 
@@ -93,7 +118,7 @@ def validate_certificate(doc: dict, expect_graph: Optional[CubicGraph] = None) -
             try:
                 if not (_ints(t["vertices"]) and _ints(t["edges"])):
                     raise TypeError("vertices and edges must be lists of int ids")
-                trails.append(Trail(g, t["vertices"], t["edges"]))
+                trails.append(checked_trail(g, t["vertices"], t["edges"]))
             except MalformedTrail as exc:
                 entry["violations"].append(f"trail {j} malformed: {exc}")
             except (KeyError, TypeError) as exc:
@@ -196,23 +221,22 @@ def decode_and_compare(g: CubicGraph, trails) -> NormalPartition:
         if 2 * len(trails) != n or -1 in marked:
             raise LookupError  # some vertex is not an end exactly once
         p = trails_from_marking(g, marked)
-        decoded = {t.vertices[0]: t for t in p._trails}
+        decoded = {t[0][0]: t for t in p.trails}
         for vs, es in trails:
             if vs[0] > vs[-1]:
                 vs, es = vs[::-1], es[::-1]
-            t = decoded[vs[0]]
-            if t.vertices != tuple(vs) or t.edges != tuple(es):
+            if decoded[vs[0]] != (tuple(vs), tuple(es)):
                 raise LookupError
         return p
     except (LookupError, ValueError):
         pass
-    given: list[Trail] = []
+    given: list[tuple[tuple, tuple]] = []
     bad: list[Violation] = []
     for j, (vs, es) in enumerate(trails):
         try:
-            given.append(Trail(g, vs, es))
+            given.append(checked_trail(g, vs, es))
         except MalformedTrail as exc:
-            bad.append(TrailMalformed(j, str(exc)))
+            bad.append(NotATrail(j, str(exc)))
     raise InvalidPartition(bad or partition_violations(g, given))
 
 
@@ -222,7 +246,7 @@ def partition_outcome(validate, g, trails) -> str:
     what it raised."""
     try:
         p = validate(g, trails)
-        return repr((p.marked, [(t.vertices, t.edges) for t in p.trails]))
+        return repr((p.marked, list(p.trails)))
     except Exception as exc:  # compared, not handled
         return f"{type(exc).__name__}: {exc}"
 
