@@ -11,7 +11,7 @@ Derivation constraints:
   * Petersen: each partition has trail length profile (5, 3, 3, 3, 1); the
     first compatible triple among such partitions in canonical order.
   * flower base: the marked edges at u1, v1, w1, t1, u2, v2, w2, t2 are
-    pinned to the boundary table in _flower_eqs; additionally u1u2 must be
+    pinned to the boundary table _FLOWER_EQS; additionally u1u2 must be
     an odd edge of the first partition and t1t2 an odd edge of the other
     two.  The same conditions are re-imposed after every k -> k+2 step,
     which is what makes the gadget replayable.
@@ -19,22 +19,23 @@ Derivation constraints:
     admit a gadget that replays through k = 9; the interface contract is
     exactly the frozen block-boundary marks.
 
-The k -> k+2 step deletes the three chaining edges between the first two
-claws (flower) or blocks (Goldberg), inserts the new middle section, keeps
-every carried mark, re-points the six marks that sat on deleted edges to
-their replacement edges, and stamps the frozen gadget marks onto the new
-vertices.
+Both families are chains of blocks, and the replay keeps its mark tables
+in block ids: claw i of F_k is block i-1, with u, v, w, t at offsets 0-3,
+and block j of G_k holds roles 1-8 at offsets 0-7, so a Goldberg block id
+is its vertex id.  The k -> k+2 step deletes the three chaining edges
+between blocks 0 and 1 and inserts two blocks after block 0.  Every later
+block is stored counted from the end, as a negative list index is, so a
+carried mark keeps its value and every edge but the deleted ones keeps
+its distance from the end: a step only re-points the six marks that sat
+on deleted edges (the family's cut table) and stamps the gadget's marks,
+with the flower's constant claw-2 boundary marks, on the new blocks.  The
+tables of F_k or G_k are turned into vertex ids and decoded once, in O(k)
+for the whole replay.
 
-The replay keeps its tables in end coordinates: claw 1 and block 0 keep
-their positions, and every later claw or block is stored counted from
-the end, as a negative list index is.  The step inserts its two claws or
-blocks right after the first one, so a stored mark keeps its value: a
-step only re-points the six marks and stamps the new section, and the
-tables of F_k or G_k are turned back into vertex ids and decoded once, in
-O(k) for the whole replay.  A step moves no mark off an edge except the
-six it re-points, since every other edge keeps its distance from the end.
-The final tables are still checked: every mark must be an edge and the
-decoded triple odd and compatible, else FamilyDataError.
+The frozen ids are checked before the replay: a base id must lie in the
+first three blocks and a gadget id in the first four, so that none wraps
+around onto the graph.  The decoded marks must be edges and the triple
+odd and compatible.  Any failure raises FamilyDataError.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .certificates import dumps
-from .graph import BadParameter, CubicGraph, generate
+from .graph import CubicGraph, generate
 from .partition import (
     NormalPartition,
     agreement,
@@ -66,13 +67,89 @@ _DATA_FILE = "families.json"
 
 
 # ---------------------------------------------------------------------------
-# Role coordinates
+# Block ids
 # ---------------------------------------------------------------------------
 
 
-def _flower_vid(k: int, role: tuple[str, int]) -> int:
-    x, i = role
-    return {"u": 0, "v": 1, "w": 2, "t": 3}[x] * k + i - 1
+def _cut(size: int, chains) -> tuple[tuple[int, int, int], ...]:
+    """The marks a k -> k+2 step re-points: (vertex, its neighbour across a
+    deleted chaining edge, its neighbour across the new one) in block ids
+    of the k+2 member, where the old block 1 is block 3.  chains holds the
+    offsets (in block j, in block j+1) of the three chaining edges."""
+    return tuple(
+        row for r, s in chains for row in ((r, 3 * size + s, size + s), (3 * size + s, r, 2 * size + r))
+    )
+
+
+# the chains u1-u2, w1-w2, t1-t2 and 6_j-6_{j+1}, 4_j-3_{j+1}, 7_j-8_{j+1}
+_FLOWER_CUT = _cut(4, ((0, 0), (2, 2), (3, 3)))
+_GOLD_CUT = _cut(8, ((5, 5), (3, 2), (6, 7)))
+
+# The pinned boundary marks at claws 1 and 2 of F_k, one table per
+# partition, in block ids; -4, -2 and -1 count from the end, so they are
+# u_k, w_k and t_k for every k.
+_FLOWER_EQS = (
+    {0: 1, 1: 2, 2: 6, 3: 7, 4: 8, 5: 4, 6: 5, 7: 3},
+    {0: -4, 1: 3, 2: 1, 3: -2, 4: 5, 5: 7, 6: 10, 7: 11},
+    {0: 4, 1: 0, 2: -1, 3: 1, 4: 0, 5: 6, 6: 2, 7: 5},
+)
+
+# Block size, cut table and the constant marks every step stamps with the
+# gadget: the flower's are its claw-2 boundary marks, which do not depend
+# on k.
+_FAMILY = {
+    "flower": (4, _FLOWER_CUT, tuple({v: w for v, w in eq.items() if v >= 4} for eq in _FLOWER_EQS)),
+    "goldberg": (8, _GOLD_CUT, ({}, {}, {})),
+}
+
+
+def _flower_ids(k: int) -> list[int]:
+    """The vertex id of each block id of F_k."""
+    return [(b % 4) * k + b // 4 for b in range(4 * k)]
+
+
+def _relabel(ids, tables) -> list[dict[int, int]]:
+    """The tables with every id b replaced by ids[b]; a negative id counts
+    from the end."""
+    return [{ids[v]: ids[w] for v, w in tab.items()} for tab in tables]
+
+
+def _replay(size: int, cut, k: int, base, gadget) -> list[dict[int, int]]:
+    """Block-id mark tables of the member with parameter k: the base tables
+    of k = 3 replayed through every k -> k+2 step, each step re-pointing the
+    marks on the three deleted chaining edges (cut) and stamping the
+    gadget's marks on the new blocks 1 and 2."""
+    end = lambda kk, v: v if v < size else v - size * kk
+    tables = [{end(3, v): end(3, w) for v, w in tab.items()} for tab in base]
+    for kk in range(5, k + 1, 2):
+        rows = [tuple(end(kk, v) for v in row) for row in cut]
+        for tab, stamp in zip(tables, gadget):
+            for v, old, new in rows:
+                if tab.get(v) == old:
+                    tab[v] = new
+            for v, w in stamp.items():
+                tab[end(kk, v)] = end(kk, w)
+    n = size * k  # a stored id below 0 counts from the end, as a list index does
+    return [{v % n: w % n for v, w in tab.items()} for tab in tables]
+
+
+def _marks_of(g: CubicGraph, parts: Sequence[NormalPartition], ids) -> list[dict[int, int]]:
+    """Block id -> block id mark tables of the partitions, where ids[b] is
+    the vertex of block id b."""
+    block = {v: b for b, v in enumerate(ids)}
+    out = []
+    for p in parts:
+        tab = {}
+        for b, v in enumerate(ids):
+            x, y = g.endpoints[p.marked_edge(v)]
+            tab[b] = block[y if x == v else x]
+        out.append(tab)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Marks on the graph
+# ---------------------------------------------------------------------------
 
 
 def _edge_lookup(g: CubicGraph) -> dict[tuple[int, int], int]:
@@ -88,25 +165,6 @@ def _dart_at(g: CubicGraph, lut, v: int, w: int) -> int:
     return 2 * e if g.endpoints[e][0] == v else 2 * e + 1
 
 
-def _flower_eqs(k: int) -> list[dict[tuple[str, int], tuple[str, int]]]:
-    """Pinned boundary marks at the first two claws, one table per
-    partition; the (u,k), (w,k), (t,k) entries wrap around the rings."""
-    return [
-        {
-            ("u", 1): ("v", 1), ("v", 1): ("w", 1), ("w", 1): ("w", 2), ("t", 1): ("t", 2),
-            ("u", 2): ("u", 3), ("v", 2): ("u", 2), ("w", 2): ("v", 2), ("t", 2): ("t", 1),
-        },
-        {
-            ("u", 1): ("u", k), ("v", 1): ("t", 1), ("w", 1): ("v", 1), ("t", 1): ("w", k),
-            ("u", 2): ("v", 2), ("v", 2): ("t", 2), ("w", 2): ("w", 3), ("t", 2): ("t", 3),
-        },
-        {
-            ("u", 1): ("u", 2), ("v", 1): ("u", 1), ("w", 1): ("t", k), ("t", 1): ("v", 1),
-            ("u", 2): ("u", 1), ("v", 2): ("w", 2), ("w", 2): ("w", 1), ("t", 2): ("v", 2),
-        },
-    ]
-
-
 def _is_odd_edge(p: NormalPartition, e: int) -> bool:
     """Whether e is an odd edge of the trail of p that holds it; defined
     for every normal partition, odd or not."""
@@ -114,8 +172,8 @@ def _is_odd_edge(p: NormalPartition, e: int) -> bool:
 
 
 def _flower_side_ok(g, lut, k, parts: Sequence[NormalPartition]) -> bool:
-    e_u12 = lut[(_flower_vid(k, ("u", 1)), _flower_vid(k, ("u", 2)))]
-    e_t12 = lut[(_flower_vid(k, ("t", 1)), _flower_vid(k, ("t", 2)))]
+    e_u12 = lut[(0, 1)]
+    e_t12 = lut[(3 * k, 3 * k + 1)]
     return _is_odd_edge(parts[0], e_u12) and _is_odd_edge(parts[1], e_t12) and _is_odd_edge(parts[2], e_t12)
 
 
@@ -126,7 +184,7 @@ def flower_boundary_ok(k: int, parts: Sequence[NormalPartition]) -> bool:
     position of its trail."""
     g = generate("flower", k)
     lut = _edge_lookup(g)
-    for tab, p in zip(_flower_vertex_tables(k, _flower_eqs(k)), parts):
+    for tab, p in zip(_relabel(_flower_ids(k), _FLOWER_EQS), parts):
         if any(p.marked_edge(v) != lut[(v, w)] for v, w in tab.items()):
             return False
     return _flower_side_ok(g, lut, k, parts)
@@ -140,44 +198,6 @@ def _pins(g, lut, tables) -> dict[int, tuple[int, int, int]]:
         for v in tables[0]
         if all(v in tab for tab in tables[1:])
     }
-
-
-def _flower_end_role(k: int, role: tuple[str, int]) -> tuple[str, int]:
-    """A role of F_k in end coordinates: claw 1 stays 1, claw i >= 2 is
-    stored as i - k - 1, so claw k is -1 and claw 2 is 1 - k."""
-    x, i = role
-    return role if i == 1 else (x, i - k - 1)
-
-
-def _flower_role(k: int, role: tuple[str, int]) -> tuple[str, int]:
-    """The role of F_k that end coordinates stand for."""
-    x, c = role
-    return role if c == 1 else (x, c + k + 1)
-
-
-def _flower_tables_for(k: int, base_tables, gadget_tables):
-    """Role tables of F_k: the base tables of F_3 replayed through every
-    k -> k+2 step.  A step deletes the chaining edges x1-x2 (x = u, w, t):
-    a mark from claw 1 to the old claw 2 re-points to the new claw 2, and
-    one from the old claw 2 to claw 1 to the new claw 3.  Then the boundary
-    marks of claw 2 (_flower_eqs) and the gadget's (claw 3) are stamped."""
-    tables = [
-        {_flower_end_role(3, r): _flower_end_role(3, s) for r, s in tab.items()}
-        for tab in base_tables
-    ]
-    for kk in range(5, k + 1, 2):
-        old2, new2, new3 = 3 - kk, 1 - kk, 2 - kk  # claws 4, 2 and 3 of F_kk
-        for tab, eq, gadget in zip(tables, _flower_eqs(kk), gadget_tables):
-            for x in "uwt":
-                if tab.get((x, 1)) == (x, old2):
-                    tab[(x, 1)] = (x, new2)
-                if tab.get((x, old2)) == (x, 1):
-                    tab[(x, old2)] = (x, new3)
-            stamp = {(x, 2): eq[(x, 2)] for x in "uvwt"}
-            stamp.update(gadget)
-            for r, s in stamp.items():
-                tab[_flower_end_role(kk, r)] = _flower_end_role(kk, s)
-    return [{_flower_role(k, r): _flower_role(k, s) for r, s in tab.items()} for tab in tables]
 
 
 def _decode_marks(g: CubicGraph, tables) -> Triple:
@@ -196,71 +216,19 @@ def _decode_marks(g: CubicGraph, tables) -> Triple:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _flower_vertex_tables(k: int, tables) -> list[dict[int, int]]:
-    """Role tables of F_k as vertex -> neighbour mark tables."""
-    vid = {(x, i): _flower_vid(k, (x, i)) for x in "uvwt" for i in range(1, k + 1)}
-    try:
-        return [{vid[r]: vid[s] for r, s in tab.items()} for tab in tables]
-    except KeyError as exc:
-        raise FamilyDataError(f"flower:{k} has no role {exc.args[0]}") from None
-
-
-# ---------------------------------------------------------------------------
-# Goldberg coordinates: vertex ids; block 0 is ids 0..7 for every parameter
-# ---------------------------------------------------------------------------
-
-
-def _gold_b(j: int, i: int) -> int:
-    return 8 * j + i - 1
-
-
-# The marks a k -> k+2 step re-points: (vertex, its neighbour across a
-# deleted chaining edge, its neighbour across the new one), in ids of
-# G_{k+2}, where the old block 1 is block 3
-_GOLD_CUT = (
-    (_gold_b(0, 6), _gold_b(3, 6), _gold_b(1, 6)),
-    (_gold_b(3, 6), _gold_b(0, 6), _gold_b(2, 6)),
-    (_gold_b(0, 4), _gold_b(3, 3), _gold_b(1, 3)),
-    (_gold_b(3, 3), _gold_b(0, 4), _gold_b(2, 4)),
-    (_gold_b(0, 7), _gold_b(3, 8), _gold_b(1, 8)),
-    (_gold_b(3, 8), _gold_b(0, 7), _gold_b(2, 7)),
-)
-
-
-def _gold_end(k: int, v: int) -> int:
-    """A vertex id of G_k in end coordinates: block 0 stays, every later
-    id is stored as v - 8k, so block k-1 is ids -8..-1."""
-    return v if v < 8 else v - 8 * k
-
-
-def _gold_marks_for(k: int, base_marks, gadget_marks):
-    """Vertex -> neighbour marks of G_k: the base marks of G_3 replayed
-    through every k -> k+2 step, each step re-pointing the marks on the
-    three deleted chaining edges (_GOLD_CUT) and stamping the gadget's
-    marks on the new blocks 1 and 2."""
-    marks = [{_gold_end(3, v): _gold_end(3, w) for v, w in tab.items()} for tab in base_marks]
-    for kk in range(5, k + 1, 2):
-        cut = [tuple(_gold_end(kk, v) for v in row) for row in _GOLD_CUT]
-        for tab, gadget in zip(marks, gadget_marks):
-            for v, old, new in cut:
-                if tab.get(v) == old:
-                    tab[v] = new
-            for v, w in gadget.items():
-                tab[_gold_end(kk, v)] = _gold_end(kk, w)
-    n = 8 * k  # a stored id below 0 counts from the end, as a list index does
-    return [{v % n: w % n for v, w in tab.items()} for tab in marks]
-
-
-def _gold_marks_of(g: CubicGraph, parts: Sequence[NormalPartition]):
-    out = []
-    for p in parts:
-        tab = {}
-        for v in range(g.n):
-            e = p.marked_edge(v)
-            a, b = g.endpoints[e]
-            tab[v] = b if a == v else a
-        out.append(tab)
-    return out
+def _triple(name: str, k: int, base, gadget) -> Triple:
+    """The certified triple of the flower or Goldberg member with parameter
+    k, from block-id base and gadget tables; BadParameter for a k the
+    family does not take, FamilyDataError when the tables do not give a
+    compatible triple of odd partitions."""
+    g = generate(name, k)
+    size, cut, stamp = _FAMILY[name]
+    tables = _replay(size, cut, k, base, [{**s, **t} for s, t in zip(stamp, gadget)])
+    if name == "flower":
+        tables = _relabel(_flower_ids(k), tables)
+    triple = _decode_marks(g, tables)
+    _check_triple(triple)
+    return triple
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +251,36 @@ def _data() -> dict:
     return _cache
 
 
-def _role_from_str(s: str) -> tuple[str, int]:
-    return (s[0], int(s[1:]))
+def _json_ids(name: str, blocks: int) -> tuple[dict, dict]:
+    """The block ids of the first `blocks` blocks as frozen-data keys and
+    values: flower roles such as "u1" for both, Goldberg ids as strings for
+    keys and as numbers for values."""
+    ids = range(_FAMILY[name][0] * blocks)
+    if name == "flower":
+        roles = {f"{'uvwt'[b % 4]}{b // 4 + 1}": b for b in ids}
+        return roles, roles
+    return {str(b): b for b in ids}, dict(zip(ids, ids))
 
 
-def _tables_from_json(tabs) -> list[dict]:
-    return [
-        {_role_from_str(r): _role_from_str(nr) for r, nr in tab.items()}
-        for tab in tabs
-    ]
+def _from_json(name: str, tabs, blocks: int) -> list[dict[int, int]]:
+    keys, values = _json_ids(name, blocks)
+    try:
+        return [{keys[v]: values[w] for v, w in tab.items()} for tab in tabs]
+    except KeyError as exc:
+        raise FamilyDataError(f"the frozen {name} data holds {exc.args[0]!r}, no id of its first {blocks} blocks") from None
 
 
-def _tables_to_json(tabs) -> list[dict]:
-    return [
-        {f"{x}{i}": f"{y}{j}" for (x, i), (y, j) in sorted(tab.items())}
-        for tab in tabs
-    ]
+def _to_json(name: str, tabs) -> list[dict]:
+    keys, values = ({b: s for s, b in m.items()} for m in _json_ids(name, 4))
+    return [{keys[v]: values[w] for v, w in tab.items()} for tab in tabs]
+
+
+def _frozen(name: str, k: int):
+    """The frozen base and gadget tables of a family in block ids, each id
+    checked; the gadget is read only from k = 5 on, where it is used."""
+    d = _data()[name]
+    gadget = _from_json(name, d["gadget"], 4) if k > 3 else [{}, {}, {}]
+    return _from_json(name, d["base"], 3), gadget
 
 
 def petersen_triple() -> Triple:
@@ -317,25 +299,12 @@ def petersen_triple() -> Triple:
 def flower_triple(k: int) -> Triple:
     """Compatible triple of the flower graph on 4k vertices (odd k >= 3),
     satisfying the boundary marks and side conditions at every step."""
-    if k < 3 or k % 2 == 0:
-        raise BadParameter(f"flower parameter must be odd and >= 3, got {k}")
-    d = _data()["flower"]
-    tables = _flower_tables_for(k, _tables_from_json(d["base"]), _tables_from_json(d["gadget"]))
-    triple = _decode_marks(generate("flower", k), _flower_vertex_tables(k, tables))
-    _check_triple(triple)
-    return triple
+    return _triple("flower", k, *_frozen("flower", k))
 
 
 def goldberg_triple(k: int) -> Triple:
     """Compatible triple of the Goldberg graph on 8k vertices (odd k >= 3)."""
-    if k < 3 or k % 2 == 0:
-        raise BadParameter(f"goldberg parameter must be odd and >= 3, got {k}")
-    d = _data()["goldberg"]
-    base = [{int(v): w for v, w in tab.items()} for tab in d["base"]]
-    gadget = [{int(v): w for v, w in tab.items()} for tab in d["gadget"]]
-    triple = _decode_marks(generate("goldberg", k), _gold_marks_for(k, base, gadget))
-    _check_triple(triple)
-    return triple
+    return _triple("goldberg", k, *_frozen("goldberg", k))
 
 
 def _check_triple(parts: Sequence[NormalPartition]) -> None:
@@ -375,60 +344,30 @@ def derive_petersen() -> Triple:
 
 
 def derive_flower() -> tuple[list[dict], list[dict]]:
-    """Base tables for k=3 plus the replayable gadget, both as role maps.
+    """Base tables for k=3 plus the replayable gadget (claw 3), both in
+    block ids.
 
     Searches base triples pinned to the boundary table, then gadget
     completions on k=5, and keeps the first pair whose replay validates
     through k=9."""
     from .search import enumerate_compatible_triples
 
-    g3 = generate("flower", 3)
-    lut3 = _edge_lookup(g3)
-    base_fixed = _pins(g3, lut3, _flower_vertex_tables(3, _flower_eqs(3)))
-    all_roles3 = [(x, i) for x in "uvwt" for i in range(1, 4)]
-
-    def role_tables(g, k, parts, roles):
-        rev = {_flower_vid(k, (x, i)): (x, i) for x in "uvwt" for i in range(1, k + 1)}
-        out = []
-        for p in parts:
-            tab = {}
-            for role in roles:
-                v = _flower_vid(k, role)
-                e = p.marked_edge(v)
-                a, b = g.endpoints[e]
-                tab[role] = rev[b if a == v else a]
-            out.append(tab)
-        return out
-
-    g5 = generate("flower", 5)
-    lut5 = _edge_lookup(g5)
-    for base in enumerate_compatible_triples(g3, fixed=base_fixed):
+    g3, g5 = generate("flower", 3), generate("flower", 5)
+    lut3, lut5 = _edge_lookup(g3), _edge_lookup(g5)
+    ids3, ids5 = _flower_ids(3), _flower_ids(5)
+    _, cut, stamp = _FAMILY["flower"]
+    for base in enumerate_compatible_triples(g3, fixed=_pins(g3, lut3, _relabel(ids3, _FLOWER_EQS))):
         if not _flower_side_ok(g3, lut3, 3, base):
             continue
-        base_tables = role_tables(g3, 3, base, all_roles3)
-        carried = _flower_tables_for(5, base_tables, [{}, {}, {}])
-        fixed5 = _pins(g5, lut5, _flower_vertex_tables(5, carried))
+        base_tables = _marks_of(g3, base, ids3)
+        fixed5 = _pins(g5, lut5, _relabel(ids5, _replay(4, cut, 5, base_tables, stamp)))
         for trip5 in enumerate_compatible_triples(g5, fixed=fixed5):
             if not _flower_side_ok(g5, lut5, 5, trip5):
                 continue
-            gadget = role_tables(g5, 5, trip5, [("u", 3), ("v", 3), ("w", 3), ("t", 3)])
-            if _flower_replays(base_tables, gadget):
+            gadget = [{b: tab[b] for b in range(8, 12)} for tab in _marks_of(g5, trip5, ids5)]
+            if _replays("flower", base_tables, gadget):
                 return base_tables, gadget
     raise AssertionError("no replayable flower gadget found")
-
-
-def _flower_replays(base_tables, gadget) -> bool:
-    for kk in (7, 9):
-        try:
-            tables = _flower_tables_for(kk, base_tables, gadget)
-            parts = _decode_marks(generate("flower", kk), _flower_vertex_tables(kk, tables))
-        except Exception:
-            return False
-        if not all(is_odd(p) for p in parts) or agreement(parts):
-            return False
-        if not flower_boundary_ok(kk, parts):
-            return False
-    return True
 
 
 def derive_goldberg() -> tuple[list[dict], list[dict]]:
@@ -437,27 +376,27 @@ def derive_goldberg() -> tuple[list[dict], list[dict]]:
     k=9."""
     from .search import enumerate_compatible_triples
 
-    g3 = generate("goldberg", 3)
-    g5 = generate("goldberg", 5)
+    g3, g5 = generate("goldberg", 3), generate("goldberg", 5)
     lut5 = _edge_lookup(g5)
     for base in enumerate_compatible_triples(g3):
-        base_marks = _gold_marks_of(g3, base)
-        carried = _gold_marks_for(5, base_marks, [{}, {}, {}])
+        base_marks = _marks_of(g3, base, range(g3.n))
+        carried = _replay(8, _GOLD_CUT, 5, base_marks, [{}, {}, {}])
         for trip5 in enumerate_compatible_triples(g5, fixed=_pins(g5, lut5, carried)):
-            m5 = _gold_marks_of(g5, trip5)
-            gadget = [{v: tab[v] for v in range(8, 24)} for tab in m5]
-            if _gold_replays(base_marks, gadget):
+            gadget = [{v: tab[v] for v in range(8, 24)} for tab in _marks_of(g5, trip5, range(g5.n))]
+            if _replays("goldberg", base_marks, gadget):
                 return base_marks, gadget
     raise AssertionError("no replayable goldberg gadget found")
 
 
-def _gold_replays(base_marks, gadget) -> bool:
+def _replays(name: str, base, gadget) -> bool:
+    """Whether the tables give a certified triple at k = 7 and k = 9, for
+    the flower one that keeps its boundary marks and side conditions."""
     for kk in (7, 9):
         try:
-            parts = _decode_marks(generate("goldberg", kk), _gold_marks_for(kk, base_marks, gadget))
-        except Exception:
+            parts = _triple(name, kk, base, gadget)
+        except ValueError:  # FamilyDataError, or CycleError from the decode
             return False
-        if not all(is_odd(p) for p in parts) or agreement(parts):
+        if name == "flower" and not flower_boundary_ok(kk, parts):
             return False
     return True
 
@@ -466,20 +405,10 @@ def derive_family_data() -> dict:
     """Re-run every derivation and assemble the frozen-data document; the
     Petersen partitions stay partitions, which dumps writes as their trails."""
     pet = derive_petersen()
-    fl_base, fl_gadget = derive_flower()
-    go_base, go_gadget = derive_goldberg()
-    return {
-        "schema": "copnc/1",
-        "petersen": {"partitions": list(pet)},
-        "flower": {
-            "base": _tables_to_json(fl_base),
-            "gadget": _tables_to_json(fl_gadget),
-        },
-        "goldberg": {
-            "base": [{str(v): w for v, w in sorted(tab.items())} for tab in go_base],
-            "gadget": [{str(v): w for v, w in sorted(tab.items())} for tab in go_gadget],
-        },
-    }
+    doc = {"schema": "copnc/1", "petersen": {"partitions": list(pet)}}
+    for name, (base, gadget) in (("flower", derive_flower()), ("goldberg", derive_goldberg())):
+        doc[name] = {"base": _to_json(name, base), "gadget": _to_json(name, gadget)}
+    return doc
 
 
 def family_data_text(data: Optional[dict] = None) -> str:

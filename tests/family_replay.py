@@ -1,19 +1,26 @@
 """The quadratic family replay: the oracle for copnc.families' replay.
 
-This is the replay the library ran before it kept its tables in end
-coordinates.  At each k -> k+2 step the flower replay renames every role
-of every table and tests every mark against the full role edge set of
-F_{k+2}; the Goldberg replay builds G_{k+2} and its edge lookup and
+This is the replay the library ran before it kept its tables in block ids
+counted from the end.  At each k -> k+2 step the flower replay renames
+every role of every table and tests every mark against the full role edge
+set of F_{k+2}; the Goldberg replay builds G_{k+2} and its edge lookup and
 shifts every mark.  Both are O(k) per step and O(k^2) up to k.
 
 flower_replay and goldberg_replay yield the tables of every odd
-parameter 3, 5, ..., k_max from one pass, in the library's shapes: role
-tables {(x, i): (y, j)} for the flower, vertex -> neighbour dicts for
-Goldberg.
+parameter 3, 5, ..., k_max from one pass: role tables {(x, i): (y, j)}
+for the flower, vertex -> neighbour dicts for Goldberg.  The flower's
+claw-2 boundary marks are a frozen copy here, not the library's.
 """
 
-from copnc.families import _flower_eqs
 from copnc.graph import generate
+
+# The boundary marks at claw 2 of every F_k, one table per partition; each
+# flower step stamps them on the new claw 2.
+_FLOWER_CLAW2 = (
+    {("u", 2): ("u", 3), ("v", 2): ("u", 2), ("w", 2): ("v", 2), ("t", 2): ("t", 1)},
+    {("u", 2): ("v", 2), ("v", 2): ("t", 2), ("w", 2): ("w", 3), ("t", 2): ("t", 3)},
+    {("u", 2): ("u", 1), ("v", 2): ("w", 2), ("w", 2): ("w", 1), ("t", 2): ("v", 2)},
+)
 
 
 def _flower_role_edges(k: int) -> set[frozenset]:
@@ -61,10 +68,8 @@ def flower_replay(base_tables, gadget_tables, k_max: int):
     yield 3, tables
     for kk in range(5, k_max + 1, 2):
         tables = _flower_extend_tables(tables, kk)
-        eqs = _flower_eqs(kk)
         for p_idx in range(3):
-            for role in (("u", 2), ("v", 2), ("w", 2), ("t", 2)):
-                tables[p_idx][role] = eqs[p_idx][role]
+            tables[p_idx].update(_FLOWER_CLAW2[p_idx])
             tables[p_idx].update(gadget_tables[p_idx])
         yield kk, tables
 

@@ -11,11 +11,11 @@ import pytest
 import copnc
 from copnc import families
 from copnc.families import (
+    _FAMILY,
     FamilyDataError,
     _check_triple,
-    _flower_tables_for,
-    _gold_marks_for,
-    _tables_from_json,
+    _frozen,
+    _replay,
     derive_petersen,
     flower_boundary_ok,
     flower_triple,
@@ -38,9 +38,19 @@ from family_replay import flower_replay, goldberg_replay
 from lemma_checks import edge_role_audit
 
 
-def flower_data():
+def flower_roles():
+    """The frozen flower base and gadget as role tables {(x, i): (y, j)},
+    the shape of tests/family_replay.py."""
+    role = lambda s: (s[0], int(s[1:]))
     d = families._data()["flower"]
-    return _tables_from_json(d["base"]), _tables_from_json(d["gadget"])
+    return tuple([{role(r): role(s) for r, s in tab.items()} for tab in d[key]] for key in ("base", "gadget"))
+
+
+def block_ids(tables):
+    """Role tables in block ids: claw i is block i-1, with u, v, w, t at
+    offsets 0-3."""
+    bid = lambda role: 4 * (role[1] - 1) + "uvwt".index(role[0])
+    return [{bid(r): bid(s) for r, s in tab.items()} for tab in tables]
 
 
 def goldberg_data():
@@ -269,29 +279,36 @@ class TestDeterminismAndAudit:
 
 
 class TestReplay:
-    """The replay in end coordinates against the quadratic replay of
-    tests/family_replay.py, which renames or shifts every mark at every
-    step."""
+    """The one replay in block ids against the quadratic replays of
+    tests/family_replay.py, which rename or shift every mark at every step,
+    for every odd k <= 99."""
+
+    def check_flower(self, base, gadget):
+        size, cut, stamp = _FAMILY["flower"]
+        stamped = [{**s, **t} for s, t in zip(stamp, block_ids(gadget))]
+        for k, tables in flower_replay(base, gadget, 99):
+            assert _replay(size, cut, k, block_ids(base), stamped) == block_ids(tables), k
+
+    def check_goldberg(self, base, gadget):
+        size, cut, _ = _FAMILY["goldberg"]
+        for k, marks in goldberg_replay(base, gadget, 99):
+            assert _replay(size, cut, k, base, gadget) == marks, k
 
     def test_flower_tables_match_quadratic_replay(self):
-        base, gadget = flower_data()
-        for k, tables in flower_replay(base, gadget, 99):
-            assert _flower_tables_for(k, base, gadget) == tables, k
+        base, gadget = flower_roles()
+        assert _frozen("flower", 5) == (block_ids(base), block_ids(gadget))
+        self.check_flower(base, gadget)
 
     def test_goldberg_marks_match_quadratic_replay(self):
         base, gadget = goldberg_data()
-        for k, marks in goldberg_replay(base, gadget, 99):
-            assert _gold_marks_for(k, base, gadget) == marks, k
+        assert _frozen("goldberg", 5) == (base, gadget)
+        self.check_goldberg(base, gadget)
 
     def test_carry_without_gadget(self):
         # the derivations carry the base one step with no gadget stamped
         empty = [{}, {}, {}]
-        base, _ = flower_data()
-        for k, tables in flower_replay(base, empty, 9):
-            assert _flower_tables_for(k, base, empty) == tables, k
-        base, _ = goldberg_data()
-        for k, marks in goldberg_replay(base, empty, 9):
-            assert _gold_marks_for(k, base, empty) == marks, k
+        self.check_flower(flower_roles()[0], empty)
+        self.check_goldberg(goldberg_data()[0], empty)
 
 
 class TestFrozenDataChecked:
@@ -310,6 +327,29 @@ class TestFrozenDataChecked:
         corrupt(lambda d: d["flower"]["base"][1].update(u3="x3"))
         with pytest.raises(FamilyDataError):
             flower_triple(3)
+
+    @pytest.mark.parametrize("role, claw", [("t2", "t5"), ("t1", "t0")])
+    def test_flower_claw_out_of_range(self, corrupt, role, claw):
+        # claw 5 is past the three claws of F_3 and claw 0 before claw 1; in
+        # end coordinates t5 would wrap onto t1 and t0 onto a claw of F_k
+        corrupt(lambda d: d["flower"]["base"][0].update({role: claw}))
+        for k in (3, 5, 13):
+            with pytest.raises(FamilyDataError):
+                flower_triple(k)
+
+    def test_goldberg_base_id_out_of_range(self, corrupt):
+        # G_3 has vertices 0..23; 25 would wrap onto vertex 1 of G_3
+        corrupt(lambda d: d["goldberg"]["base"][0].update({"0": 25}))
+        for k in (3, 5, 7):
+            with pytest.raises(FamilyDataError):
+                goldberg_triple(k)
+
+    def test_goldberg_gadget_id_out_of_range(self, corrupt):
+        # the gadget lives on G_5, ids 0..31 of its first four blocks; an id
+        # 320 = 8 * 40 lower would wrap onto the same vertex of G_5
+        corrupt(lambda d: d["goldberg"]["gadget"][0].update({"9": d["goldberg"]["gadget"][0]["9"] - 320}))
+        with pytest.raises(FamilyDataError):
+            goldberg_triple(5)
 
     def test_goldberg_mark_off_the_graph(self, corrupt):
         # vertex 8 (block 1, role 1) is not adjacent to vertex 30

@@ -10,8 +10,9 @@ Each figure is CPU time (process_time) of one call, the best of --repeat
 calls, after the frozen data is loaded once.  `ms` is the whole call:
 the k -> k+2 replay of the frozen tables, building the graph, decoding
 the three markings and checking the triple.  `replay_ms` is the replay of
-the tables alone.  The ratio column is `ms` over that of the row before,
-so a construction linear in k reads about 2 per doubling.
+the block-id tables alone (copnc.families._replay).  The ratio column is
+`ms` over that of the row before, so a construction linear in k reads
+about 2 per doubling.
 
 Run from the repository root:  python3 tools/family_rate.py [--repeat 7]
 """
@@ -45,21 +46,18 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=7, help="calls per k; the best is kept")
     args = ap.parse_args(argv)
-    data = families._data()
-    flower = [families._tables_from_json(data["flower"][key]) for key in ("base", "gadget")]
-    goldberg = [[{int(v): w for v, w in tab.items()} for tab in data["goldberg"][key]] for key in ("base", "gadget")]
-    cases = {
-        "flower": (families.flower_triple, families._flower_tables_for, flower, 4),
-        "goldberg": (families.goldberg_triple, families._gold_marks_for, goldberg, 8),
-    }
+    triples = {"flower": families.flower_triple, "goldberg": families.goldberg_triple}
     print(f"{'family':<9} {'k':>4} {'n':>5} {'ms':>8} {'ratio':>6} {'replay_ms':>9}")
-    for name, (triple, replay, (base, gadget), per_k) in cases.items():
+    for name, triple in triples.items():
+        size, cut, stamp = families._FAMILY[name]
+        base, gadget = families._frozen(name, 5)
+        gadget = [{**s, **t} for s, t in zip(stamp, gadget)]
         prev = None
         for k in SIZES[name]:
             ms = best_ms(lambda: triple(k), args.repeat)
-            replay_ms = best_ms(lambda: replay(k, base, gadget), args.repeat)
+            replay_ms = best_ms(lambda: families._replay(size, cut, k, base, gadget), args.repeat)
             ratio = f"{ms / prev:>6.2f}" if prev else f"{'-':>6}"
-            print(f"{name:<9} {k:>4} {per_k * k:>5} {ms:>8.2f} {ratio} {replay_ms:>9.2f}")
+            print(f"{name:<9} {k:>4} {size * k:>5} {ms:>8.2f} {ratio} {replay_ms:>9.2f}")
             prev = ms
     return 0
 
