@@ -23,11 +23,9 @@ Three constructive routes live here:
 
 from __future__ import annotations
 
-import logging
 import random
 from heapq import heappop, heappush
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graph import (
     BLUE,
@@ -43,14 +41,13 @@ from .graph import (
 )
 from .partition import (
     NormalPartition,
+    _Record,
     agreement,
     is_conformal,
     is_odd,
     trails_from_marking,
 )
 from .switching import conformal_switch
-
-log = logging.getLogger(__name__)
 
 
 class NoMatching(ValueError):
@@ -186,8 +183,7 @@ def _incoming_marks(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformalTriple:
+class ConformalTriple(_Record):
     """Three pairwise compatible normal odd partitions, partitions[c]
     conformal to color class c of the coloring."""
 
@@ -407,7 +403,9 @@ def _descent(g: CubicGraph, coloring: tuple[int, ...], seed: int = 0, budget: in
                 mk[:] = new  # in place: agrees reads m0, m1 and m2
             agree = [agrees(v) for v in range(g.n)]
             size = sum(agree)
-    log.debug("conformal triple reached A=0 via %s", strategy)
+    import logging  # here, so that importing the library does not load it
+
+    logging.getLogger(__name__).debug("conformal triple reached A=0 via %s", strategy)
     return marks
 
 
@@ -512,8 +510,7 @@ class Contraction:
         return core, tuple(self.color[e] for e in eids), vids, eids
 
 
-@dataclass(frozen=True)
-class _DigonSite:
+class _DigonSite(NamedTuple):
     """One digon contraction, in the ids it was made in.  Each side is
     (outer vertex, digon vertex, dart of the hanging edge at the outer
     vertex); at_u[c] is the dart at the first side's digon vertex of the
@@ -526,8 +523,7 @@ class _DigonSite:
     at_u: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class _TriangleSite:
+class _TriangleSite(NamedTuple):
     """One triangle contraction, in the ids it was made in; tri[0]
     survives.  For each color c, outer[c] is the outside edge of that
     color, inherit[c] the triangle vertex it hangs from, and tri_marks[c]

@@ -108,6 +108,18 @@ def _flower_ids(k: int) -> list[int]:
     return [(b % 4) * k + b // 4 for b in range(4 * k)]
 
 
+# What a derivation searches under: the vertex of each block id of the
+# member with parameter k, the boundary marks pinned at every step, the
+# block-id edges each partition must hold as odd edges (the flower's side
+# conditions: u1u2 in the first partition, t1t2 in the other two), and the
+# block ids whose marks the gadget keeps (the flower's claw 3, its claw 2
+# being stamped from the pins; Goldberg blocks 1 and 2).
+_DERIVE = {
+    "flower": (_flower_ids, _FLOWER_EQS, (((0, 4),), ((3, 7),), ((3, 7),)), range(8, 12)),
+    "goldberg": (lambda k: range(8 * k), ({}, {}, {}), ((), (), ()), range(8, 24)),
+}
+
+
 def _relabel(ids, tables) -> list[dict[int, int]]:
     """The tables with every id b replaced by ids[b]; a negative id counts
     from the end."""
@@ -171,10 +183,12 @@ def _is_odd_edge(p: NormalPartition, e: int) -> bool:
     return any(e in es[1::2] for _, es in p.trails)
 
 
-def _flower_side_ok(g, lut, k, parts: Sequence[NormalPartition]) -> bool:
-    e_u12 = lut[(0, 1)]
-    e_t12 = lut[(3 * k, 3 * k + 1)]
-    return _is_odd_edge(parts[0], e_u12) and _is_odd_edge(parts[1], e_t12) and _is_odd_edge(parts[2], e_t12)
+def _side_ok(name: str, lut, k, parts: Sequence[NormalPartition]) -> bool:
+    """Whether each partition of the member with parameter k holds the
+    family's side edges for it as odd edges."""
+    ids_of, _, odd, _ = _DERIVE[name]
+    ids = ids_of(k)
+    return all(_is_odd_edge(p, lut[(ids[a], ids[b])]) for p, pairs in zip(parts, odd) for a, b in pairs)
 
 
 def flower_boundary_ok(k: int, parts: Sequence[NormalPartition]) -> bool:
@@ -187,7 +201,7 @@ def flower_boundary_ok(k: int, parts: Sequence[NormalPartition]) -> bool:
     for tab, p in zip(_relabel(_flower_ids(k), _FLOWER_EQS), parts):
         if any(p.marked_edge(v) != lut[(v, w)] for v, w in tab.items()):
             return False
-    return _flower_side_ok(g, lut, k, parts)
+    return _side_ok("flower", lut, k, parts)
 
 
 def _pins(g, lut, tables) -> dict[int, tuple[int, int, int]]:
@@ -343,49 +357,32 @@ def derive_petersen() -> Triple:
     raise AssertionError("no profile triple on the Petersen graph")
 
 
-def derive_flower() -> tuple[list[dict], list[dict]]:
-    """Base tables for k=3 plus the replayable gadget (claw 3), both in
-    block ids.
+def _derive(name: str) -> tuple[list[dict], list[dict]]:
+    """Base tables for k = 3 plus the replayable gadget, both in block ids.
 
-    Searches base triples pinned to the boundary table, then gadget
-    completions on k=5, and keeps the first pair whose replay validates
-    through k=9."""
+    Searches base triples that keep the family's boundary marks and side
+    conditions, then completions on k = 5 of the base's carried marks
+    that keep them too, and returns the first pair whose replay validates
+    through k = 9."""
     from .search import enumerate_compatible_triples
 
-    g3, g5 = generate("flower", 3), generate("flower", 5)
+    size, cut, stamp = _FAMILY[name]
+    ids_of, eqs, _, kept = _DERIVE[name]
+    g3, g5 = generate(name, 3), generate(name, 5)
     lut3, lut5 = _edge_lookup(g3), _edge_lookup(g5)
-    ids3, ids5 = _flower_ids(3), _flower_ids(5)
-    _, cut, stamp = _FAMILY["flower"]
-    for base in enumerate_compatible_triples(g3, fixed=_pins(g3, lut3, _relabel(ids3, _FLOWER_EQS))):
-        if not _flower_side_ok(g3, lut3, 3, base):
+    ids3, ids5 = ids_of(3), ids_of(5)
+    for base in enumerate_compatible_triples(g3, fixed=_pins(g3, lut3, _relabel(ids3, eqs))):
+        if not _side_ok(name, lut3, 3, base):
             continue
         base_tables = _marks_of(g3, base, ids3)
-        fixed5 = _pins(g5, lut5, _relabel(ids5, _replay(4, cut, 5, base_tables, stamp)))
+        fixed5 = _pins(g5, lut5, _relabel(ids5, _replay(size, cut, 5, base_tables, stamp)))
         for trip5 in enumerate_compatible_triples(g5, fixed=fixed5):
-            if not _flower_side_ok(g5, lut5, 5, trip5):
+            if not _side_ok(name, lut5, 5, trip5):
                 continue
-            gadget = [{b: tab[b] for b in range(8, 12)} for tab in _marks_of(g5, trip5, ids5)]
-            if _replays("flower", base_tables, gadget):
+            gadget = [{b: tab[b] for b in kept} for tab in _marks_of(g5, trip5, ids5)]
+            if _replays(name, base_tables, gadget):
                 return base_tables, gadget
-    raise AssertionError("no replayable flower gadget found")
-
-
-def derive_goldberg() -> tuple[list[dict], list[dict]]:
-    """Base marks on the k=3 graph plus the 16-vertex gadget, found as the
-    first (base, completion) pair in search order that replays through
-    k=9."""
-    from .search import enumerate_compatible_triples
-
-    g3, g5 = generate("goldberg", 3), generate("goldberg", 5)
-    lut5 = _edge_lookup(g5)
-    for base in enumerate_compatible_triples(g3):
-        base_marks = _marks_of(g3, base, range(g3.n))
-        carried = _replay(8, _GOLD_CUT, 5, base_marks, [{}, {}, {}])
-        for trip5 in enumerate_compatible_triples(g5, fixed=_pins(g5, lut5, carried)):
-            gadget = [{v: tab[v] for v in range(8, 24)} for tab in _marks_of(g5, trip5, range(g5.n))]
-            if _replays("goldberg", base_marks, gadget):
-                return base_marks, gadget
-    raise AssertionError("no replayable goldberg gadget found")
+    raise AssertionError(f"no replayable {name} gadget found")
 
 
 def _replays(name: str, base, gadget) -> bool:
@@ -406,7 +403,8 @@ def derive_family_data() -> dict:
     Petersen partitions stay partitions, which dumps writes as their trails."""
     pet = derive_petersen()
     doc = {"schema": "copnc/1", "petersen": {"partitions": list(pet)}}
-    for name, (base, gadget) in (("flower", derive_flower()), ("goldberg", derive_goldberg())):
+    for name in ("flower", "goldberg"):
+        base, gadget = _derive(name)
         doc[name] = {"base": _to_json(name, base), "gadget": _to_json(name, gadget)}
     return doc
 

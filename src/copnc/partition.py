@@ -33,7 +33,6 @@ odd partition form a perfect matching (each vertex meets exactly one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq, rshift
 from typing import Optional, Sequence, Union
@@ -61,8 +60,42 @@ class InvalidPartition(ValueError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-@dataclass(frozen=True)
-class NotAPartition:
+class _Record:
+    """An immutable record whose fields are the names its class annotates,
+    in order, given by position.  It hashes as the tuple of its fields and
+    equals only a record of its own class with equal fields."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({inner})"
+
+
+class NotAPartition(_Record):
     edge: int
     count: int  # how many times the edge is covered (0 or >= 2)
 
@@ -71,16 +104,14 @@ class NotAPartition:
         return f"edge {self.edge} {word}"
 
 
-@dataclass(frozen=True)
-class VertexNeverInternal:
+class VertexNeverInternal(_Record):
     vertex: int
 
     def __str__(self) -> str:
         return f"vertex {self.vertex} is never an internal vertex"
 
 
-@dataclass(frozen=True)
-class VertexEndCount:
+class VertexEndCount(_Record):
     vertex: int
     count: int
 
@@ -88,8 +119,7 @@ class VertexEndCount:
         return f"vertex {self.vertex} is a trail end {self.count} times, expected 1"
 
 
-@dataclass(frozen=True)
-class NotATrail:
+class NotATrail(_Record):
     index: int
     reason: str  # what _malformed says of the trail
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 import time
 from heapq import heappop, heappush
 from itertools import permutations, product
-from operator import itemgetter
 from typing import Collection, Iterator, Optional, Sequence
 
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, is_perfect_matching, perfect_matchings
@@ -182,7 +181,10 @@ class _Search:
       sealed[i] -- i is a marked (sealed) chain end
     A row holds a vertex's slot choices as parts: one (marked, a, b) per
     partition, in flat indices, a and b being the two darts the passage
-    joins.  A solution's markings are read off the chosen parts.
+    joins.  A k = 1 marking is kept as the kernel places it: accepting v
+    writes its mark to marks[v], so a solution is one copy of that list
+    (for k = 3 the store holds the last partition's mark and goes unread;
+    the three markings are read off the chosen parts).
 
     The refusal table dead, built once per search, says which completed
     trails are refused: dead[t] holds when t > cap, when t is even and
@@ -263,8 +265,8 @@ class _Search:
         exact = self.length_cap == 3
         dead = [t > cap or self.odd and not t & 1 or exact and t < 3 for t in range(max(cap, 1) + 1)]
         chosen: list = [None] * n  # v -> the parts applied at v, or None
+        marks = [0] * n  # v -> the mark accepted at v (k = 1)
         offsets = range(0, size, 2 * g.m)
-        first = itemgetter(0)
         # placing a forced vertex is not a search node: the count reaches 0
         # once every one is placed, and reads 0 when one is refused
         nodes = -len(pins)
@@ -309,6 +311,7 @@ class _Search:
                             link[x], link[y] = y, x
                             length[x] = length[y] = length[a] + length[b]
                         chosen[v] = parts
+                        marks[v] = md
                         break
                 else:
                     stack.pop()  # v is exhausted: leave it
@@ -317,8 +320,8 @@ class _Search:
                 if len(stack) < n:
                     break
                 self.nodes = max(nodes, 0)
-                if k == 1:  # each vertex's one part, at offset 0, leads with its mark
-                    yield (tuple(map(first, map(first, chosen))),)
+                if k == 1:  # each vertex's one mark, at offset 0
+                    yield (tuple(marks),)
                 else:
                     yield tuple(tuple(ps[p][0] - o for ps in chosen) for p, o in enumerate(offsets))
             else:

@@ -170,7 +170,7 @@ class TestFlower:
     def test_side_conditions_on_even_partitions(self):
         # the side check reads the position of an edge in its trail, so it
         # answers for partitions with an even trail too instead of raising
-        from copnc.families import _flower_side_ok
+        from copnc.families import _side_ok
 
         g = generate("flower", 3)
         lut = {}
@@ -196,14 +196,14 @@ class TestFlower:
         sides = [at_even_position(p, e_u12) and at_even_position(p, e_t12) for p in evens]
         assert True in sides and False in sides
         for p, side in zip(evens, sides):
-            assert _flower_side_ok(g, lut, 3, [p, p, p]) is side
+            assert _side_ok("flower", lut, 3, [p, p, p]) is side
         for parts in zip(evens, evens[1:], evens[2:]):
             want = (
                 at_even_position(parts[0], e_u12)
                 and at_even_position(parts[1], e_t12)
                 and at_even_position(parts[2], e_t12)
             )
-            assert _flower_side_ok(g, lut, 3, parts) is want
+            assert _side_ok("flower", lut, 3, parts) is want
 
     def test_induction_consistency(self):
         # restricting the k+2 triple to the untouched claws matches the k

@@ -8,9 +8,10 @@ Each figure is CPU time (process_time) per call, the best of --repeat
 runs; a run calls in rounds until it has taken RUN_SECONDS.  The
 ms/call column times partition_classes alone on a pool enumerated
 beforehand (odd pools are decoded by the first call and stay so).  The
-query_ms column times the query as `copnc switch-class` runs it: the
-enumeration (enumerate_normal_partitions or enumerate_nops) and then
-partition_classes on that fresh pool.
+enum_ms column times the enumeration alone (enumerate_normal_partitions
+or enumerate_nops), and us/part is that time per partition it yields.
+The query_ms column times the query as `copnc switch-class` runs it: the
+enumeration and then partition_classes on that fresh pool.
 
 Run from the repository root:  python3 tools/class_rate.py [--repeat 5]
 """
@@ -71,19 +72,24 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5, help="runs per query; the best is kept")
     args = ap.parse_args(argv)
-    print(f"{'query':<27} {'pool':>5} {'classes':>7} {'calls':>6} {'cpu_s':>7} {'ms/call':>8} {'query_ms':>9}")
-    total = whole = 0.0
+    print(
+        f"{'query':<27} {'pool':>5} {'classes':>7} {'calls':>6} {'cpu_s':>7} {'ms/call':>8}"
+        f" {'enum_ms':>8} {'us/part':>7} {'query_ms':>9}"
+    )
+    total = enum = whole = 0.0
     for name, enumerate_pool, kind, m in queries():
         pool = enumerate_pool()
         count, calls, secs = measure(partial(partition_classes, pool, kind, m), args.repeat)
+        _, e_calls, e_secs = measure(enumerate_pool, args.repeat)
         _, q_calls, q_secs = measure(lambda: partition_classes(enumerate_pool(), kind, m), args.repeat)
         total += secs / calls
+        enum += e_secs / e_calls
         whole += q_secs / q_calls
         print(
             f"{name:<27} {len(pool):>5} {count:>7} {calls:>6} {secs:>7.3f} {secs / calls * 1e3:>8.2f}"
-            f" {q_secs / q_calls * 1e3:>9.2f}"
+            f" {e_secs / e_calls * 1e3:>8.2f} {e_secs / e_calls / len(pool) * 1e6:>7.2f} {q_secs / q_calls * 1e3:>9.2f}"
         )
-    print(f"{'all 15':<27} {'':>5} {'':>7} {'':>6} {'':>7} {total * 1e3:>8.2f} {whole * 1e3:>9.2f}")
+    print(f"{'all 15':<27} {'':>5} {'':>7} {'':>6} {'':>7} {total * 1e3:>8.2f} {enum * 1e3:>8.2f} {'':>7} {whole * 1e3:>9.2f}")
     return 0
 
 
