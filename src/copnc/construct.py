@@ -212,8 +212,8 @@ def bipartite_triple(g: CubicGraph) -> ConformalTriple:
     on the black side and v on the white side is extended by the
     (c-1)-colored edge at u and the (c+1)-colored edge at v (colors mod 3),
     so black vertices mark their (c+1)-colored dart and white vertices
-    their (c-1)-colored dart, and the partition is decoded from that
-    marking.
+    their (c-1)-colored dart, and the triple of those markings is
+    validated.
     """
     bip, side = is_bipartite(g)
     if not bip:
@@ -221,13 +221,8 @@ def bipartite_triple(g: CubicGraph) -> ConformalTriple:
     coloring = proper_3_edge_coloring(g)
     assert coloring is not None  # bipartite cubic graphs are 3-edge-colorable
     at = [{coloring[d >> 1]: d for d in g.vertex_darts[v]} for v in range(g.n)]
-    parts = []
-    for c in (RED, BLUE, YELLOW):
-        marking = [at[v][(c + 1 if side[v] == 0 else c - 1) % 3] for v in range(g.n)]
-        parts.append(trails_from_marking(g, marking))
-    triple = ConformalTriple(g, coloring, tuple(parts))
-    triple.validate()
-    return triple
+    marks = [[at[v][(c + 1 if side[v] == 0 else c - 1) % 3] for v in range(g.n)] for c in (RED, BLUE, YELLOW)]
+    return _checked(g, coloring, marks)
 
 
 def _conformal_seed(

@@ -1,7 +1,8 @@
-"""Every script in tools/ imports in a fresh interpreter.  The timing
-tools read private names of the library (construct._conformal_seed,
-search._Search, search._conformal_rows, ...), so a rename there fails
-this test and not only the next run of the tool."""
+"""Every script in tools/ imports in a fresh interpreter, and tools/rate.py
+runs all its groups.  The timing tool reads private names of the library
+(construct._conformal_seed, search._Search, families._frozen, ...), some
+only inside its functions, so a rename there fails these tests and not
+only the next run of the tool."""
 
 import subprocess
 import sys
@@ -11,6 +12,16 @@ import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
+# each group's header columns and number of rows
+TABLES = {
+    "decode": ("case markings n decodes cpu_s us/decode", 4),
+    "search": ("case graphs nodes rows cpu_s nodes/s ratio", 10),
+    "route": ("case n cpu_s ratio switch_us color_ms contract_ms seed_ms descent_ms lift_ms", 8),
+    "cert": ("case n bytes write_ms loads_ms validate_ms validate_g_ms", 7),
+    "class": ("query pool classes calls cpu_s ms/call enum_ms us/part query_ms", 16),
+    "family": ("family k n ms ratio replay_ms", 8),
+}
+
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in TOOLS.glob("*.py")))
 def test_tool_imports(name):
@@ -19,3 +30,22 @@ def test_tool_imports(name):
     code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import {name}"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_rate_runs_every_group(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))  # undone, with rate's own inserts, at teardown
+    import rate
+
+    monkeypatch.setattr(rate, "RUN_SECONDS", 0.001)
+    assert rate.main(["--repeat", "1"]) == 0
+    tables = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert len(tables) == len(TABLES)
+    printed = dict(zip(TABLES, tables))
+    for group, (header, rows) in TABLES.items():
+        lines = printed[group].split("\n")
+        assert lines[0].split() == header.split(), group
+        assert len(lines) == 1 + rows, group
+    assert printed["class"].split("\n")[-1].startswith("all 15")
+    with pytest.raises(SystemExit) as exc:
+        rate.main(["--repeat", "0"])
+    assert exc.value.code == 2
