@@ -1,8 +1,8 @@
-"""Every script in tools/ imports in a fresh interpreter, and tools/rate.py
-runs all its groups.  The timing tool reads private names of the library
-(construct._conformal_seed, search._Search, families._frozen, ...), some
-only inside its functions, so a rename there fails these tests and not
-only the next run of the tool."""
+"""Every script in tools/ imports in a fresh interpreter, each group of
+tools/rate.py runs alone in one, and rate.py runs all its groups.  The
+timing tool reads private names of the library (construct._conformal_seed,
+search._Search, families._frozen, ...), some only inside its functions, so
+a rename there fails these tests and not only the next run of the tool."""
 
 import subprocess
 import sys
@@ -23,13 +23,28 @@ TABLES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in TOOLS.glob("*.py")))
+SCRIPTS = sorted(p.stem for p in TOOLS.glob("*.py"))
+# a group's case keeps the name of the one-group script it was before rate.py
+GROUP_CASES = {f"{group}_rate": group for group in TABLES}
+
+
+@pytest.mark.parametrize("name", SCRIPTS + sorted(GROUP_CASES))
 def test_tool_imports(name):
     # each tool puts the checkout's src on sys.path itself; tools/ is on it
     # as it is when the tool runs as a script
-    code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import {name}"
+    code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); "
+    group = GROUP_CASES.get(name)
+    if group is None:
+        code += f"import {name}"
+    else:
+        code += f"import rate; rate.RUN_SECONDS = 0.001; sys.exit(rate.main([{group!r}, '--repeat', '1']))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    if group is not None:
+        header, rows = TABLES[group]
+        lines = out.stdout.rstrip("\n").split("\n")
+        assert lines[0].split() == header.split()
+        assert len(lines) == 1 + rows
 
 
 def test_rate_runs_every_group(monkeypatch, capsys):
