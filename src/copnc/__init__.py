@@ -19,7 +19,6 @@ from .graph import (
     parse_graph6,
     perfect_matchings,
     proper_3_edge_coloring,
-    to_edge_list,
     to_graph6,
 )
 from .partition import (

@@ -11,7 +11,7 @@ Graph arguments accept a family name ("petersen"), a parametrized name
 ("flower:7"), or a file reference ("@graphs.g6", "@graphs.edges").
 
 Exit codes: 0 success/verified, 2 validation failure, 3 precondition
-failure, 4 cap or budget exhausted, 5 I/O or format trouble.
+failure, 4 cap or budget exhausted, 5 I/O, format or usage trouble.
 """
 
 from __future__ import annotations
@@ -273,8 +273,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError (exit 5)
+    instead of exiting 2, the code of a failed validation.  Subparsers
+    are built with the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="copnc", description=__doc__.split("\n")[0])
+    ap = _Parser(prog="copnc", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="verify a partition certificate")
@@ -319,8 +328,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     global _parser
     if _parser is None:  # built on the first call, once per process
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

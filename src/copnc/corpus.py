@@ -3,21 +3,21 @@
 The package ships every connected cubic multigraph (loops and parallel
 edges allowed) on up to 10 vertices, and every connected simple cubic
 graph on 12, generated once by tools/gen_corpus.py whose completeness is
-verified by labeled-count mass checks.  Graphs come back with stable ids
-like "n08_0041" (vertex count and position within the file).
+verified by labeled-count mass checks.  corpus_all(n) loads one size of
+the multigraph corpus and corpus_simple12() the simple n = 12 one; graphs
+come back with stable ids like "n08_0041" (vertex count and position
+within the file).
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterator
 
 from .graph import CubicGraph, parse_edge_list, parse_graph6
 
 _DATA = "copnc.data"
 
 MULTI_SIZES = (2, 4, 6, 8, 10)
-SIMPLE12 = 12
 
 
 def _read(name: str) -> str:
@@ -40,20 +40,3 @@ def corpus_simple12() -> list[tuple[str, CubicGraph]]:
             out.append((f"n12_{i:04d}", parse_graph6(line)))
     return out
 
-
-def corpus_upto(n_max: int, include_simple12: bool = True) -> Iterator[tuple[str, CubicGraph]]:
-    """Stream the corpus in size order up to n_max vertices."""
-    for n in MULTI_SIZES:
-        if n > n_max:
-            return
-        yield from corpus_all(n)
-    if include_simple12 and n_max >= SIMPLE12:
-        yield from corpus_simple12()
-
-
-def simple_graphs_upto(n_max: int) -> Iterator[tuple[str, CubicGraph]]:
-    """Only the simple members, in size order."""
-    for gid, g in corpus_upto(n_max):
-        pairs = [(min(u, v), max(u, v)) for u, v in g.endpoints]
-        if len(set(pairs)) == g.m and all(u != v for u, v in pairs):
-            yield gid, g

@@ -235,12 +235,6 @@ def parse_edge_list(text: str) -> list[CubicGraph]:
     return graphs
 
 
-def to_edge_list(g: CubicGraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.endpoints)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Generators.  Vertex numbering is fixed and documented so that edge ids and
 # certificates are reproducible byte for byte.

@@ -191,18 +191,6 @@ class NormalPartition:
     def marked_edges(self) -> tuple[int, ...]:
         return tuple(map(rshift, self.marked, repeat(1)))
 
-    def passage(self, v: int) -> tuple[int, int]:
-        """v's two unmarked darts, ascending: its internal passage."""
-        d = self.marked[v]
-        a, b, c = self.graph.vertex_darts[v]
-        if d == a:
-            return b, c
-        return (a, c) if d == b else (a, b)
-
-    def passage_edges(self, v: int) -> tuple[int, int]:
-        a, b = self.passage(v)
-        return (a >> 1, b >> 1)
-
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(es) for _, es in self.trails)
 

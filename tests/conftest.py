@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from copnc.corpus import MULTI_SIZES, corpus_all, corpus_simple12
 from copnc.graph import CubicGraph, generate
 
 
@@ -79,6 +80,34 @@ def brute_perfect_matchings(g: CubicGraph) -> set[frozenset[int]]:
         if ok and len(covered) == g.n:
             out.add(frozenset(comb))
     return out
+
+
+def corpus_upto(n_max, include_simple12=True):
+    """Stream the corpus in size order up to n_max vertices."""
+    for n in MULTI_SIZES:
+        if n > n_max:
+            return
+        yield from corpus_all(n)
+    if include_simple12 and n_max >= 12:
+        yield from corpus_simple12()
+
+
+def simple_graphs_upto(n_max):
+    """Only the simple members of corpus_upto(n_max), in size order."""
+    for gid, g in corpus_upto(n_max):
+        pairs = [(min(u, v), max(u, v)) for u, v in g.endpoints]
+        if len(set(pairs)) == g.m and all(u != v for u, v in pairs):
+            yield gid, g
+
+
+def passage(p, v):
+    """v's two unmarked darts in partition p, ascending: its internal
+    passage.  Their edges are the darts shifted right by one."""
+    d = p.marked[v]
+    a, b, c = p.graph.vertex_darts[v]
+    if d == a:
+        return b, c
+    return (a, c) if d == b else (a, b)
 
 
 def graph_automorphisms(g: CubicGraph):

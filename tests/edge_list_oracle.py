@@ -1,5 +1,6 @@
 """The line-by-line edge-list tokenizer: the oracle for
-copnc.graph.parse_edge_list.
+copnc.graph.parse_edge_list, and to_edge_list, the writer the tests feed
+it and the library parser with.
 
 This is the parser the library ran before it stripped comments with one
 regular expression and split the whole text once.  Each line of
@@ -43,3 +44,11 @@ def parse_edge_list_by_lines(text: str) -> list[CubicGraph]:
     if not graphs:
         raise Malformed("no records in edge-list text")
     return graphs
+
+
+def to_edge_list(g: CubicGraph) -> str:
+    """g as one edge-list record: the "n m" header, then one "u v" line per
+    edge in edge id order."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.endpoints)
+    return "\n".join(lines) + "\n"

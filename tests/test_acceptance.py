@@ -17,7 +17,7 @@ from copnc.construct import (
     bipartite_triple,
     conformal_triple_general,
 )
-from copnc.corpus import corpus_all, corpus_upto, simple_graphs_upto
+from copnc.corpus import corpus_all
 from copnc.families import (
     derive_petersen,
     flower_boundary_ok,
@@ -43,6 +43,7 @@ from copnc.search import (
 )
 from copnc.switching import partition_classes
 
+from conftest import corpus_upto, simple_graphs_upto
 from lemma_checks import edge_role_audit
 
 REGISTRY = {"triples": 0, "partitions": 0}

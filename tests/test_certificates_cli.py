@@ -39,7 +39,7 @@ PUBLIC = """
     find_compatible_triple find_length3_triple find_nop flower_triple generate goldberg_triple
     is_bipartite is_conformal is_odd length_profile nop_from_matching parse_edge_list
     parse_graph6 partition_classes partition_violations perfect_matchings petersen_triple
-    proper_3_edge_coloring to_edge_list to_graph6 trails_from_marking validate_normal
+    proper_3_edge_coloring to_graph6 trails_from_marking validate_normal
 """.split()
 
 
@@ -284,7 +284,7 @@ class TestCli:
         assert len(lines) == 3 and all(r["agree"] for r in lines)
 
     def test_sweep_edges_with_multigraphs(self, tmp_path, theta, dumbbell):
-        from copnc.graph import to_edge_list
+        from edge_list_oracle import to_edge_list
 
         src = tmp_path / "tiny.edges"
         src.write_text(to_edge_list(theta) + to_edge_list(dumbbell))
@@ -415,6 +415,39 @@ class TestCli:
 
     def test_missing_certificate_exit(self):
         assert main(["validate", "/definitely/not/here.json"]) == 5
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--input", "x.g6", "--check", "bogus"], "argument --check: invalid choice: 'bogus'"),
+            (["construct", "--method", "matching"], "the following arguments are required: --graph"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            (["switch-class", "--graph", "cube", "--moves", "conformal", "--matching", "-1,5"],
+             "argument --matching: expected one argument"),
+        ],
+    )
+    def test_usage_error_exit(self, capsys, argv, message):
+        # exit 5, not argparse's 2: exit 2 means a check failed
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()[0], captured.err.splitlines()[-1]
+        assert usage.startswith("usage: copnc") and message in error
+
+    def test_usage_error_exit_as_module(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import copnc
+
+        env = {**os.environ, "PYTHONPATH": str(Path(copnc.__file__).resolve().parent.parent)}
+        run = [sys.executable, "-m", "copnc"]
+        out = subprocess.run(run + ["frobnicate"], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 5 and "invalid choice: 'frobnicate'" in out.stderr
+        out = subprocess.run(run + ["sweep", "--help"], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0 and out.stdout.startswith("usage: copnc sweep")
 
     @pytest.mark.parametrize(
         "data",
@@ -704,7 +737,7 @@ def _emitted(tmp_path, argv) -> str:
 
 
 def _graph_arg(tmp_path, g) -> str:
-    from copnc.graph import to_edge_list
+    from edge_list_oracle import to_edge_list
 
     path = tmp_path / "g.edges"
     path.write_text(to_edge_list(g))
@@ -800,7 +833,7 @@ class TestEmitterOracle:
         from hypothesis import assume, given, seed, settings
         from hypothesis import strategies as st
 
-        from copnc.corpus import corpus_upto
+        from conftest import corpus_upto
         from copnc.partition import CycleError, trails_from_marking
 
         graphs = [g for _, g in corpus_upto(10, include_simple12=False)]

@@ -23,11 +23,10 @@ from copnc.construct import (
     triangle_contract,
     two_factor_cycles,
 )
-from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
 from copnc.partition import agreement, associated_matching, is_conformal, length_profile
 
-from conftest import circular_ladder, construct_workload_graphs
+from conftest import circular_ladder, construct_workload_graphs, corpus_upto
 from lemma_checks import edge_role_audit
 from route_oracles import incoming_marks_by_cycles
 from stepwise_route import digon_extend, find_digon, find_triangle, triangle_extend
@@ -268,7 +267,7 @@ class TestConformalRoute:
     def test_corpus_needs_no_fallback(self, caplog):
         """Sentinel: the guided descent alone finishes on every
         3-edge-colorable corpus graph whose core it runs on."""
-        from copnc.corpus import corpus_upto
+        from conftest import corpus_upto
 
         with caplog.at_level("DEBUG", logger="copnc.construct"):
             for _, g in corpus_upto(12):

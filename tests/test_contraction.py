@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from copnc import construct
 from copnc.construct import conformal_triple_general
-from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 
 import stepwise_route
@@ -23,6 +22,7 @@ from stepwise_route import base_triple, digon_extend, find_digon, find_triangle,
 from conftest import (
     circular_ladder,
     construct_workload_graphs,
+    corpus_upto,
     digon_ladder,
     generalized_petersen3,
     moebius_ladder,

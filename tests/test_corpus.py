@@ -8,8 +8,10 @@ counts, which match the published census of connected cubic graphs.
 
 import pytest
 
-from copnc.corpus import MULTI_SIZES, corpus_all, corpus_simple12, corpus_upto, simple_graphs_upto
+from copnc.corpus import MULTI_SIZES, corpus_all, corpus_simple12
 from copnc.graph import components
+
+from conftest import corpus_upto, simple_graphs_upto
 
 EXPECTED_CLASSES = {2: 2, 4: 5, 6: 17, 8: 71, 10: 388}
 EXPECTED_SIMPLE = {4: 1, 6: 2, 8: 5, 10: 19}

@@ -18,17 +18,17 @@ from copnc.graph import (
     parse_graph6,
     perfect_matchings,
     proper_3_edge_coloring,
-    to_edge_list,
     to_graph6,
 )
 
-from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
+from copnc.corpus import corpus_all, corpus_simple12
 
-from edge_list_oracle import parse_edge_list_by_lines
+from edge_list_oracle import parse_edge_list_by_lines, to_edge_list
 from conftest import (
     brute_perfect_matchings,
     circular_ladder,
     construct_workload_graphs,
+    corpus_upto,
     digon_ladder,
     generalized_petersen3,
     moebius_ladder,

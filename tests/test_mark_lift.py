@@ -16,14 +16,13 @@ import pytest
 
 from copnc import construct
 from copnc.construct import conformal_triple_general
-from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, generate, proper_3_edge_coloring
 from copnc.partition import NormalPartition
 
 import stepwise_route
 from stepwise_route import digon_extend, find_digon, find_triangle, triangle_extend
 import trail_surgery
-from conftest import digon_ladder, truncated_ladder
+from conftest import corpus_upto, digon_ladder, truncated_ladder
 
 ORACLES = {
     "_lift_digon": ("digon", trail_surgery.lift_digon),

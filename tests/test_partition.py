@@ -25,7 +25,7 @@ from copnc.families import _is_odd_edge
 from copnc.graph import perfect_matchings
 from copnc.search import enumerate_nops
 
-from conftest import pairing_model
+from conftest import pairing_model, passage
 from lemma_checks import edge_role_audit
 
 
@@ -127,7 +127,7 @@ class TestValidateNormal:
     def test_enrichment_tables(self, theta):
         p = validate_normal(theta, [((0, 1, 0, 1), (0, 1, 2))])
         assert p.marked_edge(0) == 0 and p.marked_edge(1) == 2
-        assert p.passage_edges(0) == (1, 2) and p.passage_edges(1) == (0, 1)
+        assert passage(p, 0) == (2, 4) and passage(p, 1) == (1, 3)
 
     def test_every_corpus_partition_validates_to_itself(self):
         # every normal partition of the corpus graphs with n <= 6, loops
@@ -239,7 +239,8 @@ class TestDecoderOracle:
                 assert got.trails == want.trails
                 assert got.marked == marking  # as given, loop darts included
                 assert got.marked_edges() == tuple(d >> 1 for d in want.marked)
-                assert [got.passage_edges(v) for v in range(g.n)] == [(a >> 1, b >> 1) for a, b in want.passage]
+                edges = [(a >> 1, b >> 1) for a, b in (passage(got, v) for v in range(g.n))]
+                assert edges == [(a >> 1, b >> 1) for a, b in want.passage]
                 decoded += 1
         assert decoded > 50000 and cycles > 50000
 
@@ -419,7 +420,7 @@ class TestCompatibility:
     def test_single_vertex_difference(self, k4):
         p = enumerate_nops(k4)[0]
         remarked = []
-        for d in p.passage(2):
+        for d in passage(p, 2):
             try:
                 remarked.append(trails_from_marking(k4, p.marked[:2] + (d,) + p.marked[3:]))
             except CycleError:

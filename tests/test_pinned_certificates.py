@@ -19,11 +19,10 @@ import random
 import pytest
 
 from copnc.cli import main
-from copnc.corpus import corpus_upto
 from copnc.graph import CubicGraph, proper_3_edge_coloring
 from copnc.partition import trails_from_marking, validate_normal
 
-from conftest import circular_ladder, digon_ladder, generalized_petersen3, moebius_ladder, truncated_ladder
+from conftest import circular_ladder, corpus_upto, digon_ladder, generalized_petersen3, moebius_ladder, truncated_ladder
 
 
 SHAPES = {

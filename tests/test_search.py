@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copnc.corpus import corpus_all, corpus_simple12, corpus_upto
+from copnc.corpus import corpus_all, corpus_simple12
 from copnc.graph import (
     CubicGraph,
     bridges,
@@ -41,7 +41,7 @@ from copnc.search import (
 )
 from copnc.switching import CapExceeded
 
-from conftest import relabelled
+from conftest import corpus_upto, relabelled
 from journal_search import JournalSearch, whole_plan_choices
 from keyed_enumeration import first_by_key
 from lemma_checks import complete_system
@@ -601,7 +601,7 @@ class TestLengthThreeTriples:
         """Empirical sweep over every corpus graph, multigraphs included:
         an all-length-3 compatible triple exists exactly for the bipartite
         members (22 of which carry parallel edges)."""
-        from copnc.corpus import corpus_upto
+        from conftest import corpus_upto
         from copnc.graph import is_bipartite
 
         bip_multi = 0

@@ -15,7 +15,7 @@ from copnc.partition import (
 from copnc.search import enumerate_nops
 from copnc.switching import CapExceeded, conformal_switch, partition_classes
 
-from conftest import circular_ladder, generalized_petersen3, moebius_ladder
+from conftest import circular_ladder, generalized_petersen3, moebius_ladder, passage
 
 
 def conformal_moved(p, m, v):
@@ -47,7 +47,7 @@ def decode_oracle_candidates(p, v, odd=False):
     odd partition, with odd set)."""
     g, marked = p.graph, p.marked
     out = []
-    for d in p.passage(v):
+    for d in passage(p, v):
         marking = marked[:v] + (d,) + marked[v + 1 :]
         flag = decodes_odd(g, marking)
         if flag or (flag is not None and not odd):
@@ -80,7 +80,7 @@ class TestSwitch:
         # distinct trails at v give two switches, same trail exactly one
         p = enumerate_nops(cube)[0]
         for v in range(cube.n):
-            e = p.passage_edges(v)[0]
+            e = passage(p, v)[0] >> 1
             vs = next(vs for vs, es in p.trails if e in es)
             same = v in (vs[0], vs[-1])
             assert len(decode_oracle_candidates(p, v)) == (1 if same else 2)

@@ -20,11 +20,13 @@ TABLES = {
     "cert": ("case n bytes write_ms loads_ms validate_ms validate_g_ms", 7),
     "class": ("query pool classes calls cpu_s ms/call enum_ms us/part query_ms", 16),
     "family": ("family k n ms ratio replay_ms", 8),
+    "startup": ("case runs value unit", 4),
 }
 
 
 SCRIPTS = sorted(p.stem for p in TOOLS.glob("*.py"))
-# a group's case keeps the name of the one-group script it was before rate.py
+# a group's case is named <group>_rate: the first six keep the names of the
+# one-group scripts they were before rate.py
 GROUP_CASES = {f"{group}_rate": group for group in TABLES}
 
 

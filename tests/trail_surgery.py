@@ -14,6 +14,8 @@ from typing import Sequence
 from copnc.graph import BLUE, RED, YELLOW
 from copnc.partition import NormalPartition, validate_normal
 
+from conftest import passage
+
 
 def _lift_trail(t: tuple, vmap: Sequence[int], emap: Sequence[int]) -> tuple:
     vs, es = t
@@ -124,7 +126,7 @@ def lift_triangle(info, parts: Sequence[NormalPartition]) -> list[NormalPartitio
     for c in (RED, BLUE, YELLOW):
         p = parts[c]
         trails = []
-        pa, pb = p.passage_edges(vs)
+        pa, pb = (d >> 1 for d in passage(p, vs))
         P = inherit[col[pa]]
         Q = inherit[col[pb]]
         for t in p.trails:

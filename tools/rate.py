@@ -9,16 +9,18 @@
   class    milliseconds per copnc.switching.partition_classes call, and per
            whole switch-class query
   family   milliseconds per flower_triple and goldberg_triple at doubling k
+  startup  milliseconds of `import copnc.cli` in a fresh interpreter, and the
+           line count of src/copnc
 
 Each group's function below names its cases and columns.  Every figure is
 CPU time (process_time), with graphs and inputs built beforehand, taken by
-one of two rules: search, route, cert and family keep the best of --repeat
-single calls (best); decode and class keep, of --repeat runs, the run with
-the least time per call, a run calling in rounds until it has taken
-RUN_SECONDS (rounds).  --repeat defaults per group (REPEAT); --seed sets the
-labelling and orientation of the cert shapes.  With no GROUP all six run,
-in the order above.  Ratio columns are a time over that of the row before,
-so a cost linear in n reads about 2 per doubling.
+one of two rules: search, route, cert, family and startup keep the best of
+--repeat single calls (best); decode and class keep, of --repeat runs, the
+run with the least time per call, a run calling in rounds until it has
+taken RUN_SECONDS (rounds).  --repeat defaults per group (REPEAT); --seed
+sets the labelling and orientation of the cert shapes.  With no GROUP all
+seven run, in the order above.  Ratio columns are a time over that of the
+row before, so a cost linear in n reads about 2 per doubling.
 
 Run from the repository root:  python3 tools/rate.py [GROUP ...] [--repeat N] [--seed S]
 """
@@ -27,8 +29,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import subprocess
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from functools import partial
@@ -51,7 +56,7 @@ from copnc.switching import conformal_switch, partition_classes  # noqa: E402
 from perfbench.workloads import SHAPES, oriented  # noqa: E402
 
 RUN_SECONDS = 0.2  # least CPU seconds of one run under rounds()
-REPEAT = {"decode": 5, "search": 3, "route": 3, "cert": 15, "class": 5, "family": 7}
+REPEAT = {"decode": 5, "search": 3, "route": 3, "cert": 15, "class": 5, "family": 7, "startup": 5}
 
 
 def best(call: Callable[[], object], repeat: int) -> tuple[float, object]:
@@ -460,8 +465,57 @@ def family(repeat: int, seed: int) -> None:
             prev = ms
 
 
+# run by a fresh interpreter: prints the CPU seconds of the import alone
+IMPORT_CLI = "import time; t0 = time.process_time(); import copnc.cli; print(time.process_time() - t0)"
+
+
+def import_secs(env: dict[str, str]) -> float:
+    """CPU seconds of `import copnc.cli` in one fresh interpreter run with
+    env."""
+    out = subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env, capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
+def startup(repeat: int, seed: int) -> None:
+    """Milliseconds of `import copnc.cli` (best of --repeat interpreters,
+    started one after another, each with PYTHONPATH=src), and lines:
+
+      import_nowrite  PYTHONDONTWRITEBYTECODE=1: with no __pycache__ under
+                      src/copnc, every copnc module is compiled from source
+      import_warm     PYTHONPYCACHEPREFIX set to a temporary directory that
+                      one import beforehand filled, so every module loads
+                      its cached bytecode
+      import          the environment as given (run last: where it writes
+                      bytecode, it writes src/copnc/__pycache__)
+      src_lines       the lines of src/copnc/*.py (`cat | wc -l`)
+
+    The time is the child's own process_time around the import, so the
+    interpreter's start-up is not in it.
+    """
+    base = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    print(f"{'case':<15} {'runs':>4} {'value':>8} unit")
+    with tempfile.TemporaryDirectory() as cache:
+        warm = {k: v for k, v in base.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        warm["PYTHONPYCACHEPREFIX"] = cache
+        import_secs(warm)
+        envs = {"import_nowrite": {**base, "PYTHONDONTWRITEBYTECODE": "1"}, "import_warm": warm, "import": base}
+        for name, env in envs.items():
+            ms = min(import_secs(env) for _ in range(repeat)) * 1e3
+            print(f"{name:<15} {repeat:>4} {ms:>8.2f} ms")
+    lines = sum(p.read_text().count("\n") for p in (ROOT / "src" / "copnc").glob("*.py"))
+    print(f"{'src_lines':<15} {'-':>4} {lines:>8} lines")
+
+
 # each prints its group's table from (repeat, seed); only cert reads the seed
-GROUPS = {"decode": decode, "search": search, "route": route, "cert": cert, "class": class_, "family": family}
+GROUPS = {
+    "decode": decode,
+    "search": search,
+    "route": route,
+    "cert": cert,
+    "class": class_,
+    "family": family,
+    "startup": startup,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
