@@ -247,6 +247,8 @@ def _sweep_worker(item):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, not {args.jobs}")
     try:
         graphs = resolve_graphs(args.input if args.input.startswith("@") else "@" + args.input)
     except UsageError as exc:
@@ -256,11 +258,13 @@ def cmd_sweep(args) -> int:
     failures = 0
     with ExitStack() as stack:
         out = stack.enter_context(_open_out(args.out)) if args.out else sys.stdout
-        if args.jobs > 1:
+        # a pool starts all its workers at once: no more than there are graphs
+        jobs = min(args.jobs, len(items))
+        if jobs > 1:
             # imported here: the process pool costs a tenth of the import of cli
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             reports = pool.map(_sweep_worker, items, chunksize=4)
         else:
             reports = map(_sweep_worker, items)

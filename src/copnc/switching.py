@@ -22,12 +22,18 @@ mark lists in place, one write a switch.
 the family of all partitions of a kind (normal, odd, or conformal to m)
 the moves from p are exactly the members whose markings differ from p's
 at one vertex, so the classes are the connected components of one-vertex
-mark changes.  Marking either dart of a loop gives the same partition, so
-markings are compared with each loop dart folded to its edge's lower dart.
+mark changes.  A member is one mixed-radix index, vertex v's digit the
+rank of its mark among the values v may take (a loop's two darts are one,
+a dart on m none), and the family one byte per index, read as one int.
+A class is flood-filled from its least index: at each vertex its members
+go to digit 0, back to every value, and stay where the family has one.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import cycle
+from operator import or_
 from typing import Optional, Sequence
 
 from .graph import CubicGraph, is_perfect_matching
@@ -76,10 +82,10 @@ def partition_classes(
     there are several classes to order; odd moves decode each member once
     for its check.  There a move is exactly a change of one vertex's mark,
     so the classes are the family's components under one-vertex mark
-    changes, joined from the folded markings bucketed once per vertex with
-    that vertex left out; no move is built.  Moves that leave an
-    incomplete family go unseen: such a family gets its components.  A member not of the kind (even under
-    odd moves, marking an edge of m under conformal ones: see
+    changes, flood-filled over one byte per marking index (at most 3^n);
+    no move is built.  Moves that leave an incomplete family go unseen:
+    such a family gets its components.  A member not of the kind (even
+    under odd moves, marking an edge of m under conformal ones: see
     partition.is_conformal) or a matching that is not perfect raises
     ValueError.  Members equal as partitions are kept once, the first.
 
@@ -90,54 +96,64 @@ def partition_classes(
     if not partitions:
         return []
     g = partitions[0].graph
+    off: frozenset[int] = frozenset()  # edges whose darts take no value
     if kind == "conformal":
-        m = frozenset(matching) if matching is not None else associated_matching(partitions[0])
-        if not is_perfect_matching(g, m):
+        off = frozenset(matching) if matching is not None else associated_matching(partitions[0])
+        if not is_perfect_matching(g, off):
             raise ValueError("conformal moves need a perfect matching")
-        if any((d >> 1) in m for p in partitions for d in p.marked):
-            raise ValueError("a member marks an edge of the matching, so it is not conformal to it")
     elif kind == "odd":
         if not all(map(is_odd, partitions)):
             raise ValueError("a member has an even trail, so it is not odd")
     elif kind != "plain":
         raise ValueError(f"unknown move kind '{kind}'")
-    # a folded marking as one int: two bits per vertex hold the slot of its
-    # mark, and a loop's upper dart counts as its lower one
-    bits = [0] * (2 * g.m)
-    for v, darts in enumerate(g.vertex_darts):
-        for s, d in enumerate(darts):
-            bits[d] = s << 2 * v
+    # a member's index is the sum of value[d] over its marks: d's rank among
+    # its vertex's values times the vertex's place (W, past every index, for
+    # a dart on m); steps holds (place, radix) of each vertex with a move
+    value = [0] * (2 * g.m)
+    steps, W = [], 1
+    for darts in g.vertex_darts:
+        on = [d for d in darts if d >> 1 not in off and not (d & 1 and d ^ 1 in darts)]
+        for r, d in enumerate(on):
+            value[d] = r * W
+        if len(on) > 1:
+            steps.append((W, len(on)))
+        W *= len(on)
     for e, (u, w) in enumerate(g.endpoints):
         if u == w:
-            bits[2 * e + 1] = bits[2 * e]
+            value[2 * e + 1] = value[2 * e]
+        elif e in off:
+            value[2 * e] = value[2 * e + 1] = W
     index: dict[int, NormalPartition] = {}
     for p in partitions:
-        index.setdefault(sum(map(bits.__getitem__, p.marked)), p)
-    members = list(index.values())
-    codes = list(index)
-    parent = list(range(len(codes)))
-    for v in range(g.n):
-        mask = ~(3 << 2 * v)
-        first: dict[int, int] = {}
-        for i, c in enumerate(codes):
-            j = first.setdefault(c & mask, i)
-            if j != i:
-                # union by the lower root, with path halving
-                while parent[i] != i:
-                    parent[i] = i = parent[parent[i]]
-                while parent[j] != j:
-                    parent[j] = j = parent[parent[j]]
-                if i < j:
-                    i, j = j, i
-                parent[i] = j
-    # parent[i] <= i throughout, so one ascending pass points all at roots
-    for i in range(len(parent)):
-        parent[i] = parent[parent[i]]
-    groups: dict[int, list[NormalPartition]] = {}
-    for r, p in zip(parent, members):
-        groups.setdefault(r, []).append(p)
-    classes = list(groups.values())
-    if cap is not None and any(len(c) > cap for c in classes):
+        index.setdefault(sum(map(value.__getitem__, p.marked)), p)
+    if max(index) >= W:
+        raise ValueError("a member marks an edge of the matching, so it is not conformal to it")
+    family = bytearray(W)
+    for i in index:
+        family[i] = 1
+    # index i is bit 8i of left, the members no class has claimed yet
+    left = int.from_bytes(family, "little")
+    comps = []
+    while left:
+        comp, stable = left & -left, 0
+        for place, r in cycle(steps):
+            if stable == len(steps) or comp == left:
+                break
+            # comp's members with this vertex's digit set to 0, spread back
+            # over its every value and kept where left has a member
+            shifts = range(0, 8 * place * r, 8 * place)
+            digit0 = (b"\1" * place + bytes((r - 1) * place)) * (comp.bit_length() // shifts.stop + 1)
+            proj = reduce(or_, [comp >> k for k in shifts]) & int.from_bytes(digit0, "little")
+            grown = reduce(or_, [proj << k for k in shifts]) & left
+            stable = stable + 1 if grown == comp else 1
+            comp = grown
+        comps.append(comp)
+        left ^= comp
+    if len(comps) == 1:
+        classes = [list(index.values())]
+    else:
+        classes = [[p for i, p in index.items() if bits[i]] for bits in (c.to_bytes(W, "little") for c in comps)]
+    if cap is not None and max(map(len, classes)) > cap:
         raise CapExceeded(f"switch class exceeds cap {cap}")
     if len(classes) > 1:
         classes.sort(key=lambda c: min(p.trails for p in c))

@@ -305,6 +305,50 @@ class TestCli:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in lines] == ["two:0", "two:1"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_is_usage_error(self, tmp_path, capsys, k4, jobs):
+        from copnc.graph import to_graph6
+
+        src = tmp_path / "one.g6"
+        src.write_text(to_graph6(k4) + "\n")
+        out = tmp_path / "report.jsonl"
+        assert main(["sweep", "--input", f"@{src}", "--check", "conj25", "--jobs", jobs, "--out", str(out)]) == 5
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_pool_no_larger_than_input(self, monkeypatch, tmp_path, k4, k33):
+        """A pool starts all its workers on the first submit, so --jobs
+        asks for at most one worker per graph.  The executor is a stand-in
+        that records its size and maps in this process: no worker starts."""
+        import concurrent.futures
+
+        from copnc.graph import to_graph6
+
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        for count, jobs, size in ((2, "64", 2), (3, "2", 2), (1, "64", None), (0, "8", None)):
+            src = tmp_path / f"{count}.g6"
+            src.write_text("".join(to_graph6(g) + "\n" for g in (k4, k33, k4)[:count]))
+            out = tmp_path / f"{count}.{jobs}.jsonl"
+            sizes.clear()
+            assert main(["sweep", "--input", f"@{src}", "--check", "conj25", "--jobs", jobs, "--out", str(out)]) == 0
+            assert sizes == ([] if size is None else [size]), (count, jobs)
+            assert len(out.read_text().splitlines()) == count
+
     @pytest.mark.parametrize("check", ["conj25", "thm12", "thm5"])
     def test_sweep_records_are_sorted_dumps(self, tmp_path, check):
         """Every line a sweep writes is the bytes of json.dumps(record,

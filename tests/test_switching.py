@@ -16,6 +16,7 @@ from copnc.search import enumerate_nops
 from copnc.switching import CapExceeded, conformal_switch, partition_classes
 
 from conftest import circular_ladder, generalized_petersen3, moebius_ladder, passage
+from union_find_classes import union_find_classes
 
 
 def conformal_moved(p, m, v):
@@ -479,3 +480,69 @@ class TestClassComponents:
         assert len(partition_classes(family, "odd", cap=len(family))[0]) == len(family)
         m = frozenset({0})
         assert len(partition_classes(enumerate_nops(theta, conformal_to=m), "conformal", m, cap=1)) == 2
+
+
+def same_classes(got, want):
+    """The same classes, holding the same member objects in the same order."""
+    return [list(map(id, c)) for c in got] == [list(map(id, c)) for c in want]
+
+
+class TestUnionFindOracle:
+    """The flood fill against the per-vertex union-find it replaced
+    (tests/union_find_classes.py): the same classes of the same member
+    objects, in the same order."""
+
+    def test_petersen_complete_families(self, petersen):
+        sizes = {}
+        for kind, m, family in complete_families(petersen):
+            got = partition_classes(family, kind, m)
+            assert same_classes(got, union_find_classes(family, kind, m)), (kind, m)
+            sizes.setdefault(kind, []).append(len(family))
+        assert sizes["plain"] == [55134] and sizes["odd"] == [6024] and len(sizes["conformal"]) == 6
+
+    @pytest.mark.parametrize("kind", ["plain", "odd", "conformal"])
+    def test_random_subfamilies_n10(self, petersen, kind):
+        """Seeded random, shuffled sub-families of the Petersen graph's
+        families and of a corpus graph with n = 10 and a loop."""
+        import random
+
+        from copnc.corpus import corpus_all
+        from copnc.search import enumerate_normal_partitions
+
+        looped = next(g for _, g in corpus_all(10) if any(u == w for u, w in g.endpoints) and next(perfect_matchings(g), None))
+        split = 0
+        for g in (petersen, looped):
+            m = next(perfect_matchings(g)) if kind == "conformal" else None
+            full = enumerate_normal_partitions(g) if kind == "plain" else enumerate_nops(g, conformal_to=m)
+            rng = random.Random(f"{kind}-{g.endpoints}")
+            for keep in (0.01, 0.05, 0.2, 0.5):
+                family = [p for p in full if rng.random() < keep]
+                rng.shuffle(family)
+                got = partition_classes(family, kind, m)
+                assert same_classes(got, union_find_classes(family, kind, m)), (kind, keep)
+                split += len(got) > 1
+        assert split >= 4
+
+    def test_no_vertices(self):
+        g = CubicGraph(0, [])
+        (p,) = enumerate_nops(g)
+        for kind, m in (("plain", None), ("odd", None), ("conformal", frozenset())):
+            assert same_classes(partition_classes([p, p], kind, m), [[p]])
+            assert same_classes(union_find_classes([p, p], kind, m), [[p]])
+
+    def test_conformal_loop_vertices(self, dumbbell):
+        """Conformal moves where a loop vertex takes one value (its mark is
+        on the loop): the dumbbell, where every vertex does, and every
+        corpus graph with n <= 6 that has a loop and a perfect matching."""
+        from copnc.corpus import corpus_all
+
+        graphs = [dumbbell] + [g for n in (4, 6) for _, g in corpus_all(n) if any(u == w for u, w in g.endpoints)]
+        checked = 0
+        for g in graphs:
+            for m in perfect_matchings(g):
+                family = enumerate_nops(g, conformal_to=m)
+                got = partition_classes(family, "conformal", m)
+                assert same_classes(got, union_find_classes(family, "conformal", m)), (g.endpoints, m)
+                checked += 1
+        assert partition_classes(enumerate_nops(dumbbell), "conformal") == [enumerate_nops(dumbbell)]
+        assert checked > 5

@@ -18,7 +18,7 @@ TABLES = {
     "search": ("case graphs nodes rows cpu_s nodes/s ratio", 10),
     "route": ("case n cpu_s ratio switch_us color_ms contract_ms seed_ms descent_ms lift_ms", 8),
     "cert": ("case n bytes write_ms loads_ms validate_ms validate_g_ms", 7),
-    "class": ("query pool classes calls cpu_s ms/call enum_ms us/part query_ms", 16),
+    "class": ("query pool classes calls cpu_s ms/call enum_ms us/part query_ms", 18),
     "family": ("family k n ms ratio replay_ms", 8),
     "startup": ("case runs value unit", 4),
 }
@@ -62,7 +62,10 @@ def test_rate_runs_every_group(monkeypatch, capsys):
         lines = printed[group].split("\n")
         assert lines[0].split() == header.split(), group
         assert len(lines) == 1 + rows, group
-    assert printed["class"].split("\n")[-1].startswith("all 15")
+    # the total of the benchmark's 15 queries, then the Petersen rows it leaves out
+    class_rows = printed["class"].split("\n")
+    assert class_rows[16].startswith("all 15")
+    assert [r.split()[0] for r in class_rows[17:]] == ["petersen:plain", "petersen:odd"]
     with pytest.raises(SystemExit) as exc:
         rate.main(["--repeat", "0"])
     assert exc.value.code == 2

@@ -388,14 +388,20 @@ def cert(repeat: int, seed: int) -> None:
         print(f"{label:<12} {g.n:>5} {len(text):>8} {write_ms:>9.2f} {loads_ms:>9.2f} {check_ms:>12.2f} {check_g_ms:>14.2f}")
 
 
-def queries() -> list[tuple[str, Callable[[], list], str, frozenset[int] | None]]:
-    """(name, pool enumeration, move kind, matching) of each query of the
-    switching benchmark."""
+def plain_odd(names) -> list[tuple[str, Callable[[], list], str, frozenset[int] | None]]:
+    """(name, pool enumeration, move kind, matching) of plain and odd moves
+    on each named graph."""
     out = []
-    for name in ("k33", "prism", "cube"):
+    for name in names:
         g = generate(name)
         out.append((f"{name}:plain", partial(enumerate_normal_partitions, g), "plain", None))
         out.append((f"{name}:odd", partial(enumerate_nops, g), "odd", None))
+    return out
+
+
+def queries() -> list[tuple[str, Callable[[], list], str, frozenset[int] | None]]:
+    """The queries of the switching benchmark, as plain_odd gives them."""
+    out = plain_odd(("k33", "prism", "cube"))
     cube = generate("cube")
     for m in perfect_matchings(cube):
         ids = ",".join(map(str, sorted(m)))
@@ -406,7 +412,10 @@ def queries() -> list[tuple[str, Callable[[], list], str, frozenset[int] | None]
 def class_(repeat: int, seed: int) -> None:
     """Milliseconds per call (rounds) on the 15 queries of the switching
     benchmark: plain and odd moves on k33, prism and cube, and conformal
-    moves over each of the cube's 9 perfect matchings.
+    moves over each of the cube's 9 perfect matchings; then their total,
+    and plain and odd moves on the Petersen graph (n = 10, the largest
+    graph the default switch-class --cap of 100000 markings admits), which
+    the total leaves out.
 
     The ms/call column times partition_classes alone on a pool enumerated
     beforehand (odd pools are decoded by the first call and stay so).  The
@@ -419,20 +428,22 @@ def class_(repeat: int, seed: int) -> None:
         f"{'query':<27} {'pool':>5} {'classes':>7} {'calls':>6} {'cpu_s':>7} {'ms/call':>8}"
         f" {'enum_ms':>8} {'us/part':>7} {'query_ms':>9}"
     )
-    total = enum = whole = 0.0
-    for name, enumerate_pool, kind, m in queries():
+
+    def row(name, enumerate_pool, kind, m) -> tuple[float, float, float]:
         pool = enumerate_pool()
         found, calls, secs = rounds(partial(partition_classes, pool, kind, m), repeat)
         _, e_calls, e_secs = rounds(enumerate_pool, repeat)
         _, q_calls, q_secs = rounds(lambda: partition_classes(enumerate_pool(), kind, m), repeat)
-        total += secs / calls
-        enum += e_secs / e_calls
-        whole += q_secs / q_calls
         print(
             f"{name:<27} {len(pool):>5} {len(found):>7} {calls:>6} {secs:>7.3f} {secs / calls * 1e3:>8.2f}"
             f" {e_secs / e_calls * 1e3:>8.2f} {e_secs / e_calls / len(pool) * 1e6:>7.2f} {q_secs / q_calls * 1e3:>9.2f}"
         )
+        return secs / calls, e_secs / e_calls, q_secs / q_calls
+
+    total, enum, whole = map(sum, zip(*(row(*q) for q in queries())))
     print(f"{'all 15':<27} {'':>5} {'':>7} {'':>6} {'':>7} {total * 1e3:>8.2f} {enum * 1e3:>8.2f} {'':>7} {whole * 1e3:>9.2f}")
+    for q in plain_odd(("petersen",)):
+        row(*q)
 
 
 FAMILY_SIZES = {"flower": (25, 49, 99, 199), "goldberg": (13, 25, 49, 99)}
