@@ -40,12 +40,8 @@ def graph_payload(g: CubicGraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.endpoints]}
 
 
-def certificate(
-    g: CubicGraph,
-    partitions: Sequence[NormalPartition],
-    extra: Optional[dict] = None,
-) -> dict:
-    doc = {
+def certificate(g: CubicGraph, partitions: Sequence[NormalPartition]) -> dict:
+    return {
         "schema": SCHEMA,
         "graph": graph_payload(g),
         "partitions": [
@@ -56,9 +52,6 @@ def certificate(
             for p in partitions
         ],
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def dumps(doc: dict) -> str:

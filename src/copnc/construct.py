@@ -24,8 +24,9 @@ Three constructive routes live here:
 from __future__ import annotations
 
 import random
+from functools import partial
 from heapq import heappop, heappush
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graph import (
     BLUE,
@@ -75,42 +76,6 @@ class SearchExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def two_factor_cycles(g: CubicGraph, m: frozenset[int]) -> list[list[int]]:
-    """Cycles of the 2-factor g - m, each as the list of darts walked in
-    the canonical direction: start at the cycle's lowest vertex and leave
-    along its lower-numbered 2-factor dart.  Cycles sorted by lowest
-    vertex.  A loop forms a one-dart cycle, a digon a two-dart cycle.
-    """
-    m = frozenset(m)
-    cyc_darts = [
-        [d for d in g.vertex_darts[v] if (d >> 1) not in m] for v in range(g.n)
-    ]
-    for v in range(g.n):
-        if len(cyc_darts[v]) != 2:
-            raise ValueError(f"edge set is not a perfect matching at vertex {v}")
-    seen = [False] * (2 * g.m)
-    dv = g.dart_vertices
-    cycles = []
-    for v0 in range(g.n):
-        d0 = cyc_darts[v0][0]
-        if seen[d0]:
-            continue
-        cycle = []
-        d = d0
-        while True:
-            cycle.append(d)
-            seen[d] = True
-            nxt = d ^ 1
-            seen[nxt] = True
-            w = dv[nxt]
-            a, b = cyc_darts[w]
-            d = b if a == nxt else a
-            if d == d0:
-                break
-        cycles.append(cycle)
-    return cycles
-
-
 def nop_from_matching(
     g: CubicGraph,
     m: Optional[frozenset[int]] = None,
@@ -124,29 +89,33 @@ def nop_from_matching(
     decoded from that marking.  The middle edge is the unique odd edge of
     its trail, so the partition is conformal to m.  With m omitted the
     first perfect matching is used (NoMatching when none exists).
+    orientation gives one bit per cycle of g - m, in _incoming_marks'
+    order (default: all 0); a wrong number of bits is a ValueError.
     """
     if m is None:
         m = next(perfect_matchings(g), None)
         if m is None:
             raise NoMatching("graph has no perfect matching")
     m = frozenset(m)
-    p = trails_from_marking(g, _incoming_marks(g, m, orientation))
+    marking, cycles = _incoming_marks(g, m, iter(orientation or ()))
+    if orientation is not None and len(orientation) != cycles:
+        raise ValueError(f"orientation has {len(orientation)} bits for {cycles} cycles")
+    p = trails_from_marking(g, marking)
     if not is_conformal(p, m):  # raised, not asserted, so python -O keeps it
         raise AssertionError(f"matching route: partition not conformal to {sorted(m)}")
     return p
 
 
-def _incoming_marks(
-    g: CubicGraph, m: frozenset[int], orientation: Optional[Sequence[int]]
-) -> list[int]:
-    """nop_from_matching's marking: every vertex marks its incoming
-    2-factor dart.
+def _incoming_marks(g: CubicGraph, m: frozenset[int], bits: Iterator[int]) -> tuple[list[int], int]:
+    """nop_from_matching's marking, in which every vertex marks its
+    incoming 2-factor dart, and the number of cycles of g - m.
 
-    Each cycle of g - m is walked once, in two_factor_cycles' order and
-    direction.  orientation gives one bit per cycle in that order
-    (default: all 0); bit 1 walks the cycle the other way, so each step
-    writes the dart it leaves by instead of the one it arrives by.  A
-    loop's vertex marks the loop's upper dart either way.
+    Each cycle is walked once, from its lowest vertex and along that
+    vertex's lower-numbered 2-factor dart, in order of lowest vertex.
+    One bit is drawn from bits as each cycle's walk starts (0 once bits
+    runs out); bit 1 walks the cycle the other way, so each step writes
+    the dart it leaves by instead of the one it arrives by.  A loop's
+    vertex marks the loop's upper dart either way.
     """
     if not is_perfect_matching(g, m):
         raise ValueError("edge set is not a perfect matching")
@@ -158,7 +127,6 @@ def _incoming_marks(
         rest[u] -= 2 * e
         rest[v] -= 2 * e + 1
     marking = [-1] * g.n
-    bits = iter(orientation or ())
     cycles = 0
     for v0 in range(g.n):
         if marking[v0] >= 0:
@@ -173,9 +141,7 @@ def _incoming_marks(
             d = rest[dv[d ^ 1]] - (d ^ 1)
             if d == d0:
                 break
-    if orientation is not None and len(orientation) != cycles:
-        raise ValueError(f"orientation has {len(orientation)} bits for {cycles} cycles")
-    return marking
+    return marking, cycles
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +194,14 @@ def bipartite_triple(g: CubicGraph) -> ConformalTriple:
 def _conformal_seed(
     g: CubicGraph,
     classes: tuple[frozenset[int], frozenset[int], frozenset[int]],
-    orientations: tuple[Optional[Sequence[int]], ...] = (None, None, None),
+    bits: Iterable[int] = (),
 ) -> list[list[int]]:
     """The mark lists of nop_from_matching for the three color classes,
-    undecoded: the triple's final validation checks what they become."""
-    return [_incoming_marks(g, classes[c], orientations[c]) for c in (RED, BLUE, YELLOW)]
+    undecoded: the triple's final validation checks what they become.
+    The cycles of the three 2-factors draw their orientation bits from
+    one iterator, in class order (all 0 by default)."""
+    bits = iter(bits)
+    return [_incoming_marks(g, classes[c], bits)[0] for c in (RED, BLUE, YELLOW)]
 
 
 def _ball(g: CubicGraph, centers: Sequence[int], radius: int = 2) -> list[int]:
@@ -257,15 +226,39 @@ def conformal_triple(
     seed: int = 0,
     budget: int = 10**6,
 ) -> ConformalTriple:
-    """Compatible triple conformal to a proper coloring (one is computed
-    when none is given) of a simple triangle-free cubic graph: the descent
-    on the agreement set A (see _descent), decoded and validated once."""
+    """Conformal compatible triple for any 3-edge-colorable cubic graph,
+    partition c conformal to color class c of coloring (one is computed
+    when none is given).
+
+    Each component is solved by _route: digons then triangles are
+    contracted down to a simple triangle-free core (or a base graph on at
+    most 4 vertices), the core is solved, and its three mark lists are
+    carried back through the surgeries.  A disconnected graph is solved
+    one component at a time, each cut out with its vertices and edges
+    compacted in order and the coloring restricted to it, since the
+    contraction stops at 4 live vertices in all and would otherwise run a
+    component of 4 or fewer into a digon with no hanging edges.  The
+    triple stays mark lists throughout and is decoded and validated once,
+    on g.
+
+    Raises NotThreeEdgeColorable when no proper coloring exists;
+    SearchExhausted when a core descent tries more than budget switches,
+    which the theory says should not happen.
+    """
     if coloring is None:
         coloring = proper_3_edge_coloring(g)
         if coloring is None:
             raise NotThreeEdgeColorable("graph has chromatic index 4")
     coloring = tuple(coloring)
-    return _checked(g, coloring, _descent(g, coloring, seed=seed, budget=budget))
+    parts = components(g)
+    if len(parts) == 1:
+        return _checked(g, coloring, _route(g, coloring, seed, budget))
+    marks = [[-1] * g.n for _ in range(3)]
+    for vids in parts:
+        eids = sorted({d >> 1 for v in vids for d in g.vertex_darts[v]})
+        sub = _compacted(g.n, [g.endpoints[e] for e in eids], vids)
+        _carry_marks(marks, _route(sub, tuple(coloring[e] for e in eids), seed, budget), vids, eids)
+    return _checked(g, coloring, marks)
 
 
 def _checked(g: CubicGraph, coloring: tuple[int, ...], marks: Sequence[Sequence[int]]) -> ConformalTriple:
@@ -276,8 +269,8 @@ def _checked(g: CubicGraph, coloring: tuple[int, ...], marks: Sequence[Sequence[
 
 
 def _descent(g: CubicGraph, coloring: tuple[int, ...], seed: int = 0, budget: int = 10**6) -> list[list[int]]:
-    """conformal_triple's three mark lists, by descent on the agreement
-    set A; nothing is decoded or validated here.
+    """_route's three mark lists on a core of more than 4 vertices, by
+    descent on the agreement set A; nothing is decoded or validated here.
 
     Seeds one partition per color class by the matching route, then runs
     on their three mark lists with one rule: while A is not empty, take
@@ -386,11 +379,8 @@ def _descent(g: CubicGraph, coloring: tuple[int, ...], seed: int = 0, budget: in
             if size < start_size:
                 break
         else:
-            cycles = [len(two_factor_cycles(g, classes[c])) for c in range(3)]
-            orientations = tuple(
-                tuple(rng.randrange(2) for _ in range(cycles[c])) for c in range(3)
-            )
-            fresh = _conformal_seed(g, classes, orientations)
+            # one bit drawn per cycle as it is walked
+            fresh = _conformal_seed(g, classes, iter(partial(rng.randrange, 2), None))
             # |A| of the fresh seed, read off its mark lists
             if sum(len({mk[v] >> 1 for mk in fresh}) < 3 for v in range(g.n)) <= start_size:
                 start = fresh
@@ -658,64 +648,25 @@ def _lift_triangle(site: _TriangleSite, marks: Sequence[list[int]]) -> tuple[int
 # ---------------------------------------------------------------------------
 
 
-def _base_conformal_triple(g: CubicGraph, coloring: tuple[int, ...]) -> ConformalTriple:
-    """The conformal triple least by trails of a graph on at most 4
-    vertices, among all solutions of the triple search whose table keeps
-    partition c off color class c (each vertex's two color 3-cycles)."""
+def _base_marks(g: CubicGraph, coloring: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The mark lists of the conformal triple least by trails of a graph
+    on at most 4 vertices, among all solutions of the triple search whose
+    table keeps partition c off color class c (each vertex's two color
+    3-cycles)."""
     from .search import _conformal_rows, _Search
 
     search = _Search(g, 3, allowed=_conformal_rows(g, color_classes(coloring)))
-    triples = (tuple(NormalPartition(g, mk) for mk in sol) for sol in search.solutions())
-    best = min(triples, key=lambda t: [p.trails for p in t], default=None)
+    best = min(search.solutions(), key=lambda sol: [NormalPartition(g, mk).trails for mk in sol], default=None)
     if best is None:
         raise SearchExhausted("no conformal triple on a base graph; should not happen")
-    triple = ConformalTriple(g, coloring, best)
-    triple.validate()
-    return triple
+    return best
 
 
 def conformal_triple_general(g: CubicGraph, seed: int = 0) -> ConformalTriple:
-    """Conformal compatible triple for any 3-edge-colorable cubic graph.
-
-    Computes one proper coloring, contracts digons then triangles down to
-    a simple triangle-free core (or a base graph on at most 4 vertices),
-    solves the core, and replays the contractions backwards through the
-    digon and triangle surgeries on the markings.
-
-    The contraction runs in place on one Contraction of g, in g's vertex
-    and edge ids, with the edges it creates numbered from m up.  Two lazy
-    min-heaps pick the lowest digon, else the lowest triangle, of the
-    graph contracted so far, and only the site's surviving vertices are
-    filed again, so a surgery costs O(log n).  The core is compacted into
-    a CubicGraph once, and its triple is carried back into g's ids.  Each
-    lift rewrites the marks of its 3 or 4 site vertices in place, so the
-    route costs O(n + surgeries * log n) besides the coloring and the core
-    solve.  The lifted triple is decoded and validated once, on g.
-
-    A disconnected graph is solved one component at a time, each cut out
-    with its vertices and edges compacted in order and the coloring
-    restricted to it, since the contraction stops at 4 live vertices in
-    all and would otherwise run a component of 4 or fewer into a digon
-    with no hanging edges.
-
-    Raises NotThreeEdgeColorable when no proper coloring exists;
-    SearchExhausted only if the core improvement search overruns its
-    budget.
-    """
-    coloring = proper_3_edge_coloring(g)
-    if coloring is None:
-        raise NotThreeEdgeColorable("graph has chromatic index 4")
-    coloring = tuple(coloring)
-    parts = components(g)
-    if len(parts) == 1:
-        return _conformal_route(g, coloring, seed)
-    marks = [[-1] * g.n for _ in range(3)]
-    for vids in parts:
-        eids = sorted({d >> 1 for v in vids for d in g.vertex_darts[v]})
-        sub = _compacted(g.n, [g.endpoints[e] for e in eids], vids)
-        part = _conformal_route(sub, tuple(coloring[e] for e in eids), seed, whole=False)
-        _carry_marks(marks, [p.marked for p in part.partitions], vids, eids)
-    return _checked(g, coloring, marks)
+    """conformal_triple(g, seed=seed).  The name stays because the CLI's
+    `construct --method conformal` calls it and perfbench times it as its
+    construct.route span."""
+    return conformal_triple(g, seed=seed)
 
 
 def _compacted(n: int, ends: Sequence[Sequence[int]], vids: Sequence[int]) -> CubicGraph:
@@ -735,11 +686,20 @@ def _carry_marks(marks: list[list[int]], sub: Sequence[Sequence[int]], vids: Seq
             mk[w] = 2 * eids[d >> 1] | (d & 1)
 
 
-def _conformal_route(g: CubicGraph, coloring: tuple[int, ...], seed: int, whole: bool = True) -> ConformalTriple:
-    """conformal_triple_general on a connected g with its coloring, decoded
-    and validated once, on g: with no site, g is its own core, solved by
-    conformal_triple (or the base search); else the core's mark lists are
-    lifted undecoded.  whole=False leaves the validation to the caller."""
+def _route(g: CubicGraph, coloring: tuple[int, ...], seed: int, budget: int) -> Sequence[Sequence[int]]:
+    """conformal_triple's three mark lists on a connected g, undecoded.
+
+    The contraction runs in place on one Contraction of g, in g's vertex
+    and edge ids, with the edges it creates numbered from m up.  Two lazy
+    min-heaps pick the lowest digon, else the lowest triangle, of the
+    graph contracted so far, and only the site's surviving vertices are
+    filed again, so a surgery costs O(log n).  With no site g is its own
+    core; else the core is compacted into a CubicGraph once.  The core is
+    solved by _descent (or _base_marks on at most 4 vertices), and its
+    mark lists are carried back into g's ids, where each lift rewrites the
+    marks of its 3 or 4 site vertices in place.  So the route costs
+    O(n + surgeries * log n) besides the coloring and the core solve.
+    """
     state = Contraction(g, coloring)
     sites = []
     while state.n > 4:
@@ -751,19 +711,15 @@ def _conformal_route(g: CubicGraph, coloring: tuple[int, ...], seed: int, whole:
         if tri is None:
             break
         sites.append((_lift_triangle, triangle_contract(state, tri)))
-    if whole and not sites:
-        return _base_conformal_triple(g, coloring) if g.n <= 4 else conformal_triple(g, coloring, seed=seed)
     core_g, core_col, vids, eids = state.core() if sites else (g, coloring, None, None)
     del state  # the sites hold all the lifts need; free the graph copy before the core solve
     if core_g.n <= 4:
-        marks = [p.marked for p in _base_conformal_triple(core_g, core_col).partitions]
+        marks = _base_marks(core_g, core_col)
     else:
-        marks = _descent(core_g, core_col, seed=seed)
+        marks = _descent(core_g, core_col, seed=seed, budget=budget)
     if sites:  # each lift rewrites a few marks in g's ids
         core, marks = marks, [[-1] * g.n for _ in range(3)]
         _carry_marks(marks, core, vids, eids)
         for lift, site in reversed(sites):
             lift(site, marks)
-    if whole:
-        return _checked(g, coloring, marks)
-    return ConformalTriple(g, coloring, tuple(NormalPartition(g, m) for m in marks))
+    return marks

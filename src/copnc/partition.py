@@ -157,8 +157,7 @@ class NormalPartition:
     and compatibility, agreement and passages read it alone.  The trails
     are decoded from it on first access and cached; a partition built by
     decoding carries them from the start, one that validate_normal
-    checked against given trails does not.  The associated matching is
-    cached as well, computed from the trails on first use.
+    checked against given trails does not.
 
     The trails are canonical, so they are the partition's key: two
     partitions are equal exactly when their trail sets agree modulo
@@ -166,13 +165,12 @@ class NormalPartition:
     agree edge-end-wise at non-loop slots.  Sort partitions by trails.
     """
 
-    __slots__ = ("graph", "marked", "_trails", "_matching")
+    __slots__ = ("graph", "marked", "_trails")
 
     def __init__(self, graph: CubicGraph, marked: Sequence[int]):
         self.graph = graph
         self.marked = tuple(marked)          # vertex -> marked dart
         self._trails: Optional[tuple[tuple, ...]] = None
-        self._matching: Optional[frozenset[int]] = None
 
     @property
     def trails(self) -> tuple[tuple, ...]:
@@ -386,16 +384,14 @@ def is_odd(p: NormalPartition) -> bool:
 def associated_matching(p: NormalPartition) -> frozenset[int]:
     """Union of the odd edges over all trails; a perfect matching.
 
-    Cached on p.  Raises NotOdd when some trail has even length.
+    Raises NotOdd when some trail has even length.
     """
-    if p._matching is None:
-        odd: list[int] = []
-        for _, es in p.trails:
-            if len(es) % 2 == 0:
-                raise NotOdd("partition has an even trail")
-            odd += es[1::2]
-        p._matching = frozenset(odd)
-    return p._matching
+    odd: list[int] = []
+    for _, es in p.trails:
+        if len(es) % 2 == 0:
+            raise NotOdd("partition has an even trail")
+        odd += es[1::2]
+    return frozenset(odd)
 
 
 def is_conformal(p: NormalPartition, m: frozenset[int]) -> bool:

@@ -1,6 +1,7 @@
 """Oracles for the conformal route's set-up, kept as the route had them
 before it took shortcuts:
 
+  * two_factor_cycles: the cycles of a 2-factor as lists of darts;
   * incoming_marks_by_cycles: the matching route's marking read off the
     list of 2-factor cycles, through one outgoing dart per vertex, where
     construct._incoming_marks walks each cycle once and writes the marks;
@@ -16,6 +17,7 @@ before it took shortcuts:
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from copnc.construct import (
@@ -25,10 +27,45 @@ from copnc.construct import (
     _conformal_seed,
     digon_contract,
     triangle_contract,
-    two_factor_cycles,
 )
 from copnc.graph import BLUE, RED, YELLOW, CubicGraph, color_classes
 from copnc.switching import conformal_switch
+
+
+def two_factor_cycles(g: CubicGraph, m: frozenset[int]) -> list[list[int]]:
+    """Cycles of the 2-factor g - m, each as the list of darts walked in
+    the canonical direction: start at the cycle's lowest vertex and leave
+    along its lower-numbered 2-factor dart.  Cycles sorted by lowest
+    vertex.  A loop forms a one-dart cycle, a digon a two-dart cycle.
+    """
+    m = frozenset(m)
+    cyc_darts = [
+        [d for d in g.vertex_darts[v] if (d >> 1) not in m] for v in range(g.n)
+    ]
+    for v in range(g.n):
+        if len(cyc_darts[v]) != 2:
+            raise ValueError(f"edge set is not a perfect matching at vertex {v}")
+    seen = [False] * (2 * g.m)
+    dv = g.dart_vertices
+    cycles = []
+    for v0 in range(g.n):
+        d0 = cyc_darts[v0][0]
+        if seen[d0]:
+            continue
+        cycle = []
+        d = d0
+        while True:
+            cycle.append(d)
+            seen[d] = True
+            nxt = d ^ 1
+            seen[nxt] = True
+            w = dv[nxt]
+            a, b = cyc_darts[w]
+            d = b if a == nxt else a
+            if d == d0:
+                break
+        cycles.append(cycle)
+    return cycles
 
 
 def outgoing_darts(g: CubicGraph, m: frozenset[int], orientation: Optional[Sequence[int]]) -> list[int]:
@@ -189,7 +226,7 @@ def descent_by_candidates(
                 orientations = tuple(
                     tuple(rng.randrange(2) for _ in range(cycles[c])) for c in range(3)
                 )
-                fresh = _conformal_seed(g, classes, orientations)
+                fresh = _conformal_seed(g, classes, chain.from_iterable(orientations))
                 # |A| of the fresh seed, read off its mark lists
                 if sum(len({mk[v] >> 1 for mk in fresh}) < 3 for v in range(g.n)) <= start_size:
                     start = fresh

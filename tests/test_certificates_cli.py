@@ -831,7 +831,7 @@ class TestEmitterOracle:
 
         g = generate(name)
         t = (conformal_triple_general if method == "conformal" else bipartite_triple)(g)
-        want = json_oracle(C.certificate(g, list(t.partitions), _triple_claims(t, method)))
+        want = json_oracle(C.certificate(g, list(t.partitions)) | _triple_claims(t, method))
         assert _emitted(tmp_path, ["construct", "--method", method, "--graph", name]) == want
 
     @pytest.mark.parametrize("label,g", _shape_graphs(), ids=lambda x: x if isinstance(x, str) else "")
@@ -840,7 +840,7 @@ class TestEmitterOracle:
         from copnc.construct import conformal_triple_general
 
         t = conformal_triple_general(g, seed=7)
-        want = json_oracle(C.certificate(g, list(t.partitions), _triple_claims(t, "conformal")))
+        want = json_oracle(C.certificate(g, list(t.partitions)) | _triple_claims(t, "conformal"))
         argv = ["construct", "--method", "conformal", "--graph", _graph_arg(tmp_path, g), "--seed", "7"]
         assert _emitted(tmp_path, argv) == want
 
@@ -851,7 +851,7 @@ class TestEmitterOracle:
             p = nop_from_matching(g)
             loops = {e for e, (u, v) in enumerate(g.endpoints) if u == v}
             assert any({es[0], es[-1]} & loops for _, es in p.trails), gid
-            want = json_oracle(C.certificate(g, [p], {"method": "matching"}))
+            want = json_oracle(C.certificate(g, [p]) | {"method": "matching"})
             argv = ["construct", "--method", "matching", "--graph", _graph_arg(tmp_path, g)]
             assert _emitted(tmp_path, argv) == want, gid
 
@@ -867,7 +867,7 @@ class TestEmitterOracle:
         if emit:
             claims["matchings"] = [sorted(associated_matching(p)) for p in triple]
             claims["profiles"] = [sorted(p.lengths(), reverse=True) for p in triple]
-        want = json_oracle(C.certificate(triple[0].graph, list(triple), claims))
+        want = json_oracle(C.certificate(triple[0].graph, list(triple)) | claims)
         assert _emitted(tmp_path, ["family", spec] + ["--emit-partitions"] * emit) == want
 
     def test_random_markings(self):
@@ -908,7 +908,7 @@ def conformal_cube_doc():
 
     g = generate("cube")
     t = conformal_triple_general(g)
-    return C.certificate(g, list(t.partitions), _triple_claims(t, "conformal"))
+    return C.certificate(g, list(t.partitions)) | _triple_claims(t, "conformal")
 
 
 class TestClaims:
@@ -1055,7 +1055,7 @@ def matching_k4_doc():
     from copnc.graph import generate
 
     g = generate("k4")
-    return C.certificate(g, [nop_from_matching(g)], {"method": "matching"})
+    return C.certificate(g, [nop_from_matching(g)]) | {"method": "matching"}
 
 
 class TestIdTypes:

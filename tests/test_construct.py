@@ -21,14 +21,13 @@ from copnc.construct import (
     digon_contract,
     nop_from_matching,
     triangle_contract,
-    two_factor_cycles,
 )
 from copnc.graph import CubicGraph, color_classes, generate, perfect_matchings, proper_3_edge_coloring
 from copnc.partition import agreement, associated_matching, is_conformal, length_profile
 
 from conftest import circular_ladder, construct_workload_graphs, corpus_upto
 from lemma_checks import edge_role_audit
-from route_oracles import incoming_marks_by_cycles
+from route_oracles import incoming_marks_by_cycles, two_factor_cycles
 from stepwise_route import digon_extend, find_digon, find_triangle, triangle_extend
 
 
@@ -83,7 +82,8 @@ class TestMatchingRoute:
         """Each vertex marks a 2-factor dart at itself, and each vertex is
         left by exactly one marked dart's edge: one incoming dart each."""
         m = next(perfect_matchings(petersen))
-        marks = _incoming_marks(petersen, m, None)
+        marks, cycles = _incoming_marks(petersen, m, iter(()))
+        assert cycles == len(two_factor_cycles(petersen, m))
         tails = [petersen.dart_vertices[d ^ 1] for d in marks]
         for v in range(petersen.n):
             assert petersen.dart_vertices[marks[v]] == v
@@ -95,9 +95,9 @@ class TestMatchingRoute:
         cycles = len(two_factor_cycles(petersen, m))
         for bits in ((0,) * (cycles - 1), (0,) * (cycles + 1)):
             with pytest.raises(ValueError, match="bits for"):
-                _incoming_marks(petersen, m, bits)
+                nop_from_matching(petersen, m, bits)
         with pytest.raises(ValueError, match="not a perfect matching"):
-            _incoming_marks(petersen, m - {min(m)}, None)
+            _incoming_marks(petersen, m - {min(m)}, iter(()))
 
     def test_incoming_marks_match_cycle_oracle_on_corpus(self):
         """One walk per cycle writes the marks that the list of cycles and
@@ -110,7 +110,8 @@ class TestMatchingRoute:
             for m in islice(perfect_matchings(g), 4):
                 bits = [rng.randrange(2) for _ in two_factor_cycles(g, m)]
                 for orientation in (None, [0] * len(bits), bits):
-                    assert _incoming_marks(g, m, orientation) == incoming_marks_by_cycles(g, m, orientation), gid
+                    marks, cycles = _incoming_marks(g, m, iter(orientation or ()))
+                    assert marks == incoming_marks_by_cycles(g, m, orientation) and cycles == len(bits), gid
                 cases += 1
         assert cases > 1000
 
@@ -122,7 +123,8 @@ class TestMatchingRoute:
             for m in color_classes(proper_3_edge_coloring(g)):
                 bits = [rng.randrange(2) for _ in two_factor_cycles(g, m)]
                 for orientation in (None, bits):
-                    assert _incoming_marks(g, m, orientation) == incoming_marks_by_cycles(g, m, orientation)
+                    marks, cycles = _incoming_marks(g, m, iter(orientation or ()))
+                    assert marks == incoming_marks_by_cycles(g, m, orientation) and cycles == len(bits)
 
 
 class TestBipartiteRoute:
@@ -463,9 +465,32 @@ class TestGeneralRoute:
         assert t.graph == g and t.coloring == proper_3_edge_coloring(g)
 
     def test_connected_graph_route_unchanged(self, cube):
-        """A connected graph goes through the route as one component."""
-        from copnc.construct import _conformal_route
-
+        """A connected graph with no digon or triangle goes through the
+        route as one component, its own core: the descent on the graph."""
         t = conformal_triple_general(cube)
-        u = _conformal_route(cube, t.coloring, 0)
-        assert [p.marked for p in t.partitions] == [p.marked for p in u.partitions]
+        assert [list(p.marked) for p in t.partitions] == construct._descent(cube, t.coloring)
+
+    @pytest.mark.parametrize("names", [("prism",), ("k4",), ("theta",), ("k4", "theta", "cube")])
+    def test_conformal_triple_is_the_route(self, names):
+        """conformal_triple runs the whole route: on graphs with a
+        triangle, on at most 4 vertices, with a digon, and on several
+        components, it gives the marks of conformal_triple_general, with
+        the coloring computed or given."""
+        edges, n = [], 0
+        for name in names:
+            h = generate(name)
+            edges += [(u + n, v + n) for u, v in h.endpoints]
+            n += h.n
+        g = CubicGraph(n, edges)
+        want = [p.marked for p in conformal_triple_general(g).partitions]
+        assert [p.marked for p in conformal_triple(g).partitions] == want
+        assert [p.marked for p in conformal_triple(g, proper_3_edge_coloring(g)).partitions] == want
+
+    def test_budget_reaches_the_core_descent(self):
+        """The budget caps the descent on the contracted core."""
+        from conftest import truncated_ladder
+
+        g = CubicGraph(*truncated_ladder(8))
+        conformal_triple(g).validate()
+        with pytest.raises(SearchExhausted):
+            conformal_triple(g, budget=1)

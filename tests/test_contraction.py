@@ -39,7 +39,7 @@ def recording():
     rec = {"surgeries": [], "core": []}
     saved = {
         name: getattr(construct, name)
-        for name in ("digon_contract", "triangle_contract", "_descent", "_base_conformal_triple")
+        for name in ("digon_contract", "triangle_contract", "_descent", "_base_marks")
     }
 
     def contract(kind, field):
@@ -60,7 +60,7 @@ def recording():
     construct.digon_contract = contract("digon", "digon")
     construct.triangle_contract = contract("triangle", "tri")
     construct._descent = solve("_descent")
-    construct._base_conformal_triple = solve("_base_conformal_triple")
+    construct._base_marks = solve("_base_marks")
     try:
         yield rec
     finally:
@@ -156,9 +156,9 @@ def test_base_triple_matches_nested_pools():
             coloring = proper_3_edge_coloring(g)
             for perm in permutations(range(3)):
                 col = tuple(perm[c] for c in coloring)
-                got = construct._base_conformal_triple(g, col)
+                got = construct._base_marks(g, col)
                 want = base_triple(g, col)
-                assert [p.marked for p in got.partitions] == [p.marked for p in want.partitions], (gid, r, perm)
+                assert list(got) == [p.marked for p in want.partitions], (gid, r, perm)
                 cases += 1
     assert cases == 1278
 

@@ -70,7 +70,8 @@ def length3_by_pairs(g):
     compatible members, the third's marks are forced (the remaining slot at
     every vertex), so pairs plus one dictionary lookup decide existence.
     """
-    from copnc.construct import nop_from_matching, two_factor_cycles
+    from copnc.construct import nop_from_matching
+    from route_oracles import two_factor_cycles
 
     if g.has_loop():
         return None

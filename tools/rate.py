@@ -226,7 +226,7 @@ TIMED = {
     "triangle_contract": "contract",
     "_conformal_seed": "seed",
     "_descent": "descent",
-    "_base_conformal_triple": "descent",
+    "_base_marks": "descent",
 }
 
 
