@@ -70,16 +70,11 @@ def resolve_graphs(spec: str) -> list[tuple[str, CubicGraph]]:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+        stem = path.stem
         if path.suffix == ".g6":
-            out = []
-            for i, line in enumerate(text.splitlines()):
-                if line.strip():
-                    out.append((f"{path.stem}:{i}", parse_graph6(line)))
-            return out
+            return [(f"{stem}:{i}", parse_graph6(line)) for i, line in enumerate(text.splitlines()) if line.strip()]
         if path.suffix == ".edges":
-            return [
-                (f"{path.stem}:{i}", g) for i, g in enumerate(parse_edge_list(text))
-            ]
+            return [(f"{stem}:{i}", g) for i, g in enumerate(parse_edge_list(text))]
         raise UsageError(f"unknown graph file type: {path.suffix}")
     return [(spec, generate(*parse_spec(spec)))]
 

@@ -43,7 +43,8 @@ and each vertex's choice row, built when the kernel first enters the
 vertex and kept for the rest of the search, so a search that stops early
 pays only for the rows it reached) and a kernel that keeps only the chain
 state of all k partitions, in flat arrays with no undo journal.  A choice
-is tested by reads alone and undone from its own darts (see _Search).
+is tested by reads alone, in a test written out for each k (one part for
+k = 1, three for k = 3), and undone from its own darts (see _Search).
 
 A sweep runs check_graph on each graph of a corpus; each check returns
 its JSONL record as a plain dict, ready to encode.
@@ -182,9 +183,8 @@ class _Search:
     A row holds a vertex's slot choices as parts: one (marked, a, b) per
     partition, in flat indices, a and b being the two darts the passage
     joins.  A k = 1 marking is kept as the kernel places it: accepting v
-    writes its mark to marks[v], so a solution is one copy of that list
-    (for k = 3 the store holds the last partition's mark and goes unread;
-    the three markings are read off the chosen parts).
+    writes its mark to marks[v], so a solution is one copy of that list;
+    k = 3 keeps no mark store and reads its markings off the chosen parts.
 
     The refusal table dead, built once per search, says which completed
     trails are refused: dead[t] holds when t > cap, when t is even and
@@ -194,16 +194,19 @@ class _Search:
 
     A choice is accepted or rejected by reads alone.  Per partition, in
     order: the seal check (the marked dart ends a chain whose other end is
-    sealed, and dead[its length]), then the join check (a-b closes a
-    cycle, breaks the cap, or completes a chain of a dead length), where
-    an end counts as sealed when it is the marked dart itself
-    (x == marked or sealed[x]), since nothing is written yet.  Only an
-    accepted choice writes.  Undo needs no journal:
-    a joined dart is interior to its chain, and an interior dart's entries
-    are never written, so while the frame is live link[a] and link[b] still
-    name the ends the join wrote, and length[a] and length[b] still hold
-    the lengths the two chains had.  Frames unwind last in, first out, so
-    each one restores exactly the state its vertex found.
+    sealed, and dead[its length]), then the join check (a-b closes a cycle,
+    breaks the cap, or completes a chain of a dead length), where an end
+    counts as sealed when it is the marked dart itself (x == marked or
+    sealed[x]), since nothing is written yet.  Only an accepted choice
+    writes.  The test and the write are spelled out per k, in a choice loop
+    picked once per visit to a frame: k = 1 tests its one part, and k = 3
+    makes all the reads of its three parts before any write, which is sound
+    as partition p's darts sit in their own block of 2m.  Undo needs no
+    journal: a joined dart is interior to its chain, and an interior dart's
+    entries are never written, so while the frame is live link[a] and
+    link[b] still name the ends the join wrote, and length[a] and length[b]
+    still hold the lengths the two chains had.  Frames unwind last in, first
+    out, so each one restores exactly the state its vertex found.
     """
 
     def __init__(
@@ -283,39 +286,88 @@ class _Search:
             # place the next choice at the top frame, backtracking until one fits
             while stack:
                 v, it = stack[-1]
-                parts = chosen[v]
-                if parts is not None:
-                    for md, a, b in parts:
+                parts, chosen[v] = chosen[v], None
+                if k == 1:
+                    if parts is not None:
+                        ((md, a, b),) = parts
                         x, y = link[a], link[b]
                         link[x], link[y] = a, b
                         length[x], length[y] = length[a], length[b]
                         sealed[md] = False
-                for parts in it:
-                    nodes += 1
-                    for md, a, b in parts:
+                    for parts in it:
+                        nodes += 1
+                        ((md, a, b),) = parts
                         if sealed[link[md]] and dead[length[md]]:
-                            break  # sealing md completes a refused trail
+                            continue  # sealing md completes a refused trail
                         x = link[a]
                         if x == b:
-                            break  # joining a-b closes a cycle
+                            continue  # joining a-b closes a cycle
                         y = link[b]
                         t = length[a] + length[b]
                         if t > cap:
-                            break  # chains never shrink
+                            continue  # chains never shrink
                         if dead[t] and (x == md or sealed[x]) and (y == md or sealed[y]):
-                            break  # the joined chain completes a refused trail
-                    else:
-                        for md, a, b in parts:
-                            sealed[md] = True
-                            x, y = link[a], link[b]
-                            link[x], link[y] = y, x
-                            length[x] = length[y] = length[a] + length[b]
+                            continue  # the joined chain completes a refused trail
+                        sealed[md] = True
+                        link[x], link[y] = y, x
+                        length[x] = length[y] = t
                         chosen[v] = parts
                         marks[v] = md
                         break
                 else:
+                    if parts is not None:
+                        (m0, a0, b0), (m1, a1, b1), (m2, a2, b2) = parts
+                        x0, y0, x1, y1, x2, y2 = link[a0], link[b0], link[a1], link[b1], link[a2], link[b2]
+                        link[x0], link[y0], link[x1], link[y1], link[x2], link[y2] = a0, b0, a1, b1, a2, b2
+                        length[x0], length[y0] = length[a0], length[b0]
+                        length[x1], length[y1] = length[a1], length[b1]
+                        length[x2], length[y2] = length[a2], length[b2]
+                        sealed[m0] = sealed[m1] = sealed[m2] = False
+                    for parts in it:  # the same four refusals, per partition
+                        nodes += 1
+                        (m0, a0, b0), (m1, a1, b1), (m2, a2, b2) = parts
+                        if sealed[link[m0]] and dead[length[m0]]:
+                            continue
+                        x0 = link[a0]
+                        if x0 == b0:
+                            continue
+                        y0 = link[b0]
+                        t0 = length[a0] + length[b0]
+                        if t0 > cap:
+                            continue
+                        if dead[t0] and (x0 == m0 or sealed[x0]) and (y0 == m0 or sealed[y0]):
+                            continue
+                        if sealed[link[m1]] and dead[length[m1]]:
+                            continue
+                        x1 = link[a1]
+                        if x1 == b1:
+                            continue
+                        y1 = link[b1]
+                        t1 = length[a1] + length[b1]
+                        if t1 > cap:
+                            continue
+                        if dead[t1] and (x1 == m1 or sealed[x1]) and (y1 == m1 or sealed[y1]):
+                            continue
+                        if sealed[link[m2]] and dead[length[m2]]:
+                            continue
+                        x2 = link[a2]
+                        if x2 == b2:
+                            continue
+                        y2 = link[b2]
+                        t2 = length[a2] + length[b2]
+                        if t2 > cap:
+                            continue
+                        if dead[t2] and (x2 == m2 or sealed[x2]) and (y2 == m2 or sealed[y2]):
+                            continue
+                        sealed[m0] = sealed[m1] = sealed[m2] = True
+                        link[x0], link[y0], link[x1], link[y1], link[x2], link[y2] = y0, x0, y1, x1, y2, x2
+                        length[x0] = length[y0] = t0
+                        length[x1] = length[y1] = t1
+                        length[x2] = length[y2] = t2
+                        chosen[v] = parts
+                        break
+                if chosen[v] is None:
                     stack.pop()  # v is exhausted: leave it
-                    chosen[v] = None
                     continue
                 if len(stack) < n:
                     break

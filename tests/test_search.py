@@ -374,9 +374,34 @@ class TestKernelMatchesJournal:
             for odd in (True, False):
                 assert run(_Search, g, 1, odd=odd) == run(JournalSearch, g, 1, odd=odd), (gid, odd)
 
-    def test_conformal_to_each_cube_matching(self, cube):
-        for m in perfect_matchings(cube):
-            assert run(_Search, cube, 1, avoid=m) == run(JournalSearch, cube, 1, avoid=m), m
+    def test_capped_single_partitions(self):
+        """The k = 1 search with every trail capped at 3 or 5 edges, plain
+        and odd, on the corpus up to n = 8: the only k = 1 searches whose
+        cap refusal can fire, as no chain ever outgrows m edges."""
+        found = 0
+        for gid, g in corpus_upto(8):
+            for cap in (3, 5):
+                for odd in (True, False):
+                    want = run(JournalSearch, g, 1, odd=odd, length_cap=cap, exact=cap == 3)
+                    assert run(_Search, g, 1, odd=odd, length_cap=cap) == want, (gid, cap, odd)
+                    found += len(want[0])
+        assert found > 0
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_conformal_to_each_matching(self, n):
+        """The k = 1 search under the table of each perfect matching of
+        each corpus graph (and, at n = 8, of the cube as generate labels
+        it): every row holds the two perms off the matching, at a loop
+        vertex the loop's two darts."""
+        graphs = list(corpus_all(n)) + ([("cube", generate("cube"))] if n == 8 else [])
+        cases = looped = 0
+        for gid, g in graphs:
+            for m in perfect_matchings(g):
+                want = run(JournalSearch, g, 1, avoid=m)
+                assert run(_Search, g, 1, avoid=m) == want, (gid, m)
+                cases += 1
+                looped += g.has_loop() and bool(want[0])
+        assert cases > 0 and looped > 0, (cases, looped)
 
     def test_pinned(self, k4, petersen):
         for g in (k4, petersen):

@@ -15,7 +15,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 # each group's header columns and number of rows
 TABLES = {
     "decode": ("case markings n decodes cpu_s us/decode", 4),
-    "search": ("case graphs nodes rows cpu_s nodes/s ratio", 10),
+    "search": ("case graphs solutions nodes rows cpu_s nodes/s ratio", 14),
     "route": ("case n cpu_s ratio switch_us color_ms contract_ms seed_ms descent_ms lift_ms", 8),
     "cert": ("case n bytes write_ms loads_ms validate_ms validate_g_ms", 7),
     "class": ("query pool classes calls cpu_s ms/call enum_ms us/part query_ms", 18),

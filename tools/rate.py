@@ -2,7 +2,7 @@
 """CPU time of copnc's layers, one table per group of fixed cases.
 
   decode   microseconds per marking decode (copnc.partition.trails_from_marking)
-  search   search nodes per second of copnc's triple search
+  search   search nodes per second of copnc's search kernel (k = 3 and k = 1)
   route    CPU seconds of copnc.construct.conformal_triple_general, by phase
   cert     milliseconds per certificate write, json.loads and
            validate_certificate
@@ -154,31 +154,37 @@ def decode(repeat: int, seed: int) -> None:
         print(f"{name:<10} {len(work):>8} {n:>5} {decodes:>8} {secs:>8.3f} {secs / decodes * 1e6:>10.1f}")
 
 
-def searches(graphs: list[CubicGraph], classes: list, cap: int | None) -> tuple[int, int]:
-    """(nodes, rows built) of one search per graph, with every trail capped
-    at cap edges: to its first solution, or with classes given, to
-    exhaustion under the table that keeps partition c off color class c."""
-    nodes = rows = 0
-    for i, g in enumerate(graphs):
-        if classes:
-            s = _Search(g, 3, allowed=_conformal_rows(g, classes[i]))
-            for _ in s.solutions():
-                pass
+def searches(graphs: list[CubicGraph], make: Callable[[CubicGraph], _Search], first: bool) -> tuple[int, int, int]:
+    """(solutions, nodes, rows built) of the search make(g) on each graph:
+    to its first solution when first is set, else to exhaustion."""
+    sols = nodes = rows = 0
+    for g in graphs:
+        s = make(g)
+        if first:
+            sols += next(s.solutions(), None) is not None
         else:
-            s = _Search(g, 3, length_cap=cap)
-            next(s.solutions(), None)
+            sols += sum(1 for _ in s.solutions())
         nodes += s.nodes
         rows += len(s.rows) - s.rows.count(None)
-    return nodes, rows
+    return sols, nodes, rows
+
+
+def table_search(classes: list, g: CubicGraph) -> _Search:
+    """The triple search under the table that keeps partition c off color
+    class c."""
+    return _Search(g, 3, allowed=_conformal_rows(g, classes))
 
 
 def search(repeat: int, seed: int) -> None:
-    """Nodes per second (best of constructing each search and running it;
-    table rows also build the table):
+    """Nodes per second of the search kernel (best of constructing each
+    search and running it; table rows also build the table):
 
       bridged10  the 25 loopless bridged graphs of the n = 10 corpus; each
-                 search exhausts with no triple (283,807 nodes in all)
+                 triple search exhausts with no triple (283,807 nodes in all)
       simple12   the first triple on each of the 85 simple graphs with n = 12
+      plain, odd every normal (plain) or normal odd (odd) partition of the
+                 cube and of the Petersen graph: the k = 1 search, run to
+                 exhaustion, that pools the switch classes
       ladder     the first triple on the circular ladder, n = 1,200 ... 9,600;
                  it needs about n nodes, so its rate shows how the cost of a
                  node grows with n
@@ -190,27 +196,34 @@ def search(repeat: int, seed: int) -> None:
                  and the 85 simple graphs with n = 12; all but the bipartite
                  ones exhaust it
 
-    Nodes are the search's own count, and rows the mean number of choice
-    rows a search built, out of its graph's n (the kernel builds a vertex's
-    row when it first enters the vertex, so a search that stops early
-    builds fewer, and a graph with a loop, refused at once, none).
+    Solutions and nodes are the search's own, and rows the mean number of
+    choice rows a search built, out of its graph's n (the kernel builds a
+    vertex's row when it first enters the vertex, so a search that stops
+    early builds fewer, and a graph with a loop, refused at once, none).
     """
+    simple12 = [g for _, g in corpus_simple12()]
+    triple = partial(_Search, k=3)
     cases = [
-        ("bridged10", [g for _, g in corpus_all(10) if not g.has_loop() and bridges(g)]),
-        ("simple12", [g for _, g in corpus_simple12()]),
+        ("bridged10", [g for _, g in corpus_all(10) if not g.has_loop() and bridges(g)], triple, False),
+        ("simple12", simple12, triple, True),
     ]
-    cases += [(f"ladder n={2 * r}", [circular_ladder(r)]) for r in (600, 1200, 2400, 4800)]
-    cases += [(f"table {name}", [generate(name)]) for name in ("cube", "prism")]
-    cases += [("length3 n=10", [g for _, g in corpus_all(10)]), ("length3 n=12", cases[1][1])]
-    print(f"{'case':<16} {'graphs':>6} {'nodes':>9} {'rows':>7} {'cpu_s':>8} {'nodes/s':>10} {'ratio':>6}")
+    cases += [
+        (f"{kind} {name}", [generate(name)], partial(_Search, k=1, odd=kind == "odd"), False)
+        for name in ("cube", "petersen")
+        for kind in ("plain", "odd")
+    ]
+    cases += [(f"ladder n={2 * r}", [circular_ladder(r)], triple, True) for r in (600, 1200, 2400, 4800)]
+    for name in ("cube", "prism"):
+        g = generate(name)
+        cases.append((f"table {name}", [g], partial(table_search, color_classes(proper_3_edge_coloring(g))), False))
+    length3 = partial(_Search, k=3, length_cap=3)
+    cases += [("length3 n=10", [g for _, g in corpus_all(10)], length3, True), ("length3 n=12", simple12, length3, True)]
+    print(f"{'case':<16} {'graphs':>6} {'solutions':>9} {'nodes':>9} {'rows':>7} {'cpu_s':>8} {'nodes/s':>10} {'ratio':>6}")
     prev = None
-    for name, graphs in cases:
-        cap = 3 if name.startswith("length3") else None
-        table = name.startswith("table")
-        classes = [color_classes(proper_3_edge_coloring(g)) for g in graphs] if table else []
-        secs, (nodes, rows) = best(partial(searches, graphs, classes, cap), repeat)
+    for name, graphs, make, first in cases:
+        secs, (sols, nodes, rows) = best(partial(searches, graphs, make, first), repeat)
         ladder = name.startswith("ladder")
-        line = f"{name:<16} {len(graphs):>6} {nodes:>9} {rows / len(graphs):>7.1f} {secs:>8.4f}"
+        line = f"{name:<16} {len(graphs):>6} {sols:>9} {nodes:>9} {rows / len(graphs):>7.1f} {secs:>8.4f}"
         print(f"{line} {nodes / secs:>10.0f} {ratio(secs, prev if ladder else None)}")
         prev = secs if ladder else None
 
