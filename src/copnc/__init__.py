@@ -50,7 +50,6 @@ from .families import flower_triple, goldberg_triple, petersen_triple
 from .search import (
     enumerate_compatible_triples,
     enumerate_nops,
-    fan_raspaud_witness,
     find_compatible_triple,
     find_length3_triple,
     find_nop,

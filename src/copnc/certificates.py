@@ -58,13 +58,12 @@ def dumps(doc: dict) -> str:
     """The canonical text of a JSON document: byte for byte
     json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) and a
     newline.  json writes any indented document with its pure-Python
-    encoder; here keys and scalars go through the C encoder, a list of
-    ints is joined in one go, and a list of int lists is one compact C
-    encode, re-indented.  A NormalPartition in the document is written
+    encoder; here keys and scalars go through the C encoder, and a list of
+    ints is joined in one go.  A NormalPartition in the document is written
     straight from its decoded trails, as the list of trail objects that
     certificate() makes of it, and a CubicGraph straight from its
     endpoints, as graph_payload() makes it, each from one compact C
-    encode as well.  Keys must be strings."""
+    encode, re-indented.  Keys must be strings."""
     return _text(doc, "") + "\n"
 
 
@@ -80,11 +79,6 @@ _COLORS = {0, 1, 2}
 _COLOR_BIT = (1, 2, 4)
 
 
-def _int_lists(x) -> bool:
-    """A list of non-empty lists of ints; bools are not ints here."""
-    return set(map(type, x)) == _LIST and all(x) and set(map(type, chain.from_iterable(x))) == _INT
-
-
 def _ints(x) -> bool:
     """A list of ints, maybe empty; bools are not ints here."""
     return type(x) is list and _INT.issuperset(map(type, x))
@@ -96,7 +90,7 @@ def _ints(x) -> bool:
 
 
 def _int_lists_text(x, pad: str) -> str:
-    """A list of non-empty int lists as _text writes it."""
+    """A graph's endpoints, a non-empty list of int pairs, as _text writes them."""
     a, c = "\n" + pad + " ", "\n" + pad + "  "
     s = _compact(x)[2:-2].replace(",", "," + c).replace("]," + c + "[", a + "]," + a + "[" + c)
     return "[" + a + "[" + c + s + a + "]\n" + pad + "]"
@@ -126,8 +120,6 @@ def _text(x, pad: str) -> str:
         sep = ",\n" + inner
         if set(map(type, x)) == _INT:
             body = sep.join(map(str, x))
-        elif _int_lists(x):
-            return _int_lists_text(x, pad)
         else:
             body = sep.join([_text(v, inner) for v in x])
         return f"[\n{inner}{body}\n{pad}]"

@@ -166,8 +166,7 @@ def cmd_family(args) -> int:
         print("frozen family data reproduced" if ok else "family data drift detected")
         return EXIT_OK if ok else EXIT_INVALID
     if not args.name:
-        print("family name required (petersen | flower:k | goldberg:k)", file=sys.stderr)
-        return EXIT_IO
+        raise UsageError("family name required (petersen | flower:k | goldberg:k)")
     try:
         # checked as validate checks a claimed family, so the output validates
         name, k = parse_spec(args.name)
@@ -194,8 +193,7 @@ def cmd_switch_class(args) -> int:
     try:
         ids = [int(x) for x in args.matching.split(",")] if args.matching else None
     except ValueError:
-        print(f"bad --matching '{args.matching}': expected comma separated edge ids", file=sys.stderr)
-        return EXIT_IO
+        raise UsageError(f"bad --matching '{args.matching}': expected comma separated edge ids") from None
     matching = frozenset(ids) if ids else None
     try:
         if matching is not None and args.moves != "conformal":
@@ -216,9 +214,6 @@ def cmd_switch_class(args) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
     doc = {
         "schema": C.SCHEMA,
         "graph": C.graph_payload(g),
@@ -244,11 +239,7 @@ def _sweep_worker(item):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, not {args.jobs}")
-    try:
-        graphs = resolve_graphs(args.input if args.input.startswith("@") else "@" + args.input)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
+    graphs = resolve_graphs(args.input if args.input.startswith("@") else "@" + args.input)
     items = [(graph, args.check) for graph in graphs]
     failures = 0
     with ExitStack() as stack:
@@ -330,10 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
-    except (Malformed, NonCubic, BadParameter) as exc:
+    except (UsageError, Malformed, NonCubic, BadParameter) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
 

@@ -44,7 +44,7 @@ import json
 from importlib import resources
 from typing import Optional, Sequence
 
-from .certificates import dumps
+from .certificates import SCHEMA, dumps
 from .graph import CubicGraph, generate
 from .partition import (
     NormalPartition,
@@ -402,7 +402,7 @@ def derive_family_data() -> dict:
     """Re-run every derivation and assemble the frozen-data document; the
     Petersen partitions stay partitions, which dumps writes as their trails."""
     pet = derive_petersen()
-    doc = {"schema": "copnc/1", "petersen": {"partitions": list(pet)}}
+    doc = {"schema": SCHEMA, "petersen": {"partitions": list(pet)}}
     for name in ("flower", "goldberg"):
         base, gadget = _derive(name)
         doc[name] = {"base": _to_json(name, base), "gadget": _to_json(name, gadget)}

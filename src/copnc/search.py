@@ -4,10 +4,10 @@ Every search and enumeration here runs on one backtracking engine over
 markings.  Each of k partitions marks one slot per vertex; the search
 assigns vertices one at a time and keeps, per partition, the growing trail
 fragments as chains of edges with open or sealed (marked) ends.  Pairing
-two ends of the same chain would close a cycle and is pruned immediately,
-and so is a chain that grows past the length cap.  Completing a chain
-(sealing both its ends) is refused by one table of trail lengths: even
-lengths for odd partitions, and under a cap of 3 every length but 3.  A
+two ends of the same chain would close a cycle and is pruned immediately.
+One table of chain lengths refuses the rest: a chain that grows past the
+length cap, and a completed chain (both ends sealed) of a refused length,
+even for odd partitions and under a cap of 3 any length but 3.  A
 normal partition of a cubic graph has one trail end per vertex, so n/2
 trails, and all 3n/2 edges, so its trails average exactly 3 edges; with
 none longer than 3, each has exactly 3.  A full assignment that survives
@@ -58,15 +58,11 @@ from itertools import permutations, product
 from typing import Collection, Iterator, Optional, Sequence
 
 from .graph import CubicGraph, bridges, has_perfect_matching, is_bipartite, is_perfect_matching, perfect_matchings
-from .partition import NormalPartition, agreement, associated_matching
+from .partition import NormalPartition
 from .switching import CapExceeded
 
 # k -> the ways to give each of k partitions its own slot at a vertex
 _PERMS = {k: tuple(permutations(range(3), k)) for k in (1, 3)}
-
-
-class EmptyIntersectionViolated(AssertionError):
-    """Three matchings from a compatible triple met in an edge: a bug."""
 
 
 def find_nop(g: CubicGraph) -> Optional[NormalPartition]:
@@ -186,27 +182,30 @@ class _Search:
     writes its mark to marks[v], so a solution is one copy of that list;
     k = 3 keeps no mark store and reads its markings off the chosen parts.
 
-    The refusal table dead, built once per search, says which completed
-    trails are refused: dead[t] holds when t > cap, when t is even and
-    parity is asked for, or when the cap is 3 and t < 3 (the n/2 trails of
-    a normal partition share its 3n/2 edges, so with none over 3 each has
-    exactly 3).  An open chain is refused only past the cap.
+    The refusal table dead, built once per search, covers every length a
+    join reaches (no chain outgrows m edges) and says which chains are
+    refused: dead[t] holds when t > cap, when t is even and parity is
+    asked for, or when the cap is 3 and t < 3 (the n/2 trails of a normal
+    partition share its 3n/2 edges, so with none over 3 each has exactly
+    3).  A completed trail is refused at any dead length; an open chain
+    is refused through the same table, at a dead length past the cap.
 
     A choice is accepted or rejected by reads alone.  Per partition, in
     order: the seal check (the marked dart ends a chain whose other end is
     sealed, and dead[its length]), then the join check (a-b closes a cycle,
-    breaks the cap, or completes a chain of a dead length), where an end
-    counts as sealed when it is the marked dart itself (x == marked or
-    sealed[x]), since nothing is written yet.  Only an accepted choice
-    writes.  The test and the write are spelled out per k, in a choice loop
-    picked once per visit to a frame: k = 1 tests its one part, and k = 3
-    makes all the reads of its three parts before any write, which is sound
-    as partition p's darts sit in their own block of 2m.  Undo needs no
-    journal: a joined dart is interior to its chain, and an interior dart's
-    entries are never written, so while the frame is live link[a] and
-    link[b] still name the ends the join wrote, and length[a] and length[b]
-    still hold the lengths the two chains had.  Frames unwind last in, first
-    out, so each one restores exactly the state its vertex found.
+    or makes a chain of a dead length t that passes the cap or has both
+    ends sealed), where an end counts as sealed when it is the marked dart
+    itself (x == marked or sealed[x]), since nothing is written yet.  Only
+    an accepted choice writes.  The test and the write are spelled out per
+    k, in a choice loop picked once per visit to a frame: k = 1 tests its
+    one part, and k = 3 makes all the reads of its three parts before any
+    write, which is sound as partition p's darts sit in their own block of
+    2m.  Undo needs no journal: a joined dart is interior to its chain, and
+    an interior dart's entries are never written, so while the frame is
+    live link[a] and link[b] still name the ends the join wrote, and
+    length[a] and length[b] still hold the lengths the two chains had.
+    Frames unwind last in, first out, so each one restores exactly the
+    state its vertex found.
     """
 
     def __init__(
@@ -263,10 +262,11 @@ class _Search:
         sealed = [False] * size
         # no chain exceeds m edges, so m is no cap at all
         cap = g.m if self.length_cap is None else self.length_cap
-        # the refusal table; chains start at 1 edge and no join passes the
-        # cap, so every length looked up is at most max(cap, 1)
+        # the refusal table, one entry for every length a join reaches (at
+        # most m, as n > 0 here); a chain past the cap is refused through
+        # it, open or sealed, so no separate cap test runs
         exact = self.length_cap == 3
-        dead = [t > cap or self.odd and not t & 1 or exact and t < 3 for t in range(max(cap, 1) + 1)]
+        dead = [t > cap or self.odd and not t & 1 or exact and t < 3 for t in range(g.m + 1)]
         chosen: list = [None] * n  # v -> the parts applied at v, or None
         marks = [0] * n  # v -> the mark accepted at v (k = 1)
         offsets = range(0, size, 2 * g.m)
@@ -304,10 +304,8 @@ class _Search:
                             continue  # joining a-b closes a cycle
                         y = link[b]
                         t = length[a] + length[b]
-                        if t > cap:
-                            continue  # chains never shrink
-                        if dead[t] and (x == md or sealed[x]) and (y == md or sealed[y]):
-                            continue  # the joined chain completes a refused trail
+                        if dead[t] and (t > cap or (x == md or sealed[x]) and (y == md or sealed[y])):
+                            continue  # the joined chain passes the cap or completes a refused trail
                         sealed[md] = True
                         link[x], link[y] = y, x
                         length[x] = length[y] = t
@@ -333,9 +331,7 @@ class _Search:
                             continue
                         y0 = link[b0]
                         t0 = length[a0] + length[b0]
-                        if t0 > cap:
-                            continue
-                        if dead[t0] and (x0 == m0 or sealed[x0]) and (y0 == m0 or sealed[y0]):
+                        if dead[t0] and (t0 > cap or (x0 == m0 or sealed[x0]) and (y0 == m0 or sealed[y0])):
                             continue
                         if sealed[link[m1]] and dead[length[m1]]:
                             continue
@@ -344,9 +340,7 @@ class _Search:
                             continue
                         y1 = link[b1]
                         t1 = length[a1] + length[b1]
-                        if t1 > cap:
-                            continue
-                        if dead[t1] and (x1 == m1 or sealed[x1]) and (y1 == m1 or sealed[y1]):
+                        if dead[t1] and (t1 > cap or (x1 == m1 or sealed[x1]) and (y1 == m1 or sealed[y1])):
                             continue
                         if sealed[link[m2]] and dead[length[m2]]:
                             continue
@@ -355,9 +349,7 @@ class _Search:
                             continue
                         y2 = link[b2]
                         t2 = length[a2] + length[b2]
-                        if t2 > cap:
-                            continue
-                        if dead[t2] and (x2 == m2 or sealed[x2]) and (y2 == m2 or sealed[y2]):
+                        if dead[t2] and (t2 > cap or (x2 == m2 or sealed[x2]) and (y2 == m2 or sealed[y2])):
                             continue
                         sealed[m0] = sealed[m1] = sealed[m2] = True
                         link[x0], link[y0], link[x1], link[y1], link[x2], link[y2] = y0, x0, y1, x1, y2, x2
@@ -452,20 +444,6 @@ def find_length3_triple(
     return next(enumerate_compatible_triples(g, length_cap=3), None)
 
 
-def fan_raspaud_witness(
-    triple: Sequence[NormalPartition],
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """The three associated matchings of a compatible odd triple; their
-    triple intersection is empty (raising otherwise would flag a bug)."""
-    p1, p2, p3 = triple
-    if agreement(triple):
-        raise ValueError("triple is not pairwise compatible")
-    m1, m2, m3 = (associated_matching(p) for p in triple)
-    if m1 & m2 & m3:
-        raise EmptyIntersectionViolated(sorted(m1 & m2 & m3))
-    return m1, m2, m3
-
-
 def check_graph(g: CubicGraph, which: str, gid: str = "?") -> dict:
     """Run one conjecture check on one graph; returns its copnc/1 sweep
     record: schema, check, id, n, the check's own fields, whether the
@@ -479,10 +457,10 @@ def check_graph(g: CubicGraph, which: str, gid: str = "?") -> dict:
             bipartite.
     thm5:   a normal odd partition exists iff a perfect matching does.
     """
-    from .certificates import certificate
+    from .certificates import SCHEMA, certificate
 
     t0 = time.perf_counter()
-    rec: dict = {"schema": "copnc/1", "check": which, "id": gid, "n": g.n}
+    rec: dict = {"schema": SCHEMA, "check": which, "id": gid, "n": g.n}
     if which == "conj25":
         free = not bridges(g)
         triple = find_compatible_triple(g)

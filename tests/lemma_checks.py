@@ -1,4 +1,4 @@
-"""Two lemmas of the paper, as checks the tests run: the program never
+"""Three lemmas of the paper, as checks the tests run: the program never
 calls them.
 
 edge_role_audit checks the edge-role structure forced on any three normal
@@ -6,12 +6,14 @@ partitions: away from their agreement set every edge is internal to one
 or two of them, and when to two, a trail of length 1 in the third.
 complete_system searches the normal odd partitions of a small graph for
 k of them that mark all three edges at every vertex.
+fan_raspaud_witness returns the associated matchings of a compatible odd
+triple, whose common intersection is empty (the Fan-Raspaud condition).
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from copnc.graph import CubicGraph
-from copnc.partition import NormalPartition, agreement
+from copnc.partition import NormalPartition, agreement, associated_matching
 from copnc.search import enumerate_nops
 from copnc.switching import CapExceeded
 
@@ -62,6 +64,24 @@ def edge_role_audit(
             continue
         raise AuditViolation(e, roles)
     return report
+
+
+class EmptyIntersectionViolated(AssertionError):
+    """Three matchings from a compatible triple met in an edge: a bug."""
+
+
+def fan_raspaud_witness(
+    triple: Sequence[NormalPartition],
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The three associated matchings of a compatible odd triple; their
+    triple intersection is empty (raising otherwise would flag a bug)."""
+    p1, p2, p3 = triple
+    if agreement(triple):
+        raise ValueError("triple is not pairwise compatible")
+    m1, m2, m3 = (associated_matching(p) for p in triple)
+    if m1 & m2 & m3:
+        raise EmptyIntersectionViolated(sorted(m1 & m2 & m3))
+    return m1, m2, m3
 
 
 def complete_system(

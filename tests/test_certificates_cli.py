@@ -35,7 +35,7 @@ PUBLIC = """
     BadParameter CapExceeded ConformalTriple CubicGraph CycleError InvalidPartition Malformed
     NoMatching NonCubic NormalPartition NotBipartite NotThreeEdgeColorable SearchExhausted
     agreement associated_matching bipartite_triple bridges conformal_switch conformal_triple
-    conformal_triple_general enumerate_compatible_triples enumerate_nops fan_raspaud_witness
+    conformal_triple_general enumerate_compatible_triples enumerate_nops
     find_compatible_triple find_length3_triple find_nop flower_triple generate goldberg_triple
     is_bipartite is_conformal is_odd length_profile nop_from_matching parse_edge_list
     parse_graph6 partition_classes partition_violations perfect_matchings petersen_triple
@@ -259,7 +259,7 @@ class TestCli:
         assert main(argv) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--matching applies to conformal moves only" in captured.err
+        assert captured.err == f"--matching applies to conformal moves only, not {moves}\n"
 
     # k4's 0,5 is a perfect matching, but 0,0,5 names edge 0 twice
     @pytest.mark.parametrize(
@@ -492,6 +492,30 @@ class TestCli:
         assert out.returncode == 5 and "invalid choice: 'frobnicate'" in out.stderr
         out = subprocess.run(run + ["sweep", "--help"], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0 and out.stdout.startswith("usage: copnc sweep")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["sweep", "--input", "{tmp}/missing.g6", "--check", "conj25"],
+                "cannot read {tmp}/missing.g6: [Errno 2] No such file or directory: '{tmp}/missing.g6'\n",
+            ),
+            (["sweep", "--input", "{tmp}/k4.txt", "--check", "thm5"], "unknown graph file type: .txt\n"),
+            (["switch-class", "--graph", "k4", "--moves", "conformal"], "--matching is required for conformal moves\n"),
+            (
+                ["switch-class", "--graph", "k4", "--moves", "conformal", "--matching", "0,x"],
+                "bad --matching '0,x': expected comma separated edge ids\n",
+            ),
+            (["family"], "family name required (petersen | flower:k | goldberg:k)\n"),
+        ],
+        ids=["sweep_unreadable", "sweep_suffix", "conformal_no_matching", "bad_matching", "family"],
+    )
+    def test_usage_error_message(self, tmp_path, capsys, argv, err):
+        # each usage error exits 5 through main, with its message alone on stderr
+        (tmp_path / "k4.txt").write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 5
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err.format(tmp=tmp_path))
 
     @pytest.mark.parametrize(
         "data",

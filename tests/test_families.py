@@ -31,11 +31,10 @@ from copnc.partition import (
     length_profile,
     trails_from_marking,
 )
-from copnc.search import fan_raspaud_witness
 
 from conftest import graph_automorphisms
 from family_replay import flower_replay, goldberg_replay
-from lemma_checks import edge_role_audit
+from lemma_checks import edge_role_audit, fan_raspaud_witness
 
 
 def flower_roles():

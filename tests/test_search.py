@@ -30,7 +30,6 @@ from copnc.search import (
     enumerate_markings,
     enumerate_nops,
     enumerate_normal_partitions,
-    fan_raspaud_witness,
     find_compatible_triple,
     find_length3_triple,
     find_nop,
@@ -44,7 +43,7 @@ from copnc.switching import CapExceeded
 from conftest import corpus_upto, relabelled
 from journal_search import JournalSearch, whole_plan_choices
 from keyed_enumeration import first_by_key
-from lemma_checks import complete_system
+from lemma_checks import complete_system, fan_raspaud_witness
 
 
 def scan_oracle(g):

@@ -17,11 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "copnc"
 
-# Kept without a caller on purpose: `validate` is to check the Fan-Raspaud
-# witness of a certificate's three matchings (ROADMAP item 8).
-UNCALLED = {"fan_raspaud_witness", "EmptyIntersectionViolated"}
-
-
 def _definitions():
     """(file, name, first line, last line) of every top-level function and
     class of the package and every public method of its classes."""
@@ -81,7 +76,5 @@ def _dead():
 
 
 def test_every_definition_has_a_caller():
-    dead = _dead()
-    unused, called = sorted(dead - UNCALLED), sorted(UNCALLED - dead)
-    assert not unused, f"only tests call {unused}: move them to tests/"
-    assert not called, f"{called} have callers now: drop them from UNCALLED"
+    dead = sorted(_dead())
+    assert not dead, f"only tests call {dead}: move them to tests/"
