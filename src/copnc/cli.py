@@ -189,6 +189,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_switch_class(args) -> int:
+    if args.cap < 0:
+        raise UsageError(f"--cap must be at least 0, not {args.cap}")
     g = resolve_graph(args.graph)
     try:
         ids = [int(x) for x in args.matching.split(",")] if args.matching else None

@@ -27,17 +27,20 @@ rank of its mark among the values v may take (a loop's two darts are one,
 a dart on m none), and the family one byte per index, read as one int.
 A class is flood-filled from its least index: at each vertex its members
 go to digit 0, back to every value, and stay where the family has one.
+The fill decodes nothing.  A call decodes each member at most once (for
+the odd check, to order several classes, and the first member for the
+default matching) and keeps no trails, so members come back undecoded.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import cycle
-from operator import or_
+from operator import itemgetter, or_
 from typing import Optional, Sequence
 
 from .graph import CubicGraph, is_perfect_matching
-from .partition import NormalPartition, associated_matching, is_odd, walk
+from .partition import NormalPartition, associated_matching, trails_from_marking, walk
 
 
 class CapExceeded(RuntimeError):
@@ -77,35 +80,38 @@ def partition_classes(
     moves, odd ones for odd moves, ones conformal to the perfect matching
     m (by default the first member's) for conformal moves, as
     enumerate_normal_partitions and enumerate_nops return them: in search
-    order and undecoded.  The classes come from the markings alone, so
-    plain moves, and conformal moves given m, decode no member unless
-    there are several classes to order; odd moves decode each member once
-    for its check.  There a move is exactly a change of one vertex's mark,
-    so the classes are the family's components under one-vertex mark
-    changes, flood-filled over one byte per marking index (at most 3^n);
-    no move is built.  Moves that leave an incomplete family go unseen:
-    such a family gets its components.  A member not of the kind (even
+    order and undecoded.  In such a family a move is exactly a change of
+    one vertex's mark, so the classes are the family's components under
+    one-vertex mark changes, flood-filled over one byte per marking index
+    (at most 3^n); no move is built.  Moves that leave an incomplete
+    family go unseen: such a family gets its components.  The classes come
+    from the markings alone.  A call decodes each member at most once:
+    under odd moves, for the check, which reads its trail lengths; with
+    several classes, to order them by their least trails; and the first
+    member, for the default m.  It keeps nothing, so members come back as
+    undecoded as they came, and plain moves, and conformal moves given m,
+    that leave one class decode nothing.  A member not of the kind (even
     under odd moves, marking an edge of m under conformal ones: see
     partition.is_conformal) or a matching that is not perfect raises
     ValueError.  Members equal as partitions are kept once, the first.
 
     Classes come out in canonical order of their least (by trails)
     member, members in family order.  Raises CapExceeded when a class has
-    more than cap members.
+    more than cap members, after every check has passed.
     """
+    if kind not in ("plain", "odd", "conformal"):
+        raise ValueError(f"unknown move kind '{kind}'")
     if not partitions:
         return []
     g = partitions[0].graph
     off: frozenset[int] = frozenset()  # edges whose darts take no value
+    first = None  # partitions[0] decoded, when it gives the matching
     if kind == "conformal":
-        off = frozenset(matching) if matching is not None else associated_matching(partitions[0])
+        if matching is None:
+            first = trails_from_marking(g, partitions[0].marked)
+        off = frozenset(matching) if first is None else associated_matching(first)
         if not is_perfect_matching(g, off):
             raise ValueError("conformal moves need a perfect matching")
-    elif kind == "odd":
-        if not all(map(is_odd, partitions)):
-            raise ValueError("a member has an even trail, so it is not odd")
-    elif kind != "plain":
-        raise ValueError(f"unknown move kind '{kind}'")
     # a member's index is the sum of value[d] over its marks: d's rank among
     # its vertex's values times the vertex's place (W, past every index, for
     # a dart on m); steps holds (place, radix) of each vertex with a move
@@ -153,8 +159,19 @@ def partition_classes(
         classes = [list(index.values())]
     else:
         classes = [[p for i, p in index.items() if bits[i]] for bits in (c.to_bytes(W, "little") for c in comps)]
+    if kind == "odd" or len(classes) > 1:
+
+        def trails(p: NormalPartition) -> tuple[tuple, ...]:
+            # one decode a member, kept by none: its lengths for the odd
+            # check, its trails for the least of its class
+            t = (first if first is not None and p is partitions[0] else trails_from_marking(g, p.marked)).trails
+            if kind == "odd" and not all(len(es) & 1 for _, es in t):
+                raise ValueError("a member has an even trail, so it is not odd")
+            return t
+
+        least = [min(map(trails, c)) for c in classes]
     if cap is not None and max(map(len, classes)) > cap:
         raise CapExceeded(f"switch class exceeds cap {cap}")
     if len(classes) > 1:
-        classes.sort(key=lambda c: min(p.trails for p in c))
+        classes = [c for _, c in sorted(zip(least, classes), key=itemgetter(0))]
     return classes

@@ -253,6 +253,17 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["count"] == 1
         assert len(calls) == decodes
 
+    @pytest.mark.parametrize("cap", ["-1", "-5"])
+    def test_switch_class_negative_cap_is_usage_error(self, capsys, cap):
+        assert main(["switch-class", "--graph", "cube", "--moves", "odd", "--cap", cap]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--cap must be at least 0, not {cap}\n"
+
+    def test_switch_class_cap_zero_exceeded(self, capsys):
+        assert main(["switch-class", "--graph", "k4", "--moves", "odd", "--cap", "0"]) == 4
+        assert capsys.readouterr().err == "cap exceeded: 3^4 markings exceed cap 0\n"
+
     @pytest.mark.parametrize("moves", ["plain", "odd"])
     def test_switch_class_matching_needs_conformal(self, capsys, moves):
         argv = ["switch-class", "--graph", "k33", "--moves", moves, "--matching", "1,2"]

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -350,6 +351,27 @@ def assert_family_order(classes, family):
     assert sum(map(len, classes)) == len(set(fold_keys(family)))
 
 
+SUBFAMILY_CASES = [("k33", "odd"), ("prism", "plain"), ("cube", "odd"), ("cube", "conformal"), ("petersen", "conformal")]
+
+
+def random_subfamilies(name, kind):
+    """(family, matching) for four seeded random, shuffled sub-families of
+    the named graph's complete family of the kind, keeping about 15%, 30%,
+    50% and 80% of it; conformal ones are to the first perfect matching."""
+    import random
+
+    from copnc.search import enumerate_normal_partitions
+
+    g = generate(name)
+    m = next(perfect_matchings(g)) if kind == "conformal" else None
+    full = enumerate_normal_partitions(g) if kind == "plain" else enumerate_nops(g, conformal_to=m)
+    rng = random.Random(f"{name}-{kind}")
+    for keep in (0.15, 0.3, 0.5, 0.8):
+        family = [p for p in full if rng.random() < keep]
+        rng.shuffle(family)
+        yield family, m
+
+
 class TestClassComponents:
     """partition_classes joins one-vertex mark changes; the switches by
     their definition, and breadth-first search over them, are its
@@ -397,27 +419,14 @@ class TestClassComponents:
                 split += len(classes) > 1
         assert split == 3  # theta's two conformal singletons, for each matching
 
-    @pytest.mark.parametrize(
-        "name,kind",
-        [("k33", "odd"), ("prism", "plain"), ("cube", "odd"), ("cube", "conformal"), ("petersen", "conformal")],
-    )
+    @pytest.mark.parametrize("name,kind", SUBFAMILY_CASES)
     def test_random_subfamilies(self, name, kind):
         """Seeded random, shuffled sub-families split into several
         components; each is the breadth-first search restricted to the
         sub-family, and the classes come in canonical order of their
         least member."""
-        import random
-
-        from copnc.search import enumerate_normal_partitions
-
-        g = generate(name)
-        m = next(perfect_matchings(g)) if kind == "conformal" else None
-        full = enumerate_normal_partitions(g) if kind == "plain" else enumerate_nops(g, conformal_to=m)
-        rng = random.Random(f"{name}-{kind}")
         split = 0
-        for keep in (0.15, 0.3, 0.5, 0.8):
-            family = [p for p in full if rng.random() < keep]
-            rng.shuffle(family)
+        for family, m in random_subfamilies(name, kind):
             classes = partition_classes(family, kind, m)
             assert [set(fold_keys(c)) for c in classes] == restricted_bfs(family, kind, m)
             assert_family_order(classes, family)
@@ -469,8 +478,9 @@ class TestClassComponents:
             partition_classes(enumerate_nops(k33), "conformal", m)
         with pytest.raises(ValueError, match="perfect matching"):
             partition_classes(enumerate_nops(k4), "conformal", frozenset({0}))
-        with pytest.raises(ValueError, match="unknown move kind"):
-            partition_classes(enumerate_nops(k4), "sideways")
+        for family in (enumerate_nops(k4), []):
+            with pytest.raises(ValueError, match="unknown move kind"):
+                partition_classes(family, "sideways")
         assert partition_classes([], "odd") == []
 
     def test_cap(self, k4, theta):
@@ -546,3 +556,66 @@ class TestUnionFindOracle:
                 checked += 1
         assert partition_classes(enumerate_nops(dumbbell), "conformal") == [enumerate_nops(dumbbell)]
         assert checked > 5
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """A Counter of the markings that partition_classes decodes, counted
+    through copnc.switching's binding of trails_from_marking."""
+    from copnc import switching
+
+    seen = Counter()
+
+    def counted(g, marking):
+        seen[tuple(marking)] += 1
+        return trails_from_marking(g, marking)
+
+    monkeypatch.setattr(switching, "trails_from_marking", counted)
+    return seen
+
+
+def decode_cases():
+    """(name, family, kind, matching): the cube's and the Petersen graph's
+    odd pools, and the seeded sub-families of test_random_subfamilies,
+    each member new and undecoded (the sub-families share members)."""
+    for name in ("cube", "petersen"):
+        yield name, enumerate_nops(generate(name)), "odd", None
+    for name, kind in SUBFAMILY_CASES:
+        for family, m in random_subfamilies(name, kind):
+            yield name, [NormalPartition(p.graph, p.marked) for p in family], kind, m
+
+
+class TestNoDecodeKept:
+    """A call decodes each member at most once, under odd moves each kept
+    member exactly once, and leaves every member undecoded; the classes
+    stay those of the union-find oracle."""
+
+    def test_one_decode_a_member_none_kept(self, decodes):
+        split = 0
+        for name, family, kind, m in decode_cases():
+            decodes.clear()
+            got = partition_classes(family, kind, m)
+            assert all(p._trails is None for p in family), (name, kind)
+            members = {p.marked for c in got for p in c}
+            assert set(decodes) <= members and max(decodes.values(), default=1) == 1, (name, kind)
+            if kind == "odd" or len(got) > 1:
+                assert set(decodes) == members, (name, kind)
+            else:
+                assert not decodes, (name, kind)
+            assert same_classes(got, union_find_classes(family, kind, m)), (name, kind)
+            split += len(got) > 1
+        assert split >= 8
+
+    def test_default_matching_decodes_first_once(self, decodes, theta):
+        # the first member gives the matching and is decoded once for it and
+        # for the order of theta's two singleton classes
+        family = enumerate_nops(theta, conformal_to=frozenset({0}))
+        got = partition_classes(family, "conformal")
+        assert len(got) == 2 and all(p._trails is None for p in family)
+        assert sorted(decodes.values()) == [1, 1]
+
+    def test_even_member_refused_before_cap(self, k4):
+        from copnc.search import enumerate_normal_partitions
+
+        with pytest.raises(ValueError, match="even trail"):
+            partition_classes(enumerate_normal_partitions(k4), "odd", cap=1)

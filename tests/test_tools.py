@@ -18,7 +18,7 @@ TABLES = {
     "search": ("case graphs solutions nodes rows cpu_s nodes/s ratio", 14),
     "route": ("case n cpu_s ratio switch_us color_ms contract_ms seed_ms descent_ms lift_ms", 8),
     "cert": ("case n bytes write_ms loads_ms validate_ms validate_g_ms", 7),
-    "class": ("query pool classes calls cpu_s ms/call enum_ms us/part query_ms", 18),
+    "class": ("query pool classes calls cpu_s ms/call enum_ms us/part query_ms decodes", 18),
     "family": ("family k n ms ratio replay_ms", 8),
     "startup": ("case runs value unit", 4),
 }

@@ -24,6 +24,8 @@ def union_find_classes(
     matching: Optional[frozenset[int]] = None,
     cap: Optional[int] = None,
 ) -> list[list[NormalPartition]]:
+    if kind not in ("plain", "odd", "conformal"):
+        raise ValueError(f"unknown move kind '{kind}'")
     if not partitions:
         return []
     g = partitions[0].graph
@@ -36,8 +38,6 @@ def union_find_classes(
     elif kind == "odd":
         if not all(map(is_odd, partitions)):
             raise ValueError("a member has an even trail, so it is not odd")
-    elif kind != "plain":
-        raise ValueError(f"unknown move kind '{kind}'")
     # a folded marking as one int: two bits per vertex hold the slot of its
     # mark, and a loop's upper dart counts as its lower one
     bits = [0] * (2 * g.m)

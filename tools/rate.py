@@ -7,7 +7,7 @@
   cert     milliseconds per certificate write, json.loads and
            validate_certificate
   class    milliseconds per copnc.switching.partition_classes call, and per
-           whole switch-class query
+           whole switch-class query, with the decodes of one query
   family   milliseconds per flower_triple and goldberg_triple at doubling k
   startup  milliseconds of `import copnc.cli` in a fresh interpreter, and the
            line count of src/copnc
@@ -401,6 +401,30 @@ def cert(repeat: int, seed: int) -> None:
         print(f"{label:<12} {g.n:>5} {len(text):>8} {write_ms:>9.2f} {loads_ms:>9.2f} {check_ms:>12.2f} {check_g_ms:>14.2f}")
 
 
+@contextmanager
+def counted_decodes(calls: list[int]):
+    """Add the trails_from_marking calls made while the block runs to
+    calls[0], through every copnc module that holds the decoder."""
+    decode = trails_from_marking
+
+    def counted(g, marking):
+        calls[0] += 1
+        return decode(g, marking)
+
+    holders = [
+        mod
+        for name, mod in list(sys.modules.items())
+        if name.split(".")[0] == "copnc" and getattr(mod, "trails_from_marking", None) is decode
+    ]
+    for mod in holders:
+        mod.trails_from_marking = counted
+    try:
+        yield
+    finally:
+        for mod in holders:
+            mod.trails_from_marking = decode
+
+
 def plain_odd(names) -> list[tuple[str, Callable[[], list], str, frozenset[int] | None]]:
     """(name, pool enumeration, move kind, matching) of plain and odd moves
     on each named graph."""
@@ -431,30 +455,43 @@ def class_(repeat: int, seed: int) -> None:
     the total leaves out.
 
     The ms/call column times partition_classes alone on a pool enumerated
-    beforehand (odd pools are decoded by the first call and stay so).  The
-    enum_ms column times the enumeration alone (enumerate_normal_partitions
-    or enumerate_nops), and us/part is that time per partition it yields.
-    The query_ms column times the query as `copnc switch-class` runs it: the
-    enumeration and then partition_classes on that fresh pool.
+    beforehand (a call keeps no decode, so under odd moves every call
+    decodes each member once, for its check, and ms/call includes that).
+    The enum_ms column times the enumeration alone
+    (enumerate_normal_partitions or enumerate_nops), and us/part is that
+    time per partition it yields.  The query_ms column times the query as
+    `copnc switch-class` runs it: the enumeration and then
+    partition_classes on that fresh pool; decodes counts the
+    trails_from_marking calls of one such query, untimed.
     """
     print(
         f"{'query':<27} {'pool':>5} {'classes':>7} {'calls':>6} {'cpu_s':>7} {'ms/call':>8}"
-        f" {'enum_ms':>8} {'us/part':>7} {'query_ms':>9}"
+        f" {'enum_ms':>8} {'us/part':>7} {'query_ms':>9} {'decodes':>7}"
     )
 
-    def row(name, enumerate_pool, kind, m) -> tuple[float, float, float]:
+    def query(enumerate_pool, kind, m) -> list:
+        return partition_classes(enumerate_pool(), kind, m)
+
+    def row(name, enumerate_pool, kind, m) -> tuple[float, float, float, int]:
         pool = enumerate_pool()
         found, calls, secs = rounds(partial(partition_classes, pool, kind, m), repeat)
         _, e_calls, e_secs = rounds(enumerate_pool, repeat)
-        _, q_calls, q_secs = rounds(lambda: partition_classes(enumerate_pool(), kind, m), repeat)
+        _, q_calls, q_secs = rounds(partial(query, enumerate_pool, kind, m), repeat)
+        decodes = [0]
+        with counted_decodes(decodes):
+            query(enumerate_pool, kind, m)
         print(
             f"{name:<27} {len(pool):>5} {len(found):>7} {calls:>6} {secs:>7.3f} {secs / calls * 1e3:>8.2f}"
             f" {e_secs / e_calls * 1e3:>8.2f} {e_secs / e_calls / len(pool) * 1e6:>7.2f} {q_secs / q_calls * 1e3:>9.2f}"
+            f" {decodes[0]:>7}"
         )
-        return secs / calls, e_secs / e_calls, q_secs / q_calls
+        return secs / calls, e_secs / e_calls, q_secs / q_calls, decodes[0]
 
-    total, enum, whole = map(sum, zip(*(row(*q) for q in queries())))
-    print(f"{'all 15':<27} {'':>5} {'':>7} {'':>6} {'':>7} {total * 1e3:>8.2f} {enum * 1e3:>8.2f} {'':>7} {whole * 1e3:>9.2f}")
+    total, enum, whole, decodes = map(sum, zip(*(row(*q) for q in queries())))
+    print(
+        f"{'all 15':<27} {'':>5} {'':>7} {'':>6} {'':>7} {total * 1e3:>8.2f} {enum * 1e3:>8.2f} {'':>7}"
+        f" {whole * 1e3:>9.2f} {decodes:>7}"
+    )
     for q in plain_odd(("petersen",)):
         row(*q)
 
